@@ -21,7 +21,7 @@ from .graph import ChannelGraph, load_graph
 from .paths import BETWEENNESS_COLUMNS, betweenness_rows, edge_betweenness
 from .planner import (PLAN_COLUMNS, apply_plan, load_plan_csv, plan_rows,
                       redistribute_uniform, redistribute_xi_optimized)
-from .results import (aggregate, write_aggregates_csv, write_csv,
+from .results import (Aggregate, summarize, write_aggregates_csv, write_csv,
                       write_outcomes_csv, write_sweep_csv)
 from .rng import PRNG_ID, Rng, run_seed
 from .sim import (SimConfig, STOP_MODES, TOPOLOGIES, capacity_sweep,
@@ -183,6 +183,14 @@ def _write_nodemap(g: ChannelGraph, out: str, meta: dict) -> None:
     print(f"node map written to {path}")
 
 
+def _summary_line(agg: Aggregate) -> str:
+    """Campaign summary; runs that were all censored have no moments to print."""
+    if not agg.count:
+        return f"count=0 censored={agg.censored_count}"
+    return (f"count={agg.count} min={agg.min} max={agg.max} "
+            f"mean={agg.mean:.4g} std={agg.std:.4g} censored={agg.censored_count}")
+
+
 def cmd_simulate(args) -> int:
     recipe = resolve_recipe(args)
     topology = recipe.get("topology")
@@ -202,6 +210,8 @@ def cmd_simulate(args) -> int:
             amounts = [int(x) for x in str(recipe["amounts"]).split(",") if x.strip()]
         except ValueError:
             raise ConfigError(f"bad amounts list: {recipe['amounts']!r}")
+        if any(x < 1 for x in amounts):
+            raise ConfigError("amounts must be >= 1")
     common = dict(
         amount=recipe.get("amount", 1),
         stop_mode=stop,
@@ -209,19 +219,18 @@ def cmd_simulate(args) -> int:
         base_seed=recipe.get("seed", 0),
         runs=recipe.get("runs", 1),
     )
-    graph = None
-    if topology == "snapshot":
-        graph = _load_cmd_graph(recipe)
-        cfg = SimConfig(topology="snapshot",
-                        snapshot_path=recipe.get("graph") or recipe.get("snapshot"),
-                        **common)
-    else:
-        try:
+    graph = _load_cmd_graph(recipe) if topology == "snapshot" else None
+    try:
+        if topology == "snapshot":
+            cfg = SimConfig(topology="snapshot",
+                            snapshot_path=recipe.get("graph") or recipe.get("snapshot"),
+                            **common)
+        else:
             cfg = SimConfig(topology=topology, nodes=recipe.get("nodes"),
                             balance=balance, p_select=recipe.get("p_select"),
                             **common)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     workers = recipe.get("workers", os.cpu_count() or 1)
     # worker count never enters the echo/metadata: outputs are identical at any N
     resolved = dict(cfg.as_dict(), command="simulate")
@@ -239,10 +248,9 @@ def cmd_simulate(args) -> int:
                                             max_steps=cfg.max_steps, workers=workers)
         aggregates = []
         for x, outcomes in campaigns:
-            agg = aggregate(outcomes, config_id=f"x{x}")
+            agg = summarize(outcomes, config_id=f"x{x}")
             aggregates.append(agg)
-            print(f"amount {x}: count={agg.count} min={agg.min} max={agg.max} "
-                  f"mean={agg.mean:.4g} std={agg.std:.4g} censored={agg.censored_count}")
+            print(f"amount {x}: {_summary_line(agg)}")
             if out:
                 stem = Path(out)
                 per_amount = stem.with_name(f"{stem.stem}-x{x}{stem.suffix or '.csv'}")
@@ -255,9 +263,8 @@ def cmd_simulate(args) -> int:
         return EXIT_OK
 
     outcomes = monte_carlo(cfg, graph=graph, workers=workers)
-    agg = aggregate(outcomes, config_id=cfg.config_id())
-    print(f"{agg.config_id}: count={agg.count} min={agg.min} max={agg.max} "
-          f"mean={agg.mean:.4g} std={agg.std:.4g} censored={agg.censored_count}")
+    agg = summarize(outcomes, config_id=cfg.config_id())
+    print(f"{agg.config_id}: {_summary_line(agg)}")
     if out:
         write_outcomes_csv(outcomes, out, meta)
         if graph is not None:
@@ -300,9 +307,12 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc))
     for point in points:
-        agg = aggregate(point.outcomes, config_id=str(point.balance))
-        line = (f"k={point.balance}: min={agg.min} mean={agg.mean:.4g} max={agg.max} "
-                f"std={agg.std:.4g} censored={agg.censored_count}")
+        agg = summarize(point.outcomes, config_id=str(point.balance))
+        if agg.count:
+            line = (f"k={point.balance}: min={agg.min} mean={agg.mean:.4g} max={agg.max} "
+                    f"std={agg.std:.4g} censored={agg.censored_count}")
+        else:
+            line = f"k={point.balance}: censored={agg.censored_count}"
         if point.p_fail_within_horizon is not None:
             line += f" p_fail<=H={point.p_fail_within_horizon:.4g}"
         print(line)

@@ -146,13 +146,6 @@ def _check_capacity(capacity: int) -> None:
         raise ValueError(f"capacity must be a positive even integer, got {capacity}")
 
 
-def clique_edge_id(n: int, u: int, v: int) -> int:
-    """Edge id of {u,v} in make_clique(n, .) without building the graph."""
-    if u > v:
-        u, v = v, u
-    return u * (2 * n - u - 1) // 2 + (v - u - 1)
-
-
 def parse_snapshot(source) -> SnapshotDocument:
     """Parse an LND ``describegraph``-shaped document.
 

@@ -23,15 +23,16 @@ class Aggregate:
     """min/max/mean/std summary of the uncensored taus at one config point.
 
     std is the population standard deviation.  Censored (step-cap) runs are
-    excluded from the moments but always reported in censored_count.
+    excluded from the moments but always reported in censored_count.  A
+    point whose runs were all censored has count 0 and no moments (None).
     """
 
     config_id: str
     count: int
-    min: int
-    max: int
-    mean: float
-    std: float
+    min: Optional[int]
+    max: Optional[int]
+    mean: Optional[float]
+    std: Optional[float]
     censored_count: int
 
 
@@ -55,6 +56,13 @@ def aggregate(outcomes: list[RunOutcome], config_id: str = "") -> Aggregate:
         std=math.sqrt(var_num / count ** 3),
         censored_count=censored,
     )
+
+
+def summarize(outcomes: list[RunOutcome], config_id: str = "") -> Aggregate:
+    """aggregate(), except that all-censored outcomes give count 0 and no moments."""
+    if outcomes and all(o.censored for o in outcomes):
+        return Aggregate(config_id, 0, None, None, None, None, len(outcomes))
+    return aggregate(outcomes, config_id=config_id)
 
 
 @dataclass
@@ -196,13 +204,9 @@ def write_sweep_csv(points, path, meta: dict, horizon: Optional[int] = None) -> 
         columns.append(f"p_fail_within_{horizon}")
     rows = []
     for point in points:
-        censored = sum(1 for o in point.outcomes if o.censored)
-        if censored == len(point.outcomes):
-            # right-censored everywhere: no moments, but the point is reported
-            row = [point.balance, None, None, None, None, censored]
-        else:
-            agg = aggregate(point.outcomes, config_id=str(point.balance))
-            row = [point.balance, agg.min, agg.mean, agg.max, agg.std, censored]
+        # a point right-censored everywhere is reported with empty moments
+        agg = summarize(point.outcomes, config_id=str(point.balance))
+        row = [point.balance, agg.min, agg.mean, agg.max, agg.std, agg.censored_count]
         if horizon is not None:
             row.append(point.p_fail_within_horizon)
         rows.append(tuple(row))

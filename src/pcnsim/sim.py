@@ -25,6 +25,7 @@ STEP_CAP = "step_cap_reached"
 
 _CHUNK = 1 << 14
 _PROGRESS_EVERY = 10 ** 8
+_MIN_NODES = {"clique": 2, "ring": 3, "independent": 1}
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,11 @@ class SimConfig:
                 raise ValueError(f"{self.topology} topology needs nodes and balance")
             if self.balance < 1:
                 raise ValueError("balance must be >= 1")
+            least = _MIN_NODES[self.topology]
+            if self.topology == "independent" and self.p_select is None:
+                least = 3  # the default p_select is the n-ring's edge probability
+            if self.nodes < least:
+                raise ValueError(f"{self.topology} needs n >= {least}, got {self.nodes}")
         if self.topology == "snapshot" and self.snapshot_path is None:
             raise ValueError("snapshot topology needs snapshot_path")
         if self.p_select is not None and not (0.0 < self.p_select <= 1.0):
@@ -106,14 +112,6 @@ class RunOutcome:
     @property
     def censored(self) -> bool:
         return self.failure_kind == STEP_CAP
-
-
-@dataclass
-class ChainState:
-    """Signed positions of the birth-and-death chains, one per edge."""
-
-    positions: list[int]
-    boundary: int
 
 
 def build_graph(cfg: SimConfig) -> Optional[ChannelGraph]:
@@ -244,6 +242,71 @@ def _clique_fast(n: int, capacity: int, cfg: SimConfig, rng: Rng) -> RunOutcome:
     return RunOutcome(t, None, STEP_CAP, rng.seed)
 
 
+def _ring_fast(n: int, capacity: int, cfg: SimConfig, rng: Rng) -> RunOutcome:
+    """Payment process on a uniform-capacity ring, one arc per round.
+
+    Every shortest path on a ring is an arc, so a round is one or two slice
+    updates of ``cw``, where ``cw[i]`` is the balance node i can push to i+1
+    over edge i.  Edge n-1 joins n-1 and 0, and make_ring stores its balance
+    at node 0, so ``cw[n-1]`` is the other side of it.  The draws are those of
+    run_payment_process, so outcomes are identical: an antipodal pair (even n)
+    takes one ``randrange(2)``, and r == 0 picks the antipode's first BFS
+    predecessor, which lies on the counterclockwise arc for every source but
+    0, because make_ring lists node 0's neighbours as [1, n-1].
+    """
+    x = cfg.amount
+    attempt = cfg.stop_mode == "attempt"
+    half = capacity // 2
+    if not attempt and min(half, capacity - half) < x:
+        return RunOutcome(0, 0, DEPLETED, rng.seed)
+    cw = np.full(n, half, dtype=np.int64)
+    hi = capacity - x  # cw[e] > hi: node e+1 cannot pay x over edge e
+    max_steps = cfg.max_steps
+    t = 0
+    next_progress = _PROGRESS_EVERY
+    while t < max_steps:
+        s, d = rng.pair(n)
+        span = d - s if d > s else d - s + n  # clockwise hops from s to d
+        if 2 * span == n:
+            clockwise = (rng.randrange(2) == 0) == (s == 0)
+        else:
+            clockwise = 2 * span < n
+        # the arc's edges are lo, lo+1, ..., end-1 (mod n); a clockwise
+        # payment crosses them in ascending order, a counterclockwise one in
+        # descending order
+        lo, end = (s, s + span) if clockwise else (d, s + n if s < d else s)
+        segs = ((lo, end),) if end <= n else ((lo, n), (0, end - n))
+        step = -x if clockwise else x
+        if not attempt:
+            for a, b in segs:
+                cw[a:b] += step
+        failing = -1
+        if clockwise:
+            for a, b in segs:
+                v = cw[a:b]
+                if v.min() < x:
+                    failing = a + int(np.argmax(v < x))
+                    break
+        else:
+            for a, b in reversed(segs):
+                v = cw[a:b]
+                if v.max() > hi:
+                    failing = b - 1 - int(np.argmax(v[::-1] > hi))
+                    break
+        if attempt:
+            if failing >= 0:
+                return RunOutcome(t, failing, ATTEMPT_FAILED, rng.seed)
+            for a, b in segs:
+                cw[a:b] += step
+        t += 1
+        if failing >= 0:
+            return RunOutcome(t, failing, DEPLETED, rng.seed)
+        if t >= next_progress:
+            logger.info("ring process at %d rounds (seed %d)", t, rng.seed)
+            next_progress += _PROGRESS_EVERY
+    return RunOutcome(t, None, STEP_CAP, rng.seed)
+
+
 def run_bdc_process(m: int, k: int, max_steps: int, rng: Rng) -> RunOutcome:
     """Multiple birth-and-death chains: each round one uniform chain moves ±1.
 
@@ -252,8 +315,7 @@ def run_bdc_process(m: int, k: int, max_steps: int, rng: Rng) -> RunOutcome:
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be >= 1")
-    state = ChainState(positions=[0] * m, boundary=k)
-    pos = state.positions
+    pos = [0] * m
     t = 0
     size = 128
     next_progress = _PROGRESS_EVERY
@@ -358,15 +420,35 @@ def run_independent_chains(n: int, k: int, p_select: float, max_steps: int,
     return RunOutcome(t, None, STEP_CAP, rng.seed)
 
 
+def _independent(cfg: SimConfig, rng: Rng) -> RunOutcome:
+    p = cfg.p_select if cfg.p_select is not None else ring_edge_probability(cfg.nodes)
+    return run_independent_chains(cfg.nodes, cfg.balance, p, cfg.max_steps, rng)
+
+
+# Graph-free kernels: each runs one replica of its topology from cfg alone.
+_KERNELS = {
+    "clique": lambda cfg, rng: _clique_fast(cfg.nodes, 2 * cfg.balance, cfg, rng),
+    "ring": lambda cfg, rng: _ring_fast(cfg.nodes, 2 * cfg.balance, cfg, rng),
+    "independent": _independent,
+}
+
+
+def _kernel(cfg: SimConfig):
+    """The graph-free kernel for cfg, or None when a run needs a graph."""
+    if cfg.topology == "clique" and not cfg.clique_fast_path:
+        return None
+    return _KERNELS.get(cfg.topology)
+
+
 def _run_single(graph: Optional[ChannelGraph], cfg: SimConfig, run_index: int,
                 cache: DagCache | None = None) -> RunOutcome:
     rng = Rng(run_seed(cfg.base_seed, run_index))
-    if cfg.topology == "independent":
-        p = cfg.p_select if cfg.p_select is not None else ring_edge_probability(cfg.nodes)
-        return run_independent_chains(cfg.nodes, cfg.balance, p, cfg.max_steps, rng)
-    if cfg.topology == "clique" and cfg.clique_fast_path:
-        return _clique_fast(cfg.nodes, 2 * cfg.balance, cfg, rng)
-    return run_payment_process(graph, cfg, rng, cache)
+    if graph is not None:
+        return run_payment_process(graph, cfg, rng, cache)
+    kernel = _kernel(cfg)
+    if kernel is None:
+        raise ValueError(f"a {cfg.topology} run needs a graph")
+    return kernel(cfg, rng)
 
 
 _WORKER_STATE: dict = {}
@@ -389,9 +471,14 @@ def monte_carlo(cfg: SimConfig, graph: Optional[ChannelGraph] = None,
 
     Results are ordered by run index and bit-identical for a fixed config at
     every worker count: each run's stream depends only on (base_seed, index).
+    Without ``graph``, topologies with a graph-free kernel build no graph; a
+    caller's graph always runs the generic payment process.
     """
     if graph is None:
-        graph = build_graph(cfg)
+        if _kernel(cfg) is None:
+            graph = build_graph(cfg)
+    elif cfg.topology == "independent":
+        raise ValueError("independent chains take no graph")
     if graph is not None and not graph.is_connected():
         raise ValueError("graph must be connected (take the giant component first)")
     if workers <= 1 or cfg.runs == 1:
@@ -401,8 +488,7 @@ def monte_carlo(cfg: SimConfig, graph: Optional[ChannelGraph] = None,
         ctx = multiprocessing.get_context("fork")
     except ValueError:
         logger.warning("fork unavailable; running sequentially")
-        cache = DagCache(graph) if graph is not None else None
-        return [_run_single(graph, cfg, i, cache) for i in range(cfg.runs)]
+        return monte_carlo(cfg, graph, workers=1)
     chunksize = max(1, cfg.runs // (workers * 4))
     with ctx.Pool(workers, initializer=_worker_init, initargs=(graph, cfg)) as pool:
         return pool.map(_worker_run, range(cfg.runs), chunksize)

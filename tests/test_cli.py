@@ -293,3 +293,58 @@ def test_simulate_independent_topology(tmp_path):
 
 def test_version_flag():
     assert run_cli("--version") == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--topology", "ring", "--nodes", "2", "--balance", "3"],
+    ["simulate", "--topology", "clique", "--nodes", "1", "--balance", "3"],
+    ["sweep", "--topology", "ring", "--nodes", "2", "--k-from", "1", "--k-to", "2"],
+    ["sweep", "--topology", "independent", "--nodes", "0", "--k-from", "1", "--k-to", "2"],
+])
+def test_too_few_nodes_is_config_error(argv, capsys):
+    assert run_cli(*argv, "--workers", "1") == 1
+    assert "needs n >=" in capsys.readouterr().err
+
+
+def test_bad_amounts_are_config_errors(tmp_path, capsys):
+    g = tmp_path / "ring.edges"
+    write_edgelist(make_ring(5, 8), g)
+    assert run_cli("simulate", "--graph", str(g), "--amount", "0", "--workers", "1") == 1
+    assert run_cli("simulate", "--graph", str(g), "--amounts", "3,0", "--workers", "1") == 1
+    assert "amount" in capsys.readouterr().err
+
+
+def test_simulate_all_censored_prints_censored_summary(tmp_path, capsys):
+    out = tmp_path / "runs.csv"
+    code = run_cli("simulate", "--topology", "ring", "--nodes", "8", "--balance", "50",
+                   "--runs", "3", "--max-steps", "2", "--seed", "1", "--workers", "1",
+                   "--out", str(out))
+    assert code == 0
+    assert "ring-n8-k50-x1-depletion: count=0 censored=3\n" in capsys.readouterr().out
+    outcomes, _ = read_outcomes_csv(out)
+    assert [o.tau for o in outcomes] == [2, 2, 2] and all(o.censored for o in outcomes)
+
+
+def test_sweep_all_censored_point_has_empty_moments(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = run_cli("sweep", "--topology", "ring", "--nodes", "6", "--k-from", "1",
+                   "--k-to", "40", "--k-step", "39", "--runs-per-point", "3",
+                   "--max-steps", "3", "--seed", "2", "--workers", "1", "--out", str(out))
+    assert code == 0
+    assert "k=40: censored=3\n" in capsys.readouterr().out
+    _, _, rows = read_csv(out)
+    assert rows[0][0] == "1" and rows[0][1] == "1" and rows[0][5] == "0"
+    assert rows[1] == ["40", "", "", "", "", "3"]
+
+
+def test_multi_amount_all_censored_amount_has_empty_moments(tmp_path, capsys):
+    g = tmp_path / "ring.edges"
+    write_edgelist(make_ring(5, 40), g)
+    out = tmp_path / "camp.csv"
+    code = run_cli("simulate", "--graph", str(g), "--amounts", "1,21", "--runs", "2",
+                   "--max-steps", "2", "--seed", "3", "--workers", "1", "--out", str(out))
+    assert code == 0
+    assert "amount 1: count=0 censored=2\n" in capsys.readouterr().out
+    _, _, rows = read_csv(out)
+    assert rows[0] == ["x1", "0", "", "", "", "", "2"]
+    assert rows[1] == ["x21", "2", "0", "0", "0.0", "0.0", "0"]  # no one can pay 21

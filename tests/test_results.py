@@ -6,7 +6,7 @@ import random
 import pytest
 
 from pcnsim import Rng, RunOutcome, aggregate, log_histogram
-from pcnsim.results import (emit_campaign, read_csv, read_outcomes_csv,
+from pcnsim.results import (emit_campaign, read_csv, read_outcomes_csv, summarize,
                             write_csv, write_outcomes_csv)
 
 
@@ -46,6 +46,17 @@ def test_aggregate_rejects_empty_and_all_censored():
         aggregate([])
     with pytest.raises(ValueError):
         aggregate([_outcome(5, kind="step_cap_reached")])
+
+
+def test_summarize_reports_all_censored_without_moments():
+    capped = [_outcome(5, kind="step_cap_reached")] * 3
+    agg = summarize(capped, config_id="p")
+    assert (agg.config_id, agg.count, agg.censored_count) == ("p", 0, 3)
+    assert agg.min is agg.max is agg.mean is agg.std is None
+    mixed = [_outcome(3), _outcome(5, kind="step_cap_reached")]
+    assert summarize(mixed, config_id="p") == aggregate(mixed, config_id="p")
+    with pytest.raises(ValueError):
+        summarize([])
 
 
 def test_aggregate_permutation_invariant():

@@ -4,12 +4,15 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import pcnsim.sim
 from pcnsim import (ChannelGraph, Rng, SimConfig, init_balances, make_clique,
                     make_ring, monte_carlo, multi_amount_experiment,
                     run_bdc_process, run_coupled_clique, run_independent_chains,
                     run_payment_process, run_seed)
-from pcnsim.sim import STEP_CAP, _clique_fast, build_graph, capacity_sweep
+from pcnsim.paths import DagCache
+from pcnsim.sim import STEP_CAP, _clique_fast, _ring_fast, build_graph, capacity_sweep
 
 from helpers import random_connected_edges
 
@@ -88,12 +91,13 @@ def test_independent_chains_validation():
 
 
 def test_monte_carlo_deterministic_and_worker_invariant():
-    cfg = SimConfig(topology="clique", nodes=8, balance=4, runs=12, base_seed=31)
-    a = monte_carlo(cfg)
-    b = monte_carlo(cfg)
-    c = monte_carlo(cfg, workers=2)
-    assert a == b == c
-    assert [o.seed_used for o in a] == [run_seed(31, i) for i in range(12)]
+    for topology in ("clique", "ring"):
+        cfg = SimConfig(topology=topology, nodes=8, balance=4, runs=12, base_seed=31)
+        a = monte_carlo(cfg)
+        b = monte_carlo(cfg)
+        c = monte_carlo(cfg, workers=2)
+        assert a == b == c
+        assert [o.seed_used for o in a] == [run_seed(31, i) for i in range(12)]
 
 
 def test_monte_carlo_order_statistics():
@@ -233,3 +237,130 @@ def test_multi_amount_larger_amount_stops_no_later():
 def test_multi_amount_requires_amounts():
     with pytest.raises(ValueError):
         multi_amount_experiment(make_clique(3, 4), [], runs=1, base_seed=0)
+
+
+class ScriptedRng(Rng):
+    """An Rng whose pair and randrange draws come from fixed scripts."""
+
+    def __init__(self, pairs, bits=()):
+        super().__init__(0)
+        self._pairs = list(pairs)
+        self._bits = list(bits)
+
+    def pair(self, n):
+        return self._pairs.pop(0)
+
+    def randrange(self, bound):
+        assert bound == 2  # only an antipodal tie draws on a ring
+        return self._bits.pop(0)
+
+
+def _ring_both(n, k, pairs, bits=(), amount=1, stop_mode="depletion"):
+    cfg = SimConfig(topology="ring", nodes=n, balance=k, amount=amount,
+                    stop_mode=stop_mode, max_steps=len(pairs))
+    generic = run_payment_process(make_ring(n, 2 * k), cfg, ScriptedRng(pairs, bits))
+    fast = _ring_fast(n, 2 * k, cfg, ScriptedRng(pairs, bits))
+    assert fast == generic
+    return fast
+
+
+def test_ring_kernel_antipodal_tie_break_follows_bfs_order():
+    # k=1: the first round depletes every edge it crosses, so the failing
+    # edge is the first edge of the drawn path
+    n = 8
+    for stop_mode, amount in (("depletion", 1), ("attempt", 2)):
+        run = lambda pair, bit: _ring_both(n, 1, [pair], [bit], amount, stop_mode)
+        assert run((0, 4), 0).failing_edge == 0        # from 0, r=0 is clockwise
+        assert run((0, 4), 1).failing_edge == n - 1
+        assert run((3, 7), 0).failing_edge == 2        # elsewhere, counterclockwise
+        assert run((3, 7), 1).failing_edge == 3
+        assert run((7, 3), 0).failing_edge == 6
+        assert run((7, 3), 1).failing_edge == 7
+
+
+def test_ring_kernel_wrapping_arcs_report_first_failure_in_path_order():
+    n = 8
+    # clockwise 0->2 leaves edges 0 and 1 at 1; clockwise 7->2 wraps past 0
+    # and depletes edges 0 and 1, edge 0 first
+    out = _ring_both(n, 2, [(0, 2), (7, 2)])
+    assert (out.tau, out.failing_edge, out.failure_kind) == (2, 0, "depleted")
+    # counterclockwise 1->7 raises edges 0 and 7; the antipodal 2->6 with
+    # r=0 goes counterclockwise over edges 1, 0, 7, 6 and overfills 0 first
+    out = _ring_both(n, 2, [(1, 7), (2, 6)], [0])
+    assert (out.tau, out.failing_edge) == (2, 0)
+    # attempt mode: after two payments 1->0->7, node 1 cannot pay over edge 0
+    out = _ring_both(n, 2, [(1, 7), (1, 7), (1, 6)], amount=1, stop_mode="attempt")
+    assert (out.tau, out.failing_edge, out.failure_kind) == (2, 0, "attempt_failed")
+
+
+def test_ring_kernel_step_cap():
+    out = _ring_both(9, 50, [(0, 3), (5, 1), (8, 2)])
+    assert (out.tau, out.failing_edge, out.failure_kind) == (3, None, STEP_CAP)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 16, 64, 512])
+def test_ring_kernel_matches_generic_loop(n):
+    cases = [(k, x, mode, cap) for k in (1, 2, 4) for x in (1, 2, 3)
+             for mode in ("depletion", "attempt") for cap in (10 ** 9, 7)]
+    seeds = 12 if n < 100 else 3
+    for k, x, mode, cap in cases:
+        g = make_ring(n, 2 * k)
+        cache = DagCache(g)
+        cfg = SimConfig(topology="ring", nodes=n, balance=k, amount=x,
+                        stop_mode=mode, max_steps=cap)
+        generic = [run_payment_process(g, cfg, Rng(run_seed(n, i)), cache)
+                   for i in range(seeds)]
+        fast = [_ring_fast(n, 2 * k, cfg, Rng(run_seed(n, i))) for i in range(seeds)]
+        assert fast == generic, (k, x, mode, cap)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(n=st.integers(3, 40), k=st.integers(1, 5), x=st.integers(1, 3),
+       mode=st.sampled_from(["depletion", "attempt"]),
+       max_steps=st.integers(1, 400), seed=st.integers(0, 2 ** 64 - 1))
+def test_ring_kernel_equals_generic_property(n, k, x, mode, max_steps, seed):
+    cfg = SimConfig(topology="ring", nodes=n, balance=k, amount=x, stop_mode=mode,
+                    max_steps=max_steps)
+    generic = run_payment_process(make_ring(n, 2 * k), cfg, Rng(seed))
+    assert _ring_fast(n, 2 * k, cfg, Rng(seed)) == generic
+
+
+def test_monte_carlo_kernel_topologies_build_no_graph(monkeypatch):
+    def no_graph(cfg):
+        raise AssertionError(f"built a graph for {cfg.topology}")
+
+    monkeypatch.setattr(pcnsim.sim, "build_graph", no_graph)
+    for topology in ("clique", "ring", "independent"):
+        cfg = SimConfig(topology=topology, nodes=6, balance=2, runs=3, base_seed=8)
+        assert len(monte_carlo(cfg)) == 3
+
+
+def test_monte_carlo_caller_ring_graph_runs_generic_loop(monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("ring kernel ran on a caller's graph")
+
+    # one thin channel: the uniform ring kernel would never see it
+    g = ChannelGraph(6, [(i, (i + 1) % 6, 2 if i == 3 else 40) for i in range(6)])
+    cfg = SimConfig(topology="ring", nodes=6, balance=20, runs=8, base_seed=12)
+    uniform = monte_carlo(cfg)
+    monkeypatch.setattr(pcnsim.sim, "_ring_fast", no_kernel)
+    outs = monte_carlo(cfg, graph=g)
+    assert outs == [run_payment_process(g, cfg, Rng(run_seed(12, i))) for i in range(8)]
+    assert outs != uniform
+    assert {o.failing_edge for o in outs} == {g.edge_id(3, 4)}
+
+
+def test_monte_carlo_rejects_graph_for_independent_chains():
+    cfg = SimConfig(topology="independent", nodes=6, balance=2, runs=1)
+    with pytest.raises(ValueError, match="no graph"):
+        monte_carlo(cfg, graph=make_ring(6, 4))
+
+
+def test_sim_config_rejects_too_few_nodes():
+    for topology, too_small in (("clique", 1), ("ring", 2), ("independent", 0)):
+        with pytest.raises(ValueError, match=f"{topology} needs n >= {too_small + 1}"):
+            SimConfig(topology=topology, nodes=too_small, balance=2, p_select=0.5)
+    SimConfig(topology="independent", nodes=1, balance=2, p_select=0.5)
+    # without p_select, independent chains take the n-ring's edge probability
+    with pytest.raises(ValueError, match="independent needs n >= 3"):
+        SimConfig(topology="independent", nodes=2, balance=2)
