@@ -46,13 +46,8 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit_withMessage(message)
-
-
-class SystemExit_withMessage(SystemExit):
-    def __init__(self, message):
         print(f"error: {message}", file=sys.stderr)
-        super().__init__(EXIT_CONFIG)
+        raise SystemExit(EXIT_CONFIG)
 
 
 # recipe keys, their parsers, and a short description (also the file schema)
@@ -170,7 +165,10 @@ def _load_cmd_graph(recipe: dict) -> ChannelGraph:
     except (OSError, ValueError) as exc:
         raise RuntimeError(f"cannot load graph {path}: {exc}") from exc
     if recipe.get("plan"):
-        g = g.with_capacities(load_plan_csv(recipe["plan"]))
+        try:
+            g = g.with_capacities(load_plan_csv(recipe["plan"], g))
+        except ValueError as exc:
+            raise ConfigError(f"plan {recipe['plan']}: {exc}") from exc
     return g
 
 
@@ -536,9 +534,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit_withMessage as exc:
-        return exc.code
-    except SystemExit as exc:  # --version / --help
+    except SystemExit as exc:  # usage errors, --version, --help
         return 0 if exc.code in (0, None) else exc.code
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")

@@ -6,8 +6,47 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
+
+
+class Csr(NamedTuple):
+    """Compressed sparse rows of a graph's adjacency.
+
+    Row v, ``indices[indptr[v]:indptr[v + 1]]``, lists v's neighbours in the
+    order of ``ChannelGraph.adjacency[v]``: by edge id.  ``degree`` is
+    ``np.diff(indptr)``.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    degree: np.ndarray
+
+    def bfs_step(self, frontier: np.ndarray, dist: np.ndarray):
+        """One BFS level: the arcs out of ``frontier`` to nodes with negative
+        ``dist``, as ``(heads, tails)``, and the nodes they reach.
+
+        The arcs come in the order a deque BFS scans them when it pops the
+        frontier in the given order, and the reached nodes in the order that
+        BFS appends them to its queue: by first occurrence among the heads.
+        """
+        # a BFS runs one level per hop of its depth, so each call is kept to
+        # few small numpy operations
+        counts = self.degree[frontier]
+        ends = np.add.accumulate(counts)
+        arcs = np.arange(ends[-1]) + (self.indptr[frontier] - ends + counts).repeat(counts)
+        heads = self.indices[arcs]
+        tails = frontier.repeat(counts)
+        fresh = dist[heads] < 0
+        heads, tails = heads[fresh], tails[fresh]
+        arc = np.arange(heads.size)
+        first = np.empty(len(dist), dtype=np.intp)
+        first[heads] = heads.size
+        np.minimum.at(first, heads, arc)
+        return heads, tails, heads[first[heads] == arc]
 
 
 class ChannelGraph:
@@ -19,7 +58,7 @@ class ChannelGraph:
     """
 
     __slots__ = ("node_count", "edge_u", "edge_v", "capacity", "adjacency",
-                 "edge_index", "node_keys")
+                 "edge_index", "node_keys", "_csr")
 
     def __init__(self, node_count: int, edges, node_keys: list[str] | None = None):
         if node_count < 2:
@@ -51,6 +90,7 @@ class ChannelGraph:
             adjacency[u].append((v, eid))
             adjacency[v].append((u, eid))
         self.node_keys = node_keys
+        self._csr: Csr | None = None
 
     @property
     def edge_count(self) -> int:
@@ -68,8 +108,31 @@ class ChannelGraph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
+    @property
+    def csr(self) -> Csr:
+        """The adjacency as flat arrays, built on first use."""
+        if self._csr is None:
+            n, m = self.node_count, self.edge_count
+            u = np.fromiter(self.edge_u, dtype=np.intp, count=m)
+            v = np.fromiter(self.edge_v, dtype=np.intp, count=m)
+            # arc 2e runs u -> v and arc 2e+1 runs v -> u; the keys are
+            # distinct and sort by tail, then by edge id, as adjacency does
+            tails = np.stack([u, v], axis=1).ravel()
+            heads = np.stack([v, u], axis=1).ravel()
+            order = np.argsort(tails * (2 * m) + np.arange(2 * m))
+            degree = np.bincount(tails, minlength=n)
+            indptr = np.zeros(n + 1, dtype=np.intp)
+            np.cumsum(degree, out=indptr[1:])
+            self._csr = Csr(indptr, heads[order], degree)
+        return self._csr
+
     def is_connected(self) -> bool:
-        return len(_component_of(self, 0)) == self.node_count
+        dist = np.full(self.node_count, -1, dtype=np.intp)
+        frontier = np.zeros(1, dtype=np.intp)
+        while frontier.size:
+            dist[frontier] = 0
+            _, _, frontier = self.csr.bfs_step(frontier, dist)
+        return bool((dist == 0).all())
 
     def with_capacities(self, capacities: list[int]) -> "ChannelGraph":
         """Same topology, new per-edge capacities (used to apply plans)."""
@@ -243,9 +306,7 @@ def giant_component(g: ChannelGraph) -> ChannelGraph:
     return ChannelGraph(len(best), edges, node_keys=keys)
 
 
-def _component_of(g: ChannelGraph, start: int, seen: list[bool] | None = None) -> list[int]:
-    if seen is None:
-        seen = [False] * g.node_count
+def _component_of(g: ChannelGraph, start: int, seen: list[bool]) -> list[int]:
     comp = [start]
     seen[start] = True
     head = 0

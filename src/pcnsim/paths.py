@@ -3,56 +3,145 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import OrderedDict, deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .graph import ChannelGraph
+import numpy as np
+
+from .graph import ChannelGraph, Csr
 from .rng import Rng
 
 INF = math.inf
 
+# sigma counts are int64 unless a BFS level could push one to 2**62 or past
+# it; that source is then counted again in Python ints
+_SIGMA_LIMIT = 1 << 62
 
-@dataclass
+
+class _NodeView(Sequence):
+    """Read-only list view of per-node values, each computed when read."""
+
+    __slots__ = ("_n", "_get")
+
+    def __init__(self, n: int, get):
+        self._n = n
+        self._get = get
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, w: int):
+        if not -self._n <= w < self._n:
+            raise IndexError(f"node {w} outside [0,{self._n})")
+        return self._get(w % self._n)
+
+    def __eq__(self, other):
+        if isinstance(other, Sequence):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 class ShortestPathDag:
-    """Single-source BFS result on hop distances.
+    """Single-source BFS result on hop distances, kept as flat per-node arrays.
 
-    ``sigma[w]`` counts all distinct shortest source→w paths (exact, unbounded
-    Python ints); ``preds[w]`` lists exactly the neighbors of w at distance
-    ``dist[w] - 1``.  Unreachable nodes carry ``dist = inf`` and ``sigma = 0``.
+    ``sigma[w]`` counts all distinct shortest source→w paths exactly;
+    ``preds[w]`` lists exactly the neighbors of w at distance ``dist[w] - 1``,
+    in BFS queue order.  Unreachable nodes carry ``dist = inf`` and
+    ``sigma = 0``.  All three are read-only list views that yield Python
+    numbers; ``preds[w]`` is read off the graph's CSR rows when asked for.
     """
 
-    source: int
-    dist: list
-    sigma: list[int]
-    preds: list[list[int]]
+    __slots__ = ("source", "_csr", "_dist", "_sigma", "_rank", "_steps")
+
+    def __init__(self, source: int, csr: Csr, dist: np.ndarray, sigma: np.ndarray,
+                 rank: np.ndarray):
+        self.source = source
+        self._csr = csr
+        self._dist = dist     # hops from source; -1 when unreachable
+        self._sigma = sigma   # int64, or object (Python ints) for huge counts
+        self._rank = rank     # position in BFS queue order
+        self._steps: dict[int, tuple[list[int], list[int]]] = {}
+
+    @property
+    def dist(self) -> _NodeView:
+        dist = self._dist
+        return _NodeView(len(dist), lambda w: INF if dist[w] < 0 else int(dist[w]))
+
+    @property
+    def sigma(self) -> _NodeView:
+        sigma = self._sigma
+        return _NodeView(len(sigma), lambda w: int(sigma[w]))
+
+    @property
+    def preds(self) -> _NodeView:
+        return _NodeView(len(self._dist), lambda w: list(self.step(w)[0]))
+
+    def step(self, w: int) -> tuple[list[int], list[int]]:
+        """w's predecessors in BFS queue order and running sums of their sigma.
+
+        Remembered per node, so repeated walks through a cached DAG stay cheap.
+        """
+        got = self._steps.get(w)
+        if got is None:
+            d = self._dist[w]
+            if w == self.source or d < 0:
+                preds = self._rank[:0]
+            else:
+                indptr, indices, _ = self._csr
+                nbrs = indices[indptr[w]:indptr[w + 1]]
+                preds = nbrs[self._dist[nbrs] == d - 1]
+                if preds.size > 1:
+                    preds = preds[np.argsort(self._rank[preds])]
+            got = (preds.tolist(), np.add.accumulate(self._sigma[preds]).tolist())
+            self._steps[w] = got
+        return got
 
 
 def sssp_dag(g: ChannelGraph, source: int) -> ShortestPathDag:
     if not (0 <= source < g.node_count):
         raise ValueError(f"source {source} outside [0,{g.node_count})")
-    n = g.node_count
-    dist = [INF] * n
-    sigma = [0] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
+    dag = _level_bfs(g.csr, g.node_count, source, np.int64)
+    if dag is None:
+        dag = _level_bfs(g.csr, g.node_count, source, object)
+    return dag
+
+
+def _level_bfs(csr: Csr, n: int, source: int, sigma_type) -> ShortestPathDag | None:
+    """Level-synchronous BFS; None when an int64 sigma could reach 2**62.
+
+    Levels, and the order within each, are those of a deque BFS, so ``rank``
+    is each node's position in that BFS's queue.
+    """
+    dist = np.full(n, -1, dtype=np.intp)
+    sigma = np.zeros(n, dtype=sigma_type)
     dist[source] = 0
     sigma[source] = 1
-    q = deque([source])
-    adjacency = g.adjacency
-    while q:
-        v = q.popleft()
-        nd = dist[v] + 1
-        sv = sigma[v]
-        for w, _eid in adjacency[v]:
-            dw = dist[w]
-            if dw > nd:  # only INF can exceed nd in BFS order
-                dist[w] = nd
-                sigma[w] = sv
-                preds[w] = [v]
-                q.append(w)
-            elif dw == nd:
-                sigma[w] += sv
-                preds[w].append(v)
-    return ShortestPathDag(source=source, dist=dist, sigma=sigma, preds=preds)
+    frontier = np.array([source], dtype=np.intp)
+    levels = [frontier]
+    d = 0
+    while True:
+        heads, tails, frontier = csr.bfs_step(frontier, dist)
+        if not heads.size:
+            break
+        flow = sigma[tails]
+        if (sigma_type is not object
+                and int(np.maximum.reduce(flow)) * flow.size >= _SIGMA_LIMIT):
+            return None
+        np.add.at(sigma, heads, flow)
+        d += 1
+        dist[frontier] = d
+        levels.append(frontier)
+    order = np.concatenate(levels)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(order.size)
+    return ShortestPathDag(source, csr, dist, sigma, rank)
 
 
 def sample_shortest_path(dag: ShortestPathDag, target: int, rng: Rng) -> list[int]:
@@ -60,29 +149,27 @@ def sample_shortest_path(dag: ShortestPathDag, target: int, rng: Rng) -> list[in
 
     Walks backward from the target choosing predecessor p with probability
     sigma(p) / sigma(current); the product telescopes to 1/sigma(target), so
-    every shortest path is equally likely.  Integer draws are exact.
+    every shortest path is equally likely.  Integer draws are exact, and a
+    node with one predecessor takes no draw.
     """
     if target == dag.source:
         raise ValueError("target equals source")
-    if target < 0 or target >= len(dag.sigma) or dag.sigma[target] == 0:
+    if not 0 <= target < len(dag._dist) or dag._dist[target] < 0:
         raise ValueError(f"target {target} unreachable from source {dag.source}")
-    sigma = dag.sigma
-    preds = dag.preds
+    steps = dag._steps
     path = [target]
     node = target
     src = dag.source
     while node != src:
-        ps = preds[node]
-        if len(ps) == 1:
-            node = ps[0]
+        try:
+            preds, acc = steps[node]
+        except KeyError:
+            preds, acc = dag.step(node)
+        if len(preds) == 1:
+            node = preds[0]
         else:
-            r = rng.randrange(sigma[node])
-            acc = 0
-            for p in ps:
-                acc += sigma[p]
-                if r < acc:
-                    node = p
-                    break
+            # acc[-1] is sigma(node): a node's count sums its predecessors'
+            node = preds[bisect_right(acc, rng.randrange(acc[-1]))]
         path.append(node)
     path.reverse()
     return path
@@ -167,9 +254,11 @@ class DagCache:
         self._g = g
         self._max = max_sources
         self._dags: OrderedDict[int, ShortestPathDag] = OrderedDict()
+        self.gets = 0
         self.misses = 0
 
     def get(self, source: int) -> ShortestPathDag:
+        self.gets += 1
         dag = self._dags.get(source)
         if dag is None:
             self.misses += 1

@@ -13,6 +13,7 @@ import numpy as np
 PRNG_ID = "pcg64+splitmix64-run-derivation"
 
 _MASK64 = (1 << 64) - 1
+_WORD = 1 << 64
 _GOLDEN = 0x9E3779B97F4A7C15
 _CHUNK = 1 << 15
 
@@ -70,9 +71,25 @@ class Rng:
             raise ValueError("bound must be positive")
         if bound == 1:
             return 0
-        limit = (1 << 64) - ((1 << 64) % bound)
+        if bound > _WORD:
+            return self._randrange_wide(bound)
+        limit = _WORD - (_WORD % bound)
         while True:
             r = self.u64()
+            if r < limit:
+                return r % bound
+
+    def _randrange_wide(self, bound: int) -> int:
+        """randrange for bounds past 2**64: rejection over several words."""
+        span, words = _WORD * _WORD, 2
+        while span < bound:
+            span *= _WORD
+            words += 1
+        limit = span - span % bound
+        while True:
+            r = 0
+            for _ in range(words):
+                r = (r << 64) | self.u64()
             if r < limit:
                 return r % bound
 

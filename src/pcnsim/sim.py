@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
+import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -25,6 +26,7 @@ STEP_CAP = "step_cap_reached"
 
 _CHUNK = 1 << 14
 _PROGRESS_EVERY = 10 ** 8
+_PROGRESS_SECONDS = 10.0
 _MIN_NODES = {"clique": 2, "ring": 3, "independent": 1}
 
 
@@ -149,7 +151,8 @@ def run_payment_process(g: ChannelGraph, cfg: SimConfig, rng: Rng,
     n = g.node_count
     max_steps = cfg.max_steps
     t = 0
-    next_progress = _PROGRESS_EVERY
+    started = time.monotonic()
+    next_progress = started + _PROGRESS_SECONDS
     while t < max_steps:
         s, dst = rng.pair(n)
         dag = cache.get(s)
@@ -193,9 +196,12 @@ def run_payment_process(g: ChannelGraph, cfg: SimConfig, rng: Rng,
             t += 1
             if failing >= 0:
                 return RunOutcome(t, failing, DEPLETED, rng.seed)
-        if t >= next_progress:
-            logger.info("payment process at %d rounds (seed %d)", t, rng.seed)
-            next_progress += _PROGRESS_EVERY
+        now = time.monotonic()
+        if now >= next_progress:
+            logger.info("payment process at %d rounds, %.1f rounds/s, DAG cache hit "
+                        "ratio %.3f (seed %d)", t, t / (now - started),
+                        1 - cache.misses / cache.gets, rng.seed)
+            next_progress = now + _PROGRESS_SECONDS
     return RunOutcome(t, None, STEP_CAP, rng.seed)
 
 
@@ -460,9 +466,22 @@ def _worker_init(graph, cfg):
     _WORKER_STATE["cache"] = DagCache(graph) if graph is not None else None
 
 
-def _worker_run(run_index: int) -> RunOutcome:
-    return _run_single(_WORKER_STATE["graph"], _WORKER_STATE["cfg"], run_index,
-                       _WORKER_STATE["cache"])
+def _worker_run(run_index: int) -> tuple[RunOutcome, int, int]:
+    """One run plus the DAG builds and cache gets it took in this worker."""
+    graph, cfg, cache = (_WORKER_STATE[key] for key in ("graph", "cfg", "cache"))
+    if cache is None:
+        return _run_single(graph, cfg, run_index), 0, 0
+    builds, gets = cache.misses, cache.gets
+    outcome = _run_single(graph, cfg, run_index, cache)
+    return outcome, cache.misses - builds, cache.gets - gets
+
+
+def _log_cache_work(cfg: SimConfig, outcomes: list[RunOutcome], builds: int,
+                    gets: int) -> None:
+    logger.info("%s: %d runs, %d rounds, %d DAG builds, %d DAG cache gets, "
+                "hit ratio %.3f", cfg.config_id(), len(outcomes),
+                sum(o.tau for o in outcomes), builds, gets,
+                1 - builds / gets if gets else 0.0)
 
 
 def monte_carlo(cfg: SimConfig, graph: Optional[ChannelGraph] = None,
@@ -483,7 +502,10 @@ def monte_carlo(cfg: SimConfig, graph: Optional[ChannelGraph] = None,
         raise ValueError("graph must be connected (take the giant component first)")
     if workers <= 1 or cfg.runs == 1:
         cache = DagCache(graph) if graph is not None else None
-        return [_run_single(graph, cfg, i, cache) for i in range(cfg.runs)]
+        outcomes = [_run_single(graph, cfg, i, cache) for i in range(cfg.runs)]
+        if graph is not None:
+            _log_cache_work(cfg, outcomes, cache.misses, cache.gets)
+        return outcomes
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
@@ -491,7 +513,11 @@ def monte_carlo(cfg: SimConfig, graph: Optional[ChannelGraph] = None,
         return monte_carlo(cfg, graph, workers=1)
     chunksize = max(1, cfg.runs // (workers * 4))
     with ctx.Pool(workers, initializer=_worker_init, initargs=(graph, cfg)) as pool:
-        return pool.map(_worker_run, range(cfg.runs), chunksize)
+        done = pool.map(_worker_run, range(cfg.runs), chunksize)
+    outcomes = [outcome for outcome, _builds, _gets in done]
+    if graph is not None:
+        _log_cache_work(cfg, outcomes, sum(d[1] for d in done), sum(d[2] for d in done))
+    return outcomes
 
 
 @dataclass(frozen=True)

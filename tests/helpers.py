@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from types import SimpleNamespace
 
 from pcnsim import ChannelGraph
 
@@ -137,3 +138,57 @@ def log_uniform_capacities(rng: random.Random, count, lo=1000.0, hi=100000.0):
         c = math.exp(rng.uniform(math.log(lo), math.log(hi)))
         caps.append(max(2, 2 * int(c / 2)))  # even, at least 2
     return caps
+
+
+def oracle_sssp_dag(g, source):
+    """Deque BFS with per-node predecessor lists and Python-int path counts.
+
+    The reference for ``pcnsim.sssp_dag``: ``preds[w]`` is in queue order of
+    the predecessors, and unreachable nodes have ``dist = inf``.
+    """
+    n = g.node_count
+    adj = adjacency_of(zip(g.edge_u, g.edge_v, g.capacity), n)
+    dist = [math.inf] * n
+    sigma = [0] * n
+    preds = [[] for _ in range(n)]
+    dist[source] = 0
+    sigma[source] = 1
+    q = deque([source])
+    while q:
+        v = q.popleft()
+        nd = dist[v] + 1
+        for w in adj[v]:
+            if dist[w] > nd:
+                dist[w] = nd
+                sigma[w] = sigma[v]
+                preds[w] = [v]
+                q.append(w)
+            elif dist[w] == nd:
+                sigma[w] += sigma[v]
+                preds[w].append(v)
+    return SimpleNamespace(source=source, dist=dist, sigma=sigma, preds=preds)
+
+
+def oracle_sample_path(dag, target, rng):
+    """Backward walk choosing predecessor p with probability sigma(p)/sigma(w).
+
+    The reference for ``pcnsim.sample_shortest_path``: it takes one
+    ``rng.randrange(sigma[w])`` at every node with two or more predecessors.
+    """
+    path = [target]
+    node = target
+    while node != dag.source:
+        ps = dag.preds[node]
+        if len(ps) == 1:
+            node = ps[0]
+        else:
+            r = rng.randrange(dag.sigma[node])
+            acc = 0
+            for p in ps:
+                acc += dag.sigma[p]
+                if r < acc:
+                    node = p
+                    break
+        path.append(node)
+    path.reverse()
+    return path

@@ -1,0 +1,183 @@
+"""The CSR BFS core against the deque-BFS oracle in helpers.
+
+``sssp_dag`` runs a level-synchronous numpy BFS over ``ChannelGraph.csr``;
+these tests pin it to the per-node list implementation it replaced: equal
+distances, path counts and predecessor order, and identical sampled paths for
+the same draws.
+"""
+
+from __future__ import annotations
+
+import logging
+import random
+import re
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pcnsim import (ChannelGraph, Rng, SimConfig, monte_carlo, run_payment_process,
+                    run_seed, sssp_dag)
+from pcnsim.paths import DagCache, sample_shortest_path
+
+from helpers import (oracle_sample_path, oracle_sssp_dag, random_connected_edges,
+                     small_world_edges)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(n=st.integers(2, 16), extra=st.floats(0.0, 0.6), seed=st.integers(0, 2 ** 16))
+def test_dag_and_samples_match_oracle(n, extra, seed):
+    g = ChannelGraph(n, random_connected_edges(random.Random(seed), n, extra_prob=extra))
+    for s in range(n):
+        got, want = sssp_dag(g, s), oracle_sssp_dag(g, s)
+        assert got.dist == want.dist
+        assert got.sigma == want.sigma
+        assert all(type(x) is int for x in got.sigma)
+        for w in range(n):
+            assert got.preds[w] == want.preds[w], (s, w)
+        for t in range(n):
+            if t != s:
+                draw = seed * 1000 + s * n + t
+                assert (sample_shortest_path(got, t, Rng(draw))
+                        == oracle_sample_path(want, t, Rng(draw)))
+
+
+def test_unreachable_nodes_match_oracle():
+    g = ChannelGraph(7, [(0, 1, 2), (1, 2, 2), (0, 2, 2), (4, 5, 2)])
+    for s in (0, 4, 3):
+        got, want = sssp_dag(g, s), oracle_sssp_dag(g, s)
+        assert got.dist == want.dist and got.sigma == want.sigma
+        assert [got.preds[w] for w in range(7)] == want.preds
+
+
+def test_csr_rows_follow_adjacency_order():
+    rng = random.Random(5)
+    for _ in range(5):
+        n = rng.randrange(2, 30)
+        edges = random_connected_edges(rng, n, extra_prob=0.3)
+        rng.shuffle(edges)
+        g = ChannelGraph(n, [(v, u, c) if rng.random() < 0.5 else (u, v, c)
+                             for u, v, c in edges])
+        indptr, indices, degree = g.csr
+        for v in range(n):
+            row = indices[indptr[v]:indptr[v + 1]].tolist()
+            assert row == [w for w, _eid in g.adjacency[v]]
+            assert degree[v] == len(row)
+
+
+def _diamond_chain(k: int) -> ChannelGraph:
+    """Junctions 0, 3, 6, ..., 3k; junction 3i joins 3i+3 via 3i+1 and 3i+2."""
+    edges = []
+    for i in range(k):
+        j = 3 * i
+        edges += [(j, j + 1, 2), (j, j + 2, 2), (j + 1, j + 3, 2), (j + 2, j + 3, 2)]
+    return ChannelGraph(3 * k + 1, edges)
+
+
+def test_sigma_past_int64_is_exact():
+    k = 70
+    g = _diamond_chain(k)
+    dag, want = sssp_dag(g, 0), oracle_sssp_dag(g, 0)
+    assert [dag.sigma[3 * i] for i in range(k + 1)] == [2 ** i for i in range(k + 1)]
+    assert dag.sigma == want.sigma and dag.dist == want.dist
+    assert type(dag.sigma[3 * k]) is int
+    for seed in range(20):
+        assert (sample_shortest_path(dag, 3 * k, Rng(seed))
+                == oracle_sample_path(want, 3 * k, Rng(seed)))
+
+
+def test_sigma_past_int64_samples_uniformly():
+    # a uniform path over all 2**70 takes each diamond's two sides with
+    # probability 1/2, independently of the other diamonds
+    k, draws = 70, 4000
+    g = _diamond_chain(k)
+    dag = sssp_dag(g, 0)
+    rng = Rng(70)
+    upper = Counter()
+    pairs = Counter()
+    for _ in range(draws):
+        path = sample_shortest_path(dag, 3 * k, rng)
+        assert len(path) == 2 * k + 1
+        sides = [path[2 * i + 1] == 3 * i + 1 for i in range(k)]
+        upper.update(i for i in range(k) if sides[i])
+        pairs.update(i for i in range(k - 1) if sides[i] == sides[i + 1])
+    sd = (draws * 0.25) ** 0.5
+    for i in range(k):
+        assert abs(upper[i] - draws / 2) <= 4.5 * sd, i
+    for i in range(k - 1):
+        assert abs(pairs[i] - draws / 2) <= 4.5 * sd, i
+
+
+def test_dag_cache_counts_gets():
+    g = _diamond_chain(3)
+    cache = DagCache(g)
+    for s in (0, 1, 0, 2, 0):
+        cache.get(s)
+    assert (cache.gets, cache.misses) == (5, 3)
+
+
+def _golden_graph() -> ChannelGraph:
+    rng = random.Random(2024)
+    n = 2000
+    edges = small_world_edges(rng, n, radius=2, rewire_prob=0.2)
+    return ChannelGraph(n, [(u, v, 2 * rng.randrange(2, 6)) for u, v in edges])
+
+
+# (tau, failing edge, kind) of runs 0..7 at base seed 11 in attempt mode, then
+# in depletion mode, amount 1, one shared DAG cache, as the per-node-list BFS
+# and sampler produced them; any change to how draws are consumed shows here
+_GOLDEN = [
+    (118, 2994, "attempt_failed"), (140, 82, "attempt_failed"),
+    (175, 1471, "attempt_failed"), (53, 626, "attempt_failed"),
+    (67, 2991, "attempt_failed"), (58, 2020, "attempt_failed"),
+    (73, 387, "attempt_failed"), (91, 316, "attempt_failed"),
+    (22, 567, "depleted"), (47, 326, "depleted"), (33, 2773, "depleted"),
+    (13, 3140, "depleted"), (33, 2991, "depleted"), (38, 2020, "depleted"),
+    (23, 2628, "depleted"), (27, 3804, "depleted"),
+]
+
+
+def test_payment_process_golden_outcomes():
+    g = _golden_graph()
+    assert (g.node_count, g.edge_count) == (2000, 4000)
+    cache = DagCache(g)
+    got = []
+    for mode in ("attempt", "depletion"):
+        cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=1,
+                        stop_mode=mode, max_steps=10 ** 6)
+        for i in range(8):
+            out = run_payment_process(g, cfg, Rng(run_seed(11, i)), cache)
+            got.append((out.tau, out.failing_edge, out.failure_kind))
+    assert got == _GOLDEN
+    assert cache.misses == 641
+
+
+def test_progress_lines_leave_outcomes_unchanged(monkeypatch, caplog):
+    g = _golden_graph()
+    cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=1,
+                    stop_mode="attempt", max_steps=10 ** 6)
+    quiet = run_payment_process(g, cfg, Rng(run_seed(11, 0)))
+    monkeypatch.setattr("pcnsim.sim._PROGRESS_SECONDS", 1e-9)
+    with caplog.at_level(logging.INFO, logger="pcnsim.sim"):
+        loud = run_payment_process(g, cfg, Rng(run_seed(11, 0)))
+    assert loud == quiet
+    lines = [r.getMessage() for r in caplog.records if "payment process at" in r.getMessage()]
+    assert len(lines) == quiet.tau
+    assert "rounds/s" in lines[-1] and "hit ratio" in lines[-1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_monte_carlo_logs_cache_work(workers, caplog):
+    g = _diamond_chain(6)
+    cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=1,
+                    stop_mode="depletion", runs=6, base_seed=3)
+    with caplog.at_level(logging.INFO, logger="pcnsim.sim"):
+        outcomes = monte_carlo(cfg, graph=g, workers=workers)
+    lines = [r.getMessage() for r in caplog.records if "DAG builds" in r.getMessage()]
+    assert len(lines) == 1
+    rounds = sum(o.tau for o in outcomes)
+    assert lines[0].startswith(f"{cfg.config_id()}: 6 runs, {rounds} rounds, ")
+    builds, gets = map(int, re.search(r"(\d+) DAG builds, (\d+) DAG cache gets",
+                                      lines[0]).groups())
+    assert gets == rounds and 1 <= builds <= g.node_count * workers
+

@@ -348,3 +348,57 @@ def test_multi_amount_all_censored_amount_has_empty_moments(tmp_path, capsys):
     _, _, rows = read_csv(out)
     assert rows[0] == ["x1", "0", "", "", "", "", "2"]
     assert rows[1] == ["x21", "2", "0", "0", "0.0", "0.0", "0"]  # no one can pay 21
+
+
+def _plan_for(tmp_path, capacities):
+    """A ring-5 edge list and a uniform plan CSV written for it."""
+    gpath = tmp_path / "g.edges"
+    write_edgelist(make_ring(5, 8).with_capacities(capacities), gpath)
+    plan = tmp_path / "plan.csv"
+    assert run_cli("redistribute", "--graph", str(gpath), "--strategy", "uniform",
+                   "--out", str(plan)) == 0
+    return gpath, plan
+
+
+@pytest.mark.parametrize("new_id, message", [("7", "edge ids are not exactly 0..4"),
+                                              ("3", "edge_id 3 appears twice")])
+def test_plan_with_edge_ids_not_0_to_m_is_config_error(tmp_path, capsys, new_id, message):
+    gpath, plan = _plan_for(tmp_path, [8, 8, 8, 8, 8])
+    lines = plan.read_text().splitlines()
+    last = lines[-1].split(",")
+    lines[-1] = ",".join([new_id] + last[1:])  # edge 4 renumbered
+    plan.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = run_cli("simulate", "--graph", str(gpath), "--plan", str(plan),
+                   "--runs", "2", "--workers", "1")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+
+
+def test_plan_made_for_another_graph_is_config_error(tmp_path, capsys):
+    _, plan = _plan_for(tmp_path, [8, 10, 6, 8, 8])
+    other = tmp_path / "other.edges"
+    write_edgelist(make_ring(5, 8), other)  # same edge count, other capacities
+    capsys.readouterr()
+    code = run_cli("simulate", "--graph", str(other), "--plan", str(plan),
+                   "--runs", "2", "--workers", "1")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "plan is for another graph: edge 1" in err
+
+
+def test_verbose_leaves_outputs_and_echo_unchanged(tmp_path, capsys, caplog):
+    gpath = tmp_path / "g.edges"
+    write_edgelist(make_ring(9, 6), gpath)
+    runs = {}
+    for flag in ([], ["-v"]):
+        out = tmp_path / f"runs{len(flag)}.csv"
+        caplog.clear()
+        with caplog.at_level("INFO", logger="pcnsim"):
+            assert run_cli(*flag, "simulate", "--graph", str(gpath), "--runs", "4",
+                           "--seed", "5", "--workers", "1", "--out", str(out)) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        runs[bool(flag)] = (stdout, out.read_bytes(), caplog.text)
+    assert runs[True][:2] == runs[False][:2]
+    assert "4 runs" in runs[True][2] and "DAG builds" in runs[True][2]
