@@ -198,6 +198,11 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"topology is required; valid values: {', '.join(TOPOLOGIES)}")
     if topology not in TOPOLOGIES:
         raise ConfigError(f"unknown topology {topology!r}; valid values: {', '.join(TOPOLOGIES)}")
+    if topology != "snapshot":
+        given = [key for key in ("graph", "snapshot", "plan") if recipe.get(key)]
+        if given:
+            raise ConfigError(f"topology {topology} takes no {', '.join(given)} "
+                              "(snapshot topology only)")
     balance = _resolved_balance(recipe)
     stop = recipe.get("stop", "attempt" if topology == "snapshot" else "depletion")
     if stop not in STOP_MODES:
@@ -385,7 +390,11 @@ def cmd_couple_check(args) -> int:
     balance = _resolved_balance(recipe)
     if nodes is None or balance is None:
         raise ConfigError("couple-check requires --nodes and --balance")
+    if nodes < 2 or balance < 1:
+        raise ConfigError("couple-check needs nodes >= 2 and balance >= 1")
     seeds = recipe.get("seeds", 100)
+    if seeds < 1:
+        raise ConfigError(f"seeds must be >= 1, got {seeds}")
     base_seed = recipe.get("seed", 0)
     max_steps = recipe.get("max_steps", 10 ** 12)
     corrupt = bool(getattr(args, "corrupt_map", False))

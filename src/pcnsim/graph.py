@@ -16,18 +16,20 @@ logger = logging.getLogger(__name__)
 class Csr(NamedTuple):
     """Compressed sparse rows of a graph's adjacency.
 
-    Row v, ``indices[indptr[v]:indptr[v + 1]]``, lists v's neighbours in the
-    order of ``ChannelGraph.adjacency[v]``: by edge id.  ``degree`` is
-    ``np.diff(indptr)``.
+    Row v, ``indices[indptr[v]:indptr[v + 1]]``, lists v's neighbours by
+    edge id; the arc at position a of ``indices`` runs along edge
+    ``arc_edge[a]``.  ``degree`` is ``np.diff(indptr)``.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     degree: np.ndarray
+    arc_edge: np.ndarray
 
     def bfs_step(self, frontier: np.ndarray, dist: np.ndarray):
         """One BFS level: the arcs out of ``frontier`` to nodes with negative
-        ``dist``, as ``(heads, tails)``, and the nodes they reach.
+        ``dist``, as ``(heads, tails, arc positions)``, and the nodes they
+        reach.
 
         The arcs come in the order a deque BFS scans them when it pops the
         frontier in the given order, and the reached nodes in the order that
@@ -39,14 +41,14 @@ class Csr(NamedTuple):
         ends = np.add.accumulate(counts)
         arcs = np.arange(ends[-1]) + (self.indptr[frontier] - ends + counts).repeat(counts)
         heads = self.indices[arcs]
-        tails = frontier.repeat(counts)
-        fresh = dist[heads] < 0
-        heads, tails = heads[fresh], tails[fresh]
+        # one index array gathers all three: cheaper than three boolean masks
+        fresh = (dist[heads] < 0).nonzero()[0]
+        heads, tails, arcs = heads[fresh], frontier.repeat(counts)[fresh], arcs[fresh]
         arc = np.arange(heads.size)
         first = np.empty(len(dist), dtype=np.intp)
         first[heads] = heads.size
         np.minimum.at(first, heads, arc)
-        return heads, tails, heads[first[heads] == arc]
+        return heads, tails, arcs, heads[first[heads] == arc]
 
 
 class ChannelGraph:
@@ -57,8 +59,8 @@ class ChannelGraph:
     construction and safe to share read-only across simulation workers.
     """
 
-    __slots__ = ("node_count", "edge_u", "edge_v", "capacity", "adjacency",
-                 "edge_index", "node_keys", "_csr")
+    __slots__ = ("node_count", "edge_u", "edge_v", "capacity", "edge_index",
+                 "node_keys", "_csr")
 
     def __init__(self, node_count: int, edges, node_keys: list[str] | None = None):
         if node_count < 2:
@@ -67,9 +69,7 @@ class ChannelGraph:
         self.edge_u: list[int] = []
         self.edge_v: list[int] = []
         self.capacity: list[int] = []
-        self.adjacency: list[list[tuple[int, int]]] = [[] for _ in range(node_count)]
         self.edge_index: dict[tuple[int, int], int] = {}
-        adjacency = self.adjacency
         edge_index = self.edge_index
         for u, v, cap in edges:
             if u == v:
@@ -87,8 +87,6 @@ class ChannelGraph:
             self.edge_u.append(u)
             self.edge_v.append(v)
             self.capacity.append(cap)
-            adjacency[u].append((v, eid))
-            adjacency[v].append((u, eid))
         self.node_keys = node_keys
         self._csr: Csr | None = None
 
@@ -106,7 +104,7 @@ class ChannelGraph:
         return sum(self.capacity)
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(self.csr.degree[v])
 
     @property
     def csr(self) -> Csr:
@@ -116,14 +114,14 @@ class ChannelGraph:
             u = np.fromiter(self.edge_u, dtype=np.intp, count=m)
             v = np.fromiter(self.edge_v, dtype=np.intp, count=m)
             # arc 2e runs u -> v and arc 2e+1 runs v -> u; the keys are
-            # distinct and sort by tail, then by edge id, as adjacency does
+            # distinct and sort by tail, then by edge id
             tails = np.stack([u, v], axis=1).ravel()
             heads = np.stack([v, u], axis=1).ravel()
             order = np.argsort(tails * (2 * m) + np.arange(2 * m))
             degree = np.bincount(tails, minlength=n)
             indptr = np.zeros(n + 1, dtype=np.intp)
             np.cumsum(degree, out=indptr[1:])
-            self._csr = Csr(indptr, heads[order], degree)
+            self._csr = Csr(indptr, heads[order], degree, order // 2)
         return self._csr
 
     def is_connected(self) -> bool:
@@ -131,7 +129,7 @@ class ChannelGraph:
         frontier = np.zeros(1, dtype=np.intp)
         while frontier.size:
             dist[frontier] = 0
-            _, _, frontier = self.csr.bfs_step(frontier, dist)
+            *_, frontier = self.csr.bfs_step(frontier, dist)
         return bool((dist == 0).all())
 
     def with_capacities(self, capacities: list[int]) -> "ChannelGraph":
@@ -284,12 +282,13 @@ def giant_component(g: ChannelGraph) -> ChannelGraph:
     Ties between equal-sized components break toward the one containing the
     smallest original node id.  Original ids map to new ids in ascending order.
     """
+    indptr, indices = g.csr.indptr.tolist(), g.csr.indices.tolist()
     seen = [False] * g.node_count
     best: list[int] = []
     for start in range(g.node_count):
         if seen[start]:
             continue
-        comp = _component_of(g, start, seen)
+        comp = _component_of(indptr, indices, start, seen)
         if len(comp) > len(best):  # first-found wins ties: starts scan upward
             best = comp
     if len(best) < 2:
@@ -306,14 +305,15 @@ def giant_component(g: ChannelGraph) -> ChannelGraph:
     return ChannelGraph(len(best), edges, node_keys=keys)
 
 
-def _component_of(g: ChannelGraph, start: int, seen: list[bool]) -> list[int]:
+def _component_of(indptr: list[int], indices: list[int], start: int,
+                  seen: list[bool]) -> list[int]:
     comp = [start]
     seen[start] = True
     head = 0
     while head < len(comp):
         v = comp[head]
         head += 1
-        for w, _ in g.adjacency[v]:
+        for w in indices[indptr[v]:indptr[v + 1]]:
             if not seen[w]:
                 seen[w] = True
                 comp.append(w)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -94,7 +94,7 @@ class ShortestPathDag:
             if w == self.source or d < 0:
                 preds = self._rank[:0]
             else:
-                indptr, indices, _ = self._csr
+                indptr, indices = self._csr.indptr, self._csr.indices
                 nbrs = indices[indptr[w]:indptr[w + 1]]
                 preds = nbrs[self._dist[nbrs] == d - 1]
                 if preds.size > 1:
@@ -107,27 +107,35 @@ class ShortestPathDag:
 def sssp_dag(g: ChannelGraph, source: int) -> ShortestPathDag:
     if not (0 <= source < g.node_count):
         raise ValueError(f"source {source} outside [0,{g.node_count})")
-    dag = _level_bfs(g.csr, g.node_count, source, np.int64)
-    if dag is None:
-        dag = _level_bfs(g.csr, g.node_count, source, object)
-    return dag
+    dist, sigma, rank, _ = _level_bfs(g.csr, g.node_count, source)
+    return ShortestPathDag(source, g.csr, dist, sigma, rank)
 
 
-def _level_bfs(csr: Csr, n: int, source: int, sigma_type) -> ShortestPathDag | None:
-    """Level-synchronous BFS; None when an int64 sigma could reach 2**62.
+def _level_bfs(csr: Csr, n: int, source: int):
+    """Level-synchronous BFS from source: ``(dist, sigma, rank, levels)``.
 
-    Levels, and the order within each, are those of a deque BFS, so ``rank``
-    is each node's position in that BFS's queue.
+    ``dist`` is -1 where unreachable, ``rank`` is each node's position in a
+    deque BFS's queue, and ``levels[d - 1]`` holds the shortest-path arcs into
+    the nodes at distance d as ``(heads, tails, arc positions)``.  sigma is
+    int64, or Python ints (object) when an int64 count could reach 2**62.
     """
+    return (_count_levels(csr, n, source, np.int64)
+            or _count_levels(csr, n, source, object))
+
+
+def _count_levels(csr: Csr, n: int, source: int, sigma_type):
+    """``_level_bfs`` with the given sigma dtype; None when an int64 sigma
+    could reach 2**62."""
     dist = np.full(n, -1, dtype=np.intp)
     sigma = np.zeros(n, dtype=sigma_type)
     dist[source] = 0
     sigma[source] = 1
     frontier = np.array([source], dtype=np.intp)
-    levels = [frontier]
+    order = [frontier]
+    levels = []
     d = 0
     while True:
-        heads, tails, frontier = csr.bfs_step(frontier, dist)
+        heads, tails, arcs, frontier = csr.bfs_step(frontier, dist)
         if not heads.size:
             break
         flow = sigma[tails]
@@ -137,11 +145,12 @@ def _level_bfs(csr: Csr, n: int, source: int, sigma_type) -> ShortestPathDag | N
         np.add.at(sigma, heads, flow)
         d += 1
         dist[frontier] = d
-        levels.append(frontier)
-    order = np.concatenate(levels)
+        order.append(frontier)
+        levels.append((heads, tails, arcs))
+    order = np.concatenate(order)
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(order.size)
-    return ShortestPathDag(source, csr, dist, sigma, rank)
+    return dist, sigma, rank, levels
 
 
 def sample_shortest_path(dag: ShortestPathDag, target: int, rng: Rng) -> list[int]:
@@ -192,43 +201,39 @@ def edge_betweenness(g: ChannelGraph) -> BetweennessMap:
     """Brandes-style dependency accumulation from every source.
 
     Each unordered pair {s,t} contributes sigma(s,t|e)/sigma(s,t) once;
-    disconnected pairs contribute nothing.
+    disconnected pairs contribute nothing.  Dependencies flow back level by
+    level, deepest first; within a level the arcs go by descending BFS rank
+    of their head, so every float is summed in the order of the sequential
+    algorithm (reverse queue order, predecessors in queue order).
     """
     n = g.node_count
-    acc = [0.0] * g.edge_count
-    adjacency = g.adjacency
+    csr = g.csr
+    acc = np.zeros(g.edge_count)
     for s in range(n):
-        dist = [INF] * n
-        sigma = [0] * n
-        pred_edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        dist[s] = 0
-        sigma[s] = 1
-        order: list[int] = []
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            order.append(v)
-            nd = dist[v] + 1
-            sv = sigma[v]
-            for w, eid in adjacency[v]:
-                dw = dist[w]
-                if dw > nd:
-                    dist[w] = nd
-                    sigma[w] = sv
-                    pred_edges[w] = [(v, eid)]
-                    q.append(w)
-                elif dw == nd:
-                    sigma[w] += sv
-                    pred_edges[w].append((v, eid))
-        delta = [0.0] * n
-        for w in reversed(order):
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v, eid in pred_edges[w]:
-                c = sigma[v] * coeff
-                acc[eid] += c
-                delta[v] += c
+        _, sigma, rank, levels = _level_bfs(csr, n, s)
+        if not levels:
+            continue
+        heads, tails, arcs = (np.concatenate(part) for part in zip(*levels))
+        # rank grows with depth, so this also puts the deepest level first;
+        # arcs tied on a head differ in tail and edge, so their order is free
+        back = np.argsort(-rank[heads])
+        heads, tails = heads[back], tails[back]
+        sigma_heads, sigma_tails = sigma[heads], sigma[tails]
+        share = np.empty(heads.size)
+        delta = np.zeros(n)
+        stop = 0
+        for level_heads, _, _ in reversed(levels):
+            start, stop = stop, stop + level_heads.size
+            c = share[start:stop]
+            # Python-int sigma yields Python floats, which float64 holds exactly
+            np.multiply(sigma_tails[start:stop],
+                        (1.0 + delta[heads[start:stop]]) / sigma_heads[start:stop],
+                        out=c, casting="unsafe")
+            np.add.at(delta, tails[start:stop], c)
+        # an edge is a shortest-path arc at most once per source
+        acc[csr.arc_edge[arcs[back]]] += share
     # every unordered pair was counted from both endpoints
-    return BetweennessMap([x / 2.0 for x in acc])
+    return BetweennessMap((acc / 2.0).tolist())
 
 
 def edge_selection_probability(g: ChannelGraph, bmap: BetweennessMap, eid: int) -> float:

@@ -164,10 +164,13 @@ def read_csv(path) -> tuple[dict, list[str], list[list[str]]]:
 OUTCOME_COLUMNS = ["run", "seed", "tau", "failure_kind", "failing_edge"]
 
 
-def write_outcomes_csv(outcomes: list[RunOutcome], path, meta: dict) -> None:
-    rows = ((i, o.seed_used, o.tau, o.failure_kind, o.failing_edge)
+def _outcome_rows(outcomes: list[RunOutcome]):
+    return ((i, o.seed_used, o.tau, o.failure_kind, o.failing_edge)
             for i, o in enumerate(outcomes))
-    write_csv(path, meta, OUTCOME_COLUMNS, rows)
+
+
+def write_outcomes_csv(outcomes: list[RunOutcome], path, meta: dict) -> None:
+    write_csv(path, meta, OUTCOME_COLUMNS, _outcome_rows(outcomes))
 
 
 def read_outcomes_csv(path) -> tuple[list[RunOutcome], dict]:
@@ -188,10 +191,13 @@ def read_outcomes_csv(path) -> tuple[list[RunOutcome], dict]:
 AGGREGATE_COLUMNS = ["config_id", "count", "min", "max", "mean", "std", "censored"]
 
 
-def write_aggregates_csv(aggregates: list[Aggregate], path, meta: dict) -> None:
-    rows = ((a.config_id, a.count, a.min, a.max, a.mean, a.std, a.censored_count)
+def _aggregate_rows(aggregates: list[Aggregate]):
+    return ((a.config_id, a.count, a.min, a.max, a.mean, a.std, a.censored_count)
             for a in aggregates)
-    write_csv(path, meta, AGGREGATE_COLUMNS, rows)
+
+
+def write_aggregates_csv(aggregates: list[Aggregate], path, meta: dict) -> None:
+    write_csv(path, meta, AGGREGATE_COLUMNS, _aggregate_rows(aggregates))
 
 
 SWEEP_COLUMNS = ["capacity", "min", "mean", "max", "std", "censored"]
@@ -216,13 +222,17 @@ def write_sweep_csv(points, path, meta: dict, horizon: Optional[int] = None) -> 
 HISTOGRAM_COLUMNS = ["bin_lo", "bin_hi", "count"]
 
 
-def write_histogram_csv(hist: LogHistogram, path, meta: dict) -> None:
-    full_meta = dict(meta)
-    full_meta["bins_per_decade"] = hist.bins_per_decade
-    full_meta["underflow"] = hist.underflow
-    full_meta["overflow"] = hist.overflow
+def _histogram_table(hist: LogHistogram, meta: dict):
+    """The histogram's metadata (binning and out-of-range counts) and rows."""
+    full_meta = dict(meta, bins_per_decade=hist.bins_per_decade,
+                     underflow=hist.underflow, overflow=hist.overflow)
     rows = ((hist.edges[i], hist.edges[i + 1], hist.counts[i])
             for i in range(len(hist.counts)))
+    return full_meta, rows
+
+
+def write_histogram_csv(hist: LogHistogram, path, meta: dict) -> None:
+    full_meta, rows = _histogram_table(hist, meta)
     write_csv(path, full_meta, HISTOGRAM_COLUMNS, rows)
 
 
@@ -244,28 +254,17 @@ def emit_campaign(payload, path, meta: dict, fmt: str = "csv") -> None:
     """
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
+    writer = write_csv if fmt == "csv" else write_jsonl
     if isinstance(payload, LogHistogram):
-        if fmt == "csv":
-            write_histogram_csv(payload, path, meta)
-            return
-        full_meta = dict(meta, bins_per_decade=payload.bins_per_decade,
-                         underflow=payload.underflow, overflow=payload.overflow)
-        rows = ((payload.edges[i], payload.edges[i + 1], payload.counts[i])
-                for i in range(len(payload.counts)))
-        write_jsonl(path, full_meta, HISTOGRAM_COLUMNS, rows)
+        full_meta, rows = _histogram_table(payload, meta)
+        writer(path, full_meta, HISTOGRAM_COLUMNS, rows)
         return
     items = list(payload)
     if not items:
         raise ValueError("nothing to emit")
     if isinstance(items[0], RunOutcome):
-        columns = OUTCOME_COLUMNS
-        rows = [(i, o.seed_used, o.tau, o.failure_kind, o.failing_edge)
-                for i, o in enumerate(items)]
+        writer(path, meta, OUTCOME_COLUMNS, _outcome_rows(items))
     elif isinstance(items[0], Aggregate):
-        columns = AGGREGATE_COLUMNS
-        rows = [(a.config_id, a.count, a.min, a.max, a.mean, a.std, a.censored_count)
-                for a in items]
+        writer(path, meta, AGGREGATE_COLUMNS, _aggregate_rows(items))
     else:
         raise TypeError(f"cannot emit {type(items[0]).__name__} records")
-    writer = write_csv if fmt == "csv" else write_jsonl
-    writer(path, meta, columns, rows)

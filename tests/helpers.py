@@ -22,6 +22,12 @@ def adjacency_of(edges, n):
     return adj
 
 
+def csr_rows(g):
+    """Each node's neighbours as ``g.csr`` lists them, one list per node."""
+    indptr, indices = g.csr.indptr.tolist(), g.csr.indices.tolist()
+    return [indices[indptr[v]:indptr[v + 1]] for v in range(g.node_count)]
+
+
 def bfs_dist(adj, source):
     dist = {source: 0}
     q = deque([source])
@@ -192,3 +198,47 @@ def oracle_sample_path(dag, target, rng):
         path.append(node)
     path.reverse()
     return path
+
+
+def oracle_edge_betweenness(g):
+    """Deque-BFS Brandes accumulation over per-node (neighbor, edge id) lists.
+
+    The reference for ``pcnsim.edge_betweenness``, summing every float in the
+    same order: nodes in reverse queue order, each node's predecessors in
+    queue order, sources ascending.
+    """
+    n = g.node_count
+    adj = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(zip(g.edge_u, g.edge_v)):
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
+    acc = [0.0] * g.edge_count
+    for s in range(n):
+        dist = [math.inf] * n
+        sigma = [0] * n
+        pred_edges = [[] for _ in range(n)]
+        dist[s] = 0
+        sigma[s] = 1
+        order = []
+        q = deque([s])
+        while q:
+            v = q.popleft()
+            order.append(v)
+            nd = dist[v] + 1
+            for w, eid in adj[v]:
+                if dist[w] > nd:
+                    dist[w] = nd
+                    sigma[w] = sigma[v]
+                    pred_edges[w] = [(v, eid)]
+                    q.append(w)
+                elif dist[w] == nd:
+                    sigma[w] += sigma[v]
+                    pred_edges[w].append((v, eid))
+        delta = [0.0] * n
+        for w in reversed(order):
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for v, eid in pred_edges[w]:
+                c = sigma[v] * coeff
+                acc[eid] += c
+                delta[v] += c
+    return [x / 2.0 for x in acc]

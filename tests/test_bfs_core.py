@@ -1,9 +1,10 @@
-"""The CSR BFS core against the deque-BFS oracle in helpers.
+"""The CSR BFS core against the deque-BFS oracles in helpers.
 
-``sssp_dag`` runs a level-synchronous numpy BFS over ``ChannelGraph.csr``;
-these tests pin it to the per-node list implementation it replaced: equal
-distances, path counts and predecessor order, and identical sampled paths for
-the same draws.
+``sssp_dag`` and ``edge_betweenness`` run one level-synchronous numpy BFS over
+``ChannelGraph.csr``; these tests pin them to the per-node list
+implementations they replaced: equal distances, path counts and predecessor
+order, identical sampled paths for the same draws, and bit-identical
+betweenness values.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcnsim import (ChannelGraph, Rng, SimConfig, monte_carlo, run_payment_process,
-                    run_seed, sssp_dag)
+from pcnsim import (ChannelGraph, Rng, SimConfig, edge_betweenness, make_ring,
+                    monte_carlo, run_payment_process, run_seed, sssp_dag)
 from pcnsim.paths import DagCache, sample_shortest_path
 
-from helpers import (oracle_sample_path, oracle_sssp_dag, random_connected_edges,
+from helpers import (adjacency_of, csr_rows, oracle_edge_betweenness,
+                     oracle_sample_path, oracle_sssp_dag, random_connected_edges,
                      small_world_edges)
 
 
@@ -56,13 +58,16 @@ def test_csr_rows_follow_adjacency_order():
         n = rng.randrange(2, 30)
         edges = random_connected_edges(rng, n, extra_prob=0.3)
         rng.shuffle(edges)
-        g = ChannelGraph(n, [(v, u, c) if rng.random() < 0.5 else (u, v, c)
-                             for u, v, c in edges])
-        indptr, indices, degree = g.csr
+        edges = [(v, u, c) if rng.random() < 0.5 else (u, v, c) for u, v, c in edges]
+        g = ChannelGraph(n, edges)
+        adj = adjacency_of(edges, n)
+        rows = csr_rows(g)
+        assert rows == [adj[v] for v in range(n)]
+        indptr, _, degree, arc_edge = g.csr
         for v in range(n):
-            row = indices[indptr[v]:indptr[v + 1]].tolist()
-            assert row == [w for w, _eid in g.adjacency[v]]
-            assert degree[v] == len(row)
+            assert degree[v] == len(rows[v]) == g.degree(v)
+            for a, w in enumerate(rows[v], start=indptr[v]):
+                assert arc_edge[a] == g.edge_id(v, w)
 
 
 def _diamond_chain(k: int) -> ChannelGraph:
@@ -106,6 +111,35 @@ def test_sigma_past_int64_samples_uniformly():
         assert abs(upper[i] - draws / 2) <= 4.5 * sd, i
     for i in range(k - 1):
         assert abs(pairs[i] - draws / 2) <= 4.5 * sd, i
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(sizes=st.lists(st.integers(1, 14), min_size=1, max_size=2),
+       extra=st.floats(0.0, 0.6), seed=st.integers(0, 2 ** 16))
+def test_betweenness_matches_oracle_exactly(sizes, extra, seed):
+    # one or two random connected components, node ids shuffled across them
+    rng = random.Random(seed)
+    n = max(2, sum(sizes))
+    label = list(range(n))
+    rng.shuffle(label)
+    edges, offset = [], 0
+    for size in sizes:
+        edges += [(label[offset + u], label[offset + v], c)
+                  for u, v, c in random_connected_edges(rng, size, extra_prob=extra)]
+        offset += size
+    g = ChannelGraph(n, edges)
+    assert edge_betweenness(g).values == oracle_edge_betweenness(g)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 10, 31, 64])
+def test_betweenness_on_rings_matches_oracle_exactly(n):
+    g = make_ring(n, 2)
+    assert edge_betweenness(g).values == oracle_edge_betweenness(g)
+
+
+def test_betweenness_past_int64_sigma_matches_oracle_exactly():
+    g = _diamond_chain(70)
+    assert edge_betweenness(g).values == oracle_edge_betweenness(g)
 
 
 def test_dag_cache_counts_gets():

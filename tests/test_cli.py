@@ -225,6 +225,39 @@ def test_couple_check_pass_and_corrupt(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [("--nodes", "1", "--balance", "2"),
+                                  ("--nodes", "5", "--balance", "0")])
+def test_couple_check_too_small_is_config_error(argv, capsys):
+    assert run_cli("couple-check", *argv) == 1
+    captured = capsys.readouterr()
+    assert "config error: couple-check needs nodes >= 2" in captured.err
+    assert captured.out == ""
+
+
+def test_couple_check_rejects_nonpositive_seeds(capsys):
+    for seeds in ("-3", "0"):
+        assert run_cli("couple-check", "--nodes", "4", "--balance", "2",
+                       "--seeds", seeds) == 1
+        captured = capsys.readouterr()
+        assert f"seeds must be >= 1, got {seeds}" in captured.err
+        assert "PASS" not in captured.out
+
+
+def test_simulate_rejects_graph_inputs_for_synthetic_topology(tmp_path, capsys):
+    edges = tmp_path / "r5.txt"
+    write_edgelist(make_ring(5, 4), edges)
+    code = run_cli("simulate", "--topology", "ring", "--nodes", "5", "--balance", "2",
+                   "--graph", str(edges), "--plan", str(tmp_path / "nonexistent.csv"))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        "config error: topology ring takes no graph, plan (snapshot topology only)"]
+    assert captured.out == ""
+    assert run_cli("simulate", "--topology", "clique", "--nodes", "5", "--balance", "2",
+                   "--snapshot", str(tmp_path / "snap.json")) == 1
+    assert "topology clique takes no snapshot" in capsys.readouterr().err
+
+
 def test_fit_command_recovers_constant(tmp_path, capsys):
     k = 16
     points = tmp_path / "points.csv"

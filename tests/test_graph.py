@@ -9,7 +9,7 @@ from pcnsim import (ChannelGraph, giant_component, ingest_snapshot, init_balance
                     make_clique, make_ring, parse_snapshot)
 from pcnsim.graph import load_graph, read_edgelist, write_edgelist
 
-from helpers import random_connected_graph
+from helpers import adjacency_of, csr_rows, random_connected_edges, random_connected_graph
 
 
 def test_make_clique_k3():
@@ -22,7 +22,9 @@ def test_make_clique_k3():
 def test_make_clique_degrees_and_adjacency_count():
     g = make_clique(7, 6)
     assert all(g.degree(v) == 6 for v in range(7))
-    assert sum(len(a) for a in g.adjacency) == 2 * g.edge_count
+    adj = adjacency_of(zip(g.edge_u, g.edge_v, g.capacity), 7)
+    assert csr_rows(g) == [adj[v] for v in range(7)]
+    assert int(g.csr.degree.sum()) == 2 * g.edge_count
 
 
 def test_make_clique_large_scale():
@@ -133,6 +135,15 @@ def test_giant_component_picks_larger():
     assert gc.is_connected()
 
 
+def test_giant_component_tie_breaks_toward_smallest_id():
+    # two 3-node components; the one holding node 0 wins, ids stay in order
+    edges = [(1, 3, 2), (3, 5, 4), (0, 2, 6), (2, 4, 8), (0, 4, 10)]
+    gc = giant_component(ChannelGraph(7, edges, node_keys=list("abcdefg")))
+    assert gc.node_keys == ["a", "c", "e"]
+    assert sorted(zip(gc.edge_u, gc.edge_v, gc.capacity)) == [(0, 1, 6), (0, 2, 10),
+                                                             (1, 2, 8)]
+
+
 def test_giant_component_idempotent_after_ingest():
     doc = parse_snapshot(_doc(
         ["A", "B", "C", "D", "E"],
@@ -181,8 +192,13 @@ def test_balance_clone_is_independent():
 def test_adjacency_handshake_on_random_graphs():
     rng = random.Random(3)
     for _ in range(10):
-        g = random_connected_graph(rng, rng.randrange(4, 12))
-        assert sum(len(a) for a in g.adjacency) == 2 * g.edge_count
+        n = rng.randrange(4, 12)
+        edges = random_connected_edges(rng, n)
+        g = ChannelGraph(n, edges)
+        adj = adjacency_of(edges, n)
+        assert csr_rows(g) == [adj[v] for v in range(n)]
+        assert [g.degree(v) for v in range(n)] == [len(adj[v]) for v in range(n)]
+        assert int(g.csr.degree.sum()) == 2 * g.edge_count
 
 
 def test_edgelist_round_trip(tmp_path):
