@@ -7,6 +7,8 @@ bit-generator identifier below are echoed into every output file.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 # Recorded in output metadata; bump if the stream derivation ever changes.
@@ -24,6 +26,27 @@ def _mix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def next_size(size: int, cap: int) -> int:
+    """The chunk size after ``size``: double it, but never past ``cap``."""
+    return min(size * 2, cap)
+
+
+def chunk_sizes(first: int, cap: int, total: int) -> Iterator[int]:
+    """Chunk sizes first, 2·first, 4·first, … up to cap, then cap.
+
+    Every chunked draw loop takes its sizes from here or from ``next_size``,
+    so short runs stay cheap and the sizes, which fix how a stream is cut,
+    follow one rule.  The last size is clipped so that the sizes sum to
+    ``total``.
+    """
+    size = first
+    while total > 0:
+        chunk = min(size, total)
+        yield chunk
+        total -= chunk
+        size = next_size(size, cap)
 
 
 def run_seed(base_seed: int, run_index: int) -> int:
@@ -55,7 +78,7 @@ class Rng:
 
     def _refill(self) -> None:
         self._buf = self.np.integers(0, 1 << 64, size=self._size, dtype=np.uint64).tolist()
-        self._size = min(self._size * 2, _CHUNK)
+        self._size = next_size(self._size, _CHUNK)
         self._pos = 0
 
     def u64(self) -> int:
@@ -108,22 +131,30 @@ class Rng:
             t += 1
         return s, t
 
-    def indices(self, bound: int, count: int) -> list[int]:
-        """`count` exactly-uniform integers in [0, bound), drawn vectorized."""
+    def indices(self, bound: int, count: int) -> np.ndarray:
+        """`count` exactly-uniform integers in [0, bound), drawn vectorized.
+
+        Each pass draws 16 words more than it still needs and drops the
+        words it does not use.  When bound divides 2**64 no word is rejected.
+        """
         if bound <= 0:
             raise ValueError("bound must be positive")
         if bound == 1:
-            return [0] * count
-        limit = np.uint64((1 << 64) - ((1 << 64) % bound))
-        out: list[int] = []
+            return np.zeros(count, dtype=np.uint64)
+        rem = _WORD % bound
+        limit = np.uint64(_WORD - rem) if rem else None
+        ubound = np.uint64(bound)
+        parts: list[np.ndarray] = []
         need = count
         while need > 0:
             raw = self.np.integers(0, 1 << 64, size=need + 16, dtype=np.uint64)
-            kept = raw[raw < limit] % np.uint64(bound)
-            out.extend(kept[:need].tolist())
-            need = count - len(out)
-        return out
+            kept = (raw if limit is None else raw[raw < limit])[:need] % ubound
+            parts.append(kept)
+            need -= len(kept)
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint64)
 
-    def bits(self, count: int) -> list[int]:
-        """`count` independent fair bits."""
-        return self.np.integers(0, 2, size=count, dtype=np.uint8).tolist()
+    def bits(self, count: int) -> np.ndarray:
+        """`count` independent fair bits, as uint8."""
+        return self.np.integers(0, 2, size=count, dtype=np.uint8)

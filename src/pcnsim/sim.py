@@ -13,7 +13,7 @@ import numpy as np
 from .analytics import ring_edge_probability
 from .graph import ChannelGraph, init_balances, load_graph, make_clique, make_ring
 from .paths import DagCache, sample_shortest_path
-from .rng import Rng, run_seed
+from .rng import Rng, chunk_sizes, run_seed
 
 logger = logging.getLogger(__name__)
 
@@ -25,8 +25,9 @@ ATTEMPT_FAILED = "attempt_failed"
 STEP_CAP = "step_cap_reached"
 
 _CHUNK = 1 << 14
-_PROGRESS_EVERY = 10 ** 8
 _PROGRESS_SECONDS = 10.0
+_CLOCK_EVERY = 1 << 12  # ring rounds between reads of the progress clock
+_NEAR_ROWS = 8  # fewest rows the independent chains search at once
 _MIN_NODES = {"clique": 2, "ring": 3, "independent": 1}
 
 
@@ -116,6 +117,58 @@ class RunOutcome:
         return self.failure_kind == STEP_CAP
 
 
+class _Progress:
+    """Logs a process's round count every ``_PROGRESS_SECONDS`` of wall time.
+
+    Each call reads the clock once, so kernels call it once per chunk or per
+    fixed round count.  ``detail`` returns extra text for the line.
+    """
+
+    def __init__(self, what: str, seed: int, detail=None):
+        self.what, self.seed, self.detail = what, seed, detail
+        self.started = time.monotonic()
+        self.due = self.started + _PROGRESS_SECONDS
+
+    def __call__(self, t: int) -> None:
+        now = time.monotonic()
+        if now >= self.due:
+            logger.info("%s at %d rounds, %.1f rounds/s%s (seed %d)", self.what, t,
+                        t / (now - self.started), self.detail() if self.detail else "",
+                        self.seed)
+            self.due = now + _PROGRESS_SECONDS
+
+
+def _first_exit(state: np.ndarray, ids: np.ndarray, steps: np.ndarray, lo: int,
+                hi: int) -> int:
+    """Index of the first event of a chunk that takes its chain outside [lo, hi].
+
+    Event i adds ``steps[i]`` to ``state[ids[i]]``; every chain starts the
+    chunk inside the range.  One sort of the keys (chain id, event index),
+    packed into a uint64 (so chain ids stay below 2**(64 - C.bit_length())),
+    groups the events by chain in event order, so a running sum per group
+    gives each chain's level after each of its events, in O(C log C) for C
+    events however many chains there are; the smallest violating event
+    index is the answer.  When no event leaves the range, returns -1 and
+    applies the chunk to ``state``; otherwise ``state`` is left as it was.
+    """
+    shift = np.uint64(len(ids).bit_length())
+    keys = np.sort(ids.astype(np.uint64) << shift | np.arange(len(ids), dtype=np.uint64))
+    order = (keys & ((np.uint64(1) << shift) - np.uint64(1))).astype(np.intp)
+    chain = (keys >> shift).astype(np.intp)
+    moved = steps[order]
+    heads = np.flatnonzero(np.concatenate(([True], chain[1:] != chain[:-1])))
+    run = np.cumsum(moved)
+    # less the sum before each group's first event: a running sum per chain
+    run -= np.repeat(run[heads] - moved[heads], np.diff(heads, append=len(chain)))
+    level = state[chain] + run
+    out = (level < lo) | (level > hi)
+    if out.any():
+        return int(order[out].min())
+    tails = np.append(heads[1:], len(chain)) - 1
+    state[chain[tails]] = level[tails]
+    return -1
+
+
 def build_graph(cfg: SimConfig) -> Optional[ChannelGraph]:
     if cfg.topology == "clique":
         return make_clique(cfg.nodes, 2 * cfg.balance)
@@ -151,8 +204,8 @@ def run_payment_process(g: ChannelGraph, cfg: SimConfig, rng: Rng,
     n = g.node_count
     max_steps = cfg.max_steps
     t = 0
-    started = time.monotonic()
-    next_progress = started + _PROGRESS_SECONDS
+    progress = _Progress("payment process", rng.seed, lambda: ", DAG cache hit ratio "
+                         f"{1 - cache.misses / cache.gets:.3f}")
     while t < max_steps:
         s, dst = rng.pair(n)
         dag = cache.get(s)
@@ -196,12 +249,7 @@ def run_payment_process(g: ChannelGraph, cfg: SimConfig, rng: Rng,
             t += 1
             if failing >= 0:
                 return RunOutcome(t, failing, DEPLETED, rng.seed)
-        now = time.monotonic()
-        if now >= next_progress:
-            logger.info("payment process at %d rounds, %.1f rounds/s, DAG cache hit "
-                        "ratio %.3f (seed %d)", t, t / (now - started),
-                        1 - cache.misses / cache.gets, rng.seed)
-            next_progress = now + _PROGRESS_SECONDS
+        progress(t)
     return RunOutcome(t, None, STEP_CAP, rng.seed)
 
 
@@ -210,7 +258,9 @@ def _clique_fast(n: int, capacity: int, cfg: SimConfig, rng: Rng) -> RunOutcome:
 
     On a clique the drawn shortest path is exactly the edge {u,v}, so drawing
     a distinct pair plus orientation is the same as drawing a uniform edge and
-    direction; run_coupled_clique verifies the two forms stop together.
+    direction; run_coupled_clique verifies the two forms stop together.  Each
+    chunk draws its edges, then its direction bits, and goes through
+    _first_exit whole.
     """
     m = n * (n - 1) // 2
     x = cfg.amount
@@ -218,33 +268,23 @@ def _clique_fast(n: int, capacity: int, cfg: SimConfig, rng: Rng) -> RunOutcome:
     half = capacity // 2
     if not attempt and min(half, capacity - half) < x:
         return RunOutcome(0, 0, DEPLETED, rng.seed)
-    bal = [half] * m
-    max_steps = cfg.max_steps
+    # the balance at an edge's smaller-id end: a depleting round leaves it
+    # outside [x, capacity - x]; a failed attempt would take it outside
+    # [0, capacity] and is not applied
+    lo, hi = (0, capacity) if attempt else (x, capacity - x)
+    bal = np.full(m, half, dtype=np.int64)
     t = 0
-    size = 128  # grows geometrically so short runs stay cheap
-    next_progress = _PROGRESS_EVERY
-    while t < max_steps:
-        chunk = int(min(size, max_steps - t))
-        size = min(size * 2, _CHUNK)
+    progress = _Progress("clique process", rng.seed)
+    for chunk in chunk_sizes(128, _CHUNK, cfg.max_steps):
         edges = rng.indices(m, chunk)
-        dirs = rng.bits(chunk)
-        for eid, d in zip(edges, dirs):
-            b = bal[eid]
-            if d:  # larger-id endpoint pays the smaller-id one
-                payer = capacity - b
-                nb = b + x
-            else:
-                payer = b
-                nb = b - x
-            if attempt and payer < x:
-                return RunOutcome(t, eid, ATTEMPT_FAILED, rng.seed)
-            bal[eid] = nb
-            t += 1
-            if not attempt and min(nb, capacity - nb) < x:
-                return RunOutcome(t, eid, DEPLETED, rng.seed)
-        if t >= next_progress:
-            logger.info("clique process at %d rounds (seed %d)", t, rng.seed)
-            next_progress += _PROGRESS_EVERY
+        dirs = rng.bits(chunk)  # 1: the larger-id endpoint pays the smaller-id one
+        at = _first_exit(bal, edges, dirs.astype(np.int64) * (2 * x) - x, lo, hi)
+        if at >= 0:
+            if attempt:
+                return RunOutcome(t + at, int(edges[at]), ATTEMPT_FAILED, rng.seed)
+            return RunOutcome(t + at + 1, int(edges[at]), DEPLETED, rng.seed)
+        t += chunk
+        progress(t)
     return RunOutcome(t, None, STEP_CAP, rng.seed)
 
 
@@ -269,7 +309,8 @@ def _ring_fast(n: int, capacity: int, cfg: SimConfig, rng: Rng) -> RunOutcome:
     hi = capacity - x  # cw[e] > hi: node e+1 cannot pay x over edge e
     max_steps = cfg.max_steps
     t = 0
-    next_progress = _PROGRESS_EVERY
+    progress = _Progress("ring process", rng.seed)
+    next_clock = _CLOCK_EVERY
     while t < max_steps:
         s, d = rng.pair(n)
         span = d - s if d > s else d - s + n  # clockwise hops from s to d
@@ -307,9 +348,9 @@ def _ring_fast(n: int, capacity: int, cfg: SimConfig, rng: Rng) -> RunOutcome:
         t += 1
         if failing >= 0:
             return RunOutcome(t, failing, DEPLETED, rng.seed)
-        if t >= next_progress:
-            logger.info("ring process at %d rounds (seed %d)", t, rng.seed)
-            next_progress += _PROGRESS_EVERY
+        if t >= next_clock:
+            progress(t)
+            next_clock += _CLOCK_EVERY
     return RunOutcome(t, None, STEP_CAP, rng.seed)
 
 
@@ -317,29 +358,24 @@ def run_bdc_process(m: int, k: int, max_steps: int, rng: Rng) -> RunOutcome:
     """Multiple birth-and-death chains: each round one uniform chain moves ±1.
 
     All m chains start at 0; returns the iteration count at the first time
-    some chain reaches ±k.
+    some chain reaches ±k.  Each chunk draws its move bits, then, when m > 1,
+    its chain indices.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be >= 1")
     pos = [0] * m
     t = 0
-    size = 128
-    next_progress = _PROGRESS_EVERY
-    while t < max_steps:
-        chunk = int(min(size, max_steps - t))
-        size = min(size * 2, _CHUNK)
-        moves = rng.bits(chunk)
-        chains = rng.indices(m, chunk) if m > 1 else None
-        for i in range(chunk):
-            e = chains[i] if chains is not None else 0
-            p = pos[e] + 1 if moves[i] else pos[e] - 1
+    progress = _Progress("bdc process", rng.seed)
+    for chunk in chunk_sizes(128, _CHUNK, max_steps):
+        moves = rng.bits(chunk).tolist()
+        chains = rng.indices(m, chunk).tolist() if m > 1 else [0] * chunk
+        for e, up in zip(chains, moves):
+            p = pos[e] + 1 if up else pos[e] - 1
             pos[e] = p
             t += 1
             if p == k or p == -k:
                 return RunOutcome(t, e, DEPLETED, rng.seed)
-        if t >= next_progress:
-            logger.info("bdc process at %d rounds (seed %d)", t, rng.seed)
-            next_progress += _PROGRESS_EVERY
+        progress(t)
     return RunOutcome(t, None, STEP_CAP, rng.seed)
 
 
@@ -397,7 +433,10 @@ def run_independent_chains(n: int, k: int, p_select: float, max_steps: int,
 
     Unlike the ring these updates are fully independent across chains; the
     expected number of moving chains per round matches the ring when
-    p_select = ring_edge_probability(n).
+    p_select = ring_edge_probability(n).  Each block of rows draws its
+    selections (``random``), then its directions (``integers``), and is
+    summed a window of rows at a time; only chains close enough to ±k to
+    reach it within the window get a row-by-row running sum.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
@@ -406,23 +445,34 @@ def run_independent_chains(n: int, k: int, p_select: float, max_steps: int,
     gen = rng.np
     pos = np.zeros(n, dtype=np.int64)
     t = 0
-    rows = 8
-    next_progress = _PROGRESS_EVERY
-    while t < max_steps:
-        block = int(min(rows, max_steps - t))
-        rows = min(rows * 2, 256)
+    dist = np.zeros(n, dtype=np.int64)  # |pos|
+    top = 0  # max |pos|
+    progress = _Progress("independent chains", rng.seed)
+    for block in chunk_sizes(8, 256, max_steps):
         selected = gen.random((block, n)) < p_select
-        steps = gen.integers(0, 2, size=(block, n), dtype=np.int8).astype(np.int64) * 2 - 1
-        moves = selected * steps
-        for r in range(block):
-            pos += moves[r]
-            t += 1
-            hits = np.abs(pos) >= k
-            if hits.any():
-                return RunOutcome(t, int(np.argmax(hits)), DEPLETED, rng.seed)
-        if t >= next_progress:
-            logger.info("independent chains at %d rounds (seed %d)", t, rng.seed)
-            next_progress += _PROGRESS_EVERY
+        moves = gen.integers(0, 2, size=(block, n), dtype=np.int8)
+        moves *= 2
+        moves -= 1
+        moves *= selected
+        r = 0
+        while r < block:
+            # a row moves a chain by at most 1, so over the next w rows only
+            # chains within w of ±k can reach it; their running sums are exact
+            w = min(block - r, max(k - top, _NEAR_ROWS))
+            rows = moves[r:r + w]
+            near = np.flatnonzero(dist >= k - w)
+            if len(near):
+                path = np.abs(pos[near] + np.cumsum(rows[:, near], axis=0)) >= k
+                if path.any():
+                    i = int(np.argmax(path.any(axis=1)))
+                    return RunOutcome(t + r + i + 1, int(near[np.argmax(path[i])]),
+                                      DEPLETED, rng.seed)
+            pos += rows.sum(axis=0, dtype=np.int16)
+            r += w
+            dist = np.abs(pos)
+            top = int(dist.max())
+        t += block
+        progress(t)
     return RunOutcome(t, None, STEP_CAP, rng.seed)
 
 

@@ -11,7 +11,9 @@ import random
 from collections import deque
 from types import SimpleNamespace
 
-from pcnsim import ChannelGraph
+import numpy as np
+
+from pcnsim import ChannelGraph, RunOutcome
 
 
 def adjacency_of(edges, n):
@@ -242,3 +244,67 @@ def oracle_edge_betweenness(g):
                 acc[eid] += c
                 delta[v] += c
     return [x / 2.0 for x in acc]
+
+
+def oracle_clique_fast(n, capacity, cfg, rng):
+    """The clique's single-edge form, one Python step per round.
+
+    The reference for ``pcnsim.sim._clique_fast``: per chunk (128 doubling to
+    2**14 rounds, clipped at max_steps) it draws the edge indices, then the
+    direction bits; bit 1 means the larger-id endpoint pays.
+    """
+    m = n * (n - 1) // 2
+    x = cfg.amount
+    attempt = cfg.stop_mode == "attempt"
+    half = capacity // 2
+    if not attempt and min(half, capacity - half) < x:
+        return RunOutcome(0, 0, "depleted", rng.seed)
+    bal = [half] * m
+    t = 0
+    size = 128
+    while t < cfg.max_steps:
+        chunk = int(min(size, cfg.max_steps - t))
+        size = min(size * 2, 1 << 14)
+        edges = rng.indices(m, chunk).tolist()
+        dirs = rng.bits(chunk).tolist()
+        for eid, d in zip(edges, dirs):
+            b = bal[eid]
+            if d:
+                payer = capacity - b
+                nb = b + x
+            else:
+                payer = b
+                nb = b - x
+            if attempt and payer < x:
+                return RunOutcome(t, eid, "attempt_failed", rng.seed)
+            bal[eid] = nb
+            t += 1
+            if not attempt and min(nb, capacity - nb) < x:
+                return RunOutcome(t, eid, "depleted", rng.seed)
+    return RunOutcome(t, None, "step_cap_reached", rng.seed)
+
+
+def oracle_independent_chains(n, k, p_select, max_steps, rng):
+    """n independent chains, stepped and checked one row at a time.
+
+    The reference for ``pcnsim.run_independent_chains``: per block (8
+    doubling to 256 rows, clipped at max_steps) it draws ``random`` for the
+    selections, then ``integers`` for the directions, from ``rng.np``.
+    """
+    gen = rng.np
+    pos = np.zeros(n, dtype=np.int64)
+    t = 0
+    rows = 8
+    while t < max_steps:
+        block = int(min(rows, max_steps - t))
+        rows = min(rows * 2, 256)
+        selected = gen.random((block, n)) < p_select
+        steps = gen.integers(0, 2, size=(block, n), dtype=np.int8).astype(np.int64) * 2 - 1
+        moves = selected * steps
+        for r in range(block):
+            pos += moves[r]
+            t += 1
+            hits = np.abs(pos) >= k
+            if hits.any():
+                return RunOutcome(t, int(np.argmax(hits)), "depleted", rng.seed)
+    return RunOutcome(t, None, "step_cap_reached", rng.seed)

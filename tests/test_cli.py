@@ -435,3 +435,25 @@ def test_verbose_leaves_outputs_and_echo_unchanged(tmp_path, capsys, caplog):
         runs[bool(flag)] = (stdout, out.read_bytes(), caplog.text)
     assert runs[True][:2] == runs[False][:2]
     assert "4 runs" in runs[True][2] and "DAG builds" in runs[True][2]
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["simulate", "--topology", "clique", "--nodes", "12", "--balance", "5", "--runs", "3"],
+     "clique process at "),
+    (["sweep", "--topology", "independent", "--nodes", "64", "--k-from", "4", "--k-to", "8",
+      "--k-step", "4", "--runs-per-point", "2"], "independent chains at "),
+])
+def test_verbose_kernel_progress_leaves_outputs_unchanged(tmp_path, capsys, caplog,
+                                                          monkeypatch, argv, line):
+    monkeypatch.setattr("pcnsim.sim._PROGRESS_SECONDS", 1e-9)  # a line per chunk
+    runs = {}
+    for flag in ([], ["-v"]):
+        out = tmp_path / f"out{len(flag)}.csv"
+        caplog.clear()
+        with caplog.at_level("INFO", logger="pcnsim"):
+            assert run_cli(*flag, *argv, "--seed", "5", "--workers", "1",
+                           "--out", str(out)) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        runs[bool(flag)] = (stdout, out.read_bytes(), caplog.text)
+    assert runs[True][:2] == runs[False][:2]
+    assert line in runs[True][2]
