@@ -13,6 +13,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .analytics import (bound_report_rows, BOUND_REPORT_COLUMNS, fit_residual,
@@ -50,40 +51,75 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
-# recipe keys, their parsers, and a short description (also the file schema)
-_KEY_SPECS: dict[str, tuple] = {
-    "topology": (str, "clique | ring | snapshot | independent"),
-    "nodes": (int, "node count for synthetic topologies / chain count"),
-    "balance": (int, "per-side balance k (capacity 2k)"),
-    "capacity": (int, "capacity value; per-side k unless capacity_is_total"),
-    "capacity_is_total": (lambda s: s.lower() in ("1", "true", "yes"),
-                          "read 'capacity' as total c(e) = 2k"),
-    "snapshot": (str, "LND describegraph JSON path"),
-    "graph": (str, "graph file path (.json snapshot or edge list)"),
-    "plan": (str, "capacity plan CSV to apply to the loaded graph"),
-    "amount": (int, "payment amount per round"),
-    "amounts": (str, "comma-separated amounts for a multi-amount campaign"),
-    "stop": (str, "depletion | attempt"),
-    "runs": (int, "Monte Carlo replicas"),
-    "seed": (int, "base seed (env PCN_SIM_SEED is the fallback)"),
-    "max_steps": (int, "step cap per run"),
-    "workers": (int, "parallel replicas; 1 = sequential"),
-    "out": (str, "output file path"),
-    "k_from": (int, "sweep start balance"),
-    "k_to": (int, "sweep end balance (inclusive)"),
-    "k_step": (int, "sweep step"),
-    "runs_per_point": (int, "replicas per sweep point"),
-    "horizon": (int, "optional horizon H for Prob{tau <= H} sweep column"),
-    "p_select": (float, "independent-chains selection probability"),
-    "strategy": (str, "uniform | xi"),
-    "model": (str, "fit model: upper | lower"),
-    "points": (str, "fit input CSV with columns n,mean_tau"),
-    "seeds": (int, "number of seeds for couple-check"),
+def _parse_bool(text: str) -> bool:
+    value = text.lower()
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(text)
+    return value in ("1", "true", "yes")
+
+
+@dataclass(frozen=True)
+class Option:
+    """One recipe key: flag ``--key-with-dashes`` and config-file key ``key``."""
+
+    parse: Callable
+    help: str
+    commands: tuple[str, ...]
+    choices: tuple | None = None
+    default: object = None  # CLI-only defaults; SimConfig's fields hold the rest
+
+
+_ALL = ("simulate", "sweep", "betweenness", "redistribute", "couple-check", "fit")
+_CAMPAIGN = ("simulate", "sweep")
+_GRAPH = ("simulate", "betweenness", "redistribute")
+_BALANCE = ("simulate", "couple-check", "fit")
+
+# every recipe key, the commands that take it, and its file/flag schema
+OPTIONS: dict[str, Option] = {
+    "topology": Option(str, "process to simulate (sweep: all but snapshot)", _CAMPAIGN,
+                       TOPOLOGIES),
+    "nodes": Option(int, "node count for synthetic topologies / chain count",
+                    ("simulate", "sweep", "couple-check")),
+    "balance": Option(int, "per-side balance k (capacity 2k)", _BALANCE),
+    "capacity": Option(int, "capacity value; per-side k unless --capacity-is-total",
+                       _BALANCE),
+    "capacity_is_total": Option(_parse_bool, "read --capacity as total c(e) = 2k",
+                                _BALANCE),
+    "snapshot": Option(str, "LND describegraph JSON path", _GRAPH),
+    "graph": Option(str, "graph file path (.json snapshot or edge list)", _GRAPH),
+    "plan": Option(str, "capacity plan CSV to apply to the loaded graph",
+                   ("simulate", "betweenness")),
+    "amount": Option(int, "payment amount per round", _CAMPAIGN),
+    "amounts": Option(str, "comma-separated amounts (multi-amount campaign)",
+                      ("simulate",)),
+    "stop": Option(str, "stop mode", _CAMPAIGN, STOP_MODES),
+    "runs": Option(int, "Monte Carlo replicas", ("simulate",)),
+    "seed": Option(int, f"base seed (env {ENV_SEED} is the fallback)", _ALL),
+    "max_steps": Option(int, "step cap per run", _ALL),
+    "workers": Option(int, "parallel replicas; 1 = sequential", _CAMPAIGN,
+                      default=os.cpu_count() or 1),
+    "out": Option(str, "output file path", _ALL),
+    "k_from": Option(int, "sweep start balance", ("sweep",)),
+    "k_to": Option(int, "sweep end balance (inclusive)", ("sweep",)),
+    "k_step": Option(int, "sweep step", ("sweep",), default=1),
+    "runs_per_point": Option(int, "replicas per sweep point", ("sweep",), default=10),
+    "horizon": Option(int, "horizon H for a Prob{tau <= H} sweep column", ("sweep",)),
+    "p_select": Option(float, "independent-chains selection probability", _CAMPAIGN),
+    "strategy": Option(str, "capacity plan", ("redistribute",), ("uniform", "xi")),
+    "model": Option(str, "fit bound model", ("fit",), ("upper", "lower")),
+    "points": Option(str, "fit input CSV with columns n,mean_tau", ("fit",)),
+    "seeds": Option(int, "number of seeds to check", ("couple-check",), default=100),
 }
 
 
-def read_recipe_file(path) -> dict:
-    """Flat ``key = value`` document; '#' comments; unknown keys rejected."""
+def _command_keys(command: str) -> list[str]:
+    return [key for key, option in OPTIONS.items() if command in option.commands]
+
+
+def read_recipe_file(path, command: str) -> dict:
+    """Flat ``key = value`` document; '#' comments; keys the command has no
+    flag for are rejected."""
+    keys = _command_keys(command)
     values: dict = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -98,35 +134,44 @@ def read_recipe_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key = key.strip()
         value = value.strip()
-        if key not in _KEY_SPECS:
-            raise ConfigError(
-                f"{path}:{lineno}: unknown key {key!r}; valid keys: {', '.join(sorted(_KEY_SPECS))}"
-            )
-        parse = _KEY_SPECS[key][0]
+        if key not in keys:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} for {command}; "
+                              f"valid keys: {', '.join(sorted(keys))}")
+        option = OPTIONS[key]
         try:
-            values[key] = parse(value)
+            values[key] = option.parse(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+        if option.choices and values[key] not in option.choices:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}; "
+                              f"valid values: {', '.join(option.choices)}")
     return values
 
 
 def resolve_recipe(args: argparse.Namespace) -> dict:
     """Precedence: flags > config file > environment (seed only) > defaults."""
-    recipe: dict = {}
+    keys = _command_keys(args.cmd)
+    recipe = {key: OPTIONS[key].default for key in keys if OPTIONS[key].default is not None}
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:
         try:
             recipe["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError(f"{ENV_SEED} must be an integer, got {env_seed!r}")
-    config_path = getattr(args, "config", None)
-    if config_path:
-        recipe.update(read_recipe_file(config_path))
-    for key in _KEY_SPECS:
-        flag_value = getattr(args, key, None)
+    if args.config:
+        recipe.update(read_recipe_file(args.config, args.cmd))
+    for key in keys:
+        flag_value = getattr(args, key)
         if flag_value is not None:
             recipe[key] = flag_value
     return recipe
+
+
+def _sim_fields(recipe: dict, *keys: str) -> dict:
+    """SimConfig keyword arguments for the given recipe keys that are set;
+    SimConfig's field defaults stand for the rest."""
+    names = {"seed": "base_seed", "stop": "stop_mode"}
+    return {names.get(key, key): recipe[key] for key in keys if key in recipe}
 
 
 def _resolved_balance(recipe: dict) -> int | None:
@@ -196,8 +241,6 @@ def cmd_simulate(args) -> int:
         topology = "snapshot"
     if topology is None:
         raise ConfigError(f"topology is required; valid values: {', '.join(TOPOLOGIES)}")
-    if topology not in TOPOLOGIES:
-        raise ConfigError(f"unknown topology {topology!r}; valid values: {', '.join(TOPOLOGIES)}")
     if topology != "snapshot":
         given = [key for key in ("graph", "snapshot", "plan") if recipe.get(key)]
         if given:
@@ -205,8 +248,6 @@ def cmd_simulate(args) -> int:
                               "(snapshot topology only)")
     balance = _resolved_balance(recipe)
     stop = recipe.get("stop", "attempt" if topology == "snapshot" else "depletion")
-    if stop not in STOP_MODES:
-        raise ConfigError(f"unknown stop mode {stop!r}; valid values: {', '.join(STOP_MODES)}")
     amounts = None
     if recipe.get("amounts"):
         try:
@@ -215,26 +256,19 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"bad amounts list: {recipe['amounts']!r}")
         if any(x < 1 for x in amounts):
             raise ConfigError("amounts must be >= 1")
-    common = dict(
-        amount=recipe.get("amount", 1),
-        stop_mode=stop,
-        max_steps=recipe.get("max_steps", 10 ** 12),
-        base_seed=recipe.get("seed", 0),
-        runs=recipe.get("runs", 1),
-    )
+    common = _sim_fields(recipe, "amount", "max_steps", "seed", "runs")
     graph = _load_cmd_graph(recipe) if topology == "snapshot" else None
     try:
         if topology == "snapshot":
-            cfg = SimConfig(topology="snapshot",
+            cfg = SimConfig(topology="snapshot", stop_mode=stop,
                             snapshot_path=recipe.get("graph") or recipe.get("snapshot"),
                             **common)
         else:
-            cfg = SimConfig(topology=topology, nodes=recipe.get("nodes"),
-                            balance=balance, p_select=recipe.get("p_select"),
-                            **common)
+            cfg = SimConfig(topology=topology, balance=balance, stop_mode=stop,
+                            **_sim_fields(recipe, "nodes", "p_select"), **common)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    workers = recipe.get("workers", os.cpu_count() or 1)
+    workers = recipe["workers"]
     # worker count never enters the echo/metadata: outputs are identical at any N
     resolved = dict(cfg.as_dict(), command="simulate")
     if amounts:
@@ -284,19 +318,16 @@ def cmd_sweep(args) -> int:
     for key in ("nodes", "k_from", "k_to"):
         if recipe.get(key) is None:
             raise ConfigError(f"sweep requires {key}")
-    k_step = recipe.get("k_step", 1)
-    runs_per_point = recipe.get("runs_per_point", recipe.get("runs", 10))
+    k_step, runs_per_point = recipe["k_step"], recipe["runs_per_point"]
     horizon = recipe.get("horizon")
     try:
         cfg = SimConfig(topology=topology, nodes=recipe["nodes"], balance=recipe["k_from"],
-                        amount=recipe.get("amount", 1),
-                        stop_mode=recipe.get("stop", "depletion"),
-                        max_steps=recipe.get("max_steps", 10 ** 12),
-                        base_seed=recipe.get("seed", 0), runs=runs_per_point,
-                        p_select=recipe.get("p_select"))
+                        runs=runs_per_point,
+                        **_sim_fields(recipe, "amount", "stop", "max_steps", "seed",
+                                      "p_select"))
     except ValueError as exc:
         raise ConfigError(str(exc))
-    workers = recipe.get("workers", os.cpu_count() or 1)
+    workers = recipe["workers"]
     resolved = dict(cfg.as_dict(), command="sweep",
                     k_from=recipe["k_from"], k_to=recipe["k_to"], k_step=k_step,
                     runs_per_point=runs_per_point)
@@ -392,20 +423,22 @@ def cmd_couple_check(args) -> int:
         raise ConfigError("couple-check requires --nodes and --balance")
     if nodes < 2 or balance < 1:
         raise ConfigError("couple-check needs nodes >= 2 and balance >= 1")
-    seeds = recipe.get("seeds", 100)
+    seeds = recipe["seeds"]
     if seeds < 1:
         raise ConfigError(f"seeds must be >= 1, got {seeds}")
-    base_seed = recipe.get("seed", 0)
-    max_steps = recipe.get("max_steps", 10 ** 12)
-    corrupt = bool(getattr(args, "corrupt_map", False))
+    try:
+        cfg = SimConfig(topology="clique", nodes=nodes, balance=balance,
+                        **_sim_fields(recipe, "max_steps", "seed"))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     resolved = {"command": "couple-check", "nodes": nodes, "balance": balance,
-                "seeds": seeds, "seed": base_seed}
+                "seeds": seeds, "seed": cfg.base_seed}
     echo_config(resolved)
     mismatches = 0
     for i in range(seeds):
-        rng = Rng(run_seed(base_seed, i))
-        out1, out2 = run_coupled_clique(nodes, balance, max_steps, rng,
-                                        corrupt_map=corrupt)
+        rng = Rng(run_seed(cfg.base_seed, i))
+        out1, out2 = run_coupled_clique(nodes, balance, cfg.max_steps, rng,
+                                        corrupt_map=args.corrupt_map)
         if out1.tau != out2.tau:
             mismatches += 1
             print(f"seed index {i}: tau1={out1.tau} != tau2={out2.tau}")
@@ -423,8 +456,6 @@ def cmd_fit(args) -> int:
     balance = _resolved_balance(recipe)
     if not points_path or model is None or balance is None:
         raise ConfigError("fit requires --points, --model, and --balance")
-    if model not in ("upper", "lower"):
-        raise ConfigError("model must be 'upper' or 'lower'")
     points = []
     try:
         with open(points_path, "r", encoding="utf-8") as fh:
@@ -451,11 +482,14 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser) -> None:
-    parser.add_argument("--config", help="flat key=value recipe file")
-    parser.add_argument("--seed", type=int, help="base seed")
-    parser.add_argument("--max-steps", dest="max_steps", type=int)
-    parser.add_argument("--out", help="output file path")
+_COMMANDS = {
+    "simulate": (cmd_simulate, "run a Monte Carlo campaign"),
+    "sweep": (cmd_sweep, "failure time vs capacity sweep"),
+    "betweenness": (cmd_betweenness, "exact edge betweenness and xi bounds"),
+    "redistribute": (cmd_redistribute, "capacity redistribution plans"),
+    "couple-check": (cmd_couple_check, "verify the clique/chain coupling"),
+    "fit": (cmd_fit, "least-squares scale constant for bound models"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -464,78 +498,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pcnsim {__version__}")
     parser.add_argument("-v", "--verbose", action="store_true", help="info-level logging")
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("simulate", help="run a Monte Carlo campaign")
-    p.add_argument("--topology", choices=TOPOLOGIES)
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--balance", type=int, help="per-side balance k (capacity 2k)")
-    p.add_argument("--capacity", type=int,
-                   help="capacity value; read as per-side k unless --capacity-is-total")
-    p.add_argument("--capacity-is-total", dest="capacity_is_total",
-                   action="store_const", const=True)
-    p.add_argument("--snapshot", help="LND describegraph JSON")
-    p.add_argument("--graph", help="graph file (.json snapshot or edge list)")
-    p.add_argument("--plan", help="capacity plan CSV to apply before simulating")
-    p.add_argument("--amount", type=int)
-    p.add_argument("--amounts", help="comma-separated amounts (multi-amount campaign)")
-    p.add_argument("--stop", choices=STOP_MODES)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--p-select", dest="p_select", type=float)
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("sweep", help="failure time vs capacity sweep")
-    p.add_argument("--topology", choices=("clique", "ring", "independent"))
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--k-from", dest="k_from", type=int)
-    p.add_argument("--k-to", dest="k_to", type=int)
-    p.add_argument("--k-step", dest="k_step", type=int)
-    p.add_argument("--runs-per-point", dest="runs_per_point", type=int)
-    p.add_argument("--amount", type=int)
-    p.add_argument("--stop", choices=STOP_MODES)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--p-select", dest="p_select", type=float)
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("betweenness", help="exact edge betweenness and xi bounds")
-    p.add_argument("--graph")
-    p.add_argument("--snapshot")
-    p.add_argument("--plan")
-    _add_common(p)
-    p.set_defaults(func=cmd_betweenness)
-
-    p = sub.add_parser("redistribute", help="capacity redistribution plans")
-    p.add_argument("--graph")
-    p.add_argument("--snapshot")
-    p.add_argument("--strategy", choices=("uniform", "xi"))
-    _add_common(p)
-    p.set_defaults(func=cmd_redistribute)
-
-    p = sub.add_parser("couple-check", help="verify the clique/chain coupling")
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--balance", type=int)
-    p.add_argument("--capacity", type=int)
-    p.add_argument("--capacity-is-total", dest="capacity_is_total",
-                   action="store_const", const=True)
-    p.add_argument("--seeds", type=int, help="number of seeds to check")
-    p.add_argument("--corrupt-map", dest="corrupt_map", action="store_true",
-                   help=argparse.SUPPRESS)  # negative-control test hook
-    _add_common(p)
-    p.set_defaults(func=cmd_couple_check)
-
-    p = sub.add_parser("fit", help="least-squares scale constant for bound models")
-    p.add_argument("--points", help="CSV with columns n,mean_tau")
-    p.add_argument("--model", choices=("upper", "lower"))
-    p.add_argument("--balance", type=int)
-    p.add_argument("--capacity", type=int)
-    p.add_argument("--capacity-is-total", dest="capacity_is_total",
-                   action="store_const", const=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_fit)
-
+    for command, (func, summary) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="flat key = value recipe file")
+        for key in _command_keys(command):
+            option = OPTIONS[key]
+            flag = "--" + key.replace("_", "-")
+            if option.parse is _parse_bool:
+                p.add_argument(flag, dest=key, action="store_const", const=True,
+                               help=option.help)
+            else:
+                p.add_argument(flag, dest=key, type=option.parse, choices=option.choices,
+                               help=option.help)
+        p.set_defaults(func=func)
+        if command == "couple-check":
+            p.add_argument("--corrupt-map", dest="corrupt_map", action="store_true",
+                           help=argparse.SUPPRESS)  # negative-control test hook
     return parser
 
 

@@ -222,20 +222,6 @@ def write_sweep_csv(points, path, meta: dict, horizon: Optional[int] = None) -> 
 HISTOGRAM_COLUMNS = ["bin_lo", "bin_hi", "count"]
 
 
-def _histogram_table(hist: LogHistogram, meta: dict):
-    """The histogram's metadata (binning and out-of-range counts) and rows."""
-    full_meta = dict(meta, bins_per_decade=hist.bins_per_decade,
-                     underflow=hist.underflow, overflow=hist.overflow)
-    rows = ((hist.edges[i], hist.edges[i + 1], hist.counts[i])
-            for i in range(len(hist.counts)))
-    return full_meta, rows
-
-
-def write_histogram_csv(hist: LogHistogram, path, meta: dict) -> None:
-    full_meta, rows = _histogram_table(hist, meta)
-    write_csv(path, full_meta, HISTOGRAM_COLUMNS, rows)
-
-
 def write_jsonl(path, meta: dict, columns: list[str], rows: Iterable[tuple]) -> None:
     """Line-delimited JSON: one meta object, then one object per record."""
     try:
@@ -256,7 +242,11 @@ def emit_campaign(payload, path, meta: dict, fmt: str = "csv") -> None:
         raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
     writer = write_csv if fmt == "csv" else write_jsonl
     if isinstance(payload, LogHistogram):
-        full_meta, rows = _histogram_table(payload, meta)
+        # binning and out-of-range counts go into the metadata
+        full_meta = dict(meta, bins_per_decade=payload.bins_per_decade,
+                         underflow=payload.underflow, overflow=payload.overflow)
+        rows = ((payload.edges[i], payload.edges[i + 1], payload.counts[i])
+                for i in range(len(payload.counts)))
         writer(path, full_meta, HISTOGRAM_COLUMNS, rows)
         return
     items = list(payload)

@@ -45,7 +45,6 @@ class SimConfig:
     base_seed: int = 0
     runs: int = 1
     p_select: Optional[float] = None       # independent-chains selection probability
-    clique_fast_path: bool = True
 
     def __post_init__(self):
         if self.topology not in TOPOLOGIES:
@@ -489,19 +488,12 @@ _KERNELS = {
 }
 
 
-def _kernel(cfg: SimConfig):
-    """The graph-free kernel for cfg, or None when a run needs a graph."""
-    if cfg.topology == "clique" and not cfg.clique_fast_path:
-        return None
-    return _KERNELS.get(cfg.topology)
-
-
 def _run_single(graph: Optional[ChannelGraph], cfg: SimConfig, run_index: int,
                 cache: DagCache | None = None) -> RunOutcome:
     rng = Rng(run_seed(cfg.base_seed, run_index))
     if graph is not None:
         return run_payment_process(graph, cfg, rng, cache)
-    kernel = _kernel(cfg)
+    kernel = _KERNELS.get(cfg.topology)
     if kernel is None:
         raise ValueError(f"a {cfg.topology} run needs a graph")
     return kernel(cfg, rng)
@@ -544,7 +536,7 @@ def monte_carlo(cfg: SimConfig, graph: Optional[ChannelGraph] = None,
     caller's graph always runs the generic payment process.
     """
     if graph is None:
-        if _kernel(cfg) is None:
+        if cfg.topology not in _KERNELS:
             graph = build_graph(cfg)
     elif cfg.topology == "independent":
         raise ValueError("independent chains take no graph")
@@ -590,8 +582,8 @@ def capacity_sweep(cfg: SimConfig, k_from: int, k_to: int, k_step: int,
     """
     if k_from > k_to or k_step <= 0:
         raise ValueError("need k_from <= k_to and k_step > 0")
-    if horizon is not None and horizon > cfg.max_steps:
-        raise ValueError("horizon cannot exceed max_steps")
+    if horizon is not None and not 0 <= horizon <= cfg.max_steps:
+        raise ValueError(f"horizon must be in [0, max_steps], got {horizon}")
     points = []
     for k in range(k_from, k_to + 1, k_step):
         point_cfg = replace(cfg, balance=k, runs=runs_per_point)

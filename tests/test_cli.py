@@ -457,3 +457,67 @@ def test_verbose_kernel_progress_leaves_outputs_unchanged(tmp_path, capsys, capl
         runs[bool(flag)] = (stdout, out.read_bytes(), caplog.text)
     assert runs[True][:2] == runs[False][:2]
     assert line in runs[True][2]
+
+
+@pytest.mark.parametrize("command,line", [("simulate", "horizon = 7"),
+                                          ("simulate", "strategy = xi"),
+                                          ("sweep", "runs = 5"),
+                                          ("fit", "seeds = 3")])
+def test_config_key_without_a_flag_for_the_command_is_rejected(tmp_path, capsys,
+                                                               command, line):
+    recipe = tmp_path / "recipe.cfg"
+    recipe.write_text(line + "\n")
+    assert run_cli(command, "--config", str(recipe)) == 1
+    captured = capsys.readouterr()
+    key = line.split()[0]
+    assert f"unknown key {key!r} for {command}; valid keys: " in captured.err
+    assert "max_steps" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("spelling,balance", [("1", "4"), ("TRUE", "4"), ("Yes", "4"),
+                                              ("0", "8"), ("false", "8"), ("NO", "8")])
+def test_config_bool_spellings(tmp_path, spelling, balance):
+    recipe = tmp_path / "recipe.cfg"
+    recipe.write_text(f"topology = clique\nnodes = 4\ncapacity = 8\n"
+                      f"capacity_is_total = {spelling}\nruns = 2\n")
+    out = tmp_path / "runs.csv"
+    assert run_cli("simulate", "--config", str(recipe), "--workers", "1",
+                   "--out", str(out)) == 0
+    _, meta = read_outcomes_csv(out)
+    assert meta["balance"] == balance
+
+
+@pytest.mark.parametrize("spelling", ["ture", "on", "2", ""])
+def test_config_bool_typo_is_config_error(tmp_path, capsys, spelling):
+    recipe = tmp_path / "recipe.cfg"
+    recipe.write_text(f"topology = clique\nnodes = 4\ncapacity = 8\n"
+                      f"capacity_is_total = {spelling}\n")
+    assert run_cli("simulate", "--config", str(recipe), "--workers", "1") == 1
+    captured = capsys.readouterr()
+    assert f"bad value for capacity_is_total: {spelling!r}" in captured.err
+    assert captured.out == ""
+
+
+def test_config_value_outside_choices_is_config_error(tmp_path, capsys):
+    recipe = tmp_path / "recipe.cfg"
+    recipe.write_text("topology = clique\nnodes = 4\nbalance = 2\nstop = halt\n")
+    assert run_cli("simulate", "--config", str(recipe)) == 1
+    err = capsys.readouterr().err
+    assert "bad value for stop: 'halt'; valid values: depletion, attempt" in err
+
+
+def test_couple_check_rejects_zero_max_steps(capsys):
+    assert run_cli("couple-check", "--nodes", "4", "--balance", "2", "--seeds", "3",
+                   "--max-steps", "0") == 1
+    captured = capsys.readouterr()
+    assert "config error: max_steps must be >= 1" in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_sweep_rejects_negative_horizon(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--topology", "ring", "--nodes", "5", "--k-from", "1",
+                   "--k-to", "2", "--horizon", "-3", "--runs-per-point", "2",
+                   "--workers", "1", "--out", str(out)) == 1
+    assert "horizon must be in [0, max_steps], got -3" in capsys.readouterr().err
+    assert not out.exists()

@@ -144,8 +144,8 @@ def test_clique_fast_path_matches_generic_distribution():
     fast = [o.tau for o in monte_carlo(
         SimConfig(topology="clique", nodes=6, balance=3, runs=4000, base_seed=2))]
     slow = [o.tau for o in monte_carlo(
-        SimConfig(topology="clique", nodes=6, balance=3, runs=4000, base_seed=777,
-                  clique_fast_path=False))]
+        SimConfig(topology="clique", nodes=6, balance=3, runs=4000, base_seed=777),
+        graph=make_clique(6, 6))]
     mf, ms = statistics.mean(fast), statistics.mean(slow)
     sd = statistics.pstdev(fast + slow)
     z = (mf - ms) / (sd * (2 / 4000) ** 0.5)
@@ -156,9 +156,9 @@ def test_attempt_mode_on_clique_fast_and_generic():
     cfg_f = SimConfig(topology="clique", nodes=5, balance=2, amount=2, runs=400,
                       base_seed=3, stop_mode="attempt")
     cfg_g = SimConfig(topology="clique", nodes=5, balance=2, amount=2, runs=400,
-                      base_seed=813, stop_mode="attempt", clique_fast_path=False)
+                      base_seed=813, stop_mode="attempt")
     mf = statistics.mean(o.tau for o in monte_carlo(cfg_f))
-    mg = statistics.mean(o.tau for o in monte_carlo(cfg_g))
+    mg = statistics.mean(o.tau for o in monte_carlo(cfg_g, graph=make_clique(5, 4)))
     assert mf > 0 and mg > 0
     assert abs(mf - mg) / max(mf, mg) < 0.25
 
@@ -219,7 +219,7 @@ def test_multi_amount_equals_plain_monte_carlo_for_unit_amount():
     assert len(got) == 1 and got[0][0] == 1
     plain = monte_carlo(
         SimConfig(topology="clique", nodes=5, balance=3, runs=6, base_seed=44,
-                  stop_mode="attempt", clique_fast_path=False),
+                  stop_mode="attempt"),
         graph=g)
     assert got[0][1] == plain
 
@@ -364,3 +364,10 @@ def test_sim_config_rejects_too_few_nodes():
     # without p_select, independent chains take the n-ring's edge probability
     with pytest.raises(ValueError, match="independent needs n >= 3"):
         SimConfig(topology="independent", nodes=2, balance=2)
+
+
+@pytest.mark.parametrize("horizon", [-1, 101])
+def test_capacity_sweep_rejects_horizon_outside_0_to_max_steps(horizon):
+    cfg = SimConfig(topology="ring", nodes=5, balance=1, max_steps=100)
+    with pytest.raises(ValueError, match="horizon must be in"):
+        capacity_sweep(cfg, 1, 2, 1, runs_per_point=2, horizon=horizon)
