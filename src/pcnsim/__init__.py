@@ -2,9 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .graph import (BalanceState, ChannelGraph, SnapshotDocument, giant_component,
-                    ingest_snapshot, init_balances, make_clique, make_ring,
-                    parse_snapshot)
+from .graph import (ChannelGraph, SnapshotDocument, giant_component, ingest_snapshot,
+                    make_clique, make_ring, parse_snapshot)
 from .paths import (BetweennessMap, DagCache, ShortestPathDag, edge_betweenness,
                     edge_selection_probability, sample_shortest_path, sssp_dag)
 from .analytics import (BoundReport, chernoff_lower, chernoff_upper,

@@ -98,7 +98,8 @@ def xi_and_bounds(g: ChannelGraph, bmap: BetweennessMap, alpha: float = 2.0) -> 
     assume and are flagged as warnings only.
     """
     n = g.node_count
-    if any(cap < 2 for cap in g.capacity):
+    caps = g.capacity.tolist()  # Python ints: k_e**2 can pass int64
+    if any(cap < 2 for cap in caps):
         raise ValueError("every edge needs capacity >= 2 (per-side balance >= 1)")
     log_n = math.log(n)
     floor = alpha * math.sqrt(log_n) if n >= 2 else 0.0
@@ -108,7 +109,7 @@ def xi_and_bounds(g: ChannelGraph, bmap: BetweennessMap, alpha: float = 2.0) -> 
     argmin = -1
     low_capacity = 0
     for eid in range(g.edge_count):
-        k_e = g.capacity[eid] // 2
+        k_e = caps[eid] // 2
         g_e = bmap.values[eid]
         if g_e <= 0.0:
             ratios[eid] = math.inf
@@ -203,9 +204,8 @@ def _fit_basis(n: int, model: str, k: int) -> float:
 
 def bound_report_rows(g: ChannelGraph, bmap: BetweennessMap, report: BoundReport):
     """Rows for the bound-report CSV export: edge_id, k, g, ratio."""
-    for eid in range(g.edge_count):
-        yield (eid, g.capacity[eid] // 2, bmap.values[eid],
-               report.per_edge_ratios[eid])
+    for eid, cap in enumerate(g.capacity.tolist()):
+        yield eid, cap // 2, bmap.values[eid], report.per_edge_ratios[eid]
 
 
 BOUND_REPORT_COLUMNS = ["edge_id", "k", "g", "ratio"]

@@ -25,7 +25,7 @@ from .planner import (PLAN_COLUMNS, apply_plan, load_plan_csv, plan_rows,
 from .results import (Aggregate, summarize, write_aggregates_csv, write_csv,
                       write_outcomes_csv, write_sweep_csv)
 from .rng import PRNG_ID, Rng, run_seed
-from .sim import (SimConfig, STOP_MODES, TOPOLOGIES, capacity_sweep,
+from .sim import (SimConfig, STOP_MODES, TOPOLOGIES, capacity_sweep, check_sweep,
                   monte_carlo, multi_amount_experiment, run_coupled_clique)
 
 logger = logging.getLogger(__name__)
@@ -69,8 +69,8 @@ class Option:
     default: object = None  # CLI-only defaults; SimConfig's fields hold the rest
 
 
-_ALL = ("simulate", "sweep", "betweenness", "redistribute", "couple-check", "fit")
 _CAMPAIGN = ("simulate", "sweep")
+_SEEDED = ("simulate", "sweep", "couple-check")
 _GRAPH = ("simulate", "betweenness", "redistribute")
 _BALANCE = ("simulate", "couple-check", "fit")
 
@@ -94,11 +94,11 @@ OPTIONS: dict[str, Option] = {
                       ("simulate",)),
     "stop": Option(str, "stop mode", _CAMPAIGN, STOP_MODES),
     "runs": Option(int, "Monte Carlo replicas", ("simulate",)),
-    "seed": Option(int, f"base seed (env {ENV_SEED} is the fallback)", _ALL),
-    "max_steps": Option(int, "step cap per run", _ALL),
+    "seed": Option(int, f"base seed (env {ENV_SEED} is the fallback)", _SEEDED),
+    "max_steps": Option(int, "step cap per run", _SEEDED),
     "workers": Option(int, "parallel replicas; 1 = sequential", _CAMPAIGN,
                       default=os.cpu_count() or 1),
-    "out": Option(str, "output file path", _ALL),
+    "out": Option(str, "output file path", ("simulate", "sweep", "betweenness", "redistribute")),
     "k_from": Option(int, "sweep start balance", ("sweep",)),
     "k_to": Option(int, "sweep end balance (inclusive)", ("sweep",)),
     "k_step": Option(int, "sweep step", ("sweep",), default=1),
@@ -153,7 +153,7 @@ def resolve_recipe(args: argparse.Namespace) -> dict:
     keys = _command_keys(args.cmd)
     recipe = {key: OPTIONS[key].default for key in keys if OPTIONS[key].default is not None}
     env_seed = os.environ.get(ENV_SEED)
-    if env_seed is not None:
+    if env_seed is not None and "seed" in keys:
         try:
             recipe["seed"] = int(env_seed)
         except ValueError:
@@ -325,6 +325,7 @@ def cmd_sweep(args) -> int:
                         runs=runs_per_point,
                         **_sim_fields(recipe, "amount", "stop", "max_steps", "seed",
                                       "p_select"))
+        check_sweep(cfg, recipe["k_from"], recipe["k_to"], k_step, horizon)
     except ValueError as exc:
         raise ConfigError(str(exc))
     workers = recipe["workers"]
@@ -335,11 +336,8 @@ def cmd_sweep(args) -> int:
     if horizon is not None:
         resolved["horizon"] = horizon
     echo_config(resolved)
-    try:
-        points = capacity_sweep(cfg, recipe["k_from"], recipe["k_to"], k_step,
-                                runs_per_point, workers=workers, horizon=horizon)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    points = capacity_sweep(cfg, recipe["k_from"], recipe["k_to"], k_step, runs_per_point,
+                            workers=workers, horizon=horizon)
     for point in points:
         agg = summarize(point.outcomes, config_id=str(point.balance))
         if agg.count:

@@ -1,4 +1,4 @@
-"""Channel-graph data model, synthetic topologies, snapshot ingestion, balances."""
+"""Channel-graph data model, synthetic topologies, snapshot ingestion."""
 
 from __future__ import annotations
 
@@ -11,6 +11,8 @@ from typing import NamedTuple
 import numpy as np
 
 logger = logging.getLogger(__name__)
+
+_MAX_NODES = 3_037_000_499  # the largest n with n * n below 2**63
 
 
 class Csr(NamedTuple):
@@ -54,39 +56,43 @@ class Csr(NamedTuple):
 class ChannelGraph:
     """Undirected simple graph with integer per-edge capacities.
 
-    Node ids are dense in ``[0, n)``; every edge is stored once as
-    ``(u, v, capacity)`` with ``u < v``.  Instances are immutable after
-    construction and safe to share read-only across simulation workers.
+    Node ids are dense in ``[0, n)``; edge e joins ``edge_u[e] < edge_v[e]``
+    and has ``capacity[e]``, three read-only int64 arrays.  ``edges`` is an
+    iterable of ``(u, v, capacity)`` triples or an ``(m, 3)`` integer array.
+    Instances are immutable after construction and safe to share read-only
+    across simulation workers.
     """
 
-    __slots__ = ("node_count", "edge_u", "edge_v", "capacity", "edge_index",
-                 "node_keys", "_csr")
+    __slots__ = ("node_count", "edge_u", "edge_v", "capacity", "node_keys", "_csr")
 
     def __init__(self, node_count: int, edges, node_keys: list[str] | None = None):
-        if node_count < 2:
-            raise ValueError(f"need at least 2 nodes, got {node_count}")
+        # a node pair keys as u * n + v below, which must stay inside int64
+        if not 2 <= node_count <= _MAX_NODES:
+            raise ValueError(f"need between 2 and {_MAX_NODES} nodes, got {node_count}")
+        try:
+            table = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                               dtype=np.int64)
+        except OverflowError:
+            raise ValueError("an edge endpoint or capacity lies outside int64") from None
+        if table.size == 0:
+            table = table.reshape(0, 3)
+        if table.ndim != 2 or table.shape[1] != 3:
+            raise ValueError("edges must be (u, v, capacity) triples")
+        u, v, cap = table.T
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        _reject("self-loop on node {0}", u == v, u)
+        _reject(f"edge ({{0}},{{1}}) outside node range [0,{node_count})",
+                (lo < 0) | (hi >= node_count), u, v)
+        _reject("edge ({0},{1}) has nonpositive capacity {2}", cap < 1, u, v, cap)
+        keys = np.sort(lo * node_count + hi)
+        twice = (keys[1:] == keys[:-1]).nonzero()[0]
+        if twice.size:
+            raise ValueError("parallel edge ({},{})".format(*divmod(int(keys[twice[0]]),
+                                                                   node_count)))
         self.node_count = node_count
-        self.edge_u: list[int] = []
-        self.edge_v: list[int] = []
-        self.capacity: list[int] = []
-        self.edge_index: dict[tuple[int, int], int] = {}
-        edge_index = self.edge_index
-        for u, v, cap in edges:
-            if u == v:
-                raise ValueError(f"self-loop on node {u}")
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise ValueError(f"edge ({u},{v}) outside node range [0,{node_count})")
-            if cap < 1:
-                raise ValueError(f"edge ({u},{v}) has nonpositive capacity {cap}")
-            if u > v:
-                u, v = v, u
-            if (u, v) in edge_index:
-                raise ValueError(f"parallel edge ({u},{v})")
-            eid = len(self.edge_u)
-            edge_index[(u, v)] = eid
-            self.edge_u.append(u)
-            self.edge_v.append(v)
-            self.capacity.append(cap)
+        self.edge_u, self.edge_v, self.capacity = lo, hi, cap.copy()
+        for column in (lo, hi, self.capacity):
+            column.flags.writeable = False
         self.node_keys = node_keys
         self._csr: Csr | None = None
 
@@ -95,13 +101,17 @@ class ChannelGraph:
         return len(self.edge_u)
 
     def edge_id(self, a: int, b: int) -> int:
-        return self.edge_index[(a, b) if a < b else (b, a)]
-
-    def endpoints(self, eid: int) -> tuple[int, int]:
-        return self.edge_u[eid], self.edge_v[eid]
+        """Id of the edge joining a and b; KeyError if there is none."""
+        csr = self.csr
+        if 0 <= a < self.node_count:
+            start = csr.indptr[a]
+            hit = (csr.indices[start:csr.indptr[a + 1]] == b).nonzero()[0]
+            if hit.size:
+                return int(csr.arc_edge[start + hit[0]])
+        raise KeyError((a, b))
 
     def total_capacity(self) -> int:
-        return sum(self.capacity)
+        return sum(self.capacity.tolist())
 
     def degree(self, v: int) -> int:
         return int(self.csr.degree[v])
@@ -111,12 +121,10 @@ class ChannelGraph:
         """The adjacency as flat arrays, built on first use."""
         if self._csr is None:
             n, m = self.node_count, self.edge_count
-            u = np.fromiter(self.edge_u, dtype=np.intp, count=m)
-            v = np.fromiter(self.edge_v, dtype=np.intp, count=m)
             # arc 2e runs u -> v and arc 2e+1 runs v -> u; the keys are
             # distinct and sort by tail, then by edge id
-            tails = np.stack([u, v], axis=1).ravel()
-            heads = np.stack([v, u], axis=1).ravel()
+            tails = np.stack([self.edge_u, self.edge_v], axis=1).ravel()
+            heads = np.stack([self.edge_v, self.edge_u], axis=1).ravel()
             order = np.argsort(tails * (2 * m) + np.arange(2 * m))
             degree = np.bincount(tails, minlength=n)
             indptr = np.zeros(n + 1, dtype=np.intp)
@@ -132,47 +140,20 @@ class ChannelGraph:
             *_, frontier = self.csr.bfs_step(frontier, dist)
         return bool((dist == 0).all())
 
-    def with_capacities(self, capacities: list[int]) -> "ChannelGraph":
+    def with_capacities(self, capacities) -> "ChannelGraph":
         """Same topology, new per-edge capacities (used to apply plans)."""
         if len(capacities) != self.edge_count:
             raise ValueError("capacity list length != edge count")
-        return ChannelGraph(
-            self.node_count,
-            zip(self.edge_u, self.edge_v, capacities),
-            node_keys=self.node_keys,
-        )
+        return ChannelGraph(self.node_count,
+                            np.column_stack([self.edge_u, self.edge_v, capacities]),
+                            node_keys=self.node_keys)
 
 
-@dataclass
-class BalanceState:
-    """Per-run mutable balances: ``at_lo[e]`` is held by the smaller-id endpoint.
-
-    The other side holds ``capacity[e] - at_lo[e]``, so capacity is conserved
-    by construction.  Cheaply clonable; one instance per simulation worker.
-    """
-
-    graph: ChannelGraph
-    at_lo: list[int]
-
-    def pair(self, eid: int) -> tuple[int, int]:
-        """(balance at smaller-id endpoint, balance at larger-id endpoint)."""
-        lo = self.at_lo[eid]
-        return lo, self.graph.capacity[eid] - lo
-
-    def balance_at(self, eid: int, node: int) -> int:
-        u, v = self.graph.endpoints(eid)
-        if node == u:
-            return self.at_lo[eid]
-        if node == v:
-            return self.graph.capacity[eid] - self.at_lo[eid]
-        raise ValueError(f"node {node} is not an endpoint of edge {eid}")
-
-    def b_min(self, eid: int) -> int:
-        lo = self.at_lo[eid]
-        return min(lo, self.graph.capacity[eid] - lo)
-
-    def clone(self) -> "BalanceState":
-        return BalanceState(self.graph, list(self.at_lo))
+def _reject(message: str, bad: np.ndarray, *columns: np.ndarray) -> None:
+    """ValueError naming the first edge that ``bad`` flags, if any."""
+    if bad.any():
+        first = int(bad.argmax())
+        raise ValueError(message.format(*(int(c[first]) for c in columns)))
 
 
 @dataclass
@@ -188,8 +169,8 @@ def make_clique(n: int, capacity: int) -> ChannelGraph:
     _check_capacity(capacity)
     if n < 2:
         raise ValueError(f"clique needs n >= 2, got {n}")
-    edges = ((u, v, capacity) for u in range(n) for v in range(u + 1, n))
-    return ChannelGraph(n, edges)
+    u, v = np.triu_indices(n, 1)
+    return ChannelGraph(n, np.column_stack([u, v, np.full(len(u), capacity)]))
 
 
 def make_ring(n: int, capacity: int) -> ChannelGraph:
@@ -197,9 +178,10 @@ def make_ring(n: int, capacity: int) -> ChannelGraph:
     _check_capacity(capacity)
     if n < 3:
         raise ValueError(f"ring needs n >= 3, got {n}")
-    edges = [(i, i + 1, capacity) for i in range(n - 1)]
-    edges.append((0, n - 1, capacity))
-    return ChannelGraph(n, edges)
+    # edge i joins i and i + 1; the last one joins 0 and n - 1
+    u = np.append(np.arange(n - 1), 0)
+    v = np.append(np.arange(1, n), n - 1)
+    return ChannelGraph(n, np.column_stack([u, v, np.full(n, capacity)]))
 
 
 def _check_capacity(capacity: int) -> None:
@@ -272,7 +254,7 @@ def ingest_snapshot(doc: SnapshotDocument) -> ChannelGraph:
         if u > v:
             u, v = v, u
         merged[(u, v)] = merged.get((u, v), 0) + cap
-    edges = ((u, v, cap) for (u, v), cap in merged.items())
+    edges = [(u, v, cap) for (u, v), cap in merged.items()]
     return ChannelGraph(len(doc.node_keys), edges, node_keys=list(doc.node_keys))
 
 
@@ -294,13 +276,11 @@ def giant_component(g: ChannelGraph) -> ChannelGraph:
     if len(best) < 2:
         raise ValueError("largest component is a single node; no channels to keep")
     best.sort()
-    remap = {old: new for new, old in enumerate(best)}
-    keep = set(best)
-    edges = []
-    for eid in range(g.edge_count):
-        u, v = g.edge_u[eid], g.edge_v[eid]
-        if u in keep and v in keep:
-            edges.append((remap[u], remap[v], g.capacity[eid]))
+    remap = np.full(g.node_count, -1, dtype=np.int64)
+    remap[best] = np.arange(len(best))
+    # an edge's ends share a component, so checking one end is enough
+    keep = remap[g.edge_u] >= 0
+    edges = np.column_stack([remap[g.edge_u[keep]], remap[g.edge_v[keep]], g.capacity[keep]])
     keys = [g.node_keys[old] for old in best] if g.node_keys is not None else None
     return ChannelGraph(len(best), edges, node_keys=keys)
 
@@ -320,21 +300,12 @@ def _component_of(indptr: list[int], indices: list[int], start: int,
     return comp
 
 
-def init_balances(g: ChannelGraph) -> BalanceState:
-    """Perfectly balanced start: each side gets capacity/2.
-
-    Odd capacities split floor/ceil with the floor going to the smaller node
-    id, so the split is deterministic and reproducible.
-    """
-    return BalanceState(g, [cap // 2 for cap in g.capacity])
-
-
 def write_edgelist(g: ChannelGraph, path) -> None:
     """Minimal text format: header ``n m``, then one ``u v capacity`` per line."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{g.node_count} {g.edge_count}\n")
-        for eid in range(g.edge_count):
-            fh.write(f"{g.edge_u[eid]} {g.edge_v[eid]} {g.capacity[eid]}\n")
+        for u, v, cap in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.capacity.tolist()):
+            fh.write(f"{u} {v} {cap}\n")
 
 
 def read_edgelist(path) -> ChannelGraph:

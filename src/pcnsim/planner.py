@@ -101,11 +101,11 @@ def apply_plan(g: ChannelGraph, plan: CapacityPlan) -> ChannelGraph:
 
 def plan_rows(g: ChannelGraph, bmap: BetweennessMap, plan: CapacityPlan):
     """Rows for the plan CSV export."""
-    for eid in range(g.edge_count):
-        k_new = plan.new_capacity[eid] // 2
+    for eid, (old, new) in enumerate(zip(g.capacity.tolist(), plan.new_capacity)):
+        k_new = new // 2
         g_e = bmap.values[eid]
         ratio = (k_new * k_new) / g_e if g_e > 0 else math.inf
-        yield (eid, g.capacity[eid], plan.new_capacity[eid], g_e, ratio)
+        yield eid, old, new, g_e, ratio
 
 
 PLAN_COLUMNS = ["edge_id", "old_capacity", "new_capacity", "betweenness", "new_ratio"]
@@ -133,8 +133,8 @@ def load_plan_csv(path, g: ChannelGraph | None = None) -> list[int]:
     if sorted(caps) != list(range(m)):
         raise ValueError(f"edge ids are not exactly 0..{m - 1}")
     if g is not None:
-        for eid in range(m):
-            if caps[eid][0] != g.capacity[eid]:
+        for eid, cap in enumerate(g.capacity.tolist()):
+            if caps[eid][0] != cap:
                 raise ValueError(f"plan is for another graph: edge {eid} has old_capacity "
-                                 f"{caps[eid][0]}, the graph has {g.capacity[eid]}")
+                                 f"{caps[eid][0]}, the graph has {cap}")
     return [caps[eid][1] for eid in range(m)]

@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .analytics import ring_edge_probability
-from .graph import ChannelGraph, init_balances, load_graph, make_clique, make_ring
+from .graph import ChannelGraph, load_graph
 from .paths import DagCache, sample_shortest_path
 from .rng import Rng, chunk_sizes, run_seed
 
@@ -168,14 +168,9 @@ def _first_exit(state: np.ndarray, ids: np.ndarray, steps: np.ndarray, lo: int,
     return -1
 
 
-def build_graph(cfg: SimConfig) -> Optional[ChannelGraph]:
-    if cfg.topology == "clique":
-        return make_clique(cfg.nodes, 2 * cfg.balance)
-    if cfg.topology == "ring":
-        return make_ring(cfg.nodes, 2 * cfg.balance)
-    if cfg.topology == "snapshot":
-        return load_graph(cfg.snapshot_path)
-    return None  # independent chains have no graph
+def build_graph(cfg: SimConfig) -> ChannelGraph:
+    """The snapshot topology's graph; the other topologies run graph-free kernels."""
+    return load_graph(cfg.snapshot_path)
 
 
 def run_payment_process(g: ChannelGraph, cfg: SimConfig, rng: Rng,
@@ -187,19 +182,23 @@ def run_payment_process(g: ChannelGraph, cfg: SimConfig, rng: Rng,
     ``cfg.amount`` moves that amount along every path edge toward the
     destination.  In depletion mode the round is applied and the run stops
     once some edge is left with b_min below the amount; in attempt mode an
-    infeasible drawn path is not applied and ends the run.
+    infeasible drawn path is not applied and ends the run.  Either way the
+    failing edge is the first such edge on the path.
     """
     x = cfg.amount
     attempt = cfg.stop_mode == "attempt"
-    state = init_balances(g)
-    bal = state.at_lo
-    caps = g.capacity
-    if not attempt:
-        for eid in range(g.edge_count):
-            if min(bal[eid], caps[eid] - bal[eid]) < x:
-                return RunOutcome(0, eid, DEPLETED, rng.seed)
+    # like _first_exit, a round fails when it takes the balance at an edge's
+    # smaller-id end outside [lo, c - lo]; that end starts with the floor of
+    # an odd capacity
+    lo, spent, kind = (0, 0, ATTEMPT_FAILED) if attempt else (x, 1, DEPLETED)
+    half = g.capacity // 2
+    short = np.flatnonzero(half < lo)
+    if short.size:  # depleted before the first round
+        return RunOutcome(0, int(short[0]), DEPLETED, rng.seed)
+    # top(e) = c - lo as a Python int: one lookup per upward payment costs
+    # less than a second per-run list of m Python ints
+    bal, top = half.tolist(), (g.capacity - lo).item
     cache = dag_cache if dag_cache is not None else DagCache(g)
-    eidx = g.edge_index
     n = g.node_count
     max_steps = cfg.max_steps
     t = 0
@@ -211,43 +210,24 @@ def run_payment_process(g: ChannelGraph, cfg: SimConfig, rng: Rng,
         if dag.sigma[dst] == 0:
             raise ValueError(f"graph is disconnected: {dst} unreachable from {s}")
         path = sample_shortest_path(dag, dst, rng)
-        if attempt:
-            a = path[0]
-            for b in path[1:]:
-                if a < b:
-                    eid = eidx[(a, b)]
-                    payer = bal[eid]
-                else:
-                    eid = eidx[(b, a)]
-                    payer = caps[eid] - bal[eid]
-                if payer < x:
-                    return RunOutcome(t, eid, ATTEMPT_FAILED, rng.seed)
-                a = b
-            a = path[0]
-            for b in path[1:]:
-                if a < b:
-                    bal[eidx[(a, b)]] -= x
-                else:
-                    bal[eidx[(b, a)]] += x
-                a = b
-            t += 1
-        else:
-            failing = -1
-            a = path[0]
-            for b in path[1:]:
-                if a < b:
-                    eid = eidx[(a, b)]
-                    nb = bal[eid] - x
-                else:
-                    eid = eidx[(b, a)]
-                    nb = bal[eid] + x
-                bal[eid] = nb
-                if failing < 0 and min(nb, caps[eid] - nb) < x:
-                    failing = eid
-                a = b
-            t += 1
-            if failing >= 0:
-                return RunOutcome(t, failing, DEPLETED, rng.seed)
+        # sampling remembered each path node's step, so step(b) is a lookup;
+        # paying from the smaller-id end can only take its balance below lo,
+        # paying toward it only above c - lo; a failing round ends the run,
+        # so the edges after it need no update
+        step = dag.step
+        for a, b in zip(path, path[1:]):
+            preds, _, edges = step(b)
+            eid = edges[preds.index(a)]
+            if a < b:
+                nb = bal[eid] - x
+                ok = nb >= lo
+            else:
+                nb = bal[eid] + x
+                ok = nb <= top(eid)
+            if not ok:
+                return RunOutcome(t + spent, eid, kind, rng.seed)
+            bal[eid] = nb
+        t += 1
         progress(t)
     return RunOutcome(t, None, STEP_CAP, rng.seed)
 
@@ -571,6 +551,15 @@ class SweepPoint:
     p_fail_within_horizon: Optional[float] = None
 
 
+def check_sweep(cfg: SimConfig, k_from: int, k_to: int, k_step: int,
+                horizon: Optional[int] = None) -> None:
+    """ValueError unless capacity_sweep can run this balance range and horizon."""
+    if k_from > k_to or k_step <= 0:
+        raise ValueError("need k_from <= k_to and k_step > 0")
+    if horizon is not None and not 0 <= horizon <= cfg.max_steps:
+        raise ValueError(f"horizon must be in [0, max_steps], got {horizon}")
+
+
 def capacity_sweep(cfg: SimConfig, k_from: int, k_to: int, k_step: int,
                    runs_per_point: int, workers: int = 1,
                    horizon: Optional[int] = None) -> list[SweepPoint]:
@@ -580,10 +569,7 @@ def capacity_sweep(cfg: SimConfig, k_from: int, k_to: int, k_step: int,
     which makes the mean's growth in k a pathwise property for the chain
     topologies.  ``horizon`` adds an empirical Prob{tau <= horizon} per point.
     """
-    if k_from > k_to or k_step <= 0:
-        raise ValueError("need k_from <= k_to and k_step > 0")
-    if horizon is not None and not 0 <= horizon <= cfg.max_steps:
-        raise ValueError(f"horizon must be in [0, max_steps], got {horizon}")
+    check_sweep(cfg, k_from, k_to, k_step, horizon)
     points = []
     for k in range(k_from, k_to + 1, k_step):
         point_cfg = replace(cfg, balance=k, runs=runs_per_point)

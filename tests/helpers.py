@@ -246,6 +246,61 @@ def oracle_edge_betweenness(g):
     return [x / 2.0 for x in acc]
 
 
+def oracle_payment_process(g, cfg, rng):
+    """The generic round loop as a walk over a ``(u, v) -> edge id`` dict.
+
+    The reference for ``pcnsim.run_payment_process``, with its own DAGs and
+    sampler (``oracle_sssp_dag``, ``oracle_sample_path``), which take the same
+    draws.  Balances start at ``c // 2`` on the smaller-id end.  Attempt mode
+    checks the whole path before it applies any of it; depletion mode applies
+    the whole round, then reports the first depleted edge on the path.  After
+    every applied round each balance must lie in ``[0, c]``.
+    """
+    x = cfg.amount
+    attempt = cfg.stop_mode == "attempt"
+    caps = g.capacity.tolist()
+    eidx = {(u, v): eid for eid, (u, v) in enumerate(zip(g.edge_u.tolist(),
+                                                         g.edge_v.tolist()))}
+    bal = [c // 2 for c in caps]
+    if not attempt:
+        for eid in range(g.edge_count):
+            if min(bal[eid], caps[eid] - bal[eid]) < x:
+                return RunOutcome(0, eid, "depleted", rng.seed)
+    dags = {}
+    t = 0
+    while t < cfg.max_steps:
+        s, dst = rng.pair(g.node_count)
+        if s not in dags:
+            dags[s] = oracle_sssp_dag(g, s)
+        path = oracle_sample_path(dags[s], dst, rng)
+        hops = list(zip(path, path[1:]))
+        if attempt:
+            for a, b in hops:
+                if a < b:
+                    eid = eidx[(a, b)]
+                    payer = bal[eid]
+                else:
+                    eid = eidx[(b, a)]
+                    payer = caps[eid] - bal[eid]
+                if payer < x:
+                    return RunOutcome(t, eid, "attempt_failed", rng.seed)
+        failing = -1
+        for a, b in hops:
+            if a < b:
+                eid = eidx[(a, b)]
+                bal[eid] -= x
+            else:
+                eid = eidx[(b, a)]
+                bal[eid] += x
+            if failing < 0 and min(bal[eid], caps[eid] - bal[eid]) < x:
+                failing = eid
+        assert all(0 <= b <= c for b, c in zip(bal, caps)), (t, bal)
+        t += 1
+        if not attempt and failing >= 0:
+            return RunOutcome(t, failing, "depleted", rng.seed)
+    return RunOutcome(t, None, "step_cap_reached", rng.seed)
+
+
 def oracle_clique_fast(n, capacity, cfg, rng):
     """The clique's single-edge form, one Python step per round.
 

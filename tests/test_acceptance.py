@@ -99,7 +99,8 @@ def test_criterion_04_uniform_path_sampling():
 def _ring_edge_frequencies(n: int, draws: int, seed: int) -> list[float]:
     g = make_ring(n, 2)
     dags = [sssp_dag(g, s) for s in range(n)]
-    eidx = g.edge_index
+    eidx = {(u, v): eid for eid, (u, v) in enumerate(zip(g.edge_u.tolist(),
+                                                         g.edge_v.tolist()))}
     rng = Rng(seed)
     counts = [0] * n
     pair = rng.pair

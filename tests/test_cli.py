@@ -216,6 +216,32 @@ def test_missing_graph_file_is_runtime_error(tmp_path, capsys):
     assert "cannot load graph" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, text", [
+    ("snap.json", json.dumps({"nodes": [{"pub_key": k} for k in "ABC"],
+                              "edges": [{"node1_pub": "A", "node2_pub": "B",
+                                         "capacity": str(2 ** 63)},
+                                        {"node1_pub": "B", "node2_pub": "C",
+                                         "capacity": "10"}]})),
+    ("g.edges", "3 2\n0 1 10\n1 18446744073709551616 10\n"),
+])
+def test_graph_value_outside_int64_is_runtime_error(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert run_cli("simulate", "--snapshot", str(path), "--runs", "1", "--workers", "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot load graph {path}: ") and "outside int64" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_env_seed_is_not_read_by_commands_without_a_seed(tmp_path, monkeypatch, capsys):
+    gpath = tmp_path / "ring.edges"
+    write_edgelist(make_ring(5, 4), gpath)
+    monkeypatch.setenv("PCN_SIM_SEED", "not-a-number")
+    assert run_cli("betweenness", "--graph", str(gpath)) == 0
+    assert run_cli("couple-check", "--nodes", "4", "--balance", "2", "--seeds", "2") == 1
+    assert "PCN_SIM_SEED must be an integer" in capsys.readouterr().err
+
+
 def test_couple_check_pass_and_corrupt(capsys):
     assert run_cli("couple-check", "--nodes", "10", "--balance", "4",
                    "--seeds", "20", "--seed", "3") == 0
@@ -462,7 +488,12 @@ def test_verbose_kernel_progress_leaves_outputs_unchanged(tmp_path, capsys, capl
 @pytest.mark.parametrize("command,line", [("simulate", "horizon = 7"),
                                           ("simulate", "strategy = xi"),
                                           ("sweep", "runs = 5"),
-                                          ("fit", "seeds = 3")])
+                                          ("fit", "seeds = 3"),
+                                          ("fit", "out = fit.csv"),
+                                          ("fit", "seed = 3"),
+                                          ("betweenness", "max_steps = 9"),
+                                          ("redistribute", "seed = 1"),
+                                          ("couple-check", "out = c.csv")])
 def test_config_key_without_a_flag_for_the_command_is_rejected(tmp_path, capsys,
                                                                command, line):
     recipe = tmp_path / "recipe.cfg"
@@ -471,7 +502,10 @@ def test_config_key_without_a_flag_for_the_command_is_rejected(tmp_path, capsys,
     captured = capsys.readouterr()
     key = line.split()[0]
     assert f"unknown key {key!r} for {command}; valid keys: " in captured.err
-    assert "max_steps" in captured.err and captured.out == ""
+    # one key each command does take
+    listed = {"simulate": "max_steps", "sweep": "max_steps", "fit": "points",
+              "betweenness": "out", "redistribute": "out", "couple-check": "seed"}[command]
+    assert listed in captured.err.split("valid keys: ")[1] and captured.out == ""
 
 
 @pytest.mark.parametrize("spelling,balance", [("1", "4"), ("TRUE", "4"), ("Yes", "4"),
@@ -519,5 +553,18 @@ def test_sweep_rejects_negative_horizon(tmp_path, capsys):
     assert run_cli("sweep", "--topology", "ring", "--nodes", "5", "--k-from", "1",
                    "--k-to", "2", "--horizon", "-3", "--runs-per-point", "2",
                    "--workers", "1", "--out", str(out)) == 1
-    assert "horizon must be in [0, max_steps], got -3" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "horizon must be in [0, max_steps], got -3" in captured.err
+    assert captured.out == ""  # rejected before the config echo
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--horizon", "11", "--max-steps", "10"), "horizon must be in [0, max_steps], got 11"),
+    (("--k-from", "3", "--k-to", "2"), "need k_from <= k_to and k_step > 0"),
+])
+def test_sweep_rejects_bad_range_before_the_echo(capsys, argv, message):
+    assert run_cli("sweep", "--topology", "ring", "--nodes", "5", "--k-from", "1",
+                   "--k-to", "2", "--runs-per-point", "2", "--workers", "1", *argv) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""

@@ -13,20 +13,20 @@ from pcnsim.cli import build_parser, read_recipe_file
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-_COMMON = {"--config", "--seed", "--max-steps", "--out"}
+_SEEDED = {"--seed", "--max-steps"}
 _BALANCE = {"--balance", "--capacity", "--capacity-is-total"}
 
 FLAGS = {
-    "simulate": _COMMON | _BALANCE | {
-        "--topology", "--nodes", "--snapshot", "--graph", "--plan", "--amount",
-        "--amounts", "--stop", "--runs", "--workers", "--p-select"},
-    "sweep": _COMMON | {
-        "--topology", "--nodes", "--k-from", "--k-to", "--k-step", "--runs-per-point",
-        "--amount", "--stop", "--horizon", "--workers", "--p-select"},
-    "betweenness": _COMMON | {"--graph", "--snapshot", "--plan"},
-    "redistribute": _COMMON | {"--graph", "--snapshot", "--strategy"},
-    "couple-check": _COMMON | _BALANCE | {"--nodes", "--seeds", "--corrupt-map"},
-    "fit": _COMMON | _BALANCE | {"--points", "--model"},
+    "simulate": _SEEDED | _BALANCE | {
+        "--config", "--out", "--topology", "--nodes", "--snapshot", "--graph", "--plan",
+        "--amount", "--amounts", "--stop", "--runs", "--workers", "--p-select"},
+    "sweep": _SEEDED | {
+        "--config", "--out", "--topology", "--nodes", "--k-from", "--k-to", "--k-step",
+        "--runs-per-point", "--amount", "--stop", "--horizon", "--workers", "--p-select"},
+    "betweenness": {"--config", "--out", "--graph", "--snapshot", "--plan"},
+    "redistribute": {"--config", "--out", "--graph", "--snapshot", "--strategy"},
+    "couple-check": _SEEDED | _BALANCE | {"--config", "--nodes", "--seeds", "--corrupt-map"},
+    "fit": _BALANCE | {"--config", "--points", "--model"},
 }
 
 # a value each key parses; keys not listed take "3"
@@ -47,7 +47,7 @@ def _recipe_keys(command: str) -> list[str]:
 
 
 def test_flag_sets_are_pinned():
-    assert [len(FLAGS[c]) for c in FLAGS] == [18, 15, 7, 7, 10, 9]
+    assert [len(FLAGS[c]) for c in FLAGS] == [18, 15, 5, 5, 9, 6]
     parsers = _subparsers()
     assert set(parsers) == set(FLAGS)
     for command, parser in parsers.items():

@@ -3,10 +3,11 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
 import pytest
 
-from pcnsim import (ChannelGraph, giant_component, ingest_snapshot, init_balances,
-                    make_clique, make_ring, parse_snapshot)
+from pcnsim import (ChannelGraph, giant_component, ingest_snapshot, make_clique,
+                    make_ring, parse_snapshot)
 from pcnsim.graph import load_graph, read_edgelist, write_edgelist
 
 from helpers import adjacency_of, csr_rows, random_connected_edges, random_connected_graph
@@ -15,7 +16,7 @@ from helpers import adjacency_of, csr_rows, random_connected_edges, random_conne
 def test_make_clique_k3():
     g = make_clique(3, 4)
     assert g.edge_count == 3
-    assert g.capacity == [4, 4, 4]
+    assert g.capacity.tolist() == [4, 4, 4]
     assert sorted((g.edge_u[i], g.edge_v[i]) for i in range(3)) == [(0, 1), (0, 2), (1, 2)]
 
 
@@ -85,7 +86,7 @@ def test_ingest_merges_parallel_channels():
     g = ingest_snapshot(doc)
     assert g.node_count == 2
     assert g.edge_count == 1
-    assert g.capacity == [150]
+    assert g.capacity.tolist() == [150]
 
 
 def test_ingest_drops_self_loop_with_warning(caplog):
@@ -152,7 +153,7 @@ def test_giant_component_idempotent_after_ingest():
     once = giant_component(ingest_snapshot(doc))
     twice = giant_component(once)
     assert twice.node_count == once.node_count
-    assert twice.capacity == once.capacity
+    assert twice.capacity.tolist() == once.capacity.tolist()
     assert twice.node_keys == once.node_keys == ["A", "B", "C"]
 
 
@@ -160,33 +161,6 @@ def test_giant_component_rejects_edgeless_graph():
     g = ChannelGraph(3, [])
     with pytest.raises(ValueError, match="single node"):
         giant_component(g)
-
-
-def test_init_balances_even_and_odd():
-    g = ChannelGraph(10, [(0, 1, 10), (2, 9, 7), (3, 4, 1)])
-    b = init_balances(g)
-    assert b.pair(0) == (5, 5)
-    assert b.balance_at(1, 2) == 3 and b.balance_at(1, 9) == 4
-    assert b.pair(2) == (0, 1)
-    assert b.b_min(2) == 0
-
-
-def test_balances_conserve_capacity():
-    rng = random.Random(11)
-    g = random_connected_graph(rng, 9, caps=(2, 4, 7, 9))
-    b = init_balances(g)
-    for eid in range(g.edge_count):
-        lo, hi = b.pair(eid)
-        assert lo + hi == g.capacity[eid]
-        assert lo >= 0 and hi >= 0
-
-
-def test_balance_clone_is_independent():
-    g = make_ring(4, 6)
-    b = init_balances(g)
-    c = b.clone()
-    c.at_lo[0] += 1
-    assert b.at_lo[0] == 3
 
 
 def test_adjacency_handshake_on_random_graphs():
@@ -208,8 +182,8 @@ def test_edgelist_round_trip(tmp_path):
     write_edgelist(g, path)
     back = read_edgelist(path)
     assert back.node_count == g.node_count
-    assert back.capacity == g.capacity
-    assert back.edge_index == g.edge_index
+    for column in ("edge_u", "edge_v", "capacity"):
+        assert getattr(back, column).tolist() == getattr(g, column).tolist()
 
 
 def test_load_graph_snapshot_takes_giant_component(tmp_path):
@@ -219,3 +193,47 @@ def test_load_graph_snapshot_takes_giant_component(tmp_path):
     g = load_graph(p)
     assert g.node_count == 3
     assert g.edge_count == 2
+
+
+def test_edges_are_read_only_int64_arrays():
+    g = ChannelGraph(4, [(2, 1, 5), (0, 3, 7), (3, 1, 9)])
+    for column in (g.edge_u, g.edge_v, g.capacity):
+        assert column.dtype == np.int64 and not column.flags.writeable
+    assert g.edge_u.tolist() == [1, 0, 1] and g.edge_v.tolist() == [2, 3, 3]
+    with pytest.raises(ValueError, match="read-only"):
+        g.capacity[0] = 1
+
+
+def test_edge_id_reads_either_direction_and_rejects_non_edges():
+    g = make_ring(5, 2)
+    assert [g.edge_id(i, (i + 1) % 5) for i in range(5)] == [0, 1, 2, 3, 4]
+    assert g.edge_id(4, 0) == g.edge_id(0, 4) == 4
+    for a, b in ((0, 2), (1, 1), (-1, 0), (5, 0), (0, 7)):
+        with pytest.raises(KeyError):
+            g.edge_id(a, b)
+
+
+@pytest.mark.parametrize("edge", [(0, 1, 2 ** 63), (0, 2 ** 64, 4), (-2 ** 63 - 1, 1, 4)])
+def test_edge_outside_int64_is_one_line_value_error(tmp_path, edge):
+    with pytest.raises(ValueError, match="outside int64") as err:
+        ChannelGraph(3, [(1, 2, 4), edge])
+    assert "\n" not in str(err.value)
+    path = tmp_path / "g.edges"
+    path.write_text("3 2\n1 2 4\n{} {} {}\n".format(*edge))
+    with pytest.raises(ValueError, match="outside int64"):
+        read_edgelist(path)
+
+
+def test_snapshot_capacity_outside_int64_is_value_error():
+    too_big = _doc(["A", "B"], [("A", "B", 2 ** 63)])
+    merged_too_big = _doc(["A", "B"], [("A", "B", 2 ** 62), ("B", "A", 2 ** 62)])
+    for doc in (too_big, merged_too_big):
+        with pytest.raises(ValueError, match="outside int64"):
+            ingest_snapshot(parse_snapshot(doc))
+
+
+def test_node_count_bounds():
+    with pytest.raises(ValueError, match="got 1"):
+        ChannelGraph(1, [])
+    with pytest.raises(ValueError, match="nodes, got 3037000500"):
+        ChannelGraph(3_037_000_500, [(0, 1, 2)])

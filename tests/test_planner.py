@@ -7,9 +7,10 @@ import pytest
 
 from pcnsim import (ChannelGraph, apply_plan, edge_betweenness, make_clique,
                     redistribute_uniform, redistribute_xi_optimized, xi_and_bounds)
+from pcnsim.analytics import BOUND_REPORT_COLUMNS, bound_report_rows
 from pcnsim.paths import BetweennessMap
 from pcnsim.planner import load_plan_csv, plan_rows, PLAN_COLUMNS
-from pcnsim.results import write_csv
+from pcnsim.results import read_csv, write_csv
 
 from helpers import log_uniform_capacities, random_connected_edges
 
@@ -118,4 +119,34 @@ def test_apply_plan_and_csv_round_trip(tmp_path):
     assert loaded == plan.new_capacity
     g2 = apply_plan(g, plan)
     assert g2.total_capacity() == g.total_capacity()
-    assert g2.edge_index == g.edge_index
+    for column in ("edge_u", "edge_v"):
+        assert getattr(g2, column).tolist() == getattr(g, column).tolist()
+
+
+def test_reports_on_capacities_whose_squares_pass_int64(tmp_path):
+    # k = 10**10 on the first channel: k * k = 10**20 overflows int64
+    caps = [2 * 10 ** 10, 6, 10]
+    g = ChannelGraph(4, [(0, 1, caps[0]), (1, 2, caps[1]), (2, 3, caps[2])])
+    bmap = edge_betweenness(g)
+    report = xi_and_bounds(g, bmap)
+    ratios = [(c // 2) * (c // 2) / b for c, b in zip(caps, bmap.values)]
+    assert [report.per_edge_ratios[eid] for eid in range(3)] == ratios
+    assert report.per_edge_ratios[0] == 10 ** 20 / 3.0
+    assert g.total_capacity() == sum(caps)
+
+    bounds = tmp_path / "bounds.csv"
+    write_csv(bounds, {"xi": report.xi}, BOUND_REPORT_COLUMNS,
+              bound_report_rows(g, bmap, report))
+    _, _, rows = read_csv(bounds)
+    assert [row[1] for row in rows] == [str(c // 2) for c in caps]
+    assert [row[3] for row in rows] == [repr(r) for r in ratios]
+
+    plan = redistribute_uniform(g)
+    path = tmp_path / "plan.csv"
+    write_csv(path, {}, PLAN_COLUMNS, plan_rows(g, bmap, plan))
+    _, _, rows = read_csv(path)
+    assert [row[1] for row in rows] == [str(c) for c in caps]
+    assert [int(row[2]) for row in rows] == plan.new_capacity
+    assert [row[4] for row in rows] == [repr((c // 2) * (c // 2) / b) for c, b
+                                        in zip(plan.new_capacity, bmap.values)]
+    assert load_plan_csv(path, g) == plan.new_capacity

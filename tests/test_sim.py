@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import statistics
 
@@ -7,14 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pcnsim.sim
-from pcnsim import (ChannelGraph, Rng, SimConfig, init_balances, make_clique,
+from pcnsim import (ChannelGraph, Rng, SimConfig, make_clique,
                     make_ring, monte_carlo, multi_amount_experiment,
                     run_bdc_process, run_coupled_clique, run_independent_chains,
                     run_payment_process, run_seed)
 from pcnsim.paths import DagCache
 from pcnsim.sim import STEP_CAP, _clique_fast, _ring_fast, build_graph, capacity_sweep
 
-from helpers import random_connected_edges
+from helpers import oracle_payment_process, random_connected_edges
 
 
 def test_ring3_unit_balance_always_fails_first_round():
@@ -127,19 +128,6 @@ def test_attempt_mode_never_stops_before_depletion_mode():
         assert tau_a >= tau_d
 
 
-def test_balances_conserved_during_process():
-    g = make_ring(6, 8)
-    cfg = SimConfig(topology="ring", nodes=6, balance=4, runs=1, base_seed=2,
-                    max_steps=25)
-    run_payment_process(g, cfg, Rng(7))
-    # process works on its own copy; re-derive and replay is structural, so
-    # just verify a fresh state still satisfies edge-wise conservation
-    state = init_balances(g)
-    for eid in range(g.edge_count):
-        lo, hi = state.pair(eid)
-        assert lo + hi == g.capacity[eid]
-
-
 def test_clique_fast_path_matches_generic_distribution():
     fast = [o.tau for o in monte_carlo(
         SimConfig(topology="clique", nodes=6, balance=3, runs=4000, base_seed=2))]
@@ -170,10 +158,17 @@ def test_monte_carlo_rejects_disconnected_graph():
         monte_carlo(cfg, graph=g)
 
 
-def test_build_graph_shapes():
-    assert build_graph(SimConfig(topology="clique", nodes=5, balance=3)).edge_count == 10
-    assert build_graph(SimConfig(topology="ring", nodes=5, balance=3)).edge_count == 5
-    assert build_graph(SimConfig(topology="independent", nodes=5, balance=3)) is None
+def test_build_graph_shapes(tmp_path):
+    # a 4-node path plus a detached edge: the snapshot keeps the giant component
+    keys = list("ABCDEF")
+    doc = {"nodes": [{"pub_key": k} for k in keys],
+           "edges": [{"node1_pub": a, "node2_pub": b, "capacity": "6"}
+                     for a, b in ("AB", "BC", "CD", "EF")]}
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps(doc))
+    g = build_graph(SimConfig(topology="snapshot", snapshot_path=str(path)))
+    assert (g.node_count, g.edge_count) == (4, 3)
+    assert g.node_keys == list("ABCD")
 
 
 def test_sim_config_validation():
@@ -371,3 +366,32 @@ def test_capacity_sweep_rejects_horizon_outside_0_to_max_steps(horizon):
     cfg = SimConfig(topology="ring", nodes=5, balance=1, max_steps=100)
     with pytest.raises(ValueError, match="horizon must be in"):
         capacity_sweep(cfg, 1, 2, 1, runs_per_point=2, horizon=horizon)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(n=st.integers(2, 9), graph_seed=st.integers(0, 2 ** 32 - 1),
+       x=st.integers(1, 3), mode=st.sampled_from(["depletion", "attempt"]),
+       max_steps=st.integers(1, 60), seed=st.integers(0, 2 ** 64 - 1))
+def test_payment_process_equals_oracle_property(n, graph_seed, x, mode, max_steps, seed):
+    # capacities mix odd and even values, so the floor-to-smaller-id split of
+    # an odd capacity decides some outcomes; short caps end runs mid-way
+    edges = random_connected_edges(random.Random(graph_seed), n, extra_prob=0.4,
+                                   caps=(2, 3, 4, 5, 7, 8, 9))
+    g = ChannelGraph(n, edges)
+    cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=x,
+                    stop_mode=mode, max_steps=max_steps)
+    assert run_payment_process(g, cfg, Rng(seed)) == oracle_payment_process(g, cfg, Rng(seed))
+
+
+@pytest.mark.parametrize("pairs, want", [
+    # node 0 holds the floor of capacity 3 (one unit), node 1 the other two
+    ([(0, 1), (0, 1)], (1, 0, "attempt_failed")),
+    ([(1, 0), (1, 0), (1, 0)], (2, 0, "attempt_failed")),
+])
+def test_odd_capacity_floor_goes_to_smaller_id(pairs, want):
+    g = ChannelGraph(3, [(0, 1, 3), (1, 2, 8)])
+    cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=1,
+                    stop_mode="attempt", max_steps=len(pairs))
+    out = run_payment_process(g, cfg, ScriptedRng(pairs))
+    assert (out.tau, out.failing_edge, out.failure_kind) == want
+    assert oracle_payment_process(g, cfg, ScriptedRng(pairs)) == out
