@@ -25,8 +25,8 @@ from .planner import (PLAN_COLUMNS, apply_plan, load_plan_csv, plan_rows,
 from .results import (Aggregate, summarize, write_aggregates_csv, write_csv,
                       write_outcomes_csv, write_sweep_csv)
 from .rng import PRNG_ID, Rng, run_seed
-from .sim import (SimConfig, STOP_MODES, TOPOLOGIES, capacity_sweep, check_sweep,
-                  monte_carlo, multi_amount_experiment, run_coupled_clique)
+from .sim import (SimConfig, STOP_MODES, SWEEP_TOPOLOGIES, TOPOLOGIES, capacity_sweep,
+                  check_sweep, monte_carlo, multi_amount_experiment, run_coupled_clique)
 
 logger = logging.getLogger(__name__)
 
@@ -313,8 +313,8 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     recipe = resolve_recipe(args)
     topology = recipe.get("topology")
-    if topology not in ("clique", "ring", "independent"):
-        raise ConfigError("sweep topology must be clique, ring, or independent")
+    if topology not in SWEEP_TOPOLOGIES:
+        raise ConfigError(f"sweep topology must be one of {', '.join(SWEEP_TOPOLOGIES)}")
     for key in ("nodes", "k_from", "k_to"):
         if recipe.get(key) is None:
             raise ConfigError(f"sweep requires {key}")

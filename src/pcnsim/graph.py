@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -69,15 +70,21 @@ class ChannelGraph:
         # a node pair keys as u * n + v below, which must stay inside int64
         if not 2 <= node_count <= _MAX_NODES:
             raise ValueError(f"need between 2 and {_MAX_NODES} nodes, got {node_count}")
+        rows = edges if isinstance(edges, np.ndarray) else list(edges)
         try:
-            table = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
-                               dtype=np.int64)
+            table = np.asarray(rows, dtype=np.int64)
         except OverflowError:
             raise ValueError("an edge endpoint or capacity lies outside int64") from None
         if table.size == 0:
             table = table.reshape(0, 3)
         if table.ndim != 2 or table.shape[1] != 3:
             raise ValueError("edges must be (u, v, capacity) triples")
+        # int64 conversion would truncate 4.5 to 4 and read True as 1
+        kinds = ({rows.dtype.type} if isinstance(rows, np.ndarray)
+                 else set(map(type, chain.from_iterable(rows))))
+        for kind in kinds:
+            if issubclass(kind, (bool, np.bool_, float, np.floating)):
+                raise ValueError(f"edge values must be integers, got {kind.__name__}")
         u, v, cap = table.T
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         _reject("self-loop on node {0}", u == v, u)
@@ -224,6 +231,8 @@ def parse_snapshot(source) -> SnapshotDocument:
         except (TypeError, KeyError):
             raise ValueError(f"malformed channel record: {rec!r}") from None
         try:
+            if type(cap) not in (int, str):  # int() would take true as 1 and 12.7 as 12
+                raise TypeError
             cap_int = int(cap)
         except (TypeError, ValueError):
             raise ValueError(f"channel {k1}–{k2} has non-integer capacity {cap!r}") from None

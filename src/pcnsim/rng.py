@@ -119,10 +119,6 @@ class Rng:
     def bit(self) -> int:
         return self.u64() & 1
 
-    def random(self) -> float:
-        """Uniform float in [0, 1) with 53 random bits."""
-        return (self.u64() >> 11) * (2.0 ** -53)
-
     def pair(self, n: int) -> tuple[int, int]:
         """Ordered pair of distinct indices in [0, n), uniform over all n(n-1)."""
         s = self.randrange(n)

@@ -6,7 +6,7 @@ import logging
 import multiprocessing
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .rng import Rng, chunk_sizes, run_seed
 
 logger = logging.getLogger(__name__)
 
-TOPOLOGIES = ("clique", "ring", "snapshot", "independent")
 STOP_MODES = ("depletion", "attempt")
 
 DEPLETED = "depleted"
@@ -28,7 +27,6 @@ _CHUNK = 1 << 14
 _PROGRESS_SECONDS = 10.0
 _CLOCK_EVERY = 1 << 12  # ring rounds between reads of the progress clock
 _NEAR_ROWS = 8  # fewest rows the independent chains search at once
-_MIN_NODES = {"clique": 2, "ring": 3, "independent": 1}
 
 
 @dataclass(frozen=True)
@@ -47,7 +45,8 @@ class SimConfig:
     p_select: Optional[float] = None       # independent-chains selection probability
 
     def __post_init__(self):
-        if self.topology not in TOPOLOGIES:
+        spec = _TOPOLOGY.get(self.topology)
+        if spec is None:
             raise ValueError(f"unknown topology {self.topology!r}; valid: {TOPOLOGIES}")
         if self.stop_mode not in STOP_MODES:
             raise ValueError(f"unknown stop_mode {self.stop_mode!r}; valid: {STOP_MODES}")
@@ -57,18 +56,19 @@ class SimConfig:
             raise ValueError("max_steps must be >= 1")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        if self.topology in ("clique", "ring", "independent"):
+        if spec.kernel is None:
+            if self.snapshot_path is None:
+                raise ValueError(f"{self.topology} topology needs snapshot_path")
+        else:
             if self.nodes is None or self.balance is None:
                 raise ValueError(f"{self.topology} topology needs nodes and balance")
             if self.balance < 1:
                 raise ValueError("balance must be >= 1")
-            least = _MIN_NODES[self.topology]
+            least = spec.min_nodes
             if self.topology == "independent" and self.p_select is None:
                 least = 3  # the default p_select is the n-ring's edge probability
             if self.nodes < least:
                 raise ValueError(f"{self.topology} needs n >= {least}, got {self.nodes}")
-        if self.topology == "snapshot" and self.snapshot_path is None:
-            raise ValueError("snapshot topology needs snapshot_path")
         if self.p_select is not None and not (0.0 < self.p_select <= 1.0):
             raise ValueError("p_select must be in (0, 1]")
 
@@ -137,6 +137,17 @@ class _Progress:
             self.due = now + _PROGRESS_SECONDS
 
 
+def _stop_range(cfg: SimConfig) -> tuple[int, int, str]:
+    """``(lo, spent, kind)`` for cfg's stop mode: a round fails as ``kind``
+    when it takes the balance at an edge's smaller-id end outside
+    ``[lo, c - lo]``, and tau counts it iff ``spent``.  The run ends there, so
+    a kernel may apply the round before checking it.  An edge whose
+    smaller-id end starts below ``lo`` is depleted before the first round."""
+    if cfg.stop_mode == "attempt":
+        return 0, 0, ATTEMPT_FAILED
+    return cfg.amount, 1, DEPLETED
+
+
 def _first_exit(state: np.ndarray, ids: np.ndarray, steps: np.ndarray, lo: int,
                 hi: int) -> int:
     """Index of the first event of a chunk that takes its chain outside [lo, hi].
@@ -186,14 +197,10 @@ def run_payment_process(g: ChannelGraph, cfg: SimConfig, rng: Rng,
     failing edge is the first such edge on the path.
     """
     x = cfg.amount
-    attempt = cfg.stop_mode == "attempt"
-    # like _first_exit, a round fails when it takes the balance at an edge's
-    # smaller-id end outside [lo, c - lo]; that end starts with the floor of
-    # an odd capacity
-    lo, spent, kind = (0, 0, ATTEMPT_FAILED) if attempt else (x, 1, DEPLETED)
-    half = g.capacity // 2
+    lo, spent, kind = _stop_range(cfg)
+    half = g.capacity // 2  # an edge's smaller-id end holds the floor of it
     short = np.flatnonzero(half < lo)
-    if short.size:  # depleted before the first round
+    if short.size:
         return RunOutcome(0, int(short[0]), DEPLETED, rng.seed)
     # top(e) = c - lo as a Python int: one lookup per upward payment costs
     # less than a second per-run list of m Python ints
@@ -207,9 +214,7 @@ def run_payment_process(g: ChannelGraph, cfg: SimConfig, rng: Rng,
     while t < max_steps:
         s, dst = rng.pair(n)
         dag = cache.get(s)
-        if dag.sigma[dst] == 0:
-            raise ValueError(f"graph is disconnected: {dst} unreachable from {s}")
-        path = sample_shortest_path(dag, dst, rng)
+        path = sample_shortest_path(dag, dst, rng)  # ValueError if dst is unreachable
         # sampling remembered each path node's step, so step(b) is a lookup;
         # paying from the smaller-id end can only take its balance below lo,
         # paying toward it only above c - lo; a failing round ends the run,
@@ -243,25 +248,19 @@ def _clique_fast(n: int, capacity: int, cfg: SimConfig, rng: Rng) -> RunOutcome:
     """
     m = n * (n - 1) // 2
     x = cfg.amount
-    attempt = cfg.stop_mode == "attempt"
+    lo, spent, kind = _stop_range(cfg)
     half = capacity // 2
-    if not attempt and min(half, capacity - half) < x:
+    if half < lo:
         return RunOutcome(0, 0, DEPLETED, rng.seed)
-    # the balance at an edge's smaller-id end: a depleting round leaves it
-    # outside [x, capacity - x]; a failed attempt would take it outside
-    # [0, capacity] and is not applied
-    lo, hi = (0, capacity) if attempt else (x, capacity - x)
-    bal = np.full(m, half, dtype=np.int64)
+    bal = np.full(m, half, dtype=np.int64)  # the balance at each smaller-id end
     t = 0
     progress = _Progress("clique process", rng.seed)
     for chunk in chunk_sizes(128, _CHUNK, cfg.max_steps):
         edges = rng.indices(m, chunk)
         dirs = rng.bits(chunk)  # 1: the larger-id endpoint pays the smaller-id one
-        at = _first_exit(bal, edges, dirs.astype(np.int64) * (2 * x) - x, lo, hi)
+        at = _first_exit(bal, edges, dirs.astype(np.int64) * (2 * x) - x, lo, capacity - lo)
         if at >= 0:
-            if attempt:
-                return RunOutcome(t + at, int(edges[at]), ATTEMPT_FAILED, rng.seed)
-            return RunOutcome(t + at + 1, int(edges[at]), DEPLETED, rng.seed)
+            return RunOutcome(t + at + spent, int(edges[at]), kind, rng.seed)
         t += chunk
         progress(t)
     return RunOutcome(t, None, STEP_CAP, rng.seed)
@@ -280,12 +279,12 @@ def _ring_fast(n: int, capacity: int, cfg: SimConfig, rng: Rng) -> RunOutcome:
     0, because make_ring lists node 0's neighbours as [1, n-1].
     """
     x = cfg.amount
-    attempt = cfg.stop_mode == "attempt"
+    lo, spent, kind = _stop_range(cfg)
     half = capacity // 2
-    if not attempt and min(half, capacity - half) < x:
+    if half < lo:
         return RunOutcome(0, 0, DEPLETED, rng.seed)
     cw = np.full(n, half, dtype=np.int64)
-    hi = capacity - x  # cw[e] > hi: node e+1 cannot pay x over edge e
+    hi = capacity - lo  # even capacity: cw[n-1], a larger-id end, has the same range
     max_steps = cfg.max_steps
     t = 0
     progress = _Progress("ring process", rng.seed)
@@ -297,21 +296,20 @@ def _ring_fast(n: int, capacity: int, cfg: SimConfig, rng: Rng) -> RunOutcome:
             clockwise = (rng.randrange(2) == 0) == (s == 0)
         else:
             clockwise = 2 * span < n
-        # the arc's edges are lo, lo+1, ..., end-1 (mod n); a clockwise
+        # the arc's edges are first, first+1, ..., end-1 (mod n); a clockwise
         # payment crosses them in ascending order, a counterclockwise one in
         # descending order
-        lo, end = (s, s + span) if clockwise else (d, s + n if s < d else s)
-        segs = ((lo, end),) if end <= n else ((lo, n), (0, end - n))
+        first, end = (s, s + span) if clockwise else (d, s + n if s < d else s)
+        segs = ((first, end),) if end <= n else ((first, n), (0, end - n))
         step = -x if clockwise else x
-        if not attempt:
-            for a, b in segs:
-                cw[a:b] += step
+        for a, b in segs:
+            cw[a:b] += step
         failing = -1
         if clockwise:
             for a, b in segs:
                 v = cw[a:b]
-                if v.min() < x:
-                    failing = a + int(np.argmax(v < x))
+                if v.min() < lo:
+                    failing = a + int(np.argmax(v < lo))
                     break
         else:
             for a, b in reversed(segs):
@@ -319,14 +317,9 @@ def _ring_fast(n: int, capacity: int, cfg: SimConfig, rng: Rng) -> RunOutcome:
                 if v.max() > hi:
                     failing = b - 1 - int(np.argmax(v[::-1] > hi))
                     break
-        if attempt:
-            if failing >= 0:
-                return RunOutcome(t, failing, ATTEMPT_FAILED, rng.seed)
-            for a, b in segs:
-                cw[a:b] += step
-        t += 1
         if failing >= 0:
-            return RunOutcome(t, failing, DEPLETED, rng.seed)
+            return RunOutcome(t + spent, failing, kind, rng.seed)
+        t += 1
         if t >= next_clock:
             progress(t)
             next_clock += _CLOCK_EVERY
@@ -455,17 +448,24 @@ def run_independent_chains(n: int, k: int, p_select: float, max_steps: int,
     return RunOutcome(t, None, STEP_CAP, rng.seed)
 
 
-def _independent(cfg: SimConfig, rng: Rng) -> RunOutcome:
-    p = cfg.p_select if cfg.p_select is not None else ring_edge_probability(cfg.nodes)
-    return run_independent_chains(cfg.nodes, cfg.balance, p, cfg.max_steps, rng)
+class _Topology(NamedTuple):
+    min_nodes: Optional[int]  # fewest cfg.nodes; None: the graph sets n
+    kernel: Optional[Callable]  # (cfg, rng) -> one graph-free replica; None: needs a graph
+    takes_graph: bool  # whether a caller's graph may replace the kernel
 
 
-# Graph-free kernels: each runs one replica of its topology from cfg alone.
-_KERNELS = {
-    "clique": lambda cfg, rng: _clique_fast(cfg.nodes, 2 * cfg.balance, cfg, rng),
-    "ring": lambda cfg, rng: _ring_fast(cfg.nodes, 2 * cfg.balance, cfg, rng),
-    "independent": _independent,
+# The one dispatch point for topologies; a snapshot's graph comes from build_graph.
+_TOPOLOGY = {
+    "clique": _Topology(2, lambda c, rng: _clique_fast(c.nodes, 2 * c.balance, c, rng), True),
+    "ring": _Topology(3, lambda c, rng: _ring_fast(c.nodes, 2 * c.balance, c, rng), True),
+    "snapshot": _Topology(None, None, True),
+    # without p_select, each chain moves as often as an edge of the n-ring
+    "independent": _Topology(1, lambda c, rng: run_independent_chains(
+        c.nodes, c.balance, c.p_select or ring_edge_probability(c.nodes), c.max_steps, rng),
+        False),
 }
+TOPOLOGIES = tuple(_TOPOLOGY)
+SWEEP_TOPOLOGIES = tuple(name for name, spec in _TOPOLOGY.items() if spec.kernel is not None)
 
 
 def _run_single(graph: Optional[ChannelGraph], cfg: SimConfig, run_index: int,
@@ -473,24 +473,12 @@ def _run_single(graph: Optional[ChannelGraph], cfg: SimConfig, run_index: int,
     rng = Rng(run_seed(cfg.base_seed, run_index))
     if graph is not None:
         return run_payment_process(graph, cfg, rng, cache)
-    kernel = _KERNELS.get(cfg.topology)
-    if kernel is None:
-        raise ValueError(f"a {cfg.topology} run needs a graph")
-    return kernel(cfg, rng)
+    return _TOPOLOGY[cfg.topology].kernel(cfg, rng)
 
 
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(graph, cfg):
-    _WORKER_STATE["graph"] = graph
-    _WORKER_STATE["cfg"] = cfg
-    _WORKER_STATE["cache"] = DagCache(graph) if graph is not None else None
-
-
-def _worker_run(run_index: int) -> tuple[RunOutcome, int, int]:
-    """One run plus the DAG builds and cache gets it took in this worker."""
-    graph, cfg, cache = (_WORKER_STATE[key] for key in ("graph", "cfg", "cache"))
+def _counted_run(graph: Optional[ChannelGraph], cfg: SimConfig, cache: DagCache | None,
+                 run_index: int) -> tuple[RunOutcome, int, int]:
+    """One run plus the DAG builds and cache gets it took."""
     if cache is None:
         return _run_single(graph, cfg, run_index), 0, 0
     builds, gets = cache.misses, cache.gets
@@ -498,12 +486,16 @@ def _worker_run(run_index: int) -> tuple[RunOutcome, int, int]:
     return outcome, cache.misses - builds, cache.gets - gets
 
 
-def _log_cache_work(cfg: SimConfig, outcomes: list[RunOutcome], builds: int,
-                    gets: int) -> None:
-    logger.info("%s: %d runs, %d rounds, %d DAG builds, %d DAG cache gets, "
-                "hit ratio %.3f", cfg.config_id(), len(outcomes),
-                sum(o.tau for o in outcomes), builds, gets,
-                1 - builds / gets if gets else 0.0)
+_worker_args: tuple = ()  # set in pool workers only, never in the calling process
+
+
+def _worker_init(graph, cfg):
+    global _worker_args
+    _worker_args = (graph, cfg, DagCache(graph) if graph is not None else None)
+
+
+def _worker_run(run_index: int) -> tuple[RunOutcome, int, int]:
+    return _counted_run(*_worker_args, run_index)
 
 
 def monte_carlo(cfg: SimConfig, graph: Optional[ChannelGraph] = None,
@@ -515,30 +507,33 @@ def monte_carlo(cfg: SimConfig, graph: Optional[ChannelGraph] = None,
     Without ``graph``, topologies with a graph-free kernel build no graph; a
     caller's graph always runs the generic payment process.
     """
+    spec = _TOPOLOGY[cfg.topology]
     if graph is None:
-        if cfg.topology not in _KERNELS:
+        if spec.kernel is None:
             graph = build_graph(cfg)
-    elif cfg.topology == "independent":
-        raise ValueError("independent chains take no graph")
+    elif not spec.takes_graph:
+        raise ValueError(f"{cfg.topology} topology takes no graph")
     if graph is not None and not graph.is_connected():
         raise ValueError("graph must be connected (take the giant component first)")
-    if workers <= 1 or cfg.runs == 1:
-        cache = DagCache(graph) if graph is not None else None
-        outcomes = [_run_single(graph, cfg, i, cache) for i in range(cfg.runs)]
-        if graph is not None:
-            _log_cache_work(cfg, outcomes, cache.misses, cache.gets)
-        return outcomes
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
+    pooled = workers > 1 and cfg.runs > 1
+    if pooled and "fork" not in multiprocessing.get_all_start_methods():
         logger.warning("fork unavailable; running sequentially")
-        return monte_carlo(cfg, graph, workers=1)
-    chunksize = max(1, cfg.runs // (workers * 4))
-    with ctx.Pool(workers, initializer=_worker_init, initargs=(graph, cfg)) as pool:
-        done = pool.map(_worker_run, range(cfg.runs), chunksize)
+        pooled = False
+    if pooled:
+        chunksize = max(1, cfg.runs // (workers * 4))
+        with multiprocessing.get_context("fork").Pool(
+                workers, initializer=_worker_init, initargs=(graph, cfg)) as pool:
+            done = pool.map(_worker_run, range(cfg.runs), chunksize)
+    else:
+        cache = DagCache(graph) if graph is not None else None
+        done = [_counted_run(graph, cfg, cache, i) for i in range(cfg.runs)]
     outcomes = [outcome for outcome, _builds, _gets in done]
     if graph is not None:
-        _log_cache_work(cfg, outcomes, sum(d[1] for d in done), sum(d[2] for d in done))
+        builds, gets = sum(d[1] for d in done), sum(d[2] for d in done)
+        logger.info("%s: %d runs, %d rounds, %d DAG builds, %d DAG cache gets, "
+                    "hit ratio %.3f", cfg.config_id(), len(outcomes),
+                    sum(o.tau for o in outcomes), builds, gets,
+                    1 - builds / gets if gets else 0.0)
     return outcomes
 
 
@@ -553,7 +548,11 @@ class SweepPoint:
 
 def check_sweep(cfg: SimConfig, k_from: int, k_to: int, k_step: int,
                 horizon: Optional[int] = None) -> None:
-    """ValueError unless capacity_sweep can run this balance range and horizon."""
+    """ValueError unless capacity_sweep can run this topology, balance range
+    and horizon."""
+    if cfg.topology not in SWEEP_TOPOLOGIES:
+        raise ValueError(f"a sweep needs a graph-free topology "
+                         f"({', '.join(SWEEP_TOPOLOGIES)}), got {cfg.topology}")
     if k_from > k_to or k_step <= 0:
         raise ValueError("need k_from <= k_to and k_step > 0")
     if horizon is not None and not 0 <= horizon <= cfg.max_steps:

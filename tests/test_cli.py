@@ -233,6 +233,18 @@ def test_graph_value_outside_int64_is_runtime_error(tmp_path, capsys, name, text
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("capacity", [12.7, True])
+def test_snapshot_capacity_that_is_no_integer_is_runtime_error(tmp_path, capsys, capacity):
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps({"nodes": [{"pub_key": k} for k in "AB"],
+                                "edges": [{"node1_pub": "A", "node2_pub": "B",
+                                           "capacity": capacity}]}))
+    assert run_cli("simulate", "--snapshot", str(path), "--runs", "1", "--workers", "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot load graph {path}: ") and "non-integer capacity" in err
+    assert err.count("\n") == 1
+
+
 def test_env_seed_is_not_read_by_commands_without_a_seed(tmp_path, monkeypatch, capsys):
     gpath = tmp_path / "ring.edges"
     write_edgelist(make_ring(5, 4), gpath)
@@ -557,6 +569,14 @@ def test_sweep_rejects_negative_horizon(tmp_path, capsys):
     assert "horizon must be in [0, max_steps], got -3" in captured.err
     assert captured.out == ""  # rejected before the config echo
     assert not out.exists()
+
+
+def test_sweep_rejects_snapshot_topology(capsys):
+    assert run_cli("sweep", "--topology", "snapshot", "--nodes", "5", "--k-from", "1",
+                   "--k-to", "2", "--workers", "1") == 1
+    captured = capsys.readouterr()
+    assert "sweep topology must be one of clique, ring, independent" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv, message", [

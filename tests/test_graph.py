@@ -119,6 +119,26 @@ def test_parse_snapshot_rejects_malformed():
         parse_snapshot(_doc(["A", "B"], [("A", "B", "12x")]))
 
 
+@pytest.mark.parametrize("capacity", [12.7, 12.0, True, False])
+def test_parse_snapshot_rejects_float_and_bool_capacity(capacity):
+    doc = {"nodes": [{"pub_key": "A"}, {"pub_key": "B"}],
+           "edges": [{"node1_pub": "A", "node2_pub": "B", "capacity": capacity}]}
+    with pytest.raises(ValueError, match="non-integer capacity") as err:
+        parse_snapshot(doc)
+    assert "\n" not in str(err.value)
+    for fine in (12, "12"):
+        doc["edges"][0]["capacity"] = fine
+        assert parse_snapshot(doc).channels == [("A", "B", 12)]
+
+
+@pytest.mark.parametrize("edges", [[(0, 1, 4.5)], [(0, 1, True)], [(0.0, 1, 4)],
+                                   np.array([[0, 1, 4.0]]), np.ones((1, 3), dtype=bool)])
+def test_graph_rejects_float_and_bool_edge_values(edges):
+    with pytest.raises(ValueError, match="edge values must be integers") as err:
+        ChannelGraph(2, edges)
+    assert "\n" not in str(err.value)
+
+
 def test_giant_component_identity_on_connected():
     g = make_ring(5, 4)
     gc = giant_component(g)

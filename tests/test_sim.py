@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import logging
+import multiprocessing
 import random
 import statistics
 
@@ -13,7 +15,8 @@ from pcnsim import (ChannelGraph, Rng, SimConfig, make_clique,
                     run_bdc_process, run_coupled_clique, run_independent_chains,
                     run_payment_process, run_seed)
 from pcnsim.paths import DagCache
-from pcnsim.sim import STEP_CAP, _clique_fast, _ring_fast, build_graph, capacity_sweep
+from pcnsim.sim import (STEP_CAP, TOPOLOGIES, _clique_fast, _ring_fast, build_graph,
+                        capacity_sweep)
 
 from helpers import oracle_payment_process, random_connected_edges
 
@@ -91,14 +94,44 @@ def test_independent_chains_validation():
         run_independent_chains(2, 1, 1.5, 10, Rng(1))
 
 
-def test_monte_carlo_deterministic_and_worker_invariant():
-    for topology in ("clique", "ring"):
-        cfg = SimConfig(topology=topology, nodes=8, balance=4, runs=12, base_seed=31)
-        a = monte_carlo(cfg)
-        b = monte_carlo(cfg)
-        c = monte_carlo(cfg, workers=2)
-        assert a == b == c
+def _snapshot_file(tmp_path, edges):
+    keys = [f"K{i}" for i in range(1 + max(max(u, v) for u, v, _ in edges))]
+    doc = {"nodes": [{"pub_key": k} for k in keys],
+           "edges": [{"node1_pub": keys[u], "node2_pub": keys[v], "capacity": str(c)}
+                     for u, v, c in edges]}
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_monte_carlo_deterministic_and_worker_invariant(tmp_path):
+    edges = random_connected_edges(random.Random(5), 8, extra_prob=0.3, caps=(4, 6, 8))
+    snapshot = _snapshot_file(tmp_path, edges)
+    campaigns = []
+    for topology in TOPOLOGIES:
+        size = ({"snapshot_path": snapshot} if topology == "snapshot"
+                else {"nodes": 8, "balance": 4})
+        campaigns.append((SimConfig(topology=topology, runs=12, base_seed=31, **size), None))
+    # a caller's graph in place of the ring kernel
+    campaigns.append((SimConfig(topology="ring", nodes=8, balance=4, runs=12, base_seed=31),
+                      ChannelGraph(8, edges)))
+    for cfg, graph in campaigns:
+        a = monte_carlo(cfg, graph)
+        b = monte_carlo(cfg, graph)
+        c = monte_carlo(cfg, graph, workers=2)
+        assert a == b == c, (cfg.topology, graph)
         assert [o.seed_used for o in a] == [run_seed(31, i) for i in range(12)]
+
+
+def test_monte_carlo_without_fork_warns_once_and_runs_sequentially(monkeypatch, caplog):
+    cfg = SimConfig(topology="ring", nodes=8, balance=4, runs=6, base_seed=5)
+    want = monte_carlo(cfg)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delitem(multiprocessing.context._concrete_contexts, "fork")
+    with caplog.at_level(logging.WARNING, logger="pcnsim.sim"):
+        got = monte_carlo(cfg, workers=2)
+    assert got == want
+    assert [r.getMessage() for r in caplog.records] == ["fork unavailable; running sequentially"]
 
 
 def test_monte_carlo_order_statistics():
@@ -156,6 +189,15 @@ def test_monte_carlo_rejects_disconnected_graph():
     cfg = SimConfig(topology="ring", nodes=4, balance=2, runs=1)
     with pytest.raises(ValueError, match="connected"):
         monte_carlo(cfg, graph=g)
+
+
+def test_payment_process_on_disconnected_graph_raises():
+    # thick channels: no run depletes before it draws a pair across the gap
+    g = ChannelGraph(4, [(0, 1, 1000), (2, 3, 1000)])
+    cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>")
+    for seed in range(5):
+        with pytest.raises(ValueError, match="unreachable"):
+            run_payment_process(g, cfg, Rng(seed))
 
 
 def test_build_graph_shapes(tmp_path):
@@ -359,6 +401,13 @@ def test_sim_config_rejects_too_few_nodes():
     # without p_select, independent chains take the n-ring's edge probability
     with pytest.raises(ValueError, match="independent needs n >= 3"):
         SimConfig(topology="independent", nodes=2, balance=2)
+
+
+def test_capacity_sweep_rejects_topologies_without_a_kernel():
+    # the swept balance means nothing to a snapshot, whose graph fixes capacities
+    cfg = SimConfig(topology="snapshot", snapshot_path="missing.json")
+    with pytest.raises(ValueError, match="graph-free topology"):
+        capacity_sweep(cfg, 1, 3, 1, runs_per_point=2)
 
 
 @pytest.mark.parametrize("horizon", [-1, 101])
