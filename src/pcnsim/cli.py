@@ -201,10 +201,15 @@ def base_meta(resolved: dict) -> dict:
     return meta
 
 
-def _load_cmd_graph(recipe: dict) -> ChannelGraph:
+def _graph_path(recipe: dict) -> str:
     path = recipe.get("graph") or recipe.get("snapshot")
     if not path:
         raise ConfigError("a graph is required: pass --graph or --snapshot")
+    return path
+
+
+def _load_cmd_graph(recipe: dict) -> ChannelGraph:
+    path = _graph_path(recipe)
     try:
         g = load_graph(path)
     except (OSError, ValueError) as exc:
@@ -241,11 +246,19 @@ def cmd_simulate(args) -> int:
         topology = "snapshot"
     if topology is None:
         raise ConfigError(f"topology is required; valid values: {', '.join(TOPOLOGIES)}")
-    if topology != "snapshot":
+    if topology == "snapshot":
+        # the graph file fixes the nodes and every capacity
+        given = [key for key in ("nodes", "balance", "capacity") if recipe.get(key) is not None]
+        if given:
+            raise ConfigError(f"a snapshot takes no {', '.join(given)} (its graph file "
+                              "sets them)")
+    else:
         given = [key for key in ("graph", "snapshot", "plan") if recipe.get(key)]
         if given:
             raise ConfigError(f"topology {topology} takes no {', '.join(given)} "
                               "(snapshot topology only)")
+        if recipe.get("amounts"):
+            raise ConfigError("a multi-amount campaign needs a snapshot or graph file")
     balance = _resolved_balance(recipe)
     stop = recipe.get("stop", "attempt" if topology == "snapshot" else "depletion")
     amounts = None
@@ -256,18 +269,14 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"bad amounts list: {recipe['amounts']!r}")
         if any(x < 1 for x in amounts):
             raise ConfigError("amounts must be >= 1")
-    common = _sim_fields(recipe, "amount", "max_steps", "seed", "runs")
-    graph = _load_cmd_graph(recipe) if topology == "snapshot" else None
     try:
-        if topology == "snapshot":
-            cfg = SimConfig(topology="snapshot", stop_mode=stop,
-                            snapshot_path=recipe.get("graph") or recipe.get("snapshot"),
-                            **common)
-        else:
-            cfg = SimConfig(topology=topology, balance=balance, stop_mode=stop,
-                            **_sim_fields(recipe, "nodes", "p_select"), **common)
+        cfg = SimConfig(topology=topology, balance=balance, stop_mode=stop,
+                        snapshot_path=_graph_path(recipe) if topology == "snapshot" else None,
+                        **_sim_fields(recipe, "nodes", "amount", "max_steps", "seed", "runs",
+                                      "p_select"))
     except ValueError as exc:
         raise ConfigError(str(exc))
+    graph = _load_cmd_graph(recipe) if topology == "snapshot" else None
     workers = recipe["workers"]
     # worker count never enters the echo/metadata: outputs are identical at any N
     resolved = dict(cfg.as_dict(), command="simulate")
@@ -278,8 +287,6 @@ def cmd_simulate(args) -> int:
     out = recipe.get("out")
 
     if amounts:
-        if graph is None:
-            raise ConfigError("a multi-amount campaign needs a snapshot or graph file")
         campaigns = multi_amount_experiment(graph, amounts, cfg.runs, cfg.base_seed,
                                             stop_mode=cfg.stop_mode,
                                             max_steps=cfg.max_steps, workers=workers)

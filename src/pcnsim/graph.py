@@ -64,7 +64,8 @@ class ChannelGraph:
     across simulation workers.
     """
 
-    __slots__ = ("node_count", "edge_u", "edge_v", "capacity", "node_keys", "_csr")
+    __slots__ = ("node_count", "edge_u", "edge_v", "capacity", "node_keys", "_csr",
+                 "_connected")
 
     def __init__(self, node_count: int, edges, node_keys: list[str] | None = None):
         # a node pair keys as u * n + v below, which must stay inside int64
@@ -102,6 +103,7 @@ class ChannelGraph:
             column.flags.writeable = False
         self.node_keys = node_keys
         self._csr: Csr | None = None
+        self._connected: bool | None = None
 
     @property
     def edge_count(self) -> int:
@@ -140,12 +142,15 @@ class ChannelGraph:
         return self._csr
 
     def is_connected(self) -> bool:
-        dist = np.full(self.node_count, -1, dtype=np.intp)
-        frontier = np.zeros(1, dtype=np.intp)
-        while frontier.size:
-            dist[frontier] = 0
-            *_, frontier = self.csr.bfs_step(frontier, dist)
-        return bool((dist == 0).all())
+        """Whether every node reaches node 0; found by one BFS on first call."""
+        if self._connected is None:
+            dist = np.full(self.node_count, -1, dtype=np.intp)
+            frontier = np.zeros(1, dtype=np.intp)
+            while frontier.size:
+                dist[frontier] = 0
+                *_, frontier = self.csr.bfs_step(frontier, dist)
+            self._connected = bool((dist == 0).all())
+        return self._connected
 
     def with_capacities(self, capacities) -> "ChannelGraph":
         """Same topology, new per-edge capacities (used to apply plans)."""

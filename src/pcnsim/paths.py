@@ -15,8 +15,8 @@ from .rng import Rng
 
 INF = math.inf
 
-# sigma counts are int64 unless a BFS level could push one to 2**62 or past
-# it; that source is then counted again in Python ints
+# sigma counts are int64 until a BFS level could push one to 2**62 or past
+# it; from that level on they are Python ints
 _SIGMA_LIMIT = 1 << 62
 
 
@@ -51,36 +51,85 @@ class _NodeView(Sequence):
 class ShortestPathDag:
     """Single-source BFS result on hop distances, kept as flat per-node arrays.
 
+    The BFS runs level by level only as deep as asked: ``extend(t)`` expands
+    levels until t has its distance, and a later call resumes where the last
+    one stopped.  Every node found so far has its final distance, path count
+    and BFS rank, since all its predecessors lie one level up.
+
     ``sigma[w]`` counts all distinct shortest source→w paths exactly;
     ``preds[w]`` lists exactly the neighbors of w at distance ``dist[w] - 1``,
     in BFS queue order.  Unreachable nodes carry ``dist = inf`` and
-    ``sigma = 0``.  All three are read-only list views that yield Python
-    numbers; ``preds[w]`` is read off the graph's CSR rows when asked for.
+    ``sigma = 0``.  All three are read-only list views of the complete DAG
+    that yield Python numbers; ``preds[w]`` is read off the graph's CSR rows
+    when asked for.
     """
 
-    __slots__ = ("source", "_csr", "_dist", "_sigma", "_rank", "_steps")
+    __slots__ = ("source", "_csr", "_dist", "_sigma", "_rank", "_steps",
+                 "_frontier", "_depth", "_ranked")
 
-    def __init__(self, source: int, csr: Csr, dist: np.ndarray, sigma: np.ndarray,
-                 rank: np.ndarray):
+    def __init__(self, source: int, csr: Csr):
+        n = len(csr.degree)
         self.source = source
         self._csr = csr
-        self._dist = dist     # hops from source; -1 when unreachable
-        self._sigma = sigma   # int64, or object (Python ints) for huge counts
-        self._rank = rank     # position in BFS queue order
+        self._dist = np.full(n, -1, dtype=np.intp)  # hops from source; -1: not found
+        self._sigma = np.zeros(n, dtype=np.int64)   # object (Python ints) for huge counts
+        self._rank = np.empty(n, dtype=np.intp)     # position in BFS queue order
+        self._dist[source] = 0
+        self._sigma[source] = 1
+        self._rank[source] = 0
         self._steps: dict[int, tuple[list[int], list[int], list[int]]] = {}
+        self._frontier = np.array([source], dtype=np.intp)  # the nodes at _depth
+        self._depth = 0
+        self._ranked = 1  # nodes found so far, so the next rank to hand out
+
+    def extend(self, target: int | None = None, levels: list | None = None) -> None:
+        """Expand BFS levels until ``target`` has a distance, or, without a
+        target, until every reachable node has one.
+
+        ``levels``, when given, gets each new level's shortest-path arcs as
+        ``(heads, tails, arc positions)``.  A target that was found already,
+        or a BFS that has run out of nodes, expands nothing.
+        """
+        csr, dist, sigma = self._csr, self._dist, self._sigma
+        frontier, depth = self._frontier, self._depth
+        found = []
+        while frontier.size and (target is None or dist[target] < 0):
+            heads, tails, arcs, frontier = csr.bfs_step(frontier, dist)
+            if not heads.size:
+                break
+            flow = sigma[tails]
+            if (sigma.dtype != object
+                    and int(np.maximum.reduce(flow)) * flow.size >= _SIGMA_LIMIT):
+                # every count so far is below 2**62, so Python ints hold them exactly
+                sigma = self._sigma = sigma.astype(object)
+                flow = sigma[tails]
+            np.add.at(sigma, heads, flow)
+            depth += 1
+            dist[frontier] = depth
+            found.append(frontier)
+            if levels is not None:
+                levels.append((heads, tails, arcs))
+        self._frontier, self._depth = frontier, depth
+        if found:
+            found = np.concatenate(found) if len(found) > 1 else found[0]
+            self._rank[found] = np.arange(self._ranked, self._ranked + found.size)
+            self._ranked += found.size
 
     @property
     def dist(self) -> _NodeView:
+        self.extend()
         dist = self._dist
         return _NodeView(len(dist), lambda w: INF if dist[w] < 0 else int(dist[w]))
 
     @property
     def sigma(self) -> _NodeView:
+        self.extend()
         sigma = self._sigma
         return _NodeView(len(sigma), lambda w: int(sigma[w]))
 
     @property
     def preds(self) -> _NodeView:
+        self.extend()
         return _NodeView(len(self._dist), lambda w: list(self.step(w)[0]))
 
     def step(self, w: int) -> tuple[list[int], list[int], list[int]]:
@@ -92,6 +141,8 @@ class ShortestPathDag:
         got = self._steps.get(w)
         if got is None:
             csr = self._csr
+            if self._dist[w] < 0:
+                self.extend(w)
             d = self._dist[w]
             if w == self.source or d < 0:
                 preds = edges = self._rank[:0]
@@ -109,53 +160,31 @@ class ShortestPathDag:
         return got
 
 
-def sssp_dag(g: ChannelGraph, source: int) -> ShortestPathDag:
-    if not (0 <= source < g.node_count):
-        raise ValueError(f"source {source} outside [0,{g.node_count})")
-    dist, sigma, rank, _ = _level_bfs(g.csr, g.node_count, source)
-    return ShortestPathDag(source, g.csr, dist, sigma, rank)
+def sssp_dag(g: ChannelGraph, source: int, target: int | None = None) -> ShortestPathDag:
+    """The BFS DAG from source: complete, or only as deep as target's level
+    when a target is given (it grows on demand; see ShortestPathDag)."""
+    n = g.node_count
+    if not (0 <= source < n):
+        raise ValueError(f"source {source} outside [0,{n})")
+    if target is not None and not (0 <= target < n):
+        raise ValueError(f"target {target} outside [0,{n})")
+    dag = ShortestPathDag(source, g.csr)
+    dag.extend(target)
+    return dag
 
 
-def _level_bfs(csr: Csr, n: int, source: int):
-    """Level-synchronous BFS from source: ``(dist, sigma, rank, levels)``.
+def _level_bfs(csr: Csr, source: int):
+    """Complete level-synchronous BFS from source: ``(dist, sigma, rank, levels)``.
 
     ``dist`` is -1 where unreachable, ``rank`` is each node's position in a
     deque BFS's queue, and ``levels[d - 1]`` holds the shortest-path arcs into
     the nodes at distance d as ``(heads, tails, arc positions)``.  sigma is
     int64, or Python ints (object) when an int64 count could reach 2**62.
     """
-    return (_count_levels(csr, n, source, np.int64)
-            or _count_levels(csr, n, source, object))
-
-
-def _count_levels(csr: Csr, n: int, source: int, sigma_type):
-    """``_level_bfs`` with the given sigma dtype; None when an int64 sigma
-    could reach 2**62."""
-    dist = np.full(n, -1, dtype=np.intp)
-    sigma = np.zeros(n, dtype=sigma_type)
-    dist[source] = 0
-    sigma[source] = 1
-    frontier = np.array([source], dtype=np.intp)
-    order = [frontier]
+    dag = ShortestPathDag(source, csr)
     levels = []
-    d = 0
-    while True:
-        heads, tails, arcs, frontier = csr.bfs_step(frontier, dist)
-        if not heads.size:
-            break
-        flow = sigma[tails]
-        if (sigma_type is not object
-                and int(np.maximum.reduce(flow)) * flow.size >= _SIGMA_LIMIT):
-            return None
-        np.add.at(sigma, heads, flow)
-        d += 1
-        dist[frontier] = d
-        order.append(frontier)
-        levels.append((heads, tails, arcs))
-    order = np.concatenate(order)
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(order.size)
-    return dist, sigma, rank, levels
+    dag.extend(levels=levels)
+    return dag._dist, dag._sigma, dag._rank, levels
 
 
 def sample_shortest_path(dag: ShortestPathDag, target: int, rng: Rng) -> list[int]:
@@ -168,8 +197,12 @@ def sample_shortest_path(dag: ShortestPathDag, target: int, rng: Rng) -> list[in
     """
     if target == dag.source:
         raise ValueError("target equals source")
-    if not 0 <= target < len(dag._dist) or dag._dist[target] < 0:
-        raise ValueError(f"target {target} unreachable from source {dag.source}")
+    if not 0 <= target < len(dag._dist):
+        raise ValueError(f"target {target} outside [0,{len(dag._dist)})")
+    if dag._dist[target] < 0:
+        dag.extend(target)
+        if dag._dist[target] < 0:
+            raise ValueError(f"target {target} unreachable from source {dag.source}")
     steps = dag._steps
     path = [target]
     node = target
@@ -219,7 +252,7 @@ def edge_betweenness(g: ChannelGraph) -> BetweennessMap:
     csr = g.csr
     acc = np.zeros(g.edge_count)
     for s in range(n):
-        _, sigma, rank, levels = _level_bfs(csr, n, s)
+        _, sigma, rank, levels = _level_bfs(csr, s)
         if not levels:
             continue
         heads, tails, arcs = (np.concatenate(part) for part in zip(*levels))
@@ -254,8 +287,10 @@ def edge_selection_probability(g: ChannelGraph, bmap: BetweennessMap, eid: int) 
 class DagCache:
     """Bounded LRU cache of per-source BFS DAGs.
 
-    Topology never changes during a campaign, so cached DAGs stay valid; the
-    cache only trades memory for speed and cannot alter sampling distribution.
+    Topology never changes during a campaign, so cached DAGs stay valid, and
+    a DAG built only part of the way holds final values for every node it has
+    reached; the cache only trades memory for speed and cannot alter sampling
+    distribution.
     Not thread-safe: one instance per worker.
     """
 
@@ -271,12 +306,15 @@ class DagCache:
         self.gets = 0
         self.misses = 0
 
-    def get(self, source: int) -> ShortestPathDag:
+    def get(self, source: int, target: int | None = None) -> ShortestPathDag:
+        """source's DAG; a new one is built only as deep as target's level
+        (complete without a target), and sampling extends it when a later
+        target lies deeper."""
         self.gets += 1
         dag = self._dags.get(source)
         if dag is None:
             self.misses += 1
-            dag = sssp_dag(self._g, source)
+            dag = sssp_dag(self._g, source, target)
             if len(self._dags) >= self._max:
                 self._dags.popitem(last=False)
             self._dags[source] = dag

@@ -69,8 +69,12 @@ class SimConfig:
                 least = 3  # the default p_select is the n-ring's edge probability
             if self.nodes < least:
                 raise ValueError(f"{self.topology} needs n >= {least}, got {self.nodes}")
-        if self.p_select is not None and not (0.0 < self.p_select <= 1.0):
-            raise ValueError("p_select must be in (0, 1]")
+        if self.p_select is not None:
+            if self.topology != "independent":
+                raise ValueError(f"p_select applies to the independent topology only, "
+                                 f"not {self.topology}")
+            if not 0.0 < self.p_select <= 1.0:
+                raise ValueError("p_select must be in (0, 1]")
 
     def config_id(self) -> str:
         parts = [self.topology]
@@ -213,7 +217,7 @@ def run_payment_process(g: ChannelGraph, cfg: SimConfig, rng: Rng,
                          f"{1 - cache.misses / cache.gets:.3f}")
     while t < max_steps:
         s, dst = rng.pair(n)
-        dag = cache.get(s)
+        dag = cache.get(s, dst)
         path = sample_shortest_path(dag, dst, rng)  # ValueError if dst is unreachable
         # sampling remembered each path node's step, so step(b) is a lookup;
         # paying from the smaller-id end can only take its balance below lo,
@@ -476,26 +480,67 @@ def _run_single(graph: Optional[ChannelGraph], cfg: SimConfig, run_index: int,
     return _TOPOLOGY[cfg.topology].kernel(cfg, rng)
 
 
-def _counted_run(graph: Optional[ChannelGraph], cfg: SimConfig, cache: DagCache | None,
-                 run_index: int) -> tuple[RunOutcome, int, int]:
-    """One run plus the DAG builds and cache gets it took."""
-    if cache is None:
-        return _run_single(graph, cfg, run_index), 0, 0
-    builds, gets = cache.misses, cache.gets
-    outcome = _run_single(graph, cfg, run_index, cache)
-    return outcome, cache.misses - builds, cache.gets - gets
+def _counted_runs(graph: Optional[ChannelGraph], cfgs: list[SimConfig],
+                  cache: DagCache | None, run_index: int) -> list[tuple[RunOutcome, int, int]]:
+    """Run run_index of every config in turn on one DAG cache, each with the
+    DAG builds and cache gets it took."""
+    done = []
+    for cfg in cfgs:
+        if cache is None:
+            done.append((_run_single(graph, cfg, run_index), 0, 0))
+            continue
+        builds, gets = cache.misses, cache.gets
+        outcome = _run_single(graph, cfg, run_index, cache)
+        done.append((outcome, cache.misses - builds, cache.gets - gets))
+    return done
 
 
 _worker_args: tuple = ()  # set in pool workers only, never in the calling process
 
 
-def _worker_init(graph, cfg):
+def _worker_init(graph, cfgs):
     global _worker_args
-    _worker_args = (graph, cfg, DagCache(graph) if graph is not None else None)
+    _worker_args = (graph, cfgs, DagCache(graph) if graph is not None else None)
 
 
-def _worker_run(run_index: int) -> tuple[RunOutcome, int, int]:
-    return _counted_run(*_worker_args, run_index)
+def _worker_run(run_index: int) -> list[tuple[RunOutcome, int, int]]:
+    return _counted_runs(*_worker_args, run_index)
+
+
+def _campaign(graph: Optional[ChannelGraph], cfgs: list[SimConfig],
+              workers: int) -> list[list[RunOutcome]]:
+    """Each config's outcomes in run order; the configs share runs and base_seed.
+
+    Run-major: each run index goes through all configs before the next one
+    starts, on one DAG cache (one per pool worker).  Configs that replay the
+    same seeds then draw the same sources while their DAGs are still cached.
+    """
+    if graph is not None and not graph.is_connected():
+        raise ValueError("graph must be connected (take the giant component first)")
+    runs = cfgs[0].runs
+    pooled = workers > 1 and runs > 1
+    if pooled and "fork" not in multiprocessing.get_all_start_methods():
+        logger.warning("fork unavailable; running sequentially")
+        pooled = False
+    if pooled:
+        chunksize = max(1, runs // (workers * 4))
+        with multiprocessing.get_context("fork").Pool(
+                workers, initializer=_worker_init, initargs=(graph, cfgs)) as pool:
+            done = pool.map(_worker_run, range(runs), chunksize)
+    else:
+        cache = DagCache(graph) if graph is not None else None
+        done = [_counted_runs(graph, cfgs, cache, i) for i in range(runs)]
+    campaigns = []
+    for cfg, counted in zip(cfgs, zip(*done)):
+        outcomes = [outcome for outcome, _builds, _gets in counted]
+        if graph is not None:
+            builds, gets = sum(c[1] for c in counted), sum(c[2] for c in counted)
+            logger.info("%s: %d runs, %d rounds, %d DAG builds, %d DAG cache gets, "
+                        "hit ratio %.3f", cfg.config_id(), len(outcomes),
+                        sum(o.tau for o in outcomes), builds, gets,
+                        1 - builds / gets if gets else 0.0)
+        campaigns.append(outcomes)
+    return campaigns
 
 
 def monte_carlo(cfg: SimConfig, graph: Optional[ChannelGraph] = None,
@@ -513,28 +558,7 @@ def monte_carlo(cfg: SimConfig, graph: Optional[ChannelGraph] = None,
             graph = build_graph(cfg)
     elif not spec.takes_graph:
         raise ValueError(f"{cfg.topology} topology takes no graph")
-    if graph is not None and not graph.is_connected():
-        raise ValueError("graph must be connected (take the giant component first)")
-    pooled = workers > 1 and cfg.runs > 1
-    if pooled and "fork" not in multiprocessing.get_all_start_methods():
-        logger.warning("fork unavailable; running sequentially")
-        pooled = False
-    if pooled:
-        chunksize = max(1, cfg.runs // (workers * 4))
-        with multiprocessing.get_context("fork").Pool(
-                workers, initializer=_worker_init, initargs=(graph, cfg)) as pool:
-            done = pool.map(_worker_run, range(cfg.runs), chunksize)
-    else:
-        cache = DagCache(graph) if graph is not None else None
-        done = [_counted_run(graph, cfg, cache, i) for i in range(cfg.runs)]
-    outcomes = [outcome for outcome, _builds, _gets in done]
-    if graph is not None:
-        builds, gets = sum(d[1] for d in done), sum(d[2] for d in done)
-        logger.info("%s: %d runs, %d rounds, %d DAG builds, %d DAG cache gets, "
-                    "hit ratio %.3f", cfg.config_id(), len(outcomes),
-                    sum(o.tau for o in outcomes), builds, gets,
-                    1 - builds / gets if gets else 0.0)
-    return outcomes
+    return _campaign(graph, [cfg], workers)[0]
 
 
 @dataclass(frozen=True)
@@ -585,17 +609,17 @@ def multi_amount_experiment(graph: ChannelGraph, amounts: list[int], runs: int,
                             base_seed: int, stop_mode: str = "attempt",
                             max_steps: int = 10 ** 12,
                             workers: int = 1) -> list[tuple[int, list[RunOutcome]]]:
-    """One monte_carlo campaign per amount on the same graph.
+    """One campaign per amount on the same graph, outcomes by amount.
 
     Per-run seeds are shared across amounts, so a larger amount replays the
-    same draw sequence and can only stop earlier.
+    same draw sequence and can only stop earlier.  Each run goes through all
+    amounts before the next run starts, so the amounts after the first find
+    the run's DAGs in the cache; the outcomes equal one monte_carlo call per
+    amount.
     """
     if not amounts:
         raise ValueError("amounts must be nonempty")
-    results = []
-    for x in amounts:
-        cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=x,
-                        stop_mode=stop_mode, max_steps=max_steps,
-                        base_seed=base_seed, runs=runs)
-        results.append((x, monte_carlo(cfg, graph=graph, workers=workers)))
-    return results
+    cfgs = [SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=x,
+                      stop_mode=stop_mode, max_steps=max_steps, base_seed=base_seed,
+                      runs=runs) for x in amounts]
+    return list(zip(amounts, _campaign(graph, cfgs, workers)))

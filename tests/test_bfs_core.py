@@ -14,6 +14,7 @@ import random
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,6 +43,57 @@ def test_dag_and_samples_match_oracle(n, extra, seed):
                 draw = seed * 1000 + s * n + t
                 assert (sample_shortest_path(got, t, Rng(draw))
                         == oracle_sample_path(want, t, Rng(draw)))
+
+
+def _same_rank(dag, full):
+    """Equal BFS queue positions wherever the complete DAG reaches."""
+    reached = full._dist >= 0
+    return np.array_equal(dag._rank[reached], full._rank[reached])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(n=st.integers(2, 14), extra=st.floats(0.0, 0.6), seed=st.integers(0, 2 ** 16))
+def test_dag_to_target_depth_matches_full_dag(n, extra, seed):
+    g = ChannelGraph(n, random_connected_edges(random.Random(seed), n, extra_prob=extra))
+    for s in range(n):
+        full, want = sssp_dag(g, s), oracle_sssp_dag(g, s)
+        for t in range(n):
+            dag = sssp_dag(g, s, t)
+            # expanded down to t's level and no further
+            assert dag._depth == want.dist[t]
+            reached = dag._dist >= 0
+            assert np.array_equal(reached, (full._dist >= 0) & (full._dist <= dag._depth))
+            assert np.array_equal(dag._dist[reached], full._dist[reached])
+            for w in reached.nonzero()[0].tolist():
+                assert dag.step(w) == full.step(w), (s, t, w)
+            assert dag._depth == want.dist[t]  # steps of reached nodes expand nothing
+            if t != s:
+                draw = seed * 1000 + s * n + t
+                assert (sample_shortest_path(dag, t, Rng(draw))
+                        == sample_shortest_path(full, t, Rng(draw)))
+            # the views complete the DAG, and it completes to the oracle's
+            assert dag.dist == want.dist and dag.sigma == want.sigma
+            assert [dag.preds[w] for w in range(n)] == want.preds
+            assert _same_rank(dag, full)
+
+
+def test_cached_partial_dag_resumes_for_a_deeper_target():
+    g = _golden_graph()
+    full = sssp_dag(g, 0)
+    near = next(w for w in range(g.node_count) if full.dist[w] == 2)
+    far = max(range(g.node_count), key=lambda w: full.dist[w])
+    cache = DagCache(g)
+    dag = cache.get(0, near)
+    assert dag._depth == 2 and dag._dist[far] < 0
+    assert (sample_shortest_path(dag, near, Rng(1))
+            == sample_shortest_path(full, near, Rng(1)))
+    assert cache.get(0, far) is dag and (cache.gets, cache.misses) == (2, 1)
+    for seed in range(5):
+        assert (sample_shortest_path(dag, far, Rng(seed))
+                == sample_shortest_path(full, far, Rng(seed)))
+    assert dag._depth == full.dist[far]
+    # ranks carry on from the first build across the resume
+    assert dag.dist == full.dist and dag.sigma == full.sigma and _same_rank(dag, full)
 
 
 def test_unreachable_nodes_match_oracle():
@@ -89,6 +141,27 @@ def test_sigma_past_int64_is_exact():
     for seed in range(20):
         assert (sample_shortest_path(dag, 3 * k, Rng(seed))
                 == oracle_sample_path(want, 3 * k, Rng(seed)))
+
+
+def test_sigma_turns_to_python_ints_mid_bfs():
+    # junction 3i has sigma 2**i; the level into junction 62 is the first
+    # whose counts could reach 2**62
+    k = 70
+    g = _diamond_chain(k)
+    want = oracle_sssp_dag(g, 0)
+    dag = sssp_dag(g, 0, 3 * 61)
+    assert dag._sigma.dtype == np.int64 and dag._depth == 2 * 61
+    early = [dag.step(w) for w in range(3 * 61 + 1)]
+    assert sample_shortest_path(dag, 3 * 61, Rng(3)) == oracle_sample_path(want, 3 * 61, Rng(3))
+    dag.extend(3 * 62)
+    assert dag._sigma.dtype == object and dag._depth == 2 * 62
+    assert int(dag._sigma[3 * 62]) == 2 ** 62
+    assert [dag.step(w) for w in range(3 * 61 + 1)] == early
+    for seed in range(10):
+        assert (sample_shortest_path(dag, 3 * k, Rng(seed))
+                == oracle_sample_path(want, 3 * k, Rng(seed)))
+    assert dag.sigma == want.sigma and dag.dist == want.dist
+    assert _same_rank(dag, sssp_dag(g, 0))
 
 
 def test_sigma_past_int64_samples_uniformly():

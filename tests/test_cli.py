@@ -385,6 +385,35 @@ def test_bad_amounts_are_config_errors(tmp_path, capsys):
     assert "amount" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--topology", "ring", "--nodes", "6", "--balance", "2"],
+    ["simulate", "--topology", "clique", "--nodes", "6", "--balance", "2"],
+    ["sweep", "--topology", "ring", "--nodes", "6", "--k-from", "1", "--k-to", "2"],
+])
+def test_p_select_outside_independent_chains_is_config_error(argv, capsys):
+    assert run_cli(*argv, "--p-select", "0.3", "--workers", "1") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "p_select applies to the independent topology only" in err
+
+
+@pytest.mark.parametrize("extra", [["--balance", "3"], ["--capacity", "6"], ["--nodes", "5"],
+                                   ["--p-select", "0.5"]])
+def test_snapshot_rejects_synthetic_topology_options(tmp_path, capsys, extra):
+    g = tmp_path / "ring.edges"
+    write_edgelist(make_ring(5, 8), g)
+    assert run_cli("simulate", "--graph", str(g), *extra, "--workers", "1") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and extra[0][2:].replace("-", "_") in err
+
+
+def test_amounts_without_a_graph_fail_before_the_echo(capsys):
+    code = run_cli("simulate", "--topology", "ring", "--nodes", "6", "--balance", "2",
+                   "--amounts", "1,2", "--workers", "1")
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "multi-amount campaign needs a snapshot or graph file" in err
+
+
 def test_simulate_all_censored_prints_censored_summary(tmp_path, capsys):
     out = tmp_path / "runs.csv"
     code = run_cli("simulate", "--topology", "ring", "--nodes", "8", "--balance", "50",

@@ -257,3 +257,16 @@ def test_node_count_bounds():
         ChannelGraph(1, [])
     with pytest.raises(ValueError, match="nodes, got 3037000500"):
         ChannelGraph(3_037_000_500, [(0, 1, 2)])
+
+
+def test_is_connected_is_found_once(monkeypatch):
+    g = ChannelGraph(4, [(0, 1, 2), (1, 2, 2), (2, 3, 2)])
+    split = ChannelGraph(4, [(0, 1, 2), (2, 3, 2)])
+    assert g._connected is None  # nothing is computed before the first call
+    assert g.is_connected() and not split.is_connected()
+
+    def no_bfs(*_args):
+        raise AssertionError("is_connected ran a second BFS")
+
+    monkeypatch.setattr(type(g.csr), "bfs_step", no_bfs)
+    assert g.is_connected() and not split.is_connected()

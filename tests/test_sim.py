@@ -271,6 +271,29 @@ def test_multi_amount_larger_amount_stops_no_later():
         assert by_amount[1][i] >= by_amount[4][i] >= by_amount[10][i]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("mode", ["attempt", "depletion"])
+def test_multi_amount_equals_per_amount_monte_carlo(workers, mode, caplog):
+    g = ChannelGraph(40, random_connected_edges(random.Random(72), 40, extra_prob=0.08,
+                                                caps=(24, 40, 60)))
+    amounts = [1, 3, 7]
+    with caplog.at_level(logging.INFO, logger="pcnsim.sim"):
+        campaigns = multi_amount_experiment(g, amounts, runs=8, base_seed=56,
+                                            stop_mode=mode, workers=workers)
+    lines = [r.getMessage() for r in caplog.records if "DAG builds" in r.getMessage()]
+    for x, outs in campaigns:
+        cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=x,
+                        stop_mode=mode, runs=8, base_seed=56)
+        assert outs == monte_carlo(cfg, graph=g, workers=1)
+    taus = [[o.tau for o in outs] for _x, outs in campaigns]
+    assert taus[0] != taus[1] != taus[2]  # the amounts stop at different rounds
+    # a larger amount replays a prefix of each run's draws, whose DAGs the
+    # first amount left in the run's cache
+    assert [line.split(":")[0] for line in lines] == [f"snapshot-x{x}-{mode}" for x in amounts]
+    assert " 0 DAG builds" not in lines[0]
+    assert all(" 0 DAG builds" in line for line in lines[1:])
+
+
 def test_multi_amount_requires_amounts():
     with pytest.raises(ValueError):
         multi_amount_experiment(make_clique(3, 4), [], runs=1, base_seed=0)
