@@ -269,6 +269,11 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"bad amounts list: {recipe['amounts']!r}")
         if any(x < 1 for x in amounts):
             raise ConfigError("amounts must be >= 1")
+        if len(set(amounts)) < len(amounts):
+            # each amount writes its own -x<amount> file
+            raise ConfigError(f"amounts must be distinct, got {recipe['amounts']}")
+        if recipe.get("amount") is not None:
+            raise ConfigError("pass either amount or amounts, not both")
     try:
         cfg = SimConfig(topology=topology, balance=balance, stop_mode=stop,
                         snapshot_path=_graph_path(recipe) if topology == "snapshot" else None,
@@ -281,6 +286,8 @@ def cmd_simulate(args) -> int:
     # worker count never enters the echo/metadata: outputs are identical at any N
     resolved = dict(cfg.as_dict(), command="simulate")
     if amounts:
+        # no run uses cfg.amount; each per-amount file names its own amount
+        del resolved["amount"]
         resolved["amounts"] = ",".join(str(x) for x in amounts)
     echo_config(resolved)
     meta = base_meta(resolved)

@@ -65,7 +65,7 @@ class ChannelGraph:
     """
 
     __slots__ = ("node_count", "edge_u", "edge_v", "capacity", "node_keys", "_csr",
-                 "_connected")
+                 "_csr_lists", "_connected")
 
     def __init__(self, node_count: int, edges, node_keys: list[str] | None = None):
         # a node pair keys as u * n + v below, which must stay inside int64
@@ -103,6 +103,7 @@ class ChannelGraph:
             column.flags.writeable = False
         self.node_keys = node_keys
         self._csr: Csr | None = None
+        self._csr_lists: tuple[list[int], list[int]] | None = None
         self._connected: bool | None = None
 
     @property
@@ -140,6 +141,15 @@ class ChannelGraph:
             np.cumsum(degree, out=indptr[1:])
             self._csr = Csr(indptr, heads[order], degree, order // 2)
         return self._csr
+
+    @property
+    def csr_lists(self) -> tuple[list[int], list[int]]:
+        """``csr.indptr`` and ``csr.indices`` as Python lists, built on first
+        use: a search that visits a few hundred nodes runs faster over them
+        than through numpy calls.  They take about 4 MB for 45k edges."""
+        if self._csr_lists is None:
+            self._csr_lists = (self.csr.indptr.tolist(), self.csr.indices.tolist())
+        return self._csr_lists
 
     def is_connected(self) -> bool:
         """Whether every node reaches node 0; found by one BFS on first call."""

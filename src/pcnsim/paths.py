@@ -132,6 +132,16 @@ class ShortestPathDag:
         self.extend()
         return _NodeView(len(self._dist), lambda w: list(self.step(w)[0]))
 
+    def _reach(self, target: int) -> None:
+        """Extend the DAG to target; ValueError if source cannot reach it."""
+        n = len(self._dist)
+        if not 0 <= target < n:
+            raise ValueError(f"target {target} outside [0,{n})")
+        if self._dist[target] < 0:
+            self.extend(target)
+            if self._dist[target] < 0:
+                raise ValueError(f"target {target} unreachable from source {self.source}")
+
     def step(self, w: int) -> tuple[list[int], list[int], list[int]]:
         """w's predecessors in BFS queue order, running sums of their sigma,
         and the edge that joins each of them to w.
@@ -173,6 +183,119 @@ def sssp_dag(g: ChannelGraph, source: int, target: int | None = None) -> Shortes
     return dag
 
 
+class StDag:
+    """The part of source's shortest-path DAG that holds every shortest
+    source→target path, built by ``st_dag``.
+
+    A predecessor of a node on a shortest source→target path lies on one
+    too, so for each such node w ``step(w)`` equals
+    ``sssp_dag(g, source).step(w)``: the same predecessors in the same BFS
+    queue order, the same path counts and edges.  Only those nodes are kept.
+    """
+
+    __slots__ = ("source", "target", "_steps")
+
+    def __init__(self, source: int, target: int,
+                 steps: dict[int, tuple[list[int], list[int], list[int]]]):
+        self.source = source
+        self.target = target
+        self._steps = steps
+
+    def _reach(self, target: int) -> None:
+        if target != self.target:
+            raise ValueError(f"this DAG holds the paths to {self.target}, not to {target}")
+
+    def step(self, w: int) -> tuple[list[int], list[int], list[int]]:
+        """As ShortestPathDag.step, for a node on a shortest source→target path."""
+        try:
+            return self._steps[w]
+        except KeyError:
+            raise ValueError(f"node {w} lies on no shortest path from {self.source} "
+                             f"to {self.target}") from None
+
+
+def st_dag(g: ChannelGraph, source: int, target: int) -> StDag:
+    """Every shortest source→target path, found by a balanced bidirectional BFS.
+
+    Each step expands, by one whole level, the side whose frontier has the
+    smaller degree sum, until a level reaches a node the other side has
+    found.  The balls around source and target, of radii a and b, then meet
+    for the first time, so d(s, t) = a + b, and the nodes at distance a from
+    s on a shortest path are exactly those the two balls share.  The DAG's
+    nodes, those with d(s, v) + d(v, t) = d(s, t), are found from that layer
+    back to s over the forward distances and on to t over the backward ones.
+
+    Path counts and predecessor order are then rebuilt level by level from
+    s.  Scanning a level's nodes in BFS queue order, each along its CSR row,
+    meets every node of the next level first through its lowest-ranked
+    predecessor, at the position ``Csr.bfs_step`` orders it by, so the
+    levels keep the full BFS's queue order.
+    """
+    n = g.node_count
+    for v, name in ((source, "source"), (target, "target")):
+        if not 0 <= v < n:
+            raise ValueError(f"{name} {v} outside [0,{n})")
+    if source == target:
+        raise ValueError("target equals source")
+    ptr, nbr = g.csr_lists
+    seen = ({source: 0}, {target: 0})  # hops from source, hops to target
+    fronts = [[source], [target]]
+    work = [ptr[source + 1] - ptr[source], ptr[target + 1] - ptr[target]]
+    radius = [0, 0]
+    while True:
+        side = 0 if work[0] <= work[1] else 1
+        mine, other = seen[side], seen[1 - side]
+        depth = radius[side] + 1
+        level, degrees, met = [], 0, False
+        for v in fronts[side]:
+            for w in nbr[ptr[v]:ptr[v + 1]]:
+                if w not in mine:
+                    mine[w] = depth
+                    level.append(w)
+                    degrees += ptr[w + 1] - ptr[w]
+                    if w in other:
+                        met = True
+        if not level:
+            raise ValueError(f"target {target} unreachable from source {source}")
+        fronts[side], work[side], radius[side] = level, degrees, depth
+        if met:
+            break
+    hops_s, hops_t = seen
+    a, d = radius[0], radius[0] + radius[1]
+    layers: list = [None] * (d + 1)  # the DAG's nodes by distance from source
+    # the balls share only nodes of the level just expanded, all at distance a
+    layers[a] = {w for w in fronts[side] if w in other}
+    for depth in range(a, 0, -1):
+        layers[depth - 1] = {u for v in layers[depth] for u in nbr[ptr[v]:ptr[v + 1]]
+                             if hops_s.get(u) == depth - 1}
+    for depth in range(a, d):
+        layers[depth + 1] = {u for v in layers[depth] for u in nbr[ptr[v]:ptr[v + 1]]
+                             if hops_t.get(u) == d - depth - 1}
+    edge_of = g.csr.arc_edge.item
+    steps: dict[int, tuple[list[int], list[int], list[int]]] = {source: ([], [], [])}
+    sigma = {source: 1}
+    order = [source]
+    for depth in range(1, d + 1):
+        layer, found = layers[depth], []
+        for p in order:
+            count = sigma[p]
+            for arc in range(ptr[p], ptr[p + 1]):
+                w = nbr[arc]
+                if w in layer:
+                    got = steps.get(w)
+                    if got is None:
+                        steps[w] = ([p], [count], [edge_of(arc)])
+                        found.append(w)
+                    else:
+                        got[0].append(p)
+                        got[1].append(got[1][-1] + count)
+                        got[2].append(edge_of(arc))
+        for w in found:
+            sigma[w] = steps[w][1][-1]
+        order = found
+    return StDag(source, target, steps)
+
+
 def _level_bfs(csr: Csr, source: int):
     """Complete level-synchronous BFS from source: ``(dist, sigma, rank, levels)``.
 
@@ -187,22 +310,18 @@ def _level_bfs(csr: Csr, source: int):
     return dag._dist, dag._sigma, dag._rank, levels
 
 
-def sample_shortest_path(dag: ShortestPathDag, target: int, rng: Rng) -> list[int]:
+def sample_shortest_path(dag: ShortestPathDag | StDag, target: int, rng: Rng) -> list[int]:
     """One shortest source→target path, exactly uniform over all of them.
 
     Walks backward from the target choosing predecessor p with probability
     sigma(p) / sigma(current); the product telescopes to 1/sigma(target), so
     every shortest path is equally likely.  Integer draws are exact, and a
-    node with one predecessor takes no draw.
+    node with one predecessor takes no draw.  A per-source DAG and the s–t
+    DAG of the same pair give the same path for the same draws.
     """
     if target == dag.source:
         raise ValueError("target equals source")
-    if not 0 <= target < len(dag._dist):
-        raise ValueError(f"target {target} outside [0,{len(dag._dist)})")
-    if dag._dist[target] < 0:
-        dag.extend(target)
-        if dag._dist[target] < 0:
-            raise ValueError(f"target {target} unreachable from source {dag.source}")
+    dag._reach(target)
     steps = dag._steps
     path = [target]
     node = target
@@ -285,41 +404,62 @@ def edge_selection_probability(g: ChannelGraph, bmap: BetweennessMap, eid: int) 
 
 
 class DagCache:
-    """Bounded LRU cache of per-source BFS DAGs.
+    """Shortest-path DAGs for the generic loop's draws; one cache per worker.
+
+    When every source fits (``max_sources >= n``; by default n <= 2048),
+    each source keeps one per-source DAG, built only as deep as its first
+    target and grown when a later target lies deeper.  Otherwise
+    ``get(s, t)`` returns the s–t DAG (``st_dag``): a few nodes where a
+    per-source BFS would find most of the graph.  An LRU keeps the last
+    ``max_sources`` of them by (s, t), so the later amounts of a
+    multi-amount campaign, which replay a run's draws, find them again; a
+    ``get(s)`` without a target keeps a complete per-source DAG there.
 
     Topology never changes during a campaign, so cached DAGs stay valid, and
-    a DAG built only part of the way holds final values for every node it has
-    reached; the cache only trades memory for speed and cannot alter sampling
-    distribution.
+    every kind of DAG gives the same paths for the same draws; the cache only
+    trades memory for speed and cannot alter sampling.
     Not thread-safe: one instance per worker.
     """
 
     def __init__(self, g: ChannelGraph, max_sources: int | None = None):
         if max_sources is None:
-            # every source fits comfortably on small graphs; snapshots get LRU
+            # every source fits comfortably on small graphs
             max_sources = g.node_count if g.node_count <= 2048 else 256
         if max_sources < 1:
             raise ValueError("max_sources must be >= 1")
         self._g = g
         self._max = max_sources
-        self._dags: OrderedDict[int, ShortestPathDag] = OrderedDict()
+        self._per_source = max_sources >= g.node_count
+        self._dags: dict = {} if self._per_source else OrderedDict()
         self.gets = 0
         self.misses = 0
 
-    def get(self, source: int, target: int | None = None) -> ShortestPathDag:
-        """source's DAG; a new one is built only as deep as target's level
-        (complete without a target), and sampling extends it when a later
-        target lies deeper."""
+    @property
+    def kind(self) -> str:
+        """Which DAGs a miss builds: 'per-source' or 's-t'."""
+        return "per-source" if self._per_source else "s-t"
+
+    def get(self, source: int, target: int | None = None) -> ShortestPathDag | StDag:
+        """A DAG that sampling from source to target can walk: source's
+        per-source DAG (complete without a target), or the s–t DAG."""
         self.gets += 1
-        dag = self._dags.get(source)
+        if self._per_source:
+            dag = self._dags.get(source)
+            if dag is None:
+                self.misses += 1
+                dag = self._dags[source] = sssp_dag(self._g, source, target)
+            return dag
+        key = (source, target)
+        dag = self._dags.get(key)
         if dag is None:
             self.misses += 1
-            dag = sssp_dag(self._g, source, target)
+            dag = (sssp_dag(self._g, source) if target is None
+                   else st_dag(self._g, source, target))
             if len(self._dags) >= self._max:
                 self._dags.popitem(last=False)
-            self._dags[source] = dag
+            self._dags[key] = dag
         else:
-            self._dags.move_to_end(source)
+            self._dags.move_to_end(key)
         return dag
 
 

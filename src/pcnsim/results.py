@@ -127,14 +127,20 @@ def _render(value) -> str:
 
 
 def write_csv(path, meta: dict, columns: list[str], rows: Iterable[tuple]) -> None:
-    """CSV with a '# key = value' metadata header; byte-stable for fixed input."""
+    """CSV with a '# key = value' metadata header; byte-stable for fixed input.
+
+    ``str`` renders a row's values as ``_render`` does (``str`` of a float
+    is its ``repr``), except for None, so only rows holding None take the
+    value-by-value path.  The file is written in one call.
+    """
+    lines = [f"# {key} = {_render(meta[key])}\n" for key in sorted(meta)]
+    lines.append(",".join(columns) + "\n")
+    for row in rows:
+        lines.append((",".join(map(_render, row)) if None in row
+                      else ",".join(map(str, row))) + "\n")
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for key in sorted(meta):
-                fh.write(f"# {key} = {_render(meta[key])}\n")
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_render(v) for v in row) + "\n")
+            fh.write("".join(lines))
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 

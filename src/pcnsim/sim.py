@@ -202,13 +202,14 @@ def run_payment_process(g: ChannelGraph, cfg: SimConfig, rng: Rng,
     """
     x = cfg.amount
     lo, spent, kind = _stop_range(cfg)
-    half = g.capacity // 2  # an edge's smaller-id end holds the floor of it
-    short = np.flatnonzero(half < lo)
-    if short.size:
-        return RunOutcome(0, int(short[0]), DEPLETED, rng.seed)
-    # top(e) = c - lo as a Python int: one lookup per upward payment costs
-    # less than a second per-run list of m Python ints
-    bal, top = half.tolist(), (g.capacity - lo).item
+    capacity = g.capacity
+    # an edge's smaller-id end holds c // 2, which is below lo iff c < 2 lo
+    if lo and 2 * lo > capacity.min():
+        return RunOutcome(0, int(np.argmax(capacity < 2 * lo)), DEPLETED, rng.seed)
+    # the balance at the smaller-id end of each edge this run has paid over;
+    # the others still hold c // 2, so a run costs what its rounds touch
+    bal: dict[int, int] = {}
+    cap = capacity.item
     cache = dag_cache if dag_cache is not None else DagCache(g)
     n = g.node_count
     max_steps = cfg.max_steps
@@ -218,7 +219,7 @@ def run_payment_process(g: ChannelGraph, cfg: SimConfig, rng: Rng,
     while t < max_steps:
         s, dst = rng.pair(n)
         dag = cache.get(s, dst)
-        path = sample_shortest_path(dag, dst, rng)  # ValueError if dst is unreachable
+        path = sample_shortest_path(dag, dst, rng)  # either raises if dst is unreachable
         # sampling remembered each path node's step, so step(b) is a lookup;
         # paying from the smaller-id end can only take its balance below lo,
         # paying toward it only above c - lo; a failing round ends the run,
@@ -227,12 +228,15 @@ def run_payment_process(g: ChannelGraph, cfg: SimConfig, rng: Rng,
         for a, b in zip(path, path[1:]):
             preds, _, edges = step(b)
             eid = edges[preds.index(a)]
+            old = bal.get(eid)
+            if old is None:
+                old = cap(eid) // 2
             if a < b:
-                nb = bal[eid] - x
+                nb = old - x
                 ok = nb >= lo
             else:
-                nb = bal[eid] + x
-                ok = nb <= top(eid)
+                nb = old + x
+                ok = nb <= cap(eid) - lo
             if not ok:
                 return RunOutcome(t + spent, eid, kind, rng.seed)
             bal[eid] = nb
@@ -513,7 +517,7 @@ def _campaign(graph: Optional[ChannelGraph], cfgs: list[SimConfig],
 
     Run-major: each run index goes through all configs before the next one
     starts, on one DAG cache (one per pool worker).  Configs that replay the
-    same seeds then draw the same sources while their DAGs are still cached.
+    same seeds then draw the same pairs while their DAGs are still cached.
     """
     if graph is not None and not graph.is_connected():
         raise ValueError("graph must be connected (take the giant component first)")
@@ -530,16 +534,25 @@ def _campaign(graph: Optional[ChannelGraph], cfgs: list[SimConfig],
     else:
         cache = DagCache(graph) if graph is not None else None
         done = [_counted_runs(graph, cfgs, cache, i) for i in range(runs)]
+    kind = DagCache(graph).kind if graph is not None else None  # what every cache builds
     campaigns = []
     for cfg, counted in zip(cfgs, zip(*done)):
         outcomes = [outcome for outcome, _builds, _gets in counted]
         if graph is not None:
             builds, gets = sum(c[1] for c in counted), sum(c[2] for c in counted)
             logger.info("%s: %d runs, %d rounds, %d DAG builds, %d DAG cache gets, "
-                        "hit ratio %.3f", cfg.config_id(), len(outcomes),
+                        "hit ratio %.3f, %s DAGs", cfg.config_id(), len(outcomes),
                         sum(o.tau for o in outcomes), builds, gets,
-                        1 - builds / gets if gets else 0.0)
+                        1 - builds / gets if gets else 0.0, kind)
         campaigns.append(outcomes)
+    if graph is not None and len(cfgs) > 1:
+        # the first config builds most of the DAGs the others reuse, so only
+        # the totals tell what the campaign cost
+        builds = sum(c[1] for run in done for c in run)
+        gets = sum(c[2] for run in done for c in run)
+        logger.info("all %d configs: %d runs each, %d %s DAGs built, %d DAG cache gets, "
+                    "hit ratio %.3f", len(cfgs), runs, builds, kind, gets,
+                    1 - builds / gets if gets else 0.0)
     return campaigns
 
 

@@ -4,7 +4,8 @@
 ``ChannelGraph.csr``; these tests pin them to the per-node list
 implementations they replaced: equal distances, path counts and predecessor
 order, identical sampled paths for the same draws, and bit-identical
-betweenness values.
+betweenness values.  The s–t DAGs of ``st_dag``, which ``DagCache`` builds
+when it cannot hold every source, are pinned to the per-source DAGs.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcnsim import (ChannelGraph, Rng, SimConfig, edge_betweenness, make_ring,
-                    monte_carlo, run_payment_process, run_seed, sssp_dag)
-from pcnsim.paths import DagCache, sample_shortest_path
+                    monte_carlo, multi_amount_experiment, run_payment_process, run_seed,
+                    sssp_dag)
+from pcnsim.paths import DagCache, sample_shortest_path, st_dag
 
-from helpers import (adjacency_of, csr_rows, oracle_edge_betweenness,
+from helpers import (adjacency_of, bfs_dist, csr_rows, oracle_edge_betweenness,
                      oracle_sample_path, oracle_sssp_dag, random_connected_edges,
                      small_world_edges)
 
@@ -94,6 +96,87 @@ def test_cached_partial_dag_resumes_for_a_deeper_target():
     assert dag._depth == full.dist[far]
     # ranks carry on from the first build across the resume
     assert dag.dist == full.dist and dag.sigma == full.sigma and _same_rank(dag, full)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(n=st.integers(2, 16), extra=st.floats(0.0, 0.6), seed=st.integers(0, 2 ** 16))
+def test_st_dag_samples_match_per_source_dag(n, extra, seed):
+    edges = random_connected_edges(random.Random(seed), n, extra_prob=extra)
+    g = ChannelGraph(n, edges)
+    adj = adjacency_of(edges, n)
+    cache = DagCache(g, max_sources=1)  # fewer sources than nodes: s–t DAGs
+    assert cache.kind == "s-t"
+    for s in range(n):
+        full, from_s = sssp_dag(g, s), bfs_dist(adj, s)
+        for t in range(n):
+            if t == s:
+                continue
+            dag = cache.get(s, t)
+            assert (dag.source, dag.target) == (s, t)
+            # exactly the nodes on some shortest s–t path, each with its
+            # per-source step: predecessors in BFS order, sigma sums, edges
+            to_t = bfs_dist(adj, t)
+            assert set(dag._steps) == {v for v in range(n)
+                                       if from_s[v] + to_t[v] == from_s[t]}
+            for w in dag._steps:
+                assert dag.step(w) == full.step(w), (s, t, w)
+            draw = seed * 1000 + s * n + t
+            got, want = Rng(draw), Rng(draw)
+            assert sample_shortest_path(dag, t, got) == sample_shortest_path(full, t, want)
+            assert got.u64() == want.u64()  # the same draws were taken
+    assert cache.misses == n * (n - 1)
+
+
+def test_st_dag_keeps_bfs_rank_order_where_node_ids_disagree():
+    # edge 0-4 comes before 0-3 in node 0's CSR row, so the BFS from 0 ranks
+    # 4 before 3 although 3 has the smaller id, and 6's predecessors are [4, 3]
+    g = ChannelGraph(7, [(0, 4, 2), (0, 3, 2), (4, 6, 2), (3, 6, 2), (6, 1, 2)])
+    full = sssp_dag(g, 0)
+    assert full.step(6)[0] == [4, 3]
+    dag = st_dag(g, 0, 1)
+    assert dag.step(6) == full.step(6)
+    for seed in range(8):
+        assert sample_shortest_path(dag, 1, Rng(seed)) == sample_shortest_path(full, 1, Rng(seed))
+
+
+def test_st_dag_sigma_past_int64_is_exact():
+    k = 70
+    g = _diamond_chain(k)
+    full, want = sssp_dag(g, 0), oracle_sssp_dag(g, 0)
+    for t in (3 * 61, 3 * 62 + 1, 3 * k):
+        dag = st_dag(g, 0, t)
+        assert all(dag.step(w) == full.step(w) for w in dag._steps)
+    dag = st_dag(g, 0, 3 * k)
+    assert dag.step(3 * k)[1][-1] == 2 ** k and len(dag._steps) == 3 * k + 1
+    for seed in range(10):
+        got, want_rng = Rng(seed), Rng(seed)
+        assert sample_shortest_path(dag, 3 * k, got) == oracle_sample_path(want, 3 * k, want_rng)
+        assert got.u64() == want_rng.u64()
+
+
+def test_st_dag_rejects_bad_pairs():
+    g = ChannelGraph(5, [(0, 1, 2), (1, 2, 2), (3, 4, 2)])
+    with pytest.raises(ValueError, match="unreachable"):
+        st_dag(g, 0, 4)
+    with pytest.raises(ValueError, match="equals source"):
+        st_dag(g, 1, 1)
+    with pytest.raises(ValueError, match="outside"):
+        st_dag(g, 0, 5)
+    dag = st_dag(g, 0, 2)
+    with pytest.raises(ValueError, match="paths to 2"):
+        sample_shortest_path(dag, 1, Rng(0))
+    with pytest.raises(ValueError, match="no shortest path"):
+        dag.step(3)
+
+
+def test_st_dag_cache_is_an_lru_over_pairs():
+    g = make_ring(12, 2)
+    cache = DagCache(g, max_sources=2)
+    first = cache.get(0, 5)
+    assert cache.get(0, 5) is first and cache.get(0, 6) is not first
+    cache.get(1, 5)  # evicts (0, 5), the least recently used pair
+    assert cache.get(0, 6) is not None and (cache.gets, cache.misses) == (5, 3)
+    assert cache.get(0, 5) is not first and cache.misses == 4
 
 
 def test_unreachable_nodes_match_oracle():
@@ -288,3 +371,32 @@ def test_monte_carlo_logs_cache_work(workers, caplog):
                                       lines[0]).groups())
     assert gets == rounds and 1 <= builds <= g.node_count * workers
 
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_multi_amount_logs_campaign_cache_work_on_st_dags(workers, caplog):
+    # 2100 nodes: more than a default cache holds sources for, so s–t DAGs
+    rng = random.Random(2100)
+    n = 2100
+    g = ChannelGraph(n, [(u, v, 2 * rng.randrange(2, 6))
+                         for u, v in small_world_edges(rng, n, radius=2, rewire_prob=0.2)])
+    amounts = [1, 2, 3]
+    with caplog.at_level(logging.INFO, logger="pcnsim.sim"):
+        campaigns = multi_amount_experiment(g, amounts, runs=4, base_seed=9,
+                                            max_steps=200, workers=workers)
+    messages = [r.getMessage() for r in caplog.records]
+    for x, outs in campaigns:
+        cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=x,
+                        stop_mode="attempt", max_steps=200, runs=4, base_seed=9)
+        assert outs == monte_carlo(cfg, graph=g, workers=1)
+    per_amount = [m for m in messages if "DAG builds" in m]
+    assert [m.split(":")[0] for m in per_amount] == [f"snapshot-x{x}-attempt"
+                                                      for x in amounts]
+    assert all(m.endswith(", s-t DAGs") for m in per_amount)
+    counts = [tuple(map(int, re.search(r"(\d+) DAG builds, (\d+) DAG cache gets",
+                                       m).groups())) for m in per_amount]
+    # the later amounts replay each run's first pairs, which the LRU still holds
+    assert counts[0][0] > 0 and all(builds == 0 for builds, _ in counts[1:])
+    totals = [m for m in messages if m.startswith("all 3 configs")]
+    assert totals == [f"all 3 configs: 4 runs each, {counts[0][0]} s-t DAGs built, "
+                      f"{sum(gets for _, gets in counts)} DAG cache gets, hit ratio "
+                      f"{1 - counts[0][0] / sum(gets for _, gets in counts):.3f}"]

@@ -414,6 +414,41 @@ def test_amounts_without_a_graph_fail_before_the_echo(capsys):
     assert out == "" and "multi-amount campaign needs a snapshot or graph file" in err
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--amounts", "1,3", "--amount", "7"], "either amount or amounts"),
+    (["--amounts", "5,2,5"], "amounts must be distinct"),
+    (["--amounts", "1,3", "--config", "CONFIG"], "either amount or amounts"),
+])
+def test_amounts_with_an_amount_or_twice_the_same_are_config_errors(tmp_path, capsys,
+                                                                   extra, message):
+    g = tmp_path / "ring.edges"
+    write_edgelist(make_ring(5, 8), g)
+    config = tmp_path / "recipe.cfg"
+    config.write_text("amount = 7\n")
+    extra = [str(config) if arg == "CONFIG" else arg for arg in extra]
+    assert run_cli("simulate", "--graph", str(g), *extra, "--workers", "1") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+def test_amounts_echo_and_metadata_carry_no_single_amount(tmp_path, capsys):
+    g = tmp_path / "ring.edges"
+    write_edgelist(make_ring(7, 8), g)
+    common = ["--graph", str(g), "--runs", "4", "--seed", "5", "--workers", "1"]
+    out = tmp_path / "camp.csv"
+    assert run_cli("simulate", *common, "--amounts", "1,3", "--out", str(out)) == 0
+    echo = capsys.readouterr().out.splitlines()
+    assert "amounts = 1,3" in echo and not any(line.startswith("amount =") for line in echo)
+    meta, _, _ = read_csv(out)
+    assert meta["amounts"] == "1,3" and "amount" not in meta
+    for x in (1, 3):
+        single = tmp_path / f"single-x{x}.csv"
+        assert run_cli("simulate", *common, "--amount", str(x), "--out", str(single)) == 0
+        per_meta, columns, rows = read_csv(tmp_path / f"camp-x{x}.csv")
+        assert per_meta["amount"] == str(x)
+        assert (columns, rows) == read_csv(single)[1:]
+
+
 def test_simulate_all_censored_prints_censored_summary(tmp_path, capsys):
     out = tmp_path / "runs.csv"
     code = run_cli("simulate", "--topology", "ring", "--nodes", "8", "--balance", "50",

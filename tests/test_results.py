@@ -141,6 +141,18 @@ def test_write_csv_sorted_meta_and_float_repr(tmp_path):
     assert columns == ["x"]
 
 
+def test_write_csv_renders_mixed_rows_byte_for_byte(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, {"k": 0.5}, list("abcdef"),
+              [(None, 0.1, math.inf, True, "x y", 2 ** 64 + 1),
+               (1e-300, -math.inf, False, "s", 2 ** 63, None),
+               (3, 2.5, "", -7, 1e22, 0.0)])
+    assert path.read_bytes() == (b"# k = 0.5\na,b,c,d,e,f\n"
+                                 b",0.1,inf,True,x y,18446744073709551617\n"
+                                 b"1e-300,-inf,False,s,9223372036854775808,\n"
+                                 b"3,2.5,,-7,1e+22,0.0\n")
+
+
 def test_write_csv_io_error_has_path_context(tmp_path):
     target = tmp_path / "missing_dir" / "out.csv"
     with pytest.raises(OSError, match="out.csv"):

@@ -5,6 +5,7 @@ import logging
 import multiprocessing
 import random
 import statistics
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -453,6 +454,50 @@ def test_payment_process_equals_oracle_property(n, graph_seed, x, mode, max_step
     cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=x,
                     stop_mode=mode, max_steps=max_steps)
     assert run_payment_process(g, cfg, Rng(seed)) == oracle_payment_process(g, cfg, Rng(seed))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(n=st.integers(2, 9), graph_seed=st.integers(0, 2 ** 32 - 1),
+       x=st.integers(1, 3), mode=st.sampled_from(["depletion", "attempt"]),
+       max_steps=st.integers(1, 60), seed=st.integers(0, 2 ** 64 - 1))
+def test_payment_process_on_st_dags_equals_oracle_property(n, graph_seed, x, mode,
+                                                           max_steps, seed):
+    # a cache that holds fewer sources than the graph has nodes samples
+    # every round from an s–t DAG
+    edges = random_connected_edges(random.Random(graph_seed), n, extra_prob=0.4,
+                                   caps=(2, 3, 4, 5, 7, 8, 9))
+    g = ChannelGraph(n, edges)
+    cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=x,
+                    stop_mode=mode, max_steps=max_steps)
+    cache = DagCache(g, max_sources=1)
+    assert (run_payment_process(g, cfg, Rng(seed), cache)
+            == oracle_payment_process(g, cfg, Rng(seed)))
+
+
+@pytest.mark.parametrize("mode, pairs, want", [
+    # node 0 holds 4 of edge 0 and pays 2 away, gets it back, then pays until
+    # it cannot (attempt) or holds less than 2 (depletion)
+    ("attempt", [(0, 2), (2, 0), (0, 1), (0, 1), (0, 1)], (4, 0, "attempt_failed")),
+    ("depletion", [(0, 2), (2, 0), (0, 1), (0, 1)], (4, 0, "depleted")),
+])
+def test_payment_process_on_st_dags_pays_an_edge_both_ways(mode, pairs, want):
+    g = ChannelGraph(3, [(0, 1, 8), (1, 2, 12)])
+    cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=2,
+                    stop_mode=mode, max_steps=len(pairs))
+    out = run_payment_process(g, cfg, ScriptedRng(pairs), DagCache(g, max_sources=1))
+    assert (out.tau, out.failing_edge, out.failure_kind) == want
+    assert oracle_payment_process(g, cfg, ScriptedRng(pairs)) == out
+
+
+def test_payment_process_depleted_before_the_first_round_names_the_smallest_edge():
+    # edges 1 and 2 start below amount 2 at their smaller-id end; no pair is drawn
+    g = ChannelGraph(3, [(0, 1, 8), (1, 2, 3), (0, 2, 2)])
+    cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=2)
+    out = run_payment_process(g, cfg, ScriptedRng([]), DagCache(g, max_sources=1))
+    assert (out.tau, out.failing_edge, out.failure_kind) == (0, 1, "depleted")
+    assert oracle_payment_process(g, cfg, ScriptedRng([])) == out
+    attempt = replace(cfg, stop_mode="attempt", max_steps=1)
+    assert run_payment_process(g, attempt, ScriptedRng([(0, 1)])).tau == 1
 
 
 @pytest.mark.parametrize("pairs, want", [
