@@ -22,7 +22,7 @@ from .graph import ChannelGraph, load_graph
 from .paths import BETWEENNESS_COLUMNS, betweenness_rows, edge_betweenness
 from .planner import (PLAN_COLUMNS, apply_plan, load_plan_csv, plan_rows,
                       redistribute_uniform, redistribute_xi_optimized)
-from .results import (Aggregate, summarize, write_aggregates_csv, write_csv,
+from .results import (Aggregate, aggregate, write_aggregates_csv, write_csv,
                       write_outcomes_csv, write_sweep_csv)
 from .rng import PRNG_ID, Rng, run_seed
 from .sim import (SimConfig, STOP_MODES, SWEEP_TOPOLOGIES, TOPOLOGIES, capacity_sweep,
@@ -257,16 +257,18 @@ def cmd_simulate(args) -> int:
         if given:
             raise ConfigError(f"topology {topology} takes no {', '.join(given)} "
                               "(snapshot topology only)")
-        if recipe.get("amounts"):
+        if recipe.get("amounts") is not None:
             raise ConfigError("a multi-amount campaign needs a snapshot or graph file")
     balance = _resolved_balance(recipe)
     stop = recipe.get("stop", "attempt" if topology == "snapshot" else "depletion")
     amounts = None
-    if recipe.get("amounts"):
+    if recipe.get("amounts") is not None:
         try:
             amounts = [int(x) for x in str(recipe["amounts"]).split(",") if x.strip()]
         except ValueError:
             raise ConfigError(f"bad amounts list: {recipe['amounts']!r}")
+        if not amounts:
+            raise ConfigError(f"amounts list has no amount: {recipe['amounts']!r}")
         if any(x < 1 for x in amounts):
             raise ConfigError("amounts must be >= 1")
         if len(set(amounts)) < len(amounts):
@@ -299,7 +301,7 @@ def cmd_simulate(args) -> int:
                                             max_steps=cfg.max_steps, workers=workers)
         aggregates = []
         for x, outcomes in campaigns:
-            agg = summarize(outcomes, config_id=f"x{x}")
+            agg = aggregate(outcomes, config_id=f"x{x}")
             aggregates.append(agg)
             print(f"amount {x}: {_summary_line(agg)}")
             if out:
@@ -314,7 +316,7 @@ def cmd_simulate(args) -> int:
         return EXIT_OK
 
     outcomes = monte_carlo(cfg, graph=graph, workers=workers)
-    agg = summarize(outcomes, config_id=cfg.config_id())
+    agg = aggregate(outcomes, config_id=cfg.config_id())
     print(f"{agg.config_id}: {_summary_line(agg)}")
     if out:
         write_outcomes_csv(outcomes, out, meta)
@@ -353,7 +355,7 @@ def cmd_sweep(args) -> int:
     points = capacity_sweep(cfg, recipe["k_from"], recipe["k_to"], k_step, runs_per_point,
                             workers=workers, horizon=horizon)
     for point in points:
-        agg = summarize(point.outcomes, config_id=str(point.balance))
+        agg = aggregate(point.outcomes, config_id=str(point.balance))
         if agg.count:
             line = (f"k={point.balance}: min={agg.min} mean={agg.mean:.4g} max={agg.max} "
                     f"std={agg.std:.4g} censored={agg.censored_count}")

@@ -288,7 +288,7 @@ def giant_component(g: ChannelGraph) -> ChannelGraph:
     Ties between equal-sized components break toward the one containing the
     smallest original node id.  Original ids map to new ids in ascending order.
     """
-    indptr, indices = g.csr.indptr.tolist(), g.csr.indices.tolist()
+    indptr, indices = g.csr_lists
     seen = [False] * g.node_count
     best: list[int] = []
     for start in range(g.node_count):

@@ -403,17 +403,22 @@ def edge_selection_probability(g: ChannelGraph, bmap: BetweennessMap, eid: int) 
     return 2.0 * bmap.values[eid] / (n * (n - 1))
 
 
+# a DagCache keeps every source's DAG on graphs of at most this many nodes,
+# and the s–t DAGs of this many (s, t) pairs on larger ones
+_PER_SOURCE_MAX_NODES = 2048
+_ST_PAIRS = 256
+
+
 class DagCache:
     """Shortest-path DAGs for the generic loop's draws; one cache per worker.
 
-    When every source fits (``max_sources >= n``; by default n <= 2048),
-    each source keeps one per-source DAG, built only as deep as its first
-    target and grown when a later target lies deeper.  Otherwise
-    ``get(s, t)`` returns the s–t DAG (``st_dag``): a few nodes where a
-    per-source BFS would find most of the graph.  An LRU keeps the last
-    ``max_sources`` of them by (s, t), so the later amounts of a
-    multi-amount campaign, which replay a run's draws, find them again; a
-    ``get(s)`` without a target keeps a complete per-source DAG there.
+    On graphs of at most ``_PER_SOURCE_MAX_NODES`` nodes each source keeps
+    one per-source DAG, built only as deep as its first target and grown
+    when a later target lies deeper.  On larger graphs ``get(s, t)`` returns
+    the s–t DAG (``st_dag``): a few nodes where a per-source BFS would find
+    most of the graph.  An LRU keeps the last ``_ST_PAIRS`` of them by
+    (s, t), so the smaller amounts of a multi-amount campaign, which replay
+    a run's draws, find them again.
 
     Topology never changes during a campaign, so cached DAGs stay valid, and
     every kind of DAG gives the same paths for the same draws; the cache only
@@ -421,15 +426,9 @@ class DagCache:
     Not thread-safe: one instance per worker.
     """
 
-    def __init__(self, g: ChannelGraph, max_sources: int | None = None):
-        if max_sources is None:
-            # every source fits comfortably on small graphs
-            max_sources = g.node_count if g.node_count <= 2048 else 256
-        if max_sources < 1:
-            raise ValueError("max_sources must be >= 1")
+    def __init__(self, g: ChannelGraph):
         self._g = g
-        self._max = max_sources
-        self._per_source = max_sources >= g.node_count
+        self._per_source = g.node_count <= _PER_SOURCE_MAX_NODES
         self._dags: dict = {} if self._per_source else OrderedDict()
         self.gets = 0
         self.misses = 0
@@ -439,9 +438,9 @@ class DagCache:
         """Which DAGs a miss builds: 'per-source' or 's-t'."""
         return "per-source" if self._per_source else "s-t"
 
-    def get(self, source: int, target: int | None = None) -> ShortestPathDag | StDag:
+    def get(self, source: int, target: int) -> ShortestPathDag | StDag:
         """A DAG that sampling from source to target can walk: source's
-        per-source DAG (complete without a target), or the s–t DAG."""
+        per-source DAG, or the s–t DAG."""
         self.gets += 1
         if self._per_source:
             dag = self._dags.get(source)
@@ -453,9 +452,8 @@ class DagCache:
         dag = self._dags.get(key)
         if dag is None:
             self.misses += 1
-            dag = (sssp_dag(self._g, source) if target is None
-                   else st_dag(self._g, source, target))
-            if len(self._dags) >= self._max:
+            dag = st_dag(self._g, source, target)
+            if len(self._dags) >= _ST_PAIRS:
                 self._dags.popitem(last=False)
             self._dags[key] = dag
         else:

@@ -7,7 +7,6 @@ timestamps or environment details are embedded.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -37,12 +36,13 @@ class Aggregate:
 
 
 def aggregate(outcomes: list[RunOutcome], config_id: str = "") -> Aggregate:
+    """The summary of one config point's runs; ValueError if there are none."""
     if not outcomes:
         raise ValueError("cannot aggregate an empty outcome list")
     taus = [o.tau for o in outcomes if not o.censored]
     censored = len(outcomes) - len(taus)
     if not taus:
-        raise ValueError("all runs were censored; no moments to report")
+        return Aggregate(config_id, 0, None, None, None, None, censored)
     # integer moments keep the result exactly permutation-invariant
     count = len(taus)
     total = sum(taus)
@@ -56,13 +56,6 @@ def aggregate(outcomes: list[RunOutcome], config_id: str = "") -> Aggregate:
         std=math.sqrt(var_num / count ** 3),
         censored_count=censored,
     )
-
-
-def summarize(outcomes: list[RunOutcome], config_id: str = "") -> Aggregate:
-    """aggregate(), except that all-censored outcomes give count 0 and no moments."""
-    if outcomes and all(o.censored for o in outcomes):
-        return Aggregate(config_id, 0, None, None, None, None, len(outcomes))
-    return aggregate(outcomes, config_id=config_id)
 
 
 @dataclass
@@ -217,7 +210,7 @@ def write_sweep_csv(points, path, meta: dict, horizon: Optional[int] = None) -> 
     rows = []
     for point in points:
         # a point right-censored everywhere is reported with empty moments
-        agg = summarize(point.outcomes, config_id=str(point.balance))
+        agg = aggregate(point.outcomes, config_id=str(point.balance))
         row = [point.balance, agg.min, agg.mean, agg.max, agg.std, agg.censored_count]
         if horizon is not None:
             row.append(point.p_fail_within_horizon)
@@ -228,39 +221,23 @@ def write_sweep_csv(points, path, meta: dict, horizon: Optional[int] = None) -> 
 HISTOGRAM_COLUMNS = ["bin_lo", "bin_hi", "count"]
 
 
-def write_jsonl(path, meta: dict, columns: list[str], rows: Iterable[tuple]) -> None:
-    """Line-delimited JSON: one meta object, then one object per record."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps({"meta": meta}, sort_keys=True) + "\n")
-            for row in rows:
-                fh.write(json.dumps(dict(zip(columns, row)), sort_keys=True) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
-
-
-def emit_campaign(payload, path, meta: dict, fmt: str = "csv") -> None:
-    """Write outcomes, aggregates, or a histogram as CSV or line-delimited JSON.
-
-    Byte-stable for fixed inputs in both formats.
-    """
-    if fmt not in ("csv", "jsonl"):
-        raise ValueError(f"format must be 'csv' or 'jsonl', got {fmt!r}")
-    writer = write_csv if fmt == "csv" else write_jsonl
+def emit_campaign(payload, path, meta: dict) -> None:
+    """Write outcomes, aggregates, or a histogram as CSV; byte-stable for
+    fixed inputs."""
     if isinstance(payload, LogHistogram):
         # binning and out-of-range counts go into the metadata
         full_meta = dict(meta, bins_per_decade=payload.bins_per_decade,
                          underflow=payload.underflow, overflow=payload.overflow)
         rows = ((payload.edges[i], payload.edges[i + 1], payload.counts[i])
                 for i in range(len(payload.counts)))
-        writer(path, full_meta, HISTOGRAM_COLUMNS, rows)
+        write_csv(path, full_meta, HISTOGRAM_COLUMNS, rows)
         return
     items = list(payload)
     if not items:
         raise ValueError("nothing to emit")
     if isinstance(items[0], RunOutcome):
-        writer(path, meta, OUTCOME_COLUMNS, _outcome_rows(items))
+        write_csv(path, meta, OUTCOME_COLUMNS, _outcome_rows(items))
     elif isinstance(items[0], Aggregate):
-        writer(path, meta, AGGREGATE_COLUMNS, _aggregate_rows(items))
+        write_csv(path, meta, AGGREGATE_COLUMNS, _aggregate_rows(items))
     else:
         raise TypeError(f"cannot emit {type(items[0]).__name__} records")

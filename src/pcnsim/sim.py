@@ -486,16 +486,21 @@ def _run_single(graph: Optional[ChannelGraph], cfg: SimConfig, run_index: int,
 
 def _counted_runs(graph: Optional[ChannelGraph], cfgs: list[SimConfig],
                   cache: DagCache | None, run_index: int) -> list[tuple[RunOutcome, int, int]]:
-    """Run run_index of every config in turn on one DAG cache, each with the
-    DAG builds and cache gets it took."""
-    done = []
-    for cfg in cfgs:
+    """Run run_index of every config on one DAG cache, each with the DAG
+    builds and cache gets it took, in the order of cfgs.
+
+    The largest amount runs first.  It stops no later than the others, so
+    each smaller amount replays its rounds while an LRU of s–t DAGs still
+    holds them, and builds only the rounds past them.
+    """
+    done: list = [None] * len(cfgs)
+    for i in sorted(range(len(cfgs)), key=lambda i: -cfgs[i].amount):
         if cache is None:
-            done.append((_run_single(graph, cfg, run_index), 0, 0))
+            done[i] = (_run_single(graph, cfgs[i], run_index), 0, 0)
             continue
         builds, gets = cache.misses, cache.gets
-        outcome = _run_single(graph, cfg, run_index, cache)
-        done.append((outcome, cache.misses - builds, cache.gets - gets))
+        outcome = _run_single(graph, cfgs[i], run_index, cache)
+        done[i] = (outcome, cache.misses - builds, cache.gets - gets)
     return done
 
 
@@ -546,8 +551,8 @@ def _campaign(graph: Optional[ChannelGraph], cfgs: list[SimConfig],
                         1 - builds / gets if gets else 0.0, kind)
         campaigns.append(outcomes)
     if graph is not None and len(cfgs) > 1:
-        # the first config builds most of the DAGs the others reuse, so only
-        # the totals tell what the campaign cost
+        # each config reuses the DAGs of the larger amounts run before it, so
+        # only the totals tell what the campaign cost
         builds = sum(c[1] for run in done for c in run)
         gets = sum(c[2] for run in done for c in run)
         logger.info("all %d configs: %d runs each, %d %s DAGs built, %d DAG cache gets, "
@@ -626,9 +631,9 @@ def multi_amount_experiment(graph: ChannelGraph, amounts: list[int], runs: int,
 
     Per-run seeds are shared across amounts, so a larger amount replays the
     same draw sequence and can only stop earlier.  Each run goes through all
-    amounts before the next run starts, so the amounts after the first find
-    the run's DAGs in the cache; the outcomes equal one monte_carlo call per
-    amount.
+    amounts, largest first, before the next run starts, so each smaller
+    amount finds the run's DAGs in the cache; the outcomes equal one
+    monte_carlo call per amount.
     """
     if not amounts:
         raise ValueError("amounts must be nonempty")

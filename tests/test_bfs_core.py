@@ -104,7 +104,9 @@ def test_st_dag_samples_match_per_source_dag(n, extra, seed):
     edges = random_connected_edges(random.Random(seed), n, extra_prob=extra)
     g = ChannelGraph(n, edges)
     adj = adjacency_of(edges, n)
-    cache = DagCache(g, max_sources=1)  # fewer sources than nodes: s–t DAGs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("pcnsim.paths._PER_SOURCE_MAX_NODES", 1)  # below n: s–t DAGs
+        cache = DagCache(g)
     assert cache.kind == "s-t"
     for s in range(n):
         full, from_s = sssp_dag(g, s), bfs_dist(adj, s)
@@ -169,9 +171,11 @@ def test_st_dag_rejects_bad_pairs():
         dag.step(3)
 
 
-def test_st_dag_cache_is_an_lru_over_pairs():
+def test_st_dag_cache_is_an_lru_over_pairs(monkeypatch):
     g = make_ring(12, 2)
-    cache = DagCache(g, max_sources=2)
+    monkeypatch.setattr("pcnsim.paths._PER_SOURCE_MAX_NODES", 11)
+    monkeypatch.setattr("pcnsim.paths._ST_PAIRS", 2)
+    cache = DagCache(g)
     first = cache.get(0, 5)
     assert cache.get(0, 5) is first and cache.get(0, 6) is not first
     cache.get(1, 5)  # evicts (0, 5), the least recently used pair
@@ -302,7 +306,7 @@ def test_dag_cache_counts_gets():
     g = _diamond_chain(3)
     cache = DagCache(g)
     for s in (0, 1, 0, 2, 0):
-        cache.get(s)
+        cache.get(s, 9)
     assert (cache.gets, cache.misses) == (5, 3)
 
 
@@ -374,19 +378,27 @@ def test_monte_carlo_logs_cache_work(workers, caplog):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_multi_amount_logs_campaign_cache_work_on_st_dags(workers, caplog):
-    # 2100 nodes: more than a default cache holds sources for, so s–t DAGs
+    cases = [((2, 6), [1, 2, 3], 200),
+             # the smallest amount runs past the LRU's 256 pairs, the others stay below
+             ((6, 12), [1, 3, 5], 600)]
+    for caps, amounts, max_steps in cases:
+        caplog.clear()
+        _check_multi_amount_cache_work_on_st_dags(caps, amounts, max_steps, workers, caplog)
+
+
+def _check_multi_amount_cache_work_on_st_dags(caps, amounts, max_steps, workers, caplog):
+    # 2100 nodes: more than a cache holds per-source DAGs for, so s–t DAGs
     rng = random.Random(2100)
     n = 2100
-    g = ChannelGraph(n, [(u, v, 2 * rng.randrange(2, 6))
+    g = ChannelGraph(n, [(u, v, 2 * rng.randrange(*caps))
                          for u, v in small_world_edges(rng, n, radius=2, rewire_prob=0.2)])
-    amounts = [1, 2, 3]
     with caplog.at_level(logging.INFO, logger="pcnsim.sim"):
         campaigns = multi_amount_experiment(g, amounts, runs=4, base_seed=9,
-                                            max_steps=200, workers=workers)
+                                            max_steps=max_steps, workers=workers)
     messages = [r.getMessage() for r in caplog.records]
     for x, outs in campaigns:
         cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=x,
-                        stop_mode="attempt", max_steps=200, runs=4, base_seed=9)
+                        stop_mode="attempt", max_steps=max_steps, runs=4, base_seed=9)
         assert outs == monte_carlo(cfg, graph=g, workers=1)
     per_amount = [m for m in messages if "DAG builds" in m]
     assert [m.split(":")[0] for m in per_amount] == [f"snapshot-x{x}-attempt"
@@ -394,9 +406,23 @@ def test_multi_amount_logs_campaign_cache_work_on_st_dags(workers, caplog):
     assert all(m.endswith(", s-t DAGs") for m in per_amount)
     counts = [tuple(map(int, re.search(r"(\d+) DAG builds, (\d+) DAG cache gets",
                                        m).groups())) for m in per_amount]
-    # the later amounts replay each run's first pairs, which the LRU still holds
-    assert counts[0][0] > 0 and all(builds == 0 for builds, _ in counts[1:])
+    # rounds each run drew at each amount; a failed attempt drew one more
+    drawn = [[o.tau + (not o.censored) for o in outs] for _x, outs in campaigns]
+    assert [gets for _, gets in counts] == [sum(d) for d in drawn]
+    # each run goes largest amount first, and a smaller amount replays the
+    # larger ones' rounds while the LRU holds them, so it builds only the
+    # rounds past them: one build per distinct (run, round)
+    for i in range(len(amounts)):
+        # amounts ascend, so drawn[i + 1] belongs to the next larger one
+        larger = drawn[i + 1] if i + 1 < len(amounts) else [0] * 4
+        assert counts[i][0] == sum(d - e for d, e in zip(drawn[i], larger))
+    builds, gets = sum(b for b, _ in counts), sum(c for _, c in counts)
+    assert builds == sum(drawn[0])
     totals = [m for m in messages if m.startswith("all 3 configs")]
-    assert totals == [f"all 3 configs: 4 runs each, {counts[0][0]} s-t DAGs built, "
-                      f"{sum(gets for _, gets in counts)} DAG cache gets, hit ratio "
-                      f"{1 - counts[0][0] / sum(gets for _, gets in counts):.3f}"]
+    assert totals == [f"all 3 configs: 4 runs each, {builds} s-t DAGs built, "
+                      f"{gets} DAG cache gets, hit ratio {1 - builds / gets:.3f}"]
+
+
+def test_dag_cache_keeps_per_source_dags_up_to_2048_nodes():
+    assert DagCache(make_ring(2048, 2)).kind == "per-source"
+    assert DagCache(make_ring(2049, 2)).kind == "s-t"

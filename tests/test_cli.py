@@ -418,6 +418,8 @@ def test_amounts_without_a_graph_fail_before_the_echo(capsys):
     (["--amounts", "1,3", "--amount", "7"], "either amount or amounts"),
     (["--amounts", "5,2,5"], "amounts must be distinct"),
     (["--amounts", "1,3", "--config", "CONFIG"], "either amount or amounts"),
+    (["--amounts", ","], "amounts list has no amount"),
+    (["--amounts", ""], "amounts list has no amount"),
 ])
 def test_amounts_with_an_amount_or_twice_the_same_are_config_errors(tmp_path, capsys,
                                                                    extra, message):

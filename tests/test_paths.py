@@ -231,13 +231,15 @@ def test_sampled_paths_are_simple_and_strictly_shortening():
             assert [dag.dist[v] for v in path] == list(range(len(path)))
 
 
-def test_dag_cache_reuses_and_bounds_entries():
+def test_dag_cache_reuses_and_bounds_entries(monkeypatch):
     g = make_ring(12, 2)
-    cache = DagCache(g, max_sources=4)
-    d0 = cache.get(0)
-    assert cache.get(0) is d0
+    monkeypatch.setattr("pcnsim.paths._PER_SOURCE_MAX_NODES", 11)
+    monkeypatch.setattr("pcnsim.paths._ST_PAIRS", 4)
+    cache = DagCache(g)
+    d0 = cache.get(0, 6)
+    assert cache.get(0, 6) is d0
     for s in range(1, 6):
-        cache.get(s)
+        cache.get(s, 6)
     assert cache.misses == 6
     assert len(cache._dags) == 4
 
@@ -247,5 +249,5 @@ def test_dag_cache_does_not_change_sampling():
     cache = DagCache(g)
     r1, r2 = Rng(99), Rng(99)
     direct = [sample_shortest_path(sssp_dag(g, 2), 7, r1) for _ in range(50)]
-    cached = [sample_shortest_path(cache.get(2), 7, r2) for _ in range(50)]
+    cached = [sample_shortest_path(cache.get(2, 7), 7, r2) for _ in range(50)]
     assert direct == cached

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from pcnsim import Rng, RunOutcome, aggregate, log_histogram
-from pcnsim.results import (emit_campaign, read_csv, read_outcomes_csv, summarize,
-                            write_csv, write_outcomes_csv)
+from pcnsim.results import (emit_campaign, read_csv, read_outcomes_csv, write_csv,
+                            write_outcomes_csv)
 
 
 def _outcome(tau, kind="depleted", edge=0, seed=1):
@@ -41,22 +41,16 @@ def test_aggregate_excludes_but_reports_censored():
     assert agg.mean == pytest.approx(6.0)
 
 
-def test_aggregate_rejects_empty_and_all_censored():
+def test_aggregate_rejects_empty():
     with pytest.raises(ValueError):
         aggregate([])
-    with pytest.raises(ValueError):
-        aggregate([_outcome(5, kind="step_cap_reached")])
 
 
-def test_summarize_reports_all_censored_without_moments():
+def test_aggregate_reports_all_censored_without_moments():
     capped = [_outcome(5, kind="step_cap_reached")] * 3
-    agg = summarize(capped, config_id="p")
+    agg = aggregate(capped, config_id="p")
     assert (agg.config_id, agg.count, agg.censored_count) == ("p", 0, 3)
     assert agg.min is agg.max is agg.mean is agg.std is None
-    mixed = [_outcome(3), _outcome(5, kind="step_cap_reached")]
-    assert summarize(mixed, config_id="p") == aggregate(mixed, config_id="p")
-    with pytest.raises(ValueError):
-        summarize([])
 
 
 def test_aggregate_permutation_invariant():
@@ -159,35 +153,31 @@ def test_write_csv_io_error_has_path_context(tmp_path):
         write_csv(target, {}, ["a"], [])
 
 
-def test_emit_campaign_jsonl_round_trip_and_stability(tmp_path):
-    import json
-
+def test_emit_campaign_outcomes_round_trip_and_stability(tmp_path):
     outs = [_outcome(9, seed=4), _outcome(2, kind="step_cap_reached", seed=5)]
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    emit_campaign(outs, a, {"runs": 2}, fmt="jsonl")
-    emit_campaign(outs, b, {"runs": 2}, fmt="jsonl")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    emit_campaign(outs, a, {"runs": 2})
+    emit_campaign(outs, b, {"runs": 2})
     assert a.read_bytes() == b.read_bytes()
-    lines = [json.loads(line) for line in a.read_text().splitlines()]
-    assert lines[0] == {"meta": {"runs": 2}}
-    assert lines[1]["tau"] == 9 and lines[1]["failure_kind"] == "depleted"
-    assert lines[2]["failing_edge"] is None
+    back, meta = read_outcomes_csv(a)
+    assert back == outs and meta == {"runs": "2"}
 
 
 def test_emit_campaign_aggregates_and_histogram(tmp_path):
     aggs = [aggregate([_outcome(3), _outcome(5)], config_id="x1")]
     out = tmp_path / "agg.csv"
-    emit_campaign(aggs, out, {}, fmt="csv")
+    emit_campaign(aggs, out, {})
     _, columns, rows = read_csv(out)
     assert columns[0] == "config_id" and rows[0][0] == "x1"
     hist = log_histogram([1, 10], bins_per_decade=1)
-    hout = tmp_path / "h.jsonl"
-    emit_campaign(hist, hout, {}, fmt="jsonl")
-    assert len(hout.read_text().splitlines()) == 3
+    hout = tmp_path / "h.csv"
+    emit_campaign(hist, hout, {})
+    meta, columns, rows = read_csv(hout)
+    assert columns == ["bin_lo", "bin_hi", "count"] and len(rows) == 2
+    assert (meta["bins_per_decade"], meta["underflow"], meta["overflow"]) == ("1", "0", "0")
 
 
-def test_emit_campaign_rejects_bad_format_and_payload(tmp_path):
-    with pytest.raises(ValueError):
-        emit_campaign([_outcome(1)], tmp_path / "x", {}, fmt="xml")
+def test_emit_campaign_rejects_bad_payload(tmp_path):
     with pytest.raises(ValueError):
         emit_campaign([], tmp_path / "x", {})
     with pytest.raises(TypeError):

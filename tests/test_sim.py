@@ -4,6 +4,7 @@ import json
 import logging
 import multiprocessing
 import random
+import re
 import statistics
 from dataclasses import replace
 
@@ -281,18 +282,26 @@ def test_multi_amount_equals_per_amount_monte_carlo(workers, mode, caplog):
     with caplog.at_level(logging.INFO, logger="pcnsim.sim"):
         campaigns = multi_amount_experiment(g, amounts, runs=8, base_seed=56,
                                             stop_mode=mode, workers=workers)
-    lines = [r.getMessage() for r in caplog.records if "DAG builds" in r.getMessage()]
-    for x, outs in campaigns:
-        cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=x,
-                        stop_mode=mode, runs=8, base_seed=56)
-        assert outs == monte_carlo(cfg, graph=g, workers=1)
+        lines = [r.getMessage() for r in caplog.records if "DAG builds" in r.getMessage()]
+        caplog.clear()
+        for x, outs in campaigns:
+            cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=x,
+                            stop_mode=mode, runs=8, base_seed=56)
+            assert outs == monte_carlo(cfg, graph=g, workers=1)
+    alone = [r.getMessage() for r in caplog.records if "DAG builds" in r.getMessage()]
     taus = [[o.tau for o in outs] for _x, outs in campaigns]
     assert taus[0] != taus[1] != taus[2]  # the amounts stop at different rounds
-    # a larger amount replays a prefix of each run's draws, whose DAGs the
-    # first amount left in the run's cache
     assert [line.split(":")[0] for line in lines] == [f"snapshot-x{x}-{mode}" for x in amounts]
-    assert " 0 DAG builds" not in lines[0]
-    assert all(" 0 DAG builds" in line for line in lines[1:])
+
+    def builds(line):
+        return int(re.search(r"(\d+) DAG builds", line).group(1))
+
+    # each run goes largest amount first, which builds DAGs; every round of a
+    # larger amount is a round of the smallest one too, so the campaign
+    # builds the DAGs the smallest amount alone builds, once per pool worker
+    assert builds(lines[-1]) > 0
+    smallest = builds(alone[0])
+    assert smallest <= sum(map(builds, lines)) <= workers * smallest
 
 
 def test_multi_amount_requires_amounts():
@@ -469,7 +478,10 @@ def test_payment_process_on_st_dags_equals_oracle_property(n, graph_seed, x, mod
     g = ChannelGraph(n, edges)
     cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=x,
                     stop_mode=mode, max_steps=max_steps)
-    cache = DagCache(g, max_sources=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("pcnsim.paths._PER_SOURCE_MAX_NODES", 1)
+        cache = DagCache(g)
+    assert cache.kind == "s-t"
     assert (run_payment_process(g, cfg, Rng(seed), cache)
             == oracle_payment_process(g, cfg, Rng(seed)))
 
@@ -480,20 +492,23 @@ def test_payment_process_on_st_dags_equals_oracle_property(n, graph_seed, x, mod
     ("attempt", [(0, 2), (2, 0), (0, 1), (0, 1), (0, 1)], (4, 0, "attempt_failed")),
     ("depletion", [(0, 2), (2, 0), (0, 1), (0, 1)], (4, 0, "depleted")),
 ])
-def test_payment_process_on_st_dags_pays_an_edge_both_ways(mode, pairs, want):
+def test_payment_process_on_st_dags_pays_an_edge_both_ways(mode, pairs, want, monkeypatch):
     g = ChannelGraph(3, [(0, 1, 8), (1, 2, 12)])
     cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=2,
                     stop_mode=mode, max_steps=len(pairs))
-    out = run_payment_process(g, cfg, ScriptedRng(pairs), DagCache(g, max_sources=1))
+    monkeypatch.setattr("pcnsim.paths._PER_SOURCE_MAX_NODES", 1)
+    out = run_payment_process(g, cfg, ScriptedRng(pairs), DagCache(g))
     assert (out.tau, out.failing_edge, out.failure_kind) == want
     assert oracle_payment_process(g, cfg, ScriptedRng(pairs)) == out
 
 
-def test_payment_process_depleted_before_the_first_round_names_the_smallest_edge():
+def test_payment_process_depleted_before_the_first_round_names_the_smallest_edge(
+        monkeypatch):
     # edges 1 and 2 start below amount 2 at their smaller-id end; no pair is drawn
     g = ChannelGraph(3, [(0, 1, 8), (1, 2, 3), (0, 2, 2)])
     cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=2)
-    out = run_payment_process(g, cfg, ScriptedRng([]), DagCache(g, max_sources=1))
+    monkeypatch.setattr("pcnsim.paths._PER_SOURCE_MAX_NODES", 1)
+    out = run_payment_process(g, cfg, ScriptedRng([]), DagCache(g))
     assert (out.tau, out.failing_edge, out.failure_kind) == (0, 1, "depleted")
     assert oracle_payment_process(g, cfg, ScriptedRng([])) == out
     attempt = replace(cfg, stop_mode="attempt", max_steps=1)
