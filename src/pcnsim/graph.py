@@ -30,28 +30,39 @@ class Csr(NamedTuple):
     arc_edge: np.ndarray
 
     def bfs_step(self, frontier: np.ndarray, dist: np.ndarray):
-        """One BFS level: the arcs out of ``frontier`` to nodes with negative
-        ``dist``, as ``(heads, tails, arc positions)``, and the nodes they
-        reach.
+        """One BFS level from a non-empty ``frontier``: the arcs out of it to
+        keys with negative ``dist``, as ``(heads, tails)``, the keys they
+        reach, and the whole scan, every arc out of the frontier, as
+        ``(tails, heads, arc positions)``.
 
-        The arcs come in the order a deque BFS scans them when it pops the
-        frontier in the given order, and the reached nodes in the order that
+        Several searches can run side by side in arrays of ``len(dist)``
+        entries, a multiple of the node count n: node v of the j-th search
+        has key j·n + v, and each search's arcs stay inside its own keys.
+        With n entries, keys are nodes.  The scan runs row by row in
+        frontier order, the order a deque BFS scans arcs when it pops the
+        frontier in that order, and the reached keys come in the order that
         BFS appends them to its queue: by first occurrence among the heads.
         """
         # a BFS runs one level per hop of its depth, so each call is kept to
         # few small numpy operations
-        counts = self.degree[frontier]
+        n, size = len(self.degree), len(dist)
+        nodes = frontier % n if size > n else frontier
+        counts = self.degree[nodes]
         ends = np.add.accumulate(counts)
-        arcs = np.arange(ends[-1]) + (self.indptr[frontier] - ends + counts).repeat(counts)
+        arcs = np.arange(ends[-1]) + (self.indptr[nodes] - ends + counts).repeat(counts)
         heads = self.indices[arcs]
-        # one index array gathers all three: cheaper than three boolean masks
+        if size > n:
+            heads += (frontier - nodes).repeat(counts)
+        # one index array gathers both: cheaper than two boolean masks
         fresh = (dist[heads] < 0).nonzero()[0]
-        heads, tails, arcs = heads[fresh], frontier.repeat(counts)[fresh], arcs[fresh]
+        tails = frontier.repeat(counts)
+        scan = tails, heads, arcs
+        heads, tails = heads[fresh], tails[fresh]
         arc = np.arange(heads.size)
-        first = np.empty(len(dist), dtype=np.intp)
+        first = np.empty(size, dtype=np.intp)
         first[heads] = heads.size
         np.minimum.at(first, heads, arc)
-        return heads, tails, arcs, heads[first[heads] == arc]
+        return heads, tails, heads[first[heads] == arc], scan
 
 
 class ChannelGraph:
@@ -158,7 +169,7 @@ class ChannelGraph:
             frontier = np.zeros(1, dtype=np.intp)
             while frontier.size:
                 dist[frontier] = 0
-                *_, frontier = self.csr.bfs_step(frontier, dist)
+                _, _, frontier, _ = self.csr.bfs_step(frontier, dist)
             self._connected = bool((dist == 0).all())
         return self._connected
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
@@ -13,6 +12,7 @@ import numpy as np
 from .analytics import ring_edge_probability
 from .graph import ChannelGraph, load_graph
 from .paths import DagCache, sample_shortest_path
+from .progress import Progress
 from .rng import Rng, chunk_sizes, run_seed
 
 logger = logging.getLogger(__name__)
@@ -24,7 +24,6 @@ ATTEMPT_FAILED = "attempt_failed"
 STEP_CAP = "step_cap_reached"
 
 _CHUNK = 1 << 14
-_PROGRESS_SECONDS = 10.0
 _CLOCK_EVERY = 1 << 12  # ring rounds between reads of the progress clock
 _NEAR_ROWS = 8  # fewest rows the independent chains search at once
 
@@ -120,27 +119,6 @@ class RunOutcome:
         return self.failure_kind == STEP_CAP
 
 
-class _Progress:
-    """Logs a process's round count every ``_PROGRESS_SECONDS`` of wall time.
-
-    Each call reads the clock once, so kernels call it once per chunk or per
-    fixed round count.  ``detail`` returns extra text for the line.
-    """
-
-    def __init__(self, what: str, seed: int, detail=None):
-        self.what, self.seed, self.detail = what, seed, detail
-        self.started = time.monotonic()
-        self.due = self.started + _PROGRESS_SECONDS
-
-    def __call__(self, t: int) -> None:
-        now = time.monotonic()
-        if now >= self.due:
-            logger.info("%s at %d rounds, %.1f rounds/s%s (seed %d)", self.what, t,
-                        t / (now - self.started), self.detail() if self.detail else "",
-                        self.seed)
-            self.due = now + _PROGRESS_SECONDS
-
-
 def _stop_range(cfg: SimConfig) -> tuple[int, int, str]:
     """``(lo, spent, kind)`` for cfg's stop mode: a round fails as ``kind``
     when it takes the balance at an edge's smaller-id end outside
@@ -214,8 +192,8 @@ def run_payment_process(g: ChannelGraph, cfg: SimConfig, rng: Rng,
     n = g.node_count
     max_steps = cfg.max_steps
     t = 0
-    progress = _Progress("payment process", rng.seed, lambda: ", DAG cache hit ratio "
-                         f"{1 - cache.misses / cache.gets:.3f}")
+    progress = Progress(logger, "payment process", seed=rng.seed, detail=lambda:
+                        f", DAG cache hit ratio {1 - cache.misses / cache.gets:.3f}")
     while t < max_steps:
         s, dst = rng.pair(n)
         dag = cache.get(s, dst)
@@ -262,7 +240,7 @@ def _clique_fast(n: int, capacity: int, cfg: SimConfig, rng: Rng) -> RunOutcome:
         return RunOutcome(0, 0, DEPLETED, rng.seed)
     bal = np.full(m, half, dtype=np.int64)  # the balance at each smaller-id end
     t = 0
-    progress = _Progress("clique process", rng.seed)
+    progress = Progress(logger, "clique process", seed=rng.seed)
     for chunk in chunk_sizes(128, _CHUNK, cfg.max_steps):
         edges = rng.indices(m, chunk)
         dirs = rng.bits(chunk)  # 1: the larger-id endpoint pays the smaller-id one
@@ -295,7 +273,7 @@ def _ring_fast(n: int, capacity: int, cfg: SimConfig, rng: Rng) -> RunOutcome:
     hi = capacity - lo  # even capacity: cw[n-1], a larger-id end, has the same range
     max_steps = cfg.max_steps
     t = 0
-    progress = _Progress("ring process", rng.seed)
+    progress = Progress(logger, "ring process", seed=rng.seed)
     next_clock = _CLOCK_EVERY
     while t < max_steps:
         s, d = rng.pair(n)
@@ -345,7 +323,7 @@ def run_bdc_process(m: int, k: int, max_steps: int, rng: Rng) -> RunOutcome:
         raise ValueError("m and k must be >= 1")
     pos = [0] * m
     t = 0
-    progress = _Progress("bdc process", rng.seed)
+    progress = Progress(logger, "bdc process", seed=rng.seed)
     for chunk in chunk_sizes(128, _CHUNK, max_steps):
         moves = rng.bits(chunk).tolist()
         chains = rng.indices(m, chunk).tolist() if m > 1 else [0] * chunk
@@ -427,7 +405,7 @@ def run_independent_chains(n: int, k: int, p_select: float, max_steps: int,
     t = 0
     dist = np.zeros(n, dtype=np.int64)  # |pos|
     top = 0  # max |pos|
-    progress = _Progress("independent chains", rng.seed)
+    progress = Progress(logger, "independent chains", seed=rng.seed)
     for block in chunk_sizes(8, 256, max_steps):
         selected = gen.random((block, n)) < p_select
         moves = gen.integers(0, 2, size=(block, n), dtype=np.int8)

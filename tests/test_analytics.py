@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from pcnsim import (ChannelGraph, Rng, chernoff_lower, chernoff_upper,
-                    clique_failure_window, edge_betweenness, expected_hitting_time,
-                    fit_scale, hitting_tail_bound, make_clique, make_ring,
-                    reflection_sandwich, ring_edge_probability, run_bdc_process,
+                    clique_failure_window, edge_betweenness, edge_selection_probability,
+                    expected_hitting_time, fit_scale, hitting_tail_bound, make_clique,
+                    make_ring, reflection_sandwich, ring_edge_probability, run_bdc_process,
                     run_seed, xi_and_bounds)
 from pcnsim.analytics import fit_residual
 from pcnsim.paths import BetweennessMap
@@ -185,6 +185,18 @@ def test_ring_edge_probability_values():
     assert ring_edge_probability(10 ** 6) == pytest.approx(0.25, abs=1e-5)
     with pytest.raises(ValueError):
         ring_edge_probability(2)
+
+
+def test_ring_edge_selection_probability_exact_values():
+    # the exact per-edge probability, from exact betweenness: the closed form
+    # for odd n, and n/(4(n-1)) for even n, which counts the antipodal pairs
+    # that ring_edge_probability leaves out
+    for n in [*range(3, 65), 512]:
+        g = make_ring(n, 2)
+        bmap = edge_betweenness(g)
+        want = (n + 1) / (4 * n) if n % 2 else n / (4 * (n - 1))
+        for eid in range(n):
+            assert edge_selection_probability(g, bmap, eid) == pytest.approx(want, rel=1e-12)
 
 
 def test_ring_edge_probability_exact_for_odd_n():

@@ -269,7 +269,7 @@ def _progress_lines(caplog, what):
 ])
 def test_kernel_progress_lines_leave_outcomes_unchanged(monkeypatch, caplog, what, run):
     quiet = run()
-    monkeypatch.setattr("pcnsim.sim._PROGRESS_SECONDS", 1e-9)
+    monkeypatch.setattr("pcnsim.progress._PROGRESS_SECONDS", 1e-9)
     monkeypatch.setattr("pcnsim.sim._CLOCK_EVERY", 16)
     with caplog.at_level(logging.INFO, logger="pcnsim.sim"):
         loud = run()

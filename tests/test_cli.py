@@ -549,7 +549,7 @@ def test_verbose_leaves_outputs_and_echo_unchanged(tmp_path, capsys, caplog):
 ])
 def test_verbose_kernel_progress_leaves_outputs_unchanged(tmp_path, capsys, caplog,
                                                           monkeypatch, argv, line):
-    monkeypatch.setattr("pcnsim.sim._PROGRESS_SECONDS", 1e-9)  # a line per chunk
+    monkeypatch.setattr("pcnsim.progress._PROGRESS_SECONDS", 1e-9)  # a line per chunk
     runs = {}
     for flag in ([], ["-v"]):
         out = tmp_path / f"out{len(flag)}.csv"
@@ -561,6 +561,28 @@ def test_verbose_kernel_progress_leaves_outputs_unchanged(tmp_path, capsys, capl
         runs[bool(flag)] = (stdout, out.read_bytes(), caplog.text)
     assert runs[True][:2] == runs[False][:2]
     assert line in runs[True][2]
+
+
+def test_verbose_betweenness_progress_leaves_outputs_unchanged(tmp_path, capsys, caplog,
+                                                               monkeypatch):
+    gpath = tmp_path / "ring.edges"
+    write_edgelist(make_ring(40, 6), gpath)
+    runs = {}
+    for flag in ([], ["-v"]):
+        if flag:
+            monkeypatch.setattr("pcnsim.progress._PROGRESS_SECONDS", 1e-9)  # a line per block
+            monkeypatch.setattr("pcnsim.paths._BLOCK_BUDGET", 8 * 80)  # 8 sources per block
+        out = tmp_path / f"betw{len(flag)}.csv"
+        caplog.clear()
+        with caplog.at_level("INFO", logger="pcnsim"):
+            assert run_cli(*flag, "betweenness", "--graph", str(gpath), "--out", str(out)) == 0
+        stdout = capsys.readouterr().out.replace(str(out.with_suffix("")), "OUT")
+        runs[bool(flag)] = (stdout, out.read_bytes(),
+                            out.with_suffix(".bounds.csv").read_bytes(), caplog.text)
+    assert runs[True][:3] == runs[False][:3]
+    assert "edge betweenness at " not in runs[False][3]
+    assert runs[True][3].count("edge betweenness at ") == 5
+    assert "at 40 of 40 sources, " in runs[True][3]
 
 
 @pytest.mark.parametrize("command,line", [("simulate", "horizon = 7"),

@@ -6,9 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from pcnsim import (ChannelGraph, giant_component, ingest_snapshot, make_clique,
-                    make_ring, parse_snapshot)
-from pcnsim.graph import load_graph, read_edgelist, write_edgelist
+from pcnsim import (ChannelGraph, edge_betweenness, giant_component, ingest_snapshot,
+                    make_clique, make_ring, parse_snapshot, sssp_dag)
+from pcnsim.graph import Csr, load_graph, read_edgelist, write_edgelist
 
 from helpers import adjacency_of, csr_rows, random_connected_edges, random_connected_graph
 
@@ -270,3 +270,17 @@ def test_is_connected_is_found_once(monkeypatch):
 
     monkeypatch.setattr(type(g.csr), "bfs_step", no_bfs)
     assert g.is_connected() and not split.is_connected()
+
+
+def test_every_bfs_runs_on_bfs_step(monkeypatch):
+    # one BFS step serves the per-source DAGs, betweenness and the
+    # connectivity check: with it broken, each of them fails
+    g = make_ring(6, 2)
+
+    def broken_step(*_args):
+        raise RuntimeError("bfs_step was called")
+
+    monkeypatch.setattr(Csr, "bfs_step", broken_step)
+    for search in (lambda: edge_betweenness(g), lambda: sssp_dag(g, 0), g.is_connected):
+        with pytest.raises(RuntimeError, match="bfs_step was called"):
+            search()
