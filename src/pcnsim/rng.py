@@ -59,8 +59,11 @@ def run_seed(base_seed: int, run_index: int) -> int:
 class Rng:
     """Buffered wrapper over numpy's PCG64 for fast exact scalar draws.
 
-    Scalar draws come from an internal buffer of raw 64-bit words, which keeps
-    per-draw cost near list-iteration speed.  Integer draws are rejection
+    Every draw reads PCG64's raw 64-bit words.  Scalar draws (``u64``,
+    ``randrange``, ``pair``, ``bit``) take whole words, in order, from an
+    internal buffer, which keeps per-draw cost near list-iteration speed;
+    ``indices`` takes whole words too, and ``bits`` takes the bytes of the
+    32-bit halves numpy splits words into.  Integer draws are rejection
     sampled, so they are exactly uniform (no modulo bias).  The underlying
     :class:`numpy.random.Generator` is exposed as ``.np`` for vectorized use;
     mixing scalar and vector draws is fine, the stream stays deterministic for
@@ -152,5 +155,30 @@ class Rng:
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint64)
 
     def bits(self, count: int) -> np.ndarray:
-        """`count` independent fair bits, as uint8."""
-        return self.np.integers(0, 2, size=count, dtype=np.uint8)
+        """`count` independent fair bits, as uint8: exactly
+        ``self.np.integers(0, 2, size=count, dtype=np.uint8)``, stream included.
+
+        numpy draws those from 32-bit halves of PCG64's raw words, low half
+        first, taking a half it holds buffered (``has_uint32``, ``uinteger``)
+        before any new word; each half gives four bytes, low byte first, and
+        bit i is the top bit of byte i.  So the bits are the top bits of the
+        buffered half's bytes, if one is held, then of the little-endian bytes
+        of ``random_raw`` words.  A word whose high half goes unused leaves it
+        buffered for the next 32-bit draw, as numpy does.
+        """
+        bitgen = self.np.bit_generator
+        state = bitgen.state
+        halves = -(-count // 4)  # the 32-bit draws numpy makes
+        held = min(state["has_uint32"], halves)
+        words = bitgen.random_raw((halves - held + 1) // 2)
+        raw = words.astype("<u8", copy=False).view(np.uint8)
+        if held:
+            half = np.array([state["uinteger"]], dtype="<u4").view(np.uint8)
+            raw = np.concatenate((half, raw))
+        if held or len(words):
+            state = bitgen.state
+            state["has_uint32"] = (halves - held) % 2
+            if len(words):  # numpy keeps the last word's high half, used or not
+                state["uinteger"] = int(words[-1] >> np.uint64(32))
+            bitgen.state = state
+        return raw[:count] >> 7

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 import multiprocessing
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
@@ -385,39 +386,64 @@ def run_coupled_clique(n: int, k: int, max_steps: int, rng: Rng,
     return out1, out2
 
 
+def _selection_cut(p: float) -> int:
+    """The raw words w for which ``random() < p`` are exactly those below this.
+
+    ``random()`` is (w >> 11)·2**-53, and p·2**53 is exact, so the top 53
+    bits must be below ceil(p·2**53); for p = 1 the cut is 2**64, every word.
+    """
+    return math.ceil(p * 2.0 ** 53) << 11
+
+
 def run_independent_chains(n: int, k: int, p_select: float, max_steps: int,
                            rng: Rng) -> RunOutcome:
     """n independent chains; each round every chain moves ±1 with prob p_select.
 
     Unlike the ring these updates are fully independent across chains; the
     expected number of moving chains per round matches the ring when
-    p_select = ring_edge_probability(n).  Each block of rows draws its
-    selections (``random``), then its directions (``integers``), and is
-    summed a window of rows at a time; only chains close enough to ±k to
-    reach it within the window get a row-by-row running sum.
+    p_select = ring_edge_probability(n).  The stream is that of drawing each
+    block of rows as ``random`` selections, then ``integers(0, 2, int8)``
+    directions (bit 1: up), read from PCG64's raw words.  A block's block·n
+    selection words come first, one per chain and row, and are compared as
+    integers with ``_selection_cut(p_select)``.  A fork of the stream reads
+    them a window of rows at a time, only as far as the run gets.  The
+    stream itself skips them with ``advance``, which drops the buffered
+    32-bit half-word, so that is put back, and draws the block's directions
+    whole with ``rng.bits``; a run leaves the stream where drawing whole
+    blocks leaves it.  Each window is summed at once; only chains close
+    enough to ±k to reach it within the window get a row-by-row running sum.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
     if not (0.0 < p_select <= 1.0):
         raise ValueError("p_select must be in (0, 1]")
-    gen = rng.np
+    bitgen = rng.np.bit_generator
+    cut = _selection_cut(p_select)
+    below = np.uint64(cut) if cut < 1 << 64 else None  # None: p_select = 1, all move
+    fork = np.random.PCG64(0)  # its seed is never used: each block sets its state
     pos = np.zeros(n, dtype=np.int64)
     t = 0
     dist = np.zeros(n, dtype=np.int64)  # |pos|
     top = 0  # max |pos|
     progress = Progress(logger, "independent chains", seed=rng.seed)
     for block in chunk_sizes(8, 256, max_steps):
-        selected = gen.random((block, n)) < p_select
-        moves = gen.integers(0, 2, size=(block, n), dtype=np.int8)
-        moves *= 2
-        moves -= 1
-        moves *= selected
+        start = bitgen.state
+        fork.state = start  # reads the block's selection words as windows come
+        bitgen.advance(block * n)  # past them, dropping the buffered half-word
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = start["has_uint32"], start["uinteger"]
+        bitgen.state = state
+        steps = rng.bits(block * n).view(np.int8).reshape(block, n)
+        steps *= 2
+        steps -= 1
         r = 0
         while r < block:
             # a row moves a chain by at most 1, so over the next w rows only
             # chains within w of ±k can reach it; their running sums are exact
             w = min(block - r, max(k - top, _NEAR_ROWS))
-            rows = moves[r:r + w]
+            rows = steps[r:r + w]
+            if below is not None:
+                rows = rows * (fork.random_raw(w * n).reshape(w, n) < below)
             near = np.flatnonzero(dist >= k - w)
             if len(near):
                 path = np.abs(pos[near] + np.cumsum(rows[:, near], axis=0)) >= k

@@ -306,7 +306,8 @@ def oracle_clique_fast(n, capacity, cfg, rng):
 
     The reference for ``pcnsim.sim._clique_fast``: per chunk (128 doubling to
     2**14 rounds, clipped at max_steps) it draws the edge indices, then the
-    direction bits; bit 1 means the larger-id endpoint pays.
+    direction bits with numpy's own ``integers``; bit 1 means the larger-id
+    endpoint pays.
     """
     m = n * (n - 1) // 2
     x = cfg.amount
@@ -321,7 +322,7 @@ def oracle_clique_fast(n, capacity, cfg, rng):
         chunk = int(min(size, cfg.max_steps - t))
         size = min(size * 2, 1 << 14)
         edges = rng.indices(m, chunk).tolist()
-        dirs = rng.bits(chunk).tolist()
+        dirs = rng.np.integers(0, 2, size=chunk, dtype=np.uint8).tolist()
         for eid, d in zip(edges, dirs):
             b = bal[eid]
             if d:

@@ -19,8 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from pcnsim import (Rng, SimConfig, run_bdc_process, run_independent_chains,
                     run_seed)
+from pcnsim.analytics import ring_edge_probability
 from pcnsim.rng import chunk_sizes
-from pcnsim.sim import _clique_fast, _first_exit, _ring_fast
+from pcnsim.sim import _clique_fast, _first_exit, _ring_fast, _selection_cut
 
 from helpers import oracle_clique_fast, oracle_independent_chains
 
@@ -67,9 +68,47 @@ def test_clique_large_runs_match_scalar_oracle(n, k):
 
 
 def test_independent_chains_large_k_matches_scalar_oracle():
-    for n, k in ((4096, 20), (512, 60)):
-        assert (run_independent_chains(n, k, 0.25, _FAR, Rng(run_seed(8, n)))
-                == oracle_independent_chains(n, k, 0.25, _FAR, Rng(run_seed(8, n))))
+    # 0.25 is dyadic; the default p of the 4096-ring is not
+    for p in (0.25, ring_edge_probability(4096)):
+        for n, k in ((4096, 20), (512, 60)):
+            assert (run_independent_chains(n, k, p, _FAR, Rng(run_seed(8, n)))
+                    == oracle_independent_chains(n, k, p, _FAR, Rng(run_seed(8, n))))
+
+
+def _stream(rng):
+    return rng.np.bit_generator.state
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(n=st.integers(1, 70), k=st.integers(1, 6),
+       p=st.sampled_from([1.0, 0.3, 0.05, ring_edge_probability(70)]),
+       cap=st.one_of(st.just(_FAR), st.integers(1, 300)), seed=st.integers(0, 2 ** 32))
+def test_independent_chains_carry_a_buffered_half_word(n, k, p, cap, seed):
+    # one uint8 draw leaves the high half of a 32-bit draw buffered in PCG64;
+    # the chains skip their selection words with advance, which drops it, so
+    # they must put it back before drawing directions, and leave the stream
+    # where whole-block draws leave it, censored or not
+    rng, twin = Rng(seed), Rng(seed)
+    for r in (rng, twin):
+        r.np.integers(0, 2, size=1, dtype=np.uint8)
+    assert _stream(rng)["has_uint32"] == 1
+    assert (run_independent_chains(n, k, p, cap, rng)
+            == oracle_independent_chains(n, k, p, cap, twin))
+    assert _stream(rng) == _stream(twin)
+
+
+@pytest.mark.parametrize("p", [0.25, 0.05, ring_edge_probability(4096), 1e-300,
+                               1 - 2.0 ** -53, 1.0])
+def test_selection_cut_is_numpys_random_below_p(p):
+    # random() is (w >> 11) * 2**-53 for a raw word w; the cut must be the
+    # first word it does not select, which no sampled run could pin down
+    cut = _selection_cut(p)
+    assert 0 < cut <= 2 ** 64
+    assert (cut - 1 >> 11) * 2.0 ** -53 < p
+    if cut < 2 ** 64:
+        assert not (cut >> 11) * 2.0 ** -53 < p
+    else:
+        assert p == 1.0
 
 
 # Outcomes of the one-round-at-a-time kernels, with run_seed(61/62/63, i) for
@@ -188,7 +227,8 @@ def test_clique_attempt_failure_is_not_applied():
     # rounds before it
     cfg = _clique(2, 1, 1, "attempt")
     for seed in range(20):
-        dirs = Rng(seed).bits(128).tolist()  # indices(1, ...) draws nothing
+        # indices(1, ...) draws nothing
+        dirs = Rng(seed).np.integers(0, 2, size=128, dtype=np.uint8).tolist()
         bal = 1
         for tau, d in enumerate(dirs):
             if not 0 <= bal + (1 if d else -1) <= 2:
@@ -254,6 +294,43 @@ def test_rng_copies_go_on_with_the_same_stream():
     copies = [pickle.loads(pickle.dumps(rng)), copy.deepcopy(rng)]
     expected = drawn(want)
     assert [drawn(c) for c in copies] == [expected] * 2
+
+
+_COUNTS = st.one_of(st.integers(0, 9), st.integers(0, 5000))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2 ** 32),
+       calls=st.lists(st.tuples(_COUNTS, st.integers(0, 3),
+                                st.sampled_from([None, "pickle", "deepcopy"])),
+                      min_size=1, max_size=8))
+def test_bits_are_numpys_uint8_integers(seed, calls):
+    # each call takes bits, then `halves` 32-bit draws that may leave a
+    # half-word buffered or take it, and maybe goes on in a copy of the Rng
+    rng, twin = Rng(seed), np.random.Generator(np.random.PCG64(seed))
+    for count, halves, copier in calls:
+        got = rng.bits(count)
+        assert got.dtype == np.uint8
+        assert got.tolist() == twin.integers(0, 2, size=count, dtype=np.uint8).tolist()
+        assert _stream(rng) == twin.bit_generator.state
+        assert rng.np.random() == twin.random()
+        assert (rng.np.integers(0, 1 << 32, size=halves, dtype=np.uint32).tolist()
+                == twin.integers(0, 1 << 32, size=halves, dtype=np.uint32).tolist())
+        if copier == "pickle":
+            rng = pickle.loads(pickle.dumps(rng))
+        elif copier == "deepcopy":
+            rng = copy.deepcopy(rng)
+
+
+def test_bits_go_on_from_a_held_half_word_in_a_copy():
+    rng, twin = Rng(12), np.random.Generator(np.random.PCG64(12))
+    for gen in (rng.np, twin):
+        gen.integers(0, 2, size=3, dtype=np.uint8)  # holds the word's high half
+    assert _stream(rng)["has_uint32"] == 1
+    want = [twin.integers(0, 2, size=c, dtype=np.uint8).tolist() for c in (3, 13, 0, 4096)]
+    for held in (pickle.loads(pickle.dumps(rng)), copy.deepcopy(rng)):
+        assert [held.bits(c).tolist() for c in (3, 13, 0, 4096)] == want
+        assert _stream(held) == twin.bit_generator.state
 
 
 def _progress_lines(caplog, what):
