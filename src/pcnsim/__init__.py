@@ -9,7 +9,8 @@ from .paths import (BetweennessMap, DagCache, ShortestPathDag, StDag, edge_betwe
 from .analytics import (BoundReport, chernoff_lower, chernoff_upper,
                         clique_failure_window, expected_hitting_time, fit_scale,
                         hitting_tail_bound, reflection_sandwich,
-                        ring_edge_probability, xi_and_bounds)
+                        ring_edge_probability, ring_edge_probability_exact,
+                        xi_and_bounds)
 from .planner import (CapacityPlan, apply_plan, redistribute_uniform,
                       redistribute_xi_optimized)
 from .results import Aggregate, LogHistogram, aggregate, emit_campaign, log_histogram

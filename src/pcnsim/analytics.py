@@ -171,6 +171,19 @@ def ring_edge_probability(n: int) -> float:
     return (half - 1) * half / (n * (n - 1))
 
 
+def ring_edge_probability_exact(n: int) -> float:
+    """Per-edge inclusion probability on the n-ring, antipodal pairs included.
+
+    A uniform ordered pair of distinct nodes and a uniform shortest path
+    between them cross a given edge with probability (n+1)/(4n) for odd n
+    and n/(4(n−1)) for even n, where an antipodal pair's two arcs each take
+    half.  For odd n it equals ``ring_edge_probability``.
+    """
+    if n < 3:
+        raise ValueError("ring needs n >= 3")
+    return (n + 1) / (4 * n) if n % 2 else n / (4 * (n - 1))
+
+
 def fit_scale(points: list[tuple[int, float]], model: str, k: int) -> float:
     """Least-squares scale p for mean_tau ≈ p·f(n).
 

@@ -122,15 +122,18 @@ def _render(value) -> str:
 def write_csv(path, meta: dict, columns: list[str], rows: Iterable[tuple]) -> None:
     """CSV with a '# key = value' metadata header; byte-stable for fixed input.
 
-    ``str`` renders a row's values as ``_render`` does (``str`` of a float
-    is its ``repr``), except for None, so only rows holding None take the
+    Each row is a tuple with one value per column.  ``%s`` renders a value
+    as ``_render`` does (it is ``str``, and ``str`` of a float is its
+    ``repr``), except for None, so a row without None goes through one
+    format with a ``%s`` per column, and only rows holding None take the
     value-by-value path.  The file is written in one call.
     """
     lines = [f"# {key} = {_render(meta[key])}\n" for key in sorted(meta)]
     lines.append(",".join(columns) + "\n")
+    line = ",".join(["%s"] * len(columns)) + "\n"
     for row in rows:
-        lines.append((",".join(map(_render, row)) if None in row
-                      else ",".join(map(str, row))) + "\n")
+        lines.append(",".join(map(_render, row)) + "\n" if None in row
+                     else line % row)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("".join(lines))

@@ -49,6 +49,12 @@ def chunk_sizes(first: int, cap: int, total: int) -> Iterator[int]:
         size = next_size(size, cap)
 
 
+def word_limit(bound: int) -> int:
+    """Integer draws in [0, bound) reject the raw words at or past this, and
+    take the others mod bound; 2**64 when bound divides 2**64."""
+    return _WORD - _WORD % bound
+
+
 def run_seed(base_seed: int, run_index: int) -> int:
     """Per-run seed = mix of (base_seed, run_index); deterministic and stable."""
     if run_index < 0:
@@ -62,9 +68,11 @@ class Rng:
     Every draw reads PCG64's raw 64-bit words.  Scalar draws (``u64``,
     ``randrange``, ``pair``, ``bit``) take whole words, in order, from an
     internal buffer, which keeps per-draw cost near list-iteration speed;
-    ``indices`` takes whole words too, and ``bits`` takes the bytes of the
-    32-bit halves numpy splits words into.  Integer draws are rejection
-    sampled, so they are exactly uniform (no modulo bias).  The underlying
+    ``words`` returns a block of them as an array, buffered words first, and
+    can put back the ones its caller did not use.  ``indices`` takes whole
+    words too, and ``bits`` takes the bytes of the 32-bit halves numpy
+    splits words into.  Integer draws are rejection sampled, so they are
+    exactly uniform (no modulo bias).  The underlying
     :class:`numpy.random.Generator` is exposed as ``.np`` for vectorized use;
     mixing scalar and vector draws is fine, the stream stays deterministic for
     a fixed call sequence.
@@ -99,7 +107,7 @@ class Rng:
             return 0
         if bound > _WORD:
             return self._randrange_wide(bound)
-        limit = _WORD - (_WORD % bound)
+        limit = word_limit(bound)
         while True:
             r = self.u64()
             if r < limit:
@@ -118,6 +126,25 @@ class Rng:
                 r = (r << 64) | self.u64()
             if r < limit:
                 return r % bound
+
+    def words(self, count: int, back: np.ndarray | None = None) -> np.ndarray:
+        """The next ``count`` raw words as uint64, buffered words first.
+
+        ``back``, if given, holds words an earlier call returned that its
+        caller did not use; they go back to the head of the buffer first, so
+        they are the first words returned (and ``words(0, back)`` only puts
+        them back).  Every later scalar draw or ``words`` call reads the
+        stream as if those words had never been taken.
+        """
+        if back is not None and len(back):
+            self._buf = back.tolist() + self._buf[self._pos:]
+            self._pos = 0
+        held = self._buf[self._pos:self._pos + count]
+        self._pos += len(held)
+        fresh = self.np.bit_generator.random_raw(count - len(held))
+        if not held:
+            return fresh
+        return np.concatenate((np.array(held, dtype=np.uint64), fresh))
 
     def bit(self) -> int:
         return self.u64() & 1
@@ -140,8 +167,8 @@ class Rng:
             raise ValueError("bound must be positive")
         if bound == 1:
             return np.zeros(count, dtype=np.uint64)
-        rem = _WORD % bound
-        limit = np.uint64(_WORD - rem) if rem else None
+        limit = word_limit(bound)
+        limit = np.uint64(limit) if limit < _WORD else None
         ubound = np.uint64(bound)
         parts: list[np.ndarray] = []
         need = count

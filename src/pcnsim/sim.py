@@ -14,7 +14,7 @@ from .analytics import ring_edge_probability
 from .graph import ChannelGraph, load_graph
 from .paths import DagCache, sample_shortest_path
 from .progress import Progress
-from .rng import Rng, chunk_sizes, run_seed
+from .rng import Rng, chunk_sizes, next_size, run_seed, word_limit
 
 logger = logging.getLogger(__name__)
 
@@ -25,7 +25,9 @@ ATTEMPT_FAILED = "attempt_failed"
 STEP_CAP = "step_cap_reached"
 
 _CHUNK = 1 << 14
-_CLOCK_EVERY = 1 << 12  # ring rounds between reads of the progress clock
+_RING_WORDS = (512, 1 << 13)  # first and largest block of raw words the ring kernel decodes
+_SAFE_ROUNDS = 16  # fewest rounds the ring kernel applies at once without checks
+_MIN, _MAX = np.minimum.reduce, np.maximum.reduce
 _NEAR_ROWS = 8  # fewest rows the independent chains search at once
 
 
@@ -253,17 +255,102 @@ def _clique_fast(n: int, capacity: int, cfg: SimConfig, rng: Rng) -> RunOutcome:
     return RunOutcome(t, None, STEP_CAP, rng.seed)
 
 
-def _ring_fast(n: int, capacity: int, cfg: SimConfig, rng: Rng) -> RunOutcome:
-    """Payment process on a uniform-capacity ring, one arc per round.
+def _ring_rounds(w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                np.ndarray]:
+    """The rounds a block of raw words holds, read as ``Rng.pair`` and
+    ``randrange(2)`` read them: ``(first, end, clockwise, nxt)``.
 
-    Every shortest path on a ring is an arc, so a round is one or two slice
-    updates of ``cw``, where ``cw[i]`` is the balance node i can push to i+1
-    over edge i.  Edge n-1 joins n-1 and 0, and make_ring stores its balance
-    at node 0, so ``cw[n-1]`` is the other side of it.  The draws are those of
-    run_payment_process, so outcomes are identical: an antipodal pair (even n)
-    takes one ``randrange(2)``, and r == 0 picks the antipode's first BFS
+    Round j pays over the arc of edges first[j], ..., end[j] - 1 (mod n;
+    end[j] < 2n), clockwise or not, and its draws end before word nxt[j].
+    Every word is decoded as if a round started there: s = w[i] % n, the
+    destination from w[i + 1] % (n - 1), and, for an antipodal pair, the
+    tie-break bit from w[i + 2].  The real rounds start at word 0 and follow
+    nxt[i] = i + 2 + antipodal[i].  A block holding a word that
+    ``randrange(n)`` or ``randrange(n - 1)`` would reject is decoded word by
+    word instead.  A round the block holds only in part is left out.
+    """
+    cut = min(word_limit(n), word_limit(n - 1))
+    if cut < 1 << 64 and len(w) and w.max() >= np.uint64(cut):
+        s, span, clockwise, nxt = _ring_rounds_scalar(w.tolist(), n)
+    else:
+        every = (w % np.uint64(n)).astype(np.int64)
+        t = (w[1:] % np.uint64(n - 1)).astype(np.int64)
+        span = t + (t >= every[:-1]) - every[:-1]
+        span[span < 0] += n
+        starts, cur = [], 0
+        for a in np.flatnonzero(2 * span == n).tolist():
+            if a < cur or (a - cur) % 2:
+                continue  # not a round start
+            if a + 2 == len(w):  # the tie-break word is past the block
+                starts.append(np.arange(cur, a, 2))
+                cur = len(w)
+                break
+            starts.append(np.arange(cur, a + 1, 2))
+            cur = a + 3
+        starts.append(np.arange(cur, len(w) - 1, 2))
+        at = np.concatenate(starts)
+        s, span = every[at], span[at]
+        tie = 2 * span == n
+        clockwise = 2 * span < n
+        # from source 0 a tie bit of 0 goes clockwise, elsewhere counterclockwise
+        clockwise[tie] = ((w[at[tie] + 2] & np.uint64(1)) == 0) == (s[tie] == 0)
+        nxt = at + 2 + tie
+    first = np.where(clockwise, s, (s + span) % n)
+    return first, first + np.where(clockwise, span, n - span), clockwise, nxt
+
+
+def _ring_rounds_scalar(w: list[int], n: int) -> tuple[np.ndarray, ...]:
+    """``_ring_rounds``' (s, span, clockwise, nxt) by the scalar rule, which
+    passes over the words that ``randrange`` rejects."""
+    pos = 0
+
+    def draw(bound: int) -> Optional[int]:  # randrange(bound); None past the block
+        nonlocal pos
+        limit = word_limit(bound)
+        while pos < len(w):
+            pos += 1
+            if w[pos - 1] < limit:
+                return w[pos - 1] % bound
+        return None
+
+    rows = []
+    while (s := draw(n)) is not None and (t := draw(n - 1)) is not None:
+        span = (t + (t >= s) - s) % n
+        if 2 * span != n:
+            clockwise = 2 * span < n
+        elif (r := draw(2)) is not None:
+            clockwise = (r == 0) == (s == 0)
+        else:
+            break
+        rows.append((s, span, clockwise, pos))
+    cols = zip(*rows) if rows else [()] * 4
+    s, span, clockwise, nxt = (np.array(col, dtype=np.int64) for col in cols)
+    return s, span, clockwise.astype(bool), nxt
+
+
+def _ring_fast(n: int, capacity: int, cfg: SimConfig, rng: Rng) -> RunOutcome:
+    """Payment process on a uniform-capacity ring, a block of rounds at a time.
+
+    Every shortest path on a ring is an arc, so a round adds ±x to a run of
+    ``cw``, where ``cw[i]`` is the balance node i can push to i+1 over edge
+    i.  Edge n-1 joins n-1 and 0, and make_ring stores its balance at node 0,
+    so ``cw[n-1]`` is the other side of it.  The draws are those of
+    run_payment_process, so outcomes are identical: an antipodal pair (even
+    n) takes one ``randrange(2)``, and r == 0 picks the antipode's first BFS
     predecessor, which lies on the counterclockwise arc for every source but
     0, because make_ring lists node 0's neighbours as [1, n-1].
+
+    Each block of raw words (sizes from ``_RING_WORDS``) is decoded at once
+    by ``_ring_rounds``.  A round moves a balance by at most x, so while the
+    smallest slack to ``lo`` or ``hi`` is h·x, none of the next h rounds can
+    fail: when h >= ``_SAFE_ROUNDS`` they are applied together, through one
+    difference array over the arcs' ends (``_arc_ends``).  Otherwise the next
+    ``_SAFE_ROUNDS`` rounds go one at a time, one slice update per arc
+    segment, and those past the first h check each segment they updated; a
+    failing round's first edge outside the range, in path order, is the
+    failing edge.  The words a run does not use go back to ``rng``, so the
+    stream ends where the scalar draws end it.  Progress is logged once per
+    block.
     """
     x = cfg.amount
     lo, spent, kind = _stop_range(cfg)
@@ -274,43 +361,86 @@ def _ring_fast(n: int, capacity: int, cfg: SimConfig, rng: Rng) -> RunOutcome:
     hi = capacity - lo  # even capacity: cw[n-1], a larger-id end, has the same range
     max_steps = cfg.max_steps
     t = 0
+    size, top = _RING_WORDS
+    left = np.zeros(0, dtype=np.uint64)  # words the last block's rounds did not use
     progress = Progress(logger, "ring process", seed=rng.seed)
-    next_clock = _CLOCK_EVERY
     while t < max_steps:
-        s, d = rng.pair(n)
-        span = d - s if d > s else d - s + n  # clockwise hops from s to d
-        if 2 * span == n:
-            clockwise = (rng.randrange(2) == 0) == (s == 0)
-        else:
-            clockwise = 2 * span < n
-        # the arc's edges are first, first+1, ..., end-1 (mod n); a clockwise
-        # payment crosses them in ascending order, a counterclockwise one in
-        # descending order
-        first, end = (s, s + span) if clockwise else (d, s + n if s < d else s)
-        segs = ((first, end),) if end <= n else ((first, n), (0, end - n))
-        step = -x if clockwise else x
-        for a, b in segs:
-            cw[a:b] += step
-        failing = -1
-        if clockwise:
-            for a, b in segs:
-                v = cw[a:b]
-                if v.min() < lo:
-                    failing = a + int(np.argmax(v < lo))
-                    break
-        else:
-            for a, b in reversed(segs):
-                v = cw[a:b]
-                if v.max() > hi:
-                    failing = b - 1 - int(np.argmax(v[::-1] > hi))
-                    break
-        if failing >= 0:
-            return RunOutcome(t + spent, failing, kind, rng.seed)
-        t += 1
-        if t >= next_clock:
-            progress(t)
-            next_clock += _CLOCK_EVERY
+        w = rng.words(len(left) + size, left)
+        size = next_size(size, top)
+        first, end, clockwise, nxt = _ring_rounds(w, n)
+        rounds = min(len(first), max_steps - t)
+        split = np.minimum(end, n)
+        wrap = end - split
+        steps = np.where(clockwise, -x, x)
+        keys = wraps = None  # the arcs' ends, once a block of safe rounds needs them
+        j = 0
+        while j < rounds:
+            h = min(int(_MIN(cw)) - lo, hi - int(_MAX(cw))) // x
+            if h >= _SAFE_ROUNDS:
+                if keys is None:
+                    keys, wraps = _arc_ends(first, end, clockwise, n)
+                stop = min(j + h, rounds)
+                ends = np.bincount(keys[2 * j:2 * stop], minlength=2 * n)
+                moved = np.cumsum(ends[:n] - ends[n:])
+                moved += wraps[stop] - wraps[j]
+                moved *= x
+                cw += moved
+                j = stop
+                continue
+            stop = min(j + _SAFE_ROUNDS, rounds)
+            for i, a, b, e, step in zip(range(j, stop), first[j:stop].tolist(),
+                                        split[j:stop].tolist(), wrap[j:stop].tolist(),
+                                        steps[j:stop].tolist()):
+                v = cw[a:b]  # the arc's edges up to n - 1, then any past it
+                v += step
+                if e:
+                    u = cw[:e]
+                    u += step
+                if i < j + h:
+                    continue
+                if (_MIN(v) < lo or e and _MIN(u) < lo) if step < 0 else \
+                        (_MAX(v) > hi or e and _MAX(u) > hi):
+                    rng.words(0, w[nxt[i]:])
+                    failing = _failing_edge(cw, n, a, end[i], step < 0, lo, hi)
+                    return RunOutcome(t + i + spent, failing, kind, rng.seed)
+            j = stop
+        t += rounds
+        left = w[nxt[rounds - 1]:] if rounds else w
+        progress(t)
+    rng.words(0, left)
     return RunOutcome(t, None, STEP_CAP, rng.seed)
+
+
+def _arc_ends(first: np.ndarray, end: np.ndarray, clockwise: np.ndarray,
+              n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A block's arcs as a difference array: ``(keys, wraps)``.
+
+    A counterclockwise arc adds 1 (in units of x) to edges first, ...,
+    end - 1 (mod n), a clockwise one takes 1.  Keys 2j and 2j + 1 are where
+    round j's change goes up and where it goes down, mod n, the downs
+    offset by n.  For an arc that reaches n, the running sum of its ends is
+    its change less 1 on every edge, so ``wraps[j]`` sums the change of
+    those arcs among the first j rounds.  The running sum of a run of keys'
+    bincount, ups less downs, plus its share of ``wraps``, is what those
+    rounds move each balance by.
+    """
+    keys = np.empty(2 * len(first), dtype=np.int64)
+    keys[0::2] = np.where(clockwise, end, first) % n
+    keys[1::2] = np.where(clockwise, first, end) % n + n
+    wraps = np.zeros(len(first) + 1, dtype=np.int64)
+    np.cumsum(np.where(clockwise, -1, 1) * (end >= n), out=wraps[1:])
+    return keys, wraps
+
+
+def _failing_edge(cw: np.ndarray, n: int, first: int, end: int, clockwise: bool,
+                  lo: int, hi: int) -> int:
+    """The first edge, in path order, that an applied round's arc took outside
+    [lo, hi]: a clockwise payment crosses edges first, ..., end - 1 (mod n),
+    a counterclockwise one the same edges from end - 1 down."""
+    hops = np.arange(end - first)
+    path = (first + hops if clockwise else end - 1 - hops) % n
+    out = cw[path] < lo if clockwise else cw[path] > hi
+    return int(path[np.argmax(out)])
 
 
 def run_bdc_process(m: int, k: int, max_steps: int, rng: Rng) -> RunOutcome:

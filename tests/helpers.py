@@ -364,3 +364,60 @@ def oracle_independent_chains(n, k, p_select, max_steps, rng):
             if hits.any():
                 return RunOutcome(t, int(np.argmax(hits)), "depleted", rng.seed)
     return RunOutcome(t, None, "step_cap_reached", rng.seed)
+
+
+def oracle_ring_fast(n, capacity, cfg, rng):
+    """The ring's arc form, one round at a time from two scalar pair draws.
+
+    The reference for ``pcnsim.sim._ring_fast``.  ``cw[i]`` is the balance
+    node i can push to i+1 over edge i; edge n-1 joins n-1 and 0, and
+    make_ring stores its balance at node 0, so ``cw[n-1]`` is the other side
+    of it.  An antipodal pair (even n) takes one ``randrange(2)``, and r == 0
+    picks the antipode's first BFS predecessor, which lies on the
+    counterclockwise arc for every source but 0, because make_ring lists
+    node 0's neighbours as [1, n-1].  Each round is applied, then checked in
+    path order: a balance below ``lo`` (the amount in depletion mode, 0 in
+    attempt mode) or above ``capacity - lo`` fails it.
+    """
+    x = cfg.amount
+    attempt = cfg.stop_mode == "attempt"
+    lo = 0 if attempt else x
+    if capacity // 2 < lo:
+        return RunOutcome(0, 0, "depleted", rng.seed)
+    cw = np.full(n, capacity // 2, dtype=np.int64)
+    hi = capacity - lo
+    t = 0
+    while t < cfg.max_steps:
+        s, d = rng.pair(n)
+        span = d - s if d > s else d - s + n  # clockwise hops from s to d
+        if 2 * span == n:
+            clockwise = (rng.randrange(2) == 0) == (s == 0)
+        else:
+            clockwise = 2 * span < n
+        # the arc's edges are first, first+1, ..., end-1 (mod n); a clockwise
+        # payment crosses them in ascending order, a counterclockwise one in
+        # descending order
+        first, end = (s, s + span) if clockwise else (d, s + n if s < d else s)
+        segs = ((first, end),) if end <= n else ((first, n), (0, end - n))
+        step = -x if clockwise else x
+        for a, b in segs:
+            cw[a:b] += step
+        failing = -1
+        if clockwise:
+            for a, b in segs:
+                v = cw[a:b]
+                if v.min() < lo:
+                    failing = a + int(np.argmax(v < lo))
+                    break
+        else:
+            for a, b in reversed(segs):
+                v = cw[a:b]
+                if v.max() > hi:
+                    failing = b - 1 - int(np.argmax(v[::-1] > hi))
+                    break
+        if failing >= 0:
+            if attempt:
+                return RunOutcome(t, failing, "attempt_failed", rng.seed)
+            return RunOutcome(t + 1, failing, "depleted", rng.seed)
+        t += 1
+    return RunOutcome(t, None, "step_cap_reached", rng.seed)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ import pytest
 from pcnsim import (ChannelGraph, Rng, chernoff_lower, chernoff_upper,
                     clique_failure_window, edge_betweenness, edge_selection_probability,
                     expected_hitting_time, fit_scale, hitting_tail_bound, make_clique,
-                    make_ring, reflection_sandwich, ring_edge_probability, run_bdc_process,
-                    run_seed, xi_and_bounds)
+                    make_ring, reflection_sandwich, ring_edge_probability,
+                    ring_edge_probability_exact, run_bdc_process, run_seed, xi_and_bounds)
 from pcnsim.analytics import fit_residual
 from pcnsim.paths import BetweennessMap
 
-from helpers import brute_edge_betweenness, mean_pair_distance
+from helpers import brute_edge_betweenness, enumerate_shortest_paths, mean_pair_distance
 
 
 def test_expected_hitting_time_values():
@@ -194,9 +195,33 @@ def test_ring_edge_selection_probability_exact_values():
     for n in [*range(3, 65), 512]:
         g = make_ring(n, 2)
         bmap = edge_betweenness(g)
-        want = (n + 1) / (4 * n) if n % 2 else n / (4 * (n - 1))
+        want = ring_edge_probability_exact(n)
         for eid in range(n):
             assert edge_selection_probability(g, bmap, eid) == pytest.approx(want, rel=1e-12)
+
+
+def test_ring_edge_probability_exact_is_the_pair_and_path_average():
+    # every ordered pair of distinct nodes, and each of its shortest paths
+    # with an equal share, as exact fractions
+    for n in range(3, 13):
+        edges = list(zip(range(n), [(i + 1) % n for i in range(n)], [2] * n))
+        crossed = [Fraction(0)] * n
+        for s in range(n):
+            for t in range(n):
+                if s == t:
+                    continue
+                paths = enumerate_shortest_paths(edges, n, s, t)
+                for path in paths:
+                    for a, b in zip(path, path[1:]):
+                        eid = min(a, b) if {a, b} != {0, n - 1} else n - 1
+                        crossed[eid] += Fraction(1, len(paths) * n * (n - 1))
+        assert len(set(crossed)) == 1
+        assert ring_edge_probability_exact(n) == float(crossed[0])
+        assert crossed[0] == (Fraction(n + 1, 4 * n) if n % 2 else Fraction(n, 4 * (n - 1)))
+        if n % 2:
+            assert ring_edge_probability_exact(n) == pytest.approx(ring_edge_probability(n))
+    with pytest.raises(ValueError):
+        ring_edge_probability_exact(2)
 
 
 def test_ring_edge_probability_exact_for_odd_n():

@@ -21,7 +21,7 @@ from pcnsim import (Rng, SimConfig, run_bdc_process, run_independent_chains,
                     run_seed)
 from pcnsim.analytics import ring_edge_probability
 from pcnsim.rng import chunk_sizes
-from pcnsim.sim import _clique_fast, _first_exit, _ring_fast, _selection_cut
+from pcnsim.sim import _RING_WORDS, _clique_fast, _first_exit, _ring_fast, _selection_cut
 
 from helpers import oracle_clique_fast, oracle_independent_chains
 
@@ -296,6 +296,41 @@ def test_rng_copies_go_on_with_the_same_stream():
     assert [drawn(c) for c in copies] == [expected] * 2
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2 ** 32),
+       calls=st.lists(st.tuples(st.sampled_from(["u64", "words"]), st.integers(0, 700),
+                                st.integers(0, 700)), min_size=1, max_size=8))
+def test_words_read_the_stream_buffered_words_first(seed, calls):
+    # scalar draws and blocks of words, each block putting back its last
+    # `back` words, read the stream in order, across buffer refills
+    rng = Rng(seed)
+    stream = np.random.Generator(np.random.PCG64(seed)).integers(
+        0, 1 << 64, size=20000, dtype=np.uint64).tolist()
+    at = 0
+    for how, count, back in calls:
+        if how == "u64":
+            got = [rng.u64() for _ in range(count)]
+        else:
+            got = rng.words(count).tolist()
+            back = min(back, count)
+            rng.words(0, np.array(got[count - back:], dtype=np.uint64))
+            got, count = got[:count - back], count - back
+        assert got == stream[at:at + count]
+        at += count
+    assert rng.words(5).tolist() == stream[at:at + 5]
+
+
+def test_words_put_back_come_first_and_go_on_in_a_copy():
+    rng, stream = Rng(8), Rng(8)
+    want = [stream.u64() for _ in range(20)]
+    head = rng.words(10)
+    assert head.dtype == np.uint64 and head.tolist() == want[:10]
+    assert rng.words(6, head[6:]).tolist() == want[6:12]  # four put back, two new
+    rng.words(0, np.array(want[9:12], dtype=np.uint64))
+    for held in (pickle.loads(pickle.dumps(rng)), copy.deepcopy(rng)):
+        assert [held.u64() for _ in range(11)] == want[9:20]
+
+
 _COUNTS = st.one_of(st.integers(0, 9), st.integers(0, 5000))
 
 
@@ -341,21 +376,21 @@ def _progress_lines(caplog, what):
     ("clique process", lambda: _clique_fast(20, 16, _clique(20, 8), Rng(3))),
     ("bdc process", lambda: run_bdc_process(50, 12, _FAR, Rng(3))),
     ("independent chains", lambda: run_independent_chains(64, 9, 0.1, _FAR, Rng(3))),
-    ("ring process", lambda: _ring_fast(40, 12, SimConfig(topology="ring", nodes=40,
-                                                           balance=6), Rng(3))),
+    ("ring process", lambda: _ring_fast(41, 60, SimConfig(topology="ring", nodes=41,
+                                                           balance=30), Rng(3))),
 ])
 def test_kernel_progress_lines_leave_outcomes_unchanged(monkeypatch, caplog, what, run):
     quiet = run()
     monkeypatch.setattr("pcnsim.progress._PROGRESS_SECONDS", 1e-9)
-    monkeypatch.setattr("pcnsim.sim._CLOCK_EVERY", 16)
     with caplog.at_level(logging.INFO, logger="pcnsim.sim"):
         loud = run()
     assert loud == quiet
     lines = _progress_lines(caplog, what)
-    if what == "ring process":
-        assert len(lines) == quiet.tau // 16
-    else:  # one line per chunk the run got through
-        start, cap = (8, 256) if what == "independent chains" else (128, 1 << 14)
-        ends = accumulate(chunk_sizes(start, cap, _FAR))
-        assert len(lines) == len(list(takewhile(lambda end: end < quiet.tau, ends)))
+    # one line per chunk the run got through; on an odd ring a block of
+    # raw words holds half as many rounds
+    start, cap = {"independent chains": (8, 256),
+                  "ring process": tuple(size // 2 for size in _RING_WORDS)}.get(
+        what, (128, 1 << 14))
+    ends = accumulate(chunk_sizes(start, cap, _FAR))
+    assert len(lines) == len(list(takewhile(lambda end: end < quiet.tau, ends)))
     assert lines and "rounds/s" in lines[-1] and f"(seed {quiet.seed_used})" in lines[-1]

@@ -8,6 +8,7 @@ import re
 import statistics
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +21,7 @@ from pcnsim.paths import DagCache
 from pcnsim.sim import (STEP_CAP, TOPOLOGIES, _clique_fast, _ring_fast, build_graph,
                         capacity_sweep)
 
-from helpers import oracle_payment_process, random_connected_edges
+from helpers import oracle_payment_process, oracle_ring_fast, random_connected_edges
 
 
 def test_ring3_unit_balance_always_fails_first_round():
@@ -310,28 +311,54 @@ def test_multi_amount_requires_amounts():
 
 
 class ScriptedRng(Rng):
-    """An Rng whose pair and randrange draws come from fixed scripts."""
+    """An Rng whose pair draws come from a fixed script; the graphs it serves
+    have one shortest path per pair, so nothing else is drawn."""
 
-    def __init__(self, pairs, bits=()):
+    def __init__(self, pairs):
         super().__init__(0)
         self._pairs = list(pairs)
-        self._bits = list(bits)
 
     def pair(self, n):
         return self._pairs.pop(0)
 
     def randrange(self, bound):
-        assert bound == 2  # only an antipodal tie draws on a ring
-        return self._bits.pop(0)
+        raise AssertionError(f"unexpected randrange({bound})")
+
+
+def _ring_words(n, pairs, bits=()):
+    """Raw words that ``Rng.pair(n)`` reads as ``pairs``, each antipodal pair
+    followed by its tie-break word from ``bits``."""
+    words, bits = [], list(bits)
+    for s, d in pairs:
+        words += [s, d if d < s else d - 1]
+        if 2 * ((d - s) % n) == n:
+            words.append(bits.pop(0))
+    assert not bits
+    return words
+
+
+def _scripted(words, seed=0):
+    """An Rng whose stream starts with ``words``, then goes on with Rng(seed)'s."""
+    rng = Rng(seed)
+    rng.words(0, np.array(words, dtype=np.uint64))
+    return rng
+
+
+def _ring_all(n, k, words, amount=1, stop_mode="depletion", max_steps=10 ** 12, seed=0):
+    """The ring kernel, its one-round oracle and the generic loop on one
+    stream; all three must agree on the outcome and on where the stream ends."""
+    cfg = SimConfig(topology="ring", nodes=n, balance=k, amount=amount,
+                    stop_mode=stop_mode, max_steps=max_steps)
+    runs = [(run, _scripted(words, seed)) for run in
+            (_ring_fast, oracle_ring_fast, lambda n, c, cfg, rng:
+             run_payment_process(make_ring(n, c), cfg, rng))]
+    outs = [(run(n, 2 * k, cfg, rng), rng.u64()) for run, rng in runs]
+    assert outs[0] == outs[1] == outs[2]
+    return outs[0][0]
 
 
 def _ring_both(n, k, pairs, bits=(), amount=1, stop_mode="depletion"):
-    cfg = SimConfig(topology="ring", nodes=n, balance=k, amount=amount,
-                    stop_mode=stop_mode, max_steps=len(pairs))
-    generic = run_payment_process(make_ring(n, 2 * k), cfg, ScriptedRng(pairs, bits))
-    fast = _ring_fast(n, 2 * k, cfg, ScriptedRng(pairs, bits))
-    assert fast == generic
-    return fast
+    return _ring_all(n, k, _ring_words(n, pairs, bits), amount, stop_mode, len(pairs))
 
 
 def test_ring_kernel_antipodal_tie_break_follows_bfs_order():
@@ -368,6 +395,73 @@ def test_ring_kernel_step_cap():
     assert (out.tau, out.failing_edge, out.failure_kind) == (3, None, STEP_CAP)
 
 
+_TOP = 2 ** 64 - 1  # randrange(n) rejects it unless n is a power of two
+
+
+def test_ring_kernel_passes_over_rejected_words():
+    # n=3: randrange(3) rejects 2**64 - 1, so the pair is (1, 0), which
+    # crosses edge 0 counterclockwise; read as a source, the word would be 0
+    out = _ring_all(3, 1, [_TOP, 1, 0], max_steps=1)
+    assert (out.tau, out.failing_edge) == (1, 0)
+    # n=6: randrange(6) rejects the top four words and randrange(5) the top
+    # one, as sources, destinations and around an antipodal tie word
+    top = [_TOP - i for i in range(4)]
+    words = [top[0], 2, _TOP, 4, top[3], 0, top[1], top[2], 3, _TOP, 0, 1]
+    _ring_all(6, 3, words * 40, seed=7)
+    _ring_all(6, 3, words * 40, stop_mode="attempt", seed=7)
+    for cap in range(1, 12):
+        _ring_all(6, 40, words * 4, max_steps=cap)
+
+
+# rounds that leave every balance as it was: two in four words, and three
+# in seven words, the first of them antipodal with tie word 0
+_ROUND_TRIP = [(0, 1), (1, 0)]
+_ODD_TRIP = ([(0, 4), (3, 0), (4, 3)], [0])
+
+
+@pytest.mark.parametrize("offset", [-4, -3, -2, -1, 0, 1])
+@pytest.mark.parametrize("bit, want", [(0, 2), (1, 3)])
+def test_ring_kernel_antipodal_tie_at_a_block_edge(offset, bit, want):
+    # two antipodal rounds 3 -> 7 whose first starts `offset` words from the
+    # end of the first block: its destination or tie word may be in the next
+    # block; with k=2 the second one fails on the first edge of its arc
+    n, start = 8, pcnsim.sim._RING_WORDS[0] + offset
+    pairs, bits = [], []
+    if start % 2:
+        pairs, bits = list(_ODD_TRIP[0]), list(_ODD_TRIP[1])
+    pairs += _ROUND_TRIP * ((start - len(_ring_words(n, pairs, bits))) // 4)
+    if len(_ring_words(n, pairs, bits)) < start:
+        pairs.append((0, 1))  # a lone round leaves edge 0 at 1, which k=2 allows
+    assert len(_ring_words(n, pairs, bits)) == start
+    words = _ring_words(n, pairs + [(3, 7), (3, 7)], bits + [bit, bit])
+    out = _ring_all(n, 2, words)
+    assert (out.tau, out.failing_edge) == (len(pairs) + 2, want)
+
+
+@pytest.mark.parametrize("k", [20, 5])
+@pytest.mark.parametrize("stop_mode", ["depletion", "attempt"])
+def test_ring_kernel_fails_on_the_round_after_the_safe_ones(k, stop_mode):
+    # every round pays 0 -> 1 over edge 0 (all words are 0), which may fall
+    # to 1 in depletion mode and to 0 in attempt mode, so the first k - 1 or
+    # k rounds are safe: with k=20 they go in one safe block, with k=5 one
+    # at a time unchecked; the round after them fails
+    out = _ring_all(5, k, [0] * (4 * k), stop_mode=stop_mode)
+    assert (out.tau, out.failing_edge) == (k, 0)
+
+
+_FIRST_ROUNDS = pcnsim.sim._RING_WORDS[0] // 2  # the first block on an odd ring
+
+
+@pytest.mark.parametrize("k, cap", [(5, 7), (5, 13), (100, 50), (100, 130), (100, 777),
+                                    (64, _FIRST_ROUNDS), (64, _FIRST_ROUNDS + 1)])
+def test_ring_kernel_step_cap_inside_a_block(k, cap):
+    # k=5 runs checked rounds, k=100 blocks of safe ones, and the last two
+    # caps end at the first block's end and just past it
+    for seed in range(3):
+        out = _ring_all(9, k, [], max_steps=cap, seed=seed)
+        assert out.tau <= cap
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 16, 64, 512])
 def test_ring_kernel_matches_generic_loop(n):
     cases = [(k, x, mode, cap) for k in (1, 2, 4) for x in (1, 2, 3)
@@ -384,15 +478,45 @@ def test_ring_kernel_matches_generic_loop(n):
         assert fast == generic, (k, x, mode, cap)
 
 
+@pytest.mark.parametrize("n", [9, 64, 100, 513])
+def test_ring_kernel_safe_blocks_match_the_oracle(n, monkeypatch):
+    blocks = []
+    arc_ends = pcnsim.sim._arc_ends
+    monkeypatch.setattr(pcnsim.sim, "_arc_ends", lambda *a: blocks.append(1) or arc_ends(*a))
+    for k in (50, 64):
+        for x in (1, 3):
+            for mode in ("depletion", "attempt"):
+                cfg = SimConfig(topology="ring", nodes=n, balance=k, amount=x,
+                                stop_mode=mode)
+                for i in range(2):
+                    rngs = Rng(run_seed(k, i)), Rng(run_seed(k, i))
+                    assert (_ring_fast(n, 2 * k, cfg, rngs[0])
+                            == oracle_ring_fast(n, 2 * k, cfg, rngs[1])), (k, x, mode, i)
+                    assert rngs[0].u64() == rngs[1].u64()
+    assert blocks  # the runs took blocks of safe rounds
+
+
+_SCRIPT_WORDS = st.one_of(st.integers(0, 2 ** 64 - 1), st.integers(2 ** 64 - 8, 2 ** 64 - 1),
+                          st.integers(0, 40))
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(n=st.integers(3, 40), k=st.integers(1, 5), x=st.integers(1, 3),
-       mode=st.sampled_from(["depletion", "attempt"]),
-       max_steps=st.integers(1, 400), seed=st.integers(0, 2 ** 64 - 1))
-def test_ring_kernel_equals_generic_property(n, k, x, mode, max_steps, seed):
+@given(n=st.integers(3, 40), k=st.one_of(st.integers(1, 5), st.integers(6, 60)),
+       x=st.integers(1, 3), mode=st.sampled_from(["depletion", "attempt"]),
+       max_steps=st.one_of(st.integers(1, 400), st.integers(401, 3000)),
+       script=st.lists(_SCRIPT_WORDS, max_size=40), seed=st.integers(0, 2 ** 64 - 1))
+def test_ring_kernel_equals_generic_property(n, k, x, mode, max_steps, script, seed):
+    # a script of small or rejectable words, then a seeded stream; large k
+    # and long runs reach blocks of safe rounds, and small k the generic loop
+    # checks too
     cfg = SimConfig(topology="ring", nodes=n, balance=k, amount=x, stop_mode=mode,
                     max_steps=max_steps)
-    generic = run_payment_process(make_ring(n, 2 * k), cfg, Rng(seed))
-    assert _ring_fast(n, 2 * k, cfg, Rng(seed)) == generic
+    rngs = [_scripted(script, seed) for _ in range(3)]
+    fast = _ring_fast(n, 2 * k, cfg, rngs[0])
+    assert fast == oracle_ring_fast(n, 2 * k, cfg, rngs[1])
+    assert rngs[0].u64() == rngs[1].u64()
+    if k <= 5 and max_steps <= 400:
+        assert fast == run_payment_process(make_ring(n, 2 * k), cfg, rngs[2])
 
 
 def test_monte_carlo_kernel_topologies_build_no_graph(monkeypatch):
