@@ -5,7 +5,6 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_right
-from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -429,10 +428,8 @@ def edge_selection_probability(g: ChannelGraph, bmap: BetweennessMap, eid: int) 
     return 2.0 * bmap.values[eid] / (n * (n - 1))
 
 
-# a DagCache keeps every source's DAG on graphs of at most this many nodes,
-# and the s–t DAGs of this many (s, t) pairs on larger ones
+# a DagCache keeps every source's DAG on graphs of at most this many nodes
 _PER_SOURCE_MAX_NODES = 2048
-_ST_PAIRS = 256
 
 
 class DagCache:
@@ -440,11 +437,10 @@ class DagCache:
 
     On graphs of at most ``_PER_SOURCE_MAX_NODES`` nodes each source keeps
     one per-source DAG, built only as deep as its first target and grown
-    when a later target lies deeper.  On larger graphs ``get(s, t)`` returns
-    the s–t DAG (``st_dag``): a few nodes where a per-source BFS would find
-    most of the graph.  An LRU keeps the last ``_ST_PAIRS`` of them by
-    (s, t), so the smaller amounts of a multi-amount campaign, which replay
-    a run's draws, find them again.
+    when a later target lies deeper.  On larger graphs ``get(s, t)`` builds
+    the round's s–t DAG (``st_dag``): a few nodes where a per-source BFS
+    would find most of the graph.  A walk draws each round once for all its
+    amounts, so an s–t DAG is not kept.
 
     Topology never changes during a campaign, so cached DAGs stay valid, and
     every kind of DAG gives the same paths for the same draws; the cache only
@@ -455,7 +451,7 @@ class DagCache:
     def __init__(self, g: ChannelGraph):
         self._g = g
         self._per_source = g.node_count <= _PER_SOURCE_MAX_NODES
-        self._dags: dict = {} if self._per_source else OrderedDict()
+        self._dags: dict[int, ShortestPathDag] = {}
         self.gets = 0
         self.misses = 0
 
@@ -468,22 +464,13 @@ class DagCache:
         """A DAG that sampling from source to target can walk: source's
         per-source DAG, or the s–t DAG."""
         self.gets += 1
-        if self._per_source:
-            dag = self._dags.get(source)
-            if dag is None:
-                self.misses += 1
-                dag = self._dags[source] = sssp_dag(self._g, source, target)
-            return dag
-        key = (source, target)
-        dag = self._dags.get(key)
+        if not self._per_source:
+            self.misses += 1
+            return st_dag(self._g, source, target)
+        dag = self._dags.get(source)
         if dag is None:
             self.misses += 1
-            dag = st_dag(self._g, source, target)
-            if len(self._dags) >= _ST_PAIRS:
-                self._dags.popitem(last=False)
-            self._dags[key] = dag
-        else:
-            self._dags.move_to_end(key)
+            dag = self._dags[source] = sssp_dag(self._g, source, target)
         return dag
 
 

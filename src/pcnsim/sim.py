@@ -179,51 +179,73 @@ def run_payment_process(g: ChannelGraph, cfg: SimConfig, rng: Rng,
     destination.  In depletion mode the round is applied and the run stops
     once some edge is left with b_min below the amount; in attempt mode an
     infeasible drawn path is not applied and ends the run.  Either way the
-    failing edge is the first such edge on the path.
+    failing edge is the first such edge on the path.  This is the
+    one-amount case of ``_walk``.
     """
-    x = cfg.amount
-    lo, spent, kind = _stop_range(cfg)
+    return _walk(g, [cfg.amount], cfg, rng, dag_cache)[0]
+
+
+def _walk(g: ChannelGraph, amounts: list[int], cfg: SimConfig, rng: Rng,
+          dag_cache: DagCache | None = None) -> list[RunOutcome]:
+    """run_payment_process at every amount at once, outcomes in the order of
+    ``amounts``; cfg gives the stop mode and step cap.
+
+    No draw reads a balance, so the amounts share one net flow f per edge
+    (payments out of its smaller-id end) until they stop.  An amount x
+    survives a hop iff x·u <= room, from the hop's new f: paying out of the
+    smaller-id end, room = c // 2 and u = f + d, else room = c - c // 2 and
+    u = d - f, where d is 1 in depletion mode and 0 in attempt mode.  So the
+    amounts still running are always the smallest, and each path edge stops
+    the largest of them that it bounds.
+    """
+    _lo, d, kind = _stop_range(cfg)  # d: 1 in depletion mode, where the failing round counts
+    order = sorted(range(len(amounts)), key=amounts.__getitem__)
+    xs = [amounts[i] for i in order]
+    done: list = [None] * len(amounts)
+    alive = len(xs)  # xs[:alive] are still running
     capacity = g.capacity
-    # an edge's smaller-id end holds c // 2, which is below lo iff c < 2 lo
-    if lo and 2 * lo > capacity.min():
-        return RunOutcome(0, int(np.argmax(capacity < 2 * lo)), DEPLETED, rng.seed)
-    # the balance at the smaller-id end of each edge this run has paid over;
-    # the others still hold c // 2, so a run costs what its rounds touch
-    bal: dict[int, int] = {}
+    # an edge's smaller-id end holds c // 2, which is below x iff c < 2x
+    while d and alive and 2 * xs[alive - 1] > capacity.min():
+        alive -= 1
+        done[order[alive]] = RunOutcome(0, int(np.argmax(capacity < 2 * xs[alive])),
+                                        DEPLETED, rng.seed)
+    # the net flow over each edge this run has paid over; the others hold
+    # c // 2 at their smaller-id end, so a run costs what its rounds touch
+    flow: dict[int, int] = {}
     cap = capacity.item
     cache = dag_cache if dag_cache is not None else DagCache(g)
-    n = g.node_count
-    max_steps = cfg.max_steps
     t = 0
-    progress = Progress(logger, "payment process", seed=rng.seed, detail=lambda:
-                        f", DAG cache hit ratio {1 - cache.misses / cache.gets:.3f}")
-    while t < max_steps:
-        s, dst = rng.pair(n)
+    progress = Progress(logger, "payment process", seed=rng.seed, detail=lambda: (
+        f", {alive} of {len(xs)} amounts running"
+        + (f", DAG cache hit ratio {1 - cache.misses / cache.gets:.3f}"
+           if cache.kind == "per-source" else "")))
+    while alive and t < cfg.max_steps:
+        s, dst = rng.pair(g.node_count)
         dag = cache.get(s, dst)
         path = sample_shortest_path(dag, dst, rng)  # either raises if dst is unreachable
-        # sampling remembered each path node's step, so step(b) is a lookup;
-        # paying from the smaller-id end can only take its balance below lo,
-        # paying toward it only above c - lo; a failing round ends the run,
-        # so the edges after it need no update
+        # sampling remembered each path node's step, so step(b) is a lookup
         step = dag.step
         for a, b in zip(path, path[1:]):
             preds, _, edges = step(b)
             eid = edges[preds.index(a)]
-            old = bal.get(eid)
-            if old is None:
-                old = cap(eid) // 2
+            c = cap(eid)
             if a < b:
-                nb = old - x
-                ok = nb >= lo
+                f = flow.get(eid, 0) + 1
+                room, u = c // 2, f + d
             else:
-                nb = old + x
-                ok = nb <= cap(eid) - lo
-            if not ok:
-                return RunOutcome(t + spent, eid, kind, rng.seed)
-            bal[eid] = nb
+                f = flow.get(eid, 0) - 1
+                room, u = c - c // 2, d - f
+            while alive and xs[alive - 1] * u > room:
+                alive -= 1
+                done[order[alive]] = RunOutcome(t + d, eid, kind, rng.seed)
+            if not alive:
+                return done
+            flow[eid] = f
         t += 1
         progress(t)
-    return RunOutcome(t, None, STEP_CAP, rng.seed)
+    for i in order[:alive]:
+        done[i] = RunOutcome(t, None, STEP_CAP, rng.seed)
+    return done
 
 
 def _clique_fast(n: int, capacity: int, cfg: SimConfig, rng: Rng) -> RunOutcome:
@@ -618,24 +640,18 @@ def _run_single(graph: Optional[ChannelGraph], cfg: SimConfig, run_index: int,
     return _TOPOLOGY[cfg.topology].kernel(cfg, rng)
 
 
-def _counted_runs(graph: Optional[ChannelGraph], cfgs: list[SimConfig],
-                  cache: DagCache | None, run_index: int) -> list[tuple[RunOutcome, int, int]]:
-    """Run run_index of every config on one DAG cache, each with the DAG
-    builds and cache gets it took, in the order of cfgs.
-
-    The largest amount runs first.  It stops no later than the others, so
-    each smaller amount replays its rounds while an LRU of s–t DAGs still
-    holds them, and builds only the rounds past them.
-    """
-    done: list = [None] * len(cfgs)
-    for i in sorted(range(len(cfgs)), key=lambda i: -cfgs[i].amount):
-        if cache is None:
-            done[i] = (_run_single(graph, cfgs[i], run_index), 0, 0)
-            continue
-        builds, gets = cache.misses, cache.gets
-        outcome = _run_single(graph, cfgs[i], run_index, cache)
-        done[i] = (outcome, cache.misses - builds, cache.gets - gets)
-    return done
+def _run_index(graph: Optional[ChannelGraph], cfgs: list[SimConfig],
+               cache: DagCache | None, run_index: int) -> tuple[list[RunOutcome], int, int]:
+    """run_index of every config, and the DAG builds and cache gets it took."""
+    if graph is None:
+        return [_run_single(None, cfg, run_index) for cfg in cfgs], 0, 0
+    builds, gets = cache.misses, cache.gets
+    if len(cfgs) == 1:  # a single run, as perfbench's trace counts runs
+        outcomes = [_run_single(graph, cfgs[0], run_index, cache)]
+    else:
+        rng = Rng(run_seed(cfgs[0].base_seed, run_index))
+        outcomes = _walk(graph, [cfg.amount for cfg in cfgs], cfgs[0], rng, cache)
+    return outcomes, cache.misses - builds, cache.gets - gets
 
 
 _worker_args: tuple = ()  # set in pool workers only, never in the calling process
@@ -646,17 +662,18 @@ def _worker_init(graph, cfgs):
     _worker_args = (graph, cfgs, DagCache(graph) if graph is not None else None)
 
 
-def _worker_run(run_index: int) -> list[tuple[RunOutcome, int, int]]:
-    return _counted_runs(*_worker_args, run_index)
+def _worker_run(run_index: int) -> tuple[list[RunOutcome], int, int]:
+    return _run_index(*_worker_args, run_index)
 
 
 def _campaign(graph: Optional[ChannelGraph], cfgs: list[SimConfig],
               workers: int) -> list[list[RunOutcome]]:
     """Each config's outcomes in run order; the configs share runs and base_seed.
 
-    Run-major: each run index goes through all configs before the next one
-    starts, on one DAG cache (one per pool worker).  Configs that replay the
-    same seeds then draw the same pairs while their DAGs are still cached.
+    Run-major, with one process pool: each run index goes through all
+    configs before the next one starts.  On a graph the configs differ only
+    in amount, and a run index is one walk over all of them on one DAG cache
+    (one per pool worker); without one, each config runs its kernel.
     """
     if graph is not None and not graph.is_connected():
         raise ValueError("graph must be connected (take the giant component first)")
@@ -672,27 +689,16 @@ def _campaign(graph: Optional[ChannelGraph], cfgs: list[SimConfig],
             done = pool.map(_worker_run, range(runs), chunksize)
     else:
         cache = DagCache(graph) if graph is not None else None
-        done = [_counted_runs(graph, cfgs, cache, i) for i in range(runs)]
-    kind = DagCache(graph).kind if graph is not None else None  # what every cache builds
-    campaigns = []
-    for cfg, counted in zip(cfgs, zip(*done)):
-        outcomes = [outcome for outcome, _builds, _gets in counted]
-        if graph is not None:
-            builds, gets = sum(c[1] for c in counted), sum(c[2] for c in counted)
-            logger.info("%s: %d runs, %d rounds, %d DAG builds, %d DAG cache gets, "
-                        "hit ratio %.3f, %s DAGs", cfg.config_id(), len(outcomes),
-                        sum(o.tau for o in outcomes), builds, gets,
-                        1 - builds / gets if gets else 0.0, kind)
-        campaigns.append(outcomes)
-    if graph is not None and len(cfgs) > 1:
-        # each config reuses the DAGs of the larger amounts run before it, so
-        # only the totals tell what the campaign cost
-        builds = sum(c[1] for run in done for c in run)
-        gets = sum(c[2] for run in done for c in run)
-        logger.info("all %d configs: %d runs each, %d %s DAGs built, %d DAG cache gets, "
-                    "hit ratio %.3f", len(cfgs), runs, builds, kind, gets,
-                    1 - builds / gets if gets else 0.0)
-    return campaigns
+        done = [_run_index(graph, cfgs, cache, i) for i in range(runs)]
+    if graph is not None:
+        builds, gets = sum(run[1] for run in done), sum(run[2] for run in done)
+        # the smallest amount runs longest, so its rounds are the walks' rounds
+        rounds = sum(max(o.tau for o in run) for run, _b, _g in done)
+        logger.info("%s: %d runs, %d rounds, %d DAG builds, %d DAG cache gets, "
+                    "hit ratio %.3f, %s DAGs", ", ".join(cfg.config_id() for cfg in cfgs),
+                    runs, rounds, builds, gets, 1 - builds / gets if gets else 0.0,
+                    DagCache(graph).kind)
+    return [list(outcomes) for outcomes in zip(*(run for run, _b, _g in done))]
 
 
 def monte_carlo(cfg: SimConfig, graph: Optional[ChannelGraph] = None,
@@ -738,22 +744,23 @@ def check_sweep(cfg: SimConfig, k_from: int, k_to: int, k_step: int,
 def capacity_sweep(cfg: SimConfig, k_from: int, k_to: int, k_step: int,
                    runs_per_point: int, workers: int = 1,
                    horizon: Optional[int] = None) -> list[SweepPoint]:
-    """monte_carlo at each balance in [k_from, k_to] stepping k_step.
+    """cfg's kernel at each balance in [k_from, k_to] stepping k_step, as one
+    campaign: each run index goes through the whole grid, in one pool.
 
     The same per-run seeds are reused at every point (common random numbers),
     which makes the mean's growth in k a pathwise property for the chain
     topologies.  ``horizon`` adds an empirical Prob{tau <= horizon} per point.
     """
     check_sweep(cfg, k_from, k_to, k_step, horizon)
+    cfgs = [replace(cfg, balance=k, runs=runs_per_point)
+            for k in range(k_from, k_to + 1, k_step)]
     points = []
-    for k in range(k_from, k_to + 1, k_step):
-        point_cfg = replace(cfg, balance=k, runs=runs_per_point)
-        outcomes = monte_carlo(point_cfg, workers=workers)
+    for point_cfg, outcomes in zip(cfgs, _campaign(None, cfgs, workers)):
         p_h = None
         if horizon is not None:
             hit = sum(1 for o in outcomes if not o.censored and o.tau <= horizon)
             p_h = hit / len(outcomes)
-        points.append(SweepPoint(k, outcomes, p_h))
+        points.append(SweepPoint(point_cfg.balance, outcomes, p_h))
     return points
 
 
@@ -761,13 +768,14 @@ def multi_amount_experiment(graph: ChannelGraph, amounts: list[int], runs: int,
                             base_seed: int, stop_mode: str = "attempt",
                             max_steps: int = 10 ** 12,
                             workers: int = 1) -> list[tuple[int, list[RunOutcome]]]:
-    """One campaign per amount on the same graph, outcomes by amount.
+    """One campaign per amount on the same graph, outcomes by amount in the
+    order of ``amounts``.
 
-    Per-run seeds are shared across amounts, so a larger amount replays the
-    same draw sequence and can only stop earlier.  Each run goes through all
-    amounts, largest first, before the next run starts, so each smaller
-    amount finds the run's DAGs in the cache; the outcomes equal one
-    monte_carlo call per amount.
+    Per-run seeds are shared across amounts, so every amount draws the same
+    pairs and paths until it stops, and a larger amount stops no later.  So
+    each run index is one walk that serves every amount (``_walk``) and
+    builds each round's DAG once; the outcomes equal one monte_carlo call
+    per amount.
     """
     if not amounts:
         raise ValueError("amounts must be nonempty")

@@ -175,16 +175,14 @@ def test_st_dag_rejects_bad_pairs():
         dag.step(3)
 
 
-def test_st_dag_cache_is_an_lru_over_pairs(monkeypatch):
+def test_st_dag_cache_builds_every_get(monkeypatch):
     g = make_ring(12, 2)
     monkeypatch.setattr("pcnsim.paths._PER_SOURCE_MAX_NODES", 11)
-    monkeypatch.setattr("pcnsim.paths._ST_PAIRS", 2)
     cache = DagCache(g)
     first = cache.get(0, 5)
-    assert cache.get(0, 5) is first and cache.get(0, 6) is not first
-    cache.get(1, 5)  # evicts (0, 5), the least recently used pair
-    assert cache.get(0, 6) is not None and (cache.gets, cache.misses) == (5, 3)
-    assert cache.get(0, 5) is not first and cache.misses == 4
+    again = cache.get(0, 5)
+    assert again is not first and again._steps == first._steps
+    assert (cache.gets, cache.misses) == (2, 2) and not cache._dags
 
 
 def test_unreachable_nodes_match_oracle():
@@ -438,8 +436,8 @@ def test_monte_carlo_logs_cache_work(workers, caplog):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_multi_amount_logs_campaign_cache_work_on_st_dags(workers, caplog):
     cases = [((2, 6), [1, 2, 3], 200),
-             # the smallest amount runs past the LRU's 256 pairs, the others stay below
-             ((6, 12), [1, 3, 5], 600)]
+             # the smallest amount draws over 256 rounds in a run, the others fewer
+             ((6, 12), [5, 1, 3], 600)]
     for caps, amounts, max_steps in cases:
         caplog.clear()
         _check_multi_amount_cache_work_on_st_dags(caps, amounts, max_steps, workers, caplog)
@@ -455,31 +453,22 @@ def _check_multi_amount_cache_work_on_st_dags(caps, amounts, max_steps, workers,
         campaigns = multi_amount_experiment(g, amounts, runs=4, base_seed=9,
                                             max_steps=max_steps, workers=workers)
     messages = [r.getMessage() for r in caplog.records]
+    assert [x for x, _outs in campaigns] == amounts
     for x, outs in campaigns:
         cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=x,
                         stop_mode="attempt", max_steps=max_steps, runs=4, base_seed=9)
         assert outs == monte_carlo(cfg, graph=g, workers=1)
-    per_amount = [m for m in messages if "DAG builds" in m]
-    assert [m.split(":")[0] for m in per_amount] == [f"snapshot-x{x}-attempt"
-                                                      for x in amounts]
-    assert all(m.endswith(", s-t DAGs") for m in per_amount)
-    counts = [tuple(map(int, re.search(r"(\d+) DAG builds, (\d+) DAG cache gets",
-                                       m).groups())) for m in per_amount]
-    # rounds each run drew at each amount; a failed attempt drew one more
-    drawn = [[o.tau + (not o.censored) for o in outs] for _x, outs in campaigns]
-    assert [gets for _, gets in counts] == [sum(d) for d in drawn]
-    # each run goes largest amount first, and a smaller amount replays the
-    # larger ones' rounds while the LRU holds them, so it builds only the
-    # rounds past them: one build per distinct (run, round)
-    for i in range(len(amounts)):
-        # amounts ascend, so drawn[i + 1] belongs to the next larger one
-        larger = drawn[i + 1] if i + 1 < len(amounts) else [0] * 4
-        assert counts[i][0] == sum(d - e for d, e in zip(drawn[i], larger))
-    builds, gets = sum(b for b, _ in counts), sum(c for _, c in counts)
-    assert builds == sum(drawn[0])
-    totals = [m for m in messages if m.startswith("all 3 configs")]
-    assert totals == [f"all 3 configs: 4 runs each, {builds} s-t DAGs built, "
-                      f"{gets} DAG cache gets, hit ratio {1 - builds / gets:.3f}"]
+    lines = [m for m in messages if "DAG builds" in m]
+    ids = ", ".join(f"snapshot-x{x}-attempt" for x in amounts)
+    # one walk per run draws each round once, for every amount: the rounds
+    # of the smallest amount, which stops last (a failed attempt draws one
+    # more), and each round builds its s–t DAG once
+    smallest = min(amounts)
+    outs = dict(campaigns)[smallest]
+    rounds = sum(o.tau for o in outs)
+    drawn = sum(o.tau + (not o.censored) for o in outs)
+    assert lines == [f"{ids}: 4 runs, {rounds} rounds, {drawn} DAG builds, "
+                     f"{drawn} DAG cache gets, hit ratio 0.000, s-t DAGs"]
 
 
 def test_dag_cache_keeps_per_source_dags_up_to_2048_nodes():

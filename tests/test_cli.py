@@ -153,6 +153,32 @@ def test_multi_amount_campaign_files(tmp_path):
         assert len(outcomes) == 4
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_multi_amount_keeps_the_callers_order(tmp_path, capsys, workers):
+    gpath = tmp_path / "g.edges"
+    write_edgelist(make_ring(9, 6).with_capacities([12, 14, 9, 20, 16, 11, 13, 18, 15]), gpath)
+    common = ["--graph", str(gpath), "--runs", "6", "--seed", "4", "--max-steps", "400",
+              "--workers", workers]
+    out = tmp_path / "camp.csv"
+    assert run_cli("simulate", *common, "--amounts", "7,1,3", "--out", str(out)) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith(("amount ", "outcomes written to "))]
+    assert [line.split(":")[0] for line in printed[0::2]] == ["amount 7", "amount 1",
+                                                               "amount 3"]
+    assert printed[1::2] == [f"outcomes written to {tmp_path / f'camp-x{x}.csv'}"
+                             for x in (7, 1, 3)]
+    _, _, rows = read_csv(out)
+    assert [r[0] for r in rows] == ["x7", "x1", "x3"]
+    taus = []
+    for x in (7, 1, 3):
+        alone = tmp_path / f"alone-x{x}.csv"
+        assert run_cli("simulate", *common, "--amount", str(x), "--out", str(alone)) == 0
+        meta, _, got = read_csv(tmp_path / f"camp-x{x}.csv")
+        assert meta["amount"] == str(x) and got == read_csv(alone)[2]
+        taus.append([int(r[2]) for r in got])
+    assert taus[0] != taus[1] != taus[2]
+
+
 def test_betweenness_command(tmp_path, capsys):
     g = make_ring(4, 6)
     gpath = tmp_path / "ring.edges"

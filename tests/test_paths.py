@@ -231,19 +231,6 @@ def test_sampled_paths_are_simple_and_strictly_shortening():
             assert [dag.dist[v] for v in path] == list(range(len(path)))
 
 
-def test_dag_cache_reuses_and_bounds_entries(monkeypatch):
-    g = make_ring(12, 2)
-    monkeypatch.setattr("pcnsim.paths._PER_SOURCE_MAX_NODES", 11)
-    monkeypatch.setattr("pcnsim.paths._ST_PAIRS", 4)
-    cache = DagCache(g)
-    d0 = cache.get(0, 6)
-    assert cache.get(0, 6) is d0
-    for s in range(1, 6):
-        cache.get(s, 6)
-    assert cache.misses == 6
-    assert len(cache._dags) == 4
-
-
 def test_dag_cache_does_not_change_sampling():
     g = make_ring(10, 2)
     cache = DagCache(g)

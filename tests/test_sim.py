@@ -253,6 +253,32 @@ def test_capacity_sweep_grid_matches_appendix_configuration():
     assert points[0].balance == 10 and points[-1].balance == 3030
 
 
+@pytest.mark.parametrize("cfg", [
+    SimConfig(topology="ring", nodes=9, balance=1, base_seed=3),
+    SimConfig(topology="clique", nodes=6, balance=1, amount=2, stop_mode="attempt",
+              base_seed=3),
+    SimConfig(topology="independent", nodes=8, balance=1, max_steps=300, base_seed=3),
+])
+def test_capacity_sweep_is_one_campaign_at_any_worker_count(cfg, monkeypatch):
+    fork, pools = multiprocessing.get_context("fork"), []
+
+    class Counting:
+        def Pool(self, *args, **kwargs):
+            pools.append(args)
+            return fork.Pool(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Counting())
+    alone = capacity_sweep(cfg, 1, 9, 2, runs_per_point=6, workers=1)
+    assert pools == []
+    pooled = capacity_sweep(cfg, 1, 9, 2, runs_per_point=6, workers=2)
+    assert len(pools) == 1  # one pool serves all 5 points
+    assert [p.balance for p in pooled] == [1, 3, 5, 7, 9]
+    assert pooled == alone
+    for point in pooled:
+        assert point.outcomes == monte_carlo(replace(cfg, balance=point.balance, runs=6))
+    assert len({tuple(o.tau for o in p.outcomes) for p in pooled}) > 1
+
+
 def test_multi_amount_equals_plain_monte_carlo_for_unit_amount():
     g = make_clique(5, 6)
     got = multi_amount_experiment(g, [1], runs=6, base_seed=44)
@@ -292,22 +318,77 @@ def test_multi_amount_equals_per_amount_monte_carlo(workers, mode, caplog):
     alone = [r.getMessage() for r in caplog.records if "DAG builds" in r.getMessage()]
     taus = [[o.tau for o in outs] for _x, outs in campaigns]
     assert taus[0] != taus[1] != taus[2]  # the amounts stop at different rounds
-    assert [line.split(":")[0] for line in lines] == [f"snapshot-x{x}-{mode}" for x in amounts]
+    assert len(lines) == 1
+    assert lines[0].startswith(", ".join(f"snapshot-x{x}-{mode}" for x in amounts) + ": ")
 
-    def builds(line):
-        return int(re.search(r"(\d+) DAG builds", line).group(1))
+    def work(line):
+        return [int(v) for v in re.search(r"(\d+) rounds, (\d+) DAG builds, (\d+) DAG cache gets",
+                                          line).groups()]
 
-    # each run goes largest amount first, which builds DAGs; every round of a
-    # larger amount is a round of the smallest one too, so the campaign
-    # builds the DAGs the smallest amount alone builds, once per pool worker
-    assert builds(lines[-1]) > 0
-    smallest = builds(alone[0])
-    assert smallest <= sum(map(builds, lines)) <= workers * smallest
+    # one walk per run draws the rounds of the smallest amount, which stops
+    # last, and no others; each pool worker builds its own DAGs
+    rounds, builds, gets = work(lines[0])
+    smallest = work(alone[0])
+    assert [rounds, gets] == [smallest[0], smallest[2]]
+    assert smallest[1] <= builds <= workers * smallest[1]
+    assert workers > 1 or builds == smallest[1]
 
 
 def test_multi_amount_requires_amounts():
     with pytest.raises(ValueError):
         multi_amount_experiment(make_clique(3, 4), [], runs=1, base_seed=0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(n=st.integers(2, 9), graph_seed=st.integers(0, 2 ** 32 - 1),
+       amounts=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+       mode=st.sampled_from(["depletion", "attempt"]), st_dags=st.booleans(),
+       max_steps=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1))
+def test_multi_amount_walk_equals_oracle_per_amount_property(n, graph_seed, amounts, mode,
+                                                            st_dags, max_steps, seed):
+    # amounts come unsorted and repeated, many above half the smallest
+    # capacity (2..9, odd ones too), so some stop before the first round,
+    # each on its own edge; several amounts can stop in one round, on
+    # different edges of its path; short caps censor the others
+    g = ChannelGraph(n, random_connected_edges(random.Random(graph_seed), n, extra_prob=0.4,
+                                               caps=(2, 3, 4, 5, 7, 8, 9)))
+    with pytest.MonkeyPatch.context() as mp:
+        if st_dags:
+            mp.setattr("pcnsim.paths._PER_SOURCE_MAX_NODES", 1)
+        campaigns = multi_amount_experiment(g, amounts, runs=2, base_seed=seed,
+                                            stop_mode=mode, max_steps=max_steps)
+    assert [x for x, _outs in campaigns] == amounts
+    for x, outs in campaigns:
+        cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=x,
+                        stop_mode=mode, max_steps=max_steps)
+        assert outs == [oracle_payment_process(g, cfg, Rng(run_seed(seed, i)))
+                        for i in range(2)]
+
+
+@pytest.mark.parametrize("st_dags", [False, True])
+def test_walk_progress_lines_report_the_amounts_running(st_dags, monkeypatch, caplog):
+    g = ChannelGraph(40, random_connected_edges(random.Random(72), 40, extra_prob=0.08,
+                                                caps=(24, 40, 60)))
+    amounts = [7, 1, 3]
+    monkeypatch.setattr("pcnsim.progress._PROGRESS_SECONDS", 0)  # a line per round
+    if st_dags:
+        monkeypatch.setattr("pcnsim.paths._PER_SOURCE_MAX_NODES", 1)
+    with caplog.at_level(logging.INFO, logger="pcnsim.sim"):
+        campaigns = multi_amount_experiment(g, amounts, runs=1, base_seed=56)
+    taus = [outs[0].tau for _x, outs in campaigns]
+    assert len(set(taus)) == 3 and not any(outs[0].censored for _x, outs in campaigns)
+    lines = [r.getMessage() for r in caplog.records if "payment process at" in r.getMessage()]
+    # in attempt mode an amount with tau t fails in round t + 1, so the
+    # lines after rounds 1..t count it; the round that stops the last amount
+    # logs nothing
+    assert len(lines) == max(taus)
+    ratio = "" if st_dags else r", DAG cache hit ratio \d\.\d{3}"
+    seed = campaigns[0][1][0].seed_used
+    for t, line in enumerate(lines, 1):
+        running = sum(t <= tau for tau in taus)
+        assert re.fullmatch(rf"payment process at {t} rounds, \d+\.\d rounds/s, "
+                            rf"{running} of 3 amounts running{ratio} \(seed {seed}\)",
+                            line), line
 
 
 class ScriptedRng(Rng):
