@@ -13,7 +13,8 @@ from .analytics import (BoundReport, chernoff_lower, chernoff_upper,
                         xi_and_bounds)
 from .planner import (CapacityPlan, apply_plan, redistribute_uniform,
                       redistribute_xi_optimized)
-from .results import Aggregate, LogHistogram, aggregate, emit_campaign, log_histogram
+from .results import (Aggregate, LogHistogram, aggregate, log_histogram, write_aggregates_csv,
+                      write_histogram_csv, write_outcomes_csv)
 from .rng import PRNG_ID, Rng, run_seed
 from .sim import (RunOutcome, SimConfig, capacity_sweep, monte_carlo,
                   multi_amount_experiment, run_bdc_process, run_coupled_clique,

@@ -231,6 +231,12 @@ def _write_nodemap(g: ChannelGraph, out: str, meta: dict) -> None:
     print(f"node map written to {path}")
 
 
+def _at_least_one(recipe: dict, key: str) -> int:
+    if recipe[key] < 1:
+        raise ConfigError(f"{key} must be >= 1, got {recipe[key]}")
+    return recipe[key]
+
+
 def _summary_line(agg: Aggregate) -> str:
     """Campaign summary; runs that were all censored have no moments to print."""
     if not agg.count:
@@ -283,8 +289,8 @@ def cmd_simulate(args) -> int:
                                       "p_select"))
     except ValueError as exc:
         raise ConfigError(str(exc))
+    workers = _at_least_one(recipe, "workers")
     graph = _load_cmd_graph(recipe) if topology == "snapshot" else None
-    workers = recipe["workers"]
     # worker count never enters the echo/metadata: outputs are identical at any N
     resolved = dict(cfg.as_dict(), command="simulate")
     if amounts:
@@ -344,7 +350,7 @@ def cmd_sweep(args) -> int:
         check_sweep(cfg, recipe["k_from"], recipe["k_to"], k_step, horizon)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    workers = recipe["workers"]
+    workers = _at_least_one(recipe, "workers")
     resolved = dict(cfg.as_dict(), command="sweep",
                     k_from=recipe["k_from"], k_to=recipe["k_to"], k_step=k_step,
                     runs_per_point=runs_per_point)
@@ -437,9 +443,7 @@ def cmd_couple_check(args) -> int:
         raise ConfigError("couple-check requires --nodes and --balance")
     if nodes < 2 or balance < 1:
         raise ConfigError("couple-check needs nodes >= 2 and balance >= 1")
-    seeds = recipe["seeds"]
-    if seeds < 1:
-        raise ConfigError(f"seeds must be >= 1, got {seeds}")
+    seeds = _at_least_one(recipe, "seeds")
     try:
         cfg = SimConfig(topology="clique", nodes=nodes, balance=balance,
                         **_sim_fields(recipe, "max_steps", "seed"))

@@ -134,9 +134,6 @@ class ChannelGraph:
     def total_capacity(self) -> int:
         return sum(self.capacity.tolist())
 
-    def degree(self, v: int) -> int:
-        return int(self.csr.degree[v])
-
     @property
     def csr(self) -> Csr:
         """The adjacency as flat arrays, built on first use."""

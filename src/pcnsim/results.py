@@ -224,23 +224,8 @@ def write_sweep_csv(points, path, meta: dict, horizon: Optional[int] = None) -> 
 HISTOGRAM_COLUMNS = ["bin_lo", "bin_hi", "count"]
 
 
-def emit_campaign(payload, path, meta: dict) -> None:
-    """Write outcomes, aggregates, or a histogram as CSV; byte-stable for
-    fixed inputs."""
-    if isinstance(payload, LogHistogram):
-        # binning and out-of-range counts go into the metadata
-        full_meta = dict(meta, bins_per_decade=payload.bins_per_decade,
-                         underflow=payload.underflow, overflow=payload.overflow)
-        rows = ((payload.edges[i], payload.edges[i + 1], payload.counts[i])
-                for i in range(len(payload.counts)))
-        write_csv(path, full_meta, HISTOGRAM_COLUMNS, rows)
-        return
-    items = list(payload)
-    if not items:
-        raise ValueError("nothing to emit")
-    if isinstance(items[0], RunOutcome):
-        write_csv(path, meta, OUTCOME_COLUMNS, _outcome_rows(items))
-    elif isinstance(items[0], Aggregate):
-        write_csv(path, meta, AGGREGATE_COLUMNS, _aggregate_rows(items))
-    else:
-        raise TypeError(f"cannot emit {type(items[0]).__name__} records")
+def write_histogram_csv(hist: LogHistogram, path, meta: dict) -> None:
+    """One row per bin; the binning and out-of-range counts go into the metadata."""
+    meta = dict(meta, bins_per_decade=hist.bins_per_decade, underflow=hist.underflow,
+                overflow=hist.overflow)
+    write_csv(path, meta, HISTOGRAM_COLUMNS, zip(hist.edges, hist.edges[1:], hist.counts))

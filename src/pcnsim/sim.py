@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 import math
 import multiprocessing
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -89,22 +89,10 @@ class SimConfig:
         return "-".join(parts)
 
     def as_dict(self) -> dict:
-        d = {
-            "topology": self.topology,
-            "amount": self.amount,
-            "stop_mode": self.stop_mode,
-            "max_steps": self.max_steps,
-            "base_seed": self.base_seed,
-            "runs": self.runs,
-        }
-        if self.nodes is not None:
-            d["nodes"] = self.nodes
-        if self.balance is not None:
-            d["balance"] = self.balance
+        """The fields that are set, snapshot_path as ``snapshot``."""
+        d = {key: value for key, value in asdict(self).items() if value is not None}
         if self.snapshot_path is not None:
-            d["snapshot"] = self.snapshot_path
-        if self.p_select is not None:
-            d["p_select"] = self.p_select
+            d["snapshot"] = d.pop("snapshot_path")
         return d
 
 
@@ -248,33 +236,38 @@ def _walk(g: ChannelGraph, amounts: list[int], cfg: SimConfig, rng: Rng,
     return done
 
 
-def _clique_fast(n: int, capacity: int, cfg: SimConfig, rng: Rng) -> RunOutcome:
-    """Payment process on a uniform-capacity clique via its single-edge form.
+def _clique_fast(n: int, ks: list[int], cfg: SimConfig, rng: Rng) -> list[RunOutcome]:
+    """Payment process on a clique of uniform per-side balance k, at every k
+    of ``ks`` (see ``_Topology``), via its single-edge form.
 
     On a clique the drawn shortest path is exactly the edge {u,v}, so drawing
     a distinct pair plus orientation is the same as drawing a uniform edge and
     direction; run_coupled_clique verifies the two forms stop together.  Each
     chunk draws its edges, then its direction bits, and goes through
-    _first_exit whole.
+    _first_exit whole, and again for each band it breaks.
     """
     m = n * (n - 1) // 2
     x = cfg.amount
     lo, spent, kind = _stop_range(cfg)
-    half = capacity // 2
-    if half < lo:
-        return RunOutcome(0, 0, DEPLETED, rng.seed)
-    bal = np.full(m, half, dtype=np.int64)  # the balance at each smaller-id end
+    done = [RunOutcome(0, 0, DEPLETED, rng.seed) for k in ks if k < lo]
+    if len(done) == len(ks):
+        return done
+    band = ks[len(done)] - lo
+    dev = np.zeros(m, dtype=np.int64)
     t = 0
     progress = Progress(logger, "clique process", seed=rng.seed)
     for chunk in chunk_sizes(128, _CHUNK, cfg.max_steps):
         edges = rng.indices(m, chunk)
         dirs = rng.bits(chunk)  # 1: the larger-id endpoint pays the smaller-id one
-        at = _first_exit(bal, edges, dirs.astype(np.int64) * (2 * x) - x, lo, capacity - lo)
-        if at >= 0:
-            return RunOutcome(t + at + spent, int(edges[at]), kind, rng.seed)
+        steps = dirs.astype(np.int64) * (2 * x) - x
+        while (at := _first_exit(dev, edges, steps, -band, band)) >= 0:
+            done.append(RunOutcome(t + at + spent, int(edges[at]), kind, rng.seed))
+            if len(done) == len(ks):
+                return done
+            band = ks[len(done)] - lo
         t += chunk
         progress(t)
-    return RunOutcome(t, None, STEP_CAP, rng.seed)
+    return done + [RunOutcome(t, None, STEP_CAP, rng.seed)] * (len(ks) - len(done))
 
 
 def _ring_rounds(w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -350,37 +343,39 @@ def _ring_rounds_scalar(w: list[int], n: int) -> tuple[np.ndarray, ...]:
     return s, span, clockwise.astype(bool), nxt
 
 
-def _ring_fast(n: int, capacity: int, cfg: SimConfig, rng: Rng) -> RunOutcome:
-    """Payment process on a uniform-capacity ring, a block of rounds at a time.
+def _ring_fast(n: int, ks: list[int], cfg: SimConfig, rng: Rng) -> list[RunOutcome]:
+    """Payment process on a ring of uniform per-side balance k, at every k of
+    ``ks`` (see ``_Topology``), a block of rounds at a time.
 
     Every shortest path on a ring is an arc, so a round adds ±x to a run of
-    ``cw``, where ``cw[i]`` is the balance node i can push to i+1 over edge
-    i.  Edge n-1 joins n-1 and 0, and make_ring stores its balance at node 0,
-    so ``cw[n-1]`` is the other side of it.  The draws are those of
-    run_payment_process, so outcomes are identical: an antipodal pair (even
-    n) takes one ``randrange(2)``, and r == 0 picks the antipode's first BFS
-    predecessor, which lies on the counterclockwise arc for every source but
-    0, because make_ring lists node 0's neighbours as [1, n-1].
+    ``dev``, where ``dev[i]`` is how far the balance node i can push to i+1
+    over edge i has moved from k.  Edge n-1 joins n-1 and 0, and make_ring
+    stores its balance at node 0, so ``dev[n-1]`` is the other side of it.
+    The draws are those of run_payment_process, so outcomes are identical:
+    an antipodal pair (even n) takes one ``randrange(2)``, and r == 0 picks
+    the antipode's first BFS predecessor, which lies on the counterclockwise
+    arc for every source but 0, because make_ring lists node 0's neighbours
+    as [1, n-1].
 
     Each block of raw words (sizes from ``_RING_WORDS``) is decoded at once
     by ``_ring_rounds``.  A round moves a balance by at most x, so while the
-    smallest slack to ``lo`` or ``hi`` is h·x, none of the next h rounds can
-    fail: when h >= ``_SAFE_ROUNDS`` they are applied together, through one
+    smallest slack to the band is h·x, none of the next h rounds can fail:
+    when h >= ``_SAFE_ROUNDS`` they are applied together, through one
     difference array over the arcs' ends (``_arc_ends``).  Otherwise the next
     ``_SAFE_ROUNDS`` rounds go one at a time, one slice update per arc
     segment, and those past the first h check each segment they updated; a
-    failing round's first edge outside the range, in path order, is the
-    failing edge.  The words a run does not use go back to ``rng``, so the
-    stream ends where the scalar draws end it.  Progress is logged once per
-    block.
+    failing round's first edge past the band, in path order, is the failing
+    edge.  The words a run does not use go back to ``rng``, so the stream
+    ends where the scalar draws of the largest k end it.  Progress is logged
+    once per block.
     """
     x = cfg.amount
     lo, spent, kind = _stop_range(cfg)
-    half = capacity // 2
-    if half < lo:
-        return RunOutcome(0, 0, DEPLETED, rng.seed)
-    cw = np.full(n, half, dtype=np.int64)
-    hi = capacity - lo  # even capacity: cw[n-1], a larger-id end, has the same range
+    done = [RunOutcome(0, 0, DEPLETED, rng.seed) for k in ks if k < lo]
+    if len(done) == len(ks):
+        return done
+    band = ks[len(done)] - lo
+    dev = np.zeros(n, dtype=np.int64)
     max_steps = cfg.max_steps
     t = 0
     size, top = _RING_WORDS
@@ -397,7 +392,7 @@ def _ring_fast(n: int, capacity: int, cfg: SimConfig, rng: Rng) -> RunOutcome:
         keys = wraps = None  # the arcs' ends, once a block of safe rounds needs them
         j = 0
         while j < rounds:
-            h = min(int(_MIN(cw)) - lo, hi - int(_MAX(cw))) // x
+            h = min(band + int(_MIN(dev)), band - int(_MAX(dev))) // x
             if h >= _SAFE_ROUNDS:
                 if keys is None:
                     keys, wraps = _arc_ends(first, end, clockwise, n)
@@ -406,31 +401,40 @@ def _ring_fast(n: int, capacity: int, cfg: SimConfig, rng: Rng) -> RunOutcome:
                 moved = np.cumsum(ends[:n] - ends[n:])
                 moved += wraps[stop] - wraps[j]
                 moved *= x
-                cw += moved
+                dev += moved
                 j = stop
                 continue
             stop = min(j + _SAFE_ROUNDS, rounds)
             for i, a, b, e, step in zip(range(j, stop), first[j:stop].tolist(),
                                         split[j:stop].tolist(), wrap[j:stop].tolist(),
                                         steps[j:stop].tolist()):
-                v = cw[a:b]  # the arc's edges up to n - 1, then any past it
+                v = dev[a:b]  # the arc's edges up to n - 1, then any past it
                 v += step
                 if e:
-                    u = cw[:e]
+                    u = dev[:e]
                     u += step
                 if i < j + h:
                     continue
-                if (_MIN(v) < lo or e and _MIN(u) < lo) if step < 0 else \
-                        (_MAX(v) > hi or e and _MAX(u) > hi):
-                    rng.words(0, w[nxt[i]:])
-                    failing = _failing_edge(cw, n, a, end[i], step < 0, lo, hi)
-                    return RunOutcome(t + i + spent, failing, kind, rng.seed)
+                if (_MIN(v) < -band or e and _MIN(u) < -band) if step < 0 else \
+                        (_MAX(v) > band or e and _MAX(u) > band):
+                    # a clockwise payment crosses edges a, ..., end - 1 (mod n) and
+                    # lowers them, a counterclockwise one raises them from end - 1 down
+                    hops = np.arange(end[i] - a)
+                    path = (a + hops if step < 0 else end[i] - 1 - hops) % n
+                    reach = -dev[path] if step < 0 else dev[path]  # moved the payment's way
+                    while _MAX(reach) > band:
+                        done.append(RunOutcome(t + i + spent, int(path[np.argmax(reach > band)]),
+                                               kind, rng.seed))
+                        if len(done) == len(ks):
+                            rng.words(0, w[nxt[i]:])
+                            return done
+                        band = ks[len(done)] - lo
             j = stop
         t += rounds
         left = w[nxt[rounds - 1]:] if rounds else w
         progress(t)
     rng.words(0, left)
-    return RunOutcome(t, None, STEP_CAP, rng.seed)
+    return done + [RunOutcome(t, None, STEP_CAP, rng.seed)] * (len(ks) - len(done))
 
 
 def _arc_ends(first: np.ndarray, end: np.ndarray, clockwise: np.ndarray,
@@ -452,17 +456,6 @@ def _arc_ends(first: np.ndarray, end: np.ndarray, clockwise: np.ndarray,
     wraps = np.zeros(len(first) + 1, dtype=np.int64)
     np.cumsum(np.where(clockwise, -1, 1) * (end >= n), out=wraps[1:])
     return keys, wraps
-
-
-def _failing_edge(cw: np.ndarray, n: int, first: int, end: int, clockwise: bool,
-                  lo: int, hi: int) -> int:
-    """The first edge, in path order, that an applied round's arc took outside
-    [lo, hi]: a clockwise payment crosses edges first, ..., end - 1 (mod n),
-    a counterclockwise one the same edges from end - 1 down."""
-    hops = np.arange(end - first)
-    path = (first + hops if clockwise else end - 1 - hops) % n
-    out = cw[path] < lo if clockwise else cw[path] > hi
-    return int(path[np.argmax(out)])
 
 
 def run_bdc_process(m: int, k: int, max_steps: int, rng: Rng) -> RunOutcome:
@@ -549,31 +542,43 @@ def _selection_cut(p: float) -> int:
 
 def run_independent_chains(n: int, k: int, p_select: float, max_steps: int,
                            rng: Rng) -> RunOutcome:
-    """n independent chains; each round every chain moves ±1 with prob p_select.
+    """n independent chains; each round every chain moves ±1 with prob p_select,
+    until one reaches ±k: the one-balance case of ``_chains_walk``.
 
     Unlike the ring these updates are fully independent across chains; the
     expected number of moving chains per round matches the ring when
-    p_select = ring_edge_probability(n).  The stream is that of drawing each
-    block of rows as ``random`` selections, then ``integers(0, 2, int8)``
-    directions (bit 1: up), read from PCG64's raw words.  A block's block·n
-    selection words come first, one per chain and row, and are compared as
-    integers with ``_selection_cut(p_select)``.  A fork of the stream reads
-    them a window of rows at a time, only as far as the run gets.  The
-    stream itself skips them with ``advance``, which drops the buffered
-    32-bit half-word, so that is put back, and draws the block's directions
-    whole with ``rng.bits``; a run leaves the stream where drawing whole
-    blocks leaves it.  Each window is summed at once; only chains close
-    enough to ±k to reach it within the window get a row-by-row running sum.
+    p_select = ring_edge_probability(n).
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
     if not (0.0 < p_select <= 1.0):
         raise ValueError("p_select must be in (0, 1]")
+    return _chains_walk(n, [k], p_select, max_steps, rng)[0]
+
+
+def _chains_walk(n: int, ks: list[int], p_select: float, max_steps: int,
+                 rng: Rng) -> list[RunOutcome]:
+    """run_independent_chains at every k of ``ks`` (see ``_Topology``).
+
+    The stream is that of drawing each block of rows as ``random``
+    selections, then ``integers(0, 2, int8)`` directions (bit 1: up), read
+    from PCG64's raw words.  A block's block·n selection words come first,
+    one per chain and row, and are compared as integers with
+    ``_selection_cut(p_select)``.  A fork of the stream reads them a window
+    of rows at a time, only as far as the run gets.  The stream itself skips
+    them with ``advance``, which drops the buffered 32-bit half-word, so
+    that is put back, and draws the block's directions whole with
+    ``rng.bits``; a run leaves the stream where drawing whole blocks leaves
+    it.  Each window is summed at once; only chains close enough to ±k to
+    reach it within the window get a row-by-row running sum.
+    """
     bitgen = rng.np.bit_generator
     cut = _selection_cut(p_select)
     below = np.uint64(cut) if cut < 1 << 64 else None  # None: p_select = 1, all move
     fork = np.random.PCG64(0)  # its seed is never used: each block sets its state
     pos = np.zeros(n, dtype=np.int64)
+    done: list[RunOutcome] = []
+    k = ks[0]
     t = 0
     dist = np.zeros(n, dtype=np.int64)  # |pos|
     top = 0  # max |pos|
@@ -598,35 +603,44 @@ def run_independent_chains(n: int, k: int, p_select: float, max_steps: int,
                 rows = rows * (fork.random_raw(w * n).reshape(w, n) < below)
             near = np.flatnonzero(dist >= k - w)
             if len(near):
-                path = np.abs(pos[near] + np.cumsum(rows[:, near], axis=0)) >= k
-                if path.any():
+                level = np.abs(pos[near] + np.cumsum(rows[:, near], axis=0))
+                while (path := level >= k).any():
                     i = int(np.argmax(path.any(axis=1)))
-                    return RunOutcome(t + r + i + 1, int(near[np.argmax(path[i])]),
-                                      DEPLETED, rng.seed)
+                    done.append(RunOutcome(t + r + i + 1, int(near[np.argmax(path[i])]),
+                                           DEPLETED, rng.seed))
+                    if len(done) == len(ks):
+                        return done
+                    k = ks[len(done)]
             pos += rows.sum(axis=0, dtype=np.int16)
             r += w
             dist = np.abs(pos)
             top = int(dist.max())
         t += block
         progress(t)
-    return RunOutcome(t, None, STEP_CAP, rng.seed)
+    return done + [RunOutcome(t, None, STEP_CAP, rng.seed)] * (len(ks) - len(done))
 
 
 class _Topology(NamedTuple):
+    """A kernel ``(cfg, ks, rng)`` runs one graph-free replica at each k of
+    the ascending ``ks``.  No draw reads k, so they share one walk of each
+    edge's (or chain's) change, and k stops at the first round that takes a
+    change past k - lo (``_stop_range``; k - 1 for the chains), or before
+    round 0 on edge 0 if k < lo.  A round that stops the smallest running k
+    is checked again for the next, so each k gets its own failing edge."""
+
     min_nodes: Optional[int]  # fewest cfg.nodes; None: the graph sets n
-    kernel: Optional[Callable]  # (cfg, rng) -> one graph-free replica; None: needs a graph
+    kernel: Optional[Callable]  # None: needs a graph
     takes_graph: bool  # whether a caller's graph may replace the kernel
 
 
 # The one dispatch point for topologies; a snapshot's graph comes from build_graph.
 _TOPOLOGY = {
-    "clique": _Topology(2, lambda c, rng: _clique_fast(c.nodes, 2 * c.balance, c, rng), True),
-    "ring": _Topology(3, lambda c, rng: _ring_fast(c.nodes, 2 * c.balance, c, rng), True),
+    "clique": _Topology(2, lambda c, ks, rng: _clique_fast(c.nodes, ks, c, rng), True),
+    "ring": _Topology(3, lambda c, ks, rng: _ring_fast(c.nodes, ks, c, rng), True),
     "snapshot": _Topology(None, None, True),
     # without p_select, each chain moves as often as an edge of the n-ring
-    "independent": _Topology(1, lambda c, rng: run_independent_chains(
-        c.nodes, c.balance, c.p_select or ring_edge_probability(c.nodes), c.max_steps, rng),
-        False),
+    "independent": _Topology(1, lambda c, ks, rng: _chains_walk(
+        c.nodes, ks, c.p_select or ring_edge_probability(c.nodes), c.max_steps, rng), False),
 }
 TOPOLOGIES = tuple(_TOPOLOGY)
 SWEEP_TOPOLOGIES = tuple(name for name, spec in _TOPOLOGY.items() if spec.kernel is not None)
@@ -637,47 +651,50 @@ def _run_single(graph: Optional[ChannelGraph], cfg: SimConfig, run_index: int,
     rng = Rng(run_seed(cfg.base_seed, run_index))
     if graph is not None:
         return run_payment_process(graph, cfg, rng, cache)
-    return _TOPOLOGY[cfg.topology].kernel(cfg, rng)
+    return _TOPOLOGY[cfg.topology].kernel(cfg, [cfg.balance], rng)[0]
 
 
-def _run_index(graph: Optional[ChannelGraph], cfgs: list[SimConfig],
+def _run_index(graph: Optional[ChannelGraph], cfg: SimConfig, points: list[int],
                cache: DagCache | None, run_index: int) -> tuple[list[RunOutcome], int, int]:
-    """run_index of every config, and the DAG builds and cache gets it took."""
-    if graph is None:
-        return [_run_single(None, cfg, run_index) for cfg in cfgs], 0, 0
-    builds, gets = cache.misses, cache.gets
-    if len(cfgs) == 1:  # a single run, as perfbench's trace counts runs
-        outcomes = [_run_single(graph, cfgs[0], run_index, cache)]
+    """run_index at every point, and the DAG builds and cache gets it took."""
+    builds, gets = (cache.misses, cache.gets) if graph is not None else (0, 0)
+    if len(points) == 1:  # a single run, as perfbench's trace counts runs
+        outcomes = [_run_single(graph, cfg, run_index, cache)]
     else:
-        rng = Rng(run_seed(cfgs[0].base_seed, run_index))
-        outcomes = _walk(graph, [cfg.amount for cfg in cfgs], cfgs[0], rng, cache)
+        rng = Rng(run_seed(cfg.base_seed, run_index))
+        outcomes = (_walk(graph, points, cfg, rng, cache) if graph is not None
+                    else _TOPOLOGY[cfg.topology].kernel(cfg, points, rng))
+    if graph is None:
+        return outcomes, 0, 0
     return outcomes, cache.misses - builds, cache.gets - gets
 
 
 _worker_args: tuple = ()  # set in pool workers only, never in the calling process
 
 
-def _worker_init(graph, cfgs):
+def _worker_init(graph, cfg, points):
     global _worker_args
-    _worker_args = (graph, cfgs, DagCache(graph) if graph is not None else None)
+    _worker_args = (graph, cfg, points, DagCache(graph) if graph is not None else None)
 
 
 def _worker_run(run_index: int) -> tuple[list[RunOutcome], int, int]:
     return _run_index(*_worker_args, run_index)
 
 
-def _campaign(graph: Optional[ChannelGraph], cfgs: list[SimConfig],
+def _campaign(graph: Optional[ChannelGraph], cfg: SimConfig, points: list[int],
               workers: int) -> list[list[RunOutcome]]:
-    """Each config's outcomes in run order; the configs share runs and base_seed.
+    """Each point's outcomes in run order: cfg at each amount of ``points`` on
+    a graph, or at each balance of the ascending ``points`` without one.
 
-    Run-major, with one process pool: each run index goes through all
-    configs before the next one starts.  On a graph the configs differ only
-    in amount, and a run index is one walk over all of them on one DAG cache
-    (one per pool worker); without one, each config runs its kernel.
+    Run-major, with one process pool: a run index is one walk over every
+    point, by ``_walk`` on one DAG cache per pool worker or by the
+    topology's kernel; a one-point grid, cfg's own point, is one run of cfg.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if graph is not None and not graph.is_connected():
         raise ValueError("graph must be connected (take the giant component first)")
-    runs = cfgs[0].runs
+    runs = cfg.runs
     pooled = workers > 1 and runs > 1
     if pooled and "fork" not in multiprocessing.get_all_start_methods():
         logger.warning("fork unavailable; running sequentially")
@@ -685,17 +702,18 @@ def _campaign(graph: Optional[ChannelGraph], cfgs: list[SimConfig],
     if pooled:
         chunksize = max(1, runs // (workers * 4))
         with multiprocessing.get_context("fork").Pool(
-                workers, initializer=_worker_init, initargs=(graph, cfgs)) as pool:
+                workers, initializer=_worker_init, initargs=(graph, cfg, points)) as pool:
             done = pool.map(_worker_run, range(runs), chunksize)
     else:
         cache = DagCache(graph) if graph is not None else None
-        done = [_run_index(graph, cfgs, cache, i) for i in range(runs)]
+        done = [_run_index(graph, cfg, points, cache, i) for i in range(runs)]
     if graph is not None:
         builds, gets = sum(run[1] for run in done), sum(run[2] for run in done)
         # the smallest amount runs longest, so its rounds are the walks' rounds
         rounds = sum(max(o.tau for o in run) for run, _b, _g in done)
         logger.info("%s: %d runs, %d rounds, %d DAG builds, %d DAG cache gets, "
-                    "hit ratio %.3f, %s DAGs", ", ".join(cfg.config_id() for cfg in cfgs),
+                    "hit ratio %.3f, %s DAGs",
+                    ", ".join(replace(cfg, amount=x).config_id() for x in points),
                     runs, rounds, builds, gets, 1 - builds / gets if gets else 0.0,
                     DagCache(graph).kind)
     return [list(outcomes) for outcomes in zip(*(run for run, _b, _g in done))]
@@ -716,7 +734,8 @@ def monte_carlo(cfg: SimConfig, graph: Optional[ChannelGraph] = None,
             graph = build_graph(cfg)
     elif not spec.takes_graph:
         raise ValueError(f"{cfg.topology} topology takes no graph")
-    return _campaign(graph, [cfg], workers)[0]
+    point = cfg.amount if graph is not None else cfg.balance
+    return _campaign(graph, cfg, [point], workers)[0]
 
 
 @dataclass(frozen=True)
@@ -745,23 +764,18 @@ def capacity_sweep(cfg: SimConfig, k_from: int, k_to: int, k_step: int,
                    runs_per_point: int, workers: int = 1,
                    horizon: Optional[int] = None) -> list[SweepPoint]:
     """cfg's kernel at each balance in [k_from, k_to] stepping k_step, as one
-    campaign: each run index goes through the whole grid, in one pool.
+    campaign: each run index is one walk over the whole grid, in one pool.
 
     The same per-run seeds are reused at every point (common random numbers),
     which makes the mean's growth in k a pathwise property for the chain
     topologies.  ``horizon`` adds an empirical Prob{tau <= horizon} per point.
     """
     check_sweep(cfg, k_from, k_to, k_step, horizon)
-    cfgs = [replace(cfg, balance=k, runs=runs_per_point)
-            for k in range(k_from, k_to + 1, k_step)]
-    points = []
-    for point_cfg, outcomes in zip(cfgs, _campaign(None, cfgs, workers)):
-        p_h = None
-        if horizon is not None:
-            hit = sum(1 for o in outcomes if not o.censored and o.tau <= horizon)
-            p_h = hit / len(outcomes)
-        points.append(SweepPoint(point_cfg.balance, outcomes, p_h))
-    return points
+    ks = list(range(k_from, k_to + 1, k_step))
+    runs = _campaign(None, replace(cfg, balance=k_from, runs=runs_per_point), ks, workers)
+    return [SweepPoint(k, outcomes, None if horizon is None else sum(
+        not o.censored and o.tau <= horizon for o in outcomes) / len(outcomes))
+        for k, outcomes in zip(ks, runs)]
 
 
 def multi_amount_experiment(graph: ChannelGraph, amounts: list[int], runs: int,
@@ -769,17 +783,14 @@ def multi_amount_experiment(graph: ChannelGraph, amounts: list[int], runs: int,
                             max_steps: int = 10 ** 12,
                             workers: int = 1) -> list[tuple[int, list[RunOutcome]]]:
     """One campaign per amount on the same graph, outcomes by amount in the
-    order of ``amounts``.
+    order of ``amounts``; they equal one monte_carlo call per amount.
 
-    Per-run seeds are shared across amounts, so every amount draws the same
-    pairs and paths until it stops, and a larger amount stops no later.  So
-    each run index is one walk that serves every amount (``_walk``) and
-    builds each round's DAG once; the outcomes equal one monte_carlo call
-    per amount.
+    Per-run seeds are shared across amounts, so each run index is one walk
+    that serves every amount (``_walk``) and builds each round's DAG once.
     """
     if not amounts:
         raise ValueError("amounts must be nonempty")
-    cfgs = [SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=x,
-                      stop_mode=stop_mode, max_steps=max_steps, base_seed=base_seed,
-                      runs=runs) for x in amounts]
-    return list(zip(amounts, _campaign(graph, cfgs, workers)))
+    # the smallest amount, so that SimConfig checks every amount is at least 1
+    cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=min(amounts),
+                    stop_mode=stop_mode, max_steps=max_steps, base_seed=base_seed, runs=runs)
+    return list(zip(amounts, _campaign(graph, cfg, amounts, workers)))

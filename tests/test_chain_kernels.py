@@ -38,17 +38,17 @@ def _caps():
     return st.one_of(st.just(_FAR), st.integers(1, 3000))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(n=st.integers(2, 40), k=st.integers(1, 8), x=st.integers(1, 4),
        mode=st.sampled_from(["depletion", "attempt"]), cap=_caps(),
        seed=st.integers(0, 2 ** 32))
 def test_clique_matches_scalar_oracle(n, k, x, mode, cap, seed):
     cfg = _clique(n, k, x, mode, cap)
-    assert _clique_fast(n, 2 * k, cfg, Rng(seed)) == oracle_clique_fast(n, 2 * k, cfg,
+    assert _clique_fast(n, [k], cfg, Rng(seed))[0] == oracle_clique_fast(n, 2 * k, cfg,
                                                                          Rng(seed))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@settings(max_examples=120)
 @given(n=st.integers(1, 200), k=st.integers(1, 14),
        p=st.sampled_from([1.0, 0.5, 0.25, 0.05, 0.01]),
        cap=st.one_of(st.just(_FAR), st.integers(1, 700)), seed=st.integers(0, 2 ** 32))
@@ -63,7 +63,7 @@ def test_clique_large_runs_match_scalar_oracle(n, k):
         cfg = _clique(n, k, 1, mode)
         for i in range(2):
             rng = Rng(run_seed(5, i))
-            assert _clique_fast(n, 2 * k, cfg, rng) == oracle_clique_fast(
+            assert _clique_fast(n, [k], cfg, rng)[0] == oracle_clique_fast(
                 n, 2 * k, cfg, Rng(run_seed(5, i)))
 
 
@@ -79,7 +79,7 @@ def _stream(rng):
     return rng.np.bit_generator.state
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@settings(max_examples=80)
 @given(n=st.integers(1, 70), k=st.integers(1, 6),
        p=st.sampled_from([1.0, 0.3, 0.05, ring_edge_probability(70)]),
        cap=st.one_of(st.just(_FAR), st.integers(1, 300)), seed=st.integers(0, 2 ** 32))
@@ -146,7 +146,7 @@ def _triple(out):
 
 
 def test_golden_outcomes():
-    got = [_triple(_clique_fast(n, 2 * k, _clique(n, k, x, mode, cap), Rng(run_seed(61, i))))
+    got = [_triple(_clique_fast(n, [k], _clique(n, k, x, mode, cap), Rng(run_seed(61, i)))[0])
            for i, ((n, k, x, mode, cap), _) in enumerate(_GOLDEN_CLIQUE)]
     assert got == [want for _, want in _GOLDEN_CLIQUE]
     got = [_triple(run_bdc_process(m, k, cap, Rng(run_seed(62, i))))
@@ -209,7 +209,7 @@ def test_first_exit_one_chain_hit_many_times():
     assert _check_first_exit([0, 0, 6, 0], ids[:-2], steps[:-2], -12, 12) == -1
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(chains=st.integers(1, 6), size=st.integers(1, 400), width=st.integers(0, 6),
        reach=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
 def test_first_exit_matches_scalar_walk(chains, size, width, reach, seed):
@@ -234,7 +234,7 @@ def test_clique_attempt_failure_is_not_applied():
             if not 0 <= bal + (1 if d else -1) <= 2:
                 break
             bal += 1 if d else -1
-        out = _clique_fast(2, 2, cfg, Rng(seed))
+        out = _clique_fast(2, [1], cfg, Rng(seed))[0]
         assert (out.tau, out.failing_edge, out.failure_kind) == (tau, 0, "attempt_failed")
 
 
@@ -268,6 +268,36 @@ def test_indices_for_other_bounds_reject_high_words():
     assert Rng(9).indices(bound, 1000).tolist() == kept
 
 
+def _randrange_reference(words, bound):
+    """Exactly uniform in [0, bound) from an iterator of raw words: the fewest
+    words whose 2**(64·count) values cover the bound, read high word first,
+    drawn again while at or past the largest multiple of bound they hold."""
+    count = -(-(bound - 1).bit_length() // 64)
+    limit = (1 << 64 * count) // bound * bound
+    while True:
+        r = int.from_bytes(b"".join(next(words).to_bytes(8, "big") for _ in range(count)),
+                           "big")
+        if r < limit:
+            return r % bound
+
+
+@pytest.mark.parametrize("bound", [2 ** 64 + 1, 3 * 2 ** 64, 2 ** 128 + 5])
+def test_randrange_past_two_to_the_64_is_multiword_rejection(bound):
+    # six all-ones words head the stream; two or three of them are at or
+    # past each bound's limit, so the first draws are rejected
+    top = [2 ** 64 - 1] * 6
+    for seed in range(4):
+        stream = top + np.random.Generator(np.random.PCG64(seed)).integers(
+            0, 1 << 64, size=2000, dtype=np.uint64).tolist()
+        rng = Rng(seed)
+        rng.words(0, np.array(top, dtype=np.uint64))
+        words = iter(stream)
+        got = [rng.randrange(bound) for _ in range(300)]
+        assert got == [_randrange_reference(words, bound) for _ in range(300)]
+        assert rng.u64() == next(words)  # the same words consumed
+        assert got[0] == _randrange_reference(iter(stream[6:]), bound)
+
+
 def test_chunk_sizes():
     assert list(zip(range(10), chunk_sizes(128, 1 << 14, _FAR))) == [
         (i, min(128 << i, 1 << 14)) for i in range(10)]
@@ -296,7 +326,7 @@ def test_rng_copies_go_on_with_the_same_stream():
     assert [drawn(c) for c in copies] == [expected] * 2
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(seed=st.integers(0, 2 ** 32),
        calls=st.lists(st.tuples(st.sampled_from(["u64", "words"]), st.integers(0, 700),
                                 st.integers(0, 700)), min_size=1, max_size=8))
@@ -334,7 +364,7 @@ def test_words_put_back_come_first_and_go_on_in_a_copy():
 _COUNTS = st.one_of(st.integers(0, 9), st.integers(0, 5000))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(seed=st.integers(0, 2 ** 32),
        calls=st.lists(st.tuples(_COUNTS, st.integers(0, 3),
                                 st.sampled_from([None, "pickle", "deepcopy"])),
@@ -373,11 +403,11 @@ def _progress_lines(caplog, what):
 
 
 @pytest.mark.parametrize("what,run", [
-    ("clique process", lambda: _clique_fast(20, 16, _clique(20, 8), Rng(3))),
+    ("clique process", lambda: _clique_fast(20, [8], _clique(20, 8), Rng(3))[0]),
     ("bdc process", lambda: run_bdc_process(50, 12, _FAR, Rng(3))),
     ("independent chains", lambda: run_independent_chains(64, 9, 0.1, _FAR, Rng(3))),
-    ("ring process", lambda: _ring_fast(41, 60, SimConfig(topology="ring", nodes=41,
-                                                           balance=30), Rng(3))),
+    ("ring process", lambda: _ring_fast(41, [30], SimConfig(topology="ring", nodes=41,
+                                                             balance=30), Rng(3))[0]),
 ])
 def test_kernel_progress_lines_leave_outcomes_unchanged(monkeypatch, caplog, what, run):
     quiet = run()

@@ -403,6 +403,18 @@ def test_too_few_nodes_is_config_error(argv, capsys):
     assert "needs n >=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--topology", "ring", "--nodes", "5", "--balance", "2", "--runs", "2"],
+    ["sweep", "--topology", "ring", "--nodes", "5", "--k-from", "1", "--k-to", "2"],
+])
+def test_workers_below_one_is_config_error(argv, workers, capsys):
+    assert run_cli(*argv, "--workers", workers) == 1
+    captured = capsys.readouterr()
+    assert f"workers must be >= 1, got {workers}" in captured.err
+    assert captured.out == ""  # rejected before the config echo
+
+
 def test_bad_amounts_are_config_errors(tmp_path, capsys):
     g = tmp_path / "ring.edges"
     write_edgelist(make_ring(5, 8), g)

@@ -22,7 +22,7 @@ def test_make_clique_k3():
 
 def test_make_clique_degrees_and_adjacency_count():
     g = make_clique(7, 6)
-    assert all(g.degree(v) == 6 for v in range(7))
+    assert g.csr.degree.tolist() == [6] * 7
     adj = adjacency_of(zip(g.edge_u, g.edge_v, g.capacity), 7)
     assert csr_rows(g) == [adj[v] for v in range(7)]
     assert int(g.csr.degree.sum()) == 2 * g.edge_count
@@ -31,7 +31,7 @@ def test_make_clique_degrees_and_adjacency_count():
 def test_make_clique_large_scale():
     g = make_clique(2800, 1024)
     assert g.edge_count == 3_918_600
-    assert g.degree(0) == 2799
+    assert g.csr.degree[0] == 2799
     assert g.capacity[0] == 1024
 
 
@@ -48,7 +48,7 @@ def test_make_ring_basic():
     g = make_ring(4, 2)
     got = sorted((g.edge_u[i], g.edge_v[i]) for i in range(g.edge_count))
     assert got == [(0, 1), (0, 3), (1, 2), (2, 3)]
-    assert all(g.degree(v) == 2 for v in range(4))
+    assert g.csr.degree.tolist() == [2] * 4
 
 
 def test_make_ring_large_scale():
@@ -191,7 +191,7 @@ def test_adjacency_handshake_on_random_graphs():
         g = ChannelGraph(n, edges)
         adj = adjacency_of(edges, n)
         assert csr_rows(g) == [adj[v] for v in range(n)]
-        assert [g.degree(v) for v in range(n)] == [len(adj[v]) for v in range(n)]
+        assert g.csr.degree.tolist() == [len(adj[v]) for v in range(n)]
         assert int(g.csr.degree.sum()) == 2 * g.edge_count
 
 

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from pcnsim import Rng, RunOutcome, aggregate, log_histogram
-from pcnsim.results import (emit_campaign, read_csv, read_outcomes_csv, write_csv,
-                            write_outcomes_csv)
+from pcnsim.results import (read_csv, read_outcomes_csv, write_aggregates_csv, write_csv,
+                            write_histogram_csv, write_outcomes_csv)
 
 
 def _outcome(tau, kind="depleted", edge=0, seed=1):
@@ -153,32 +153,33 @@ def test_write_csv_io_error_has_path_context(tmp_path):
         write_csv(target, {}, ["a"], [])
 
 
-def test_emit_campaign_outcomes_round_trip_and_stability(tmp_path):
+def test_write_outcomes_csv_round_trip_and_stability(tmp_path):
     outs = [_outcome(9, seed=4), _outcome(2, kind="step_cap_reached", seed=5)]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_campaign(outs, a, {"runs": 2})
-    emit_campaign(outs, b, {"runs": 2})
+    write_outcomes_csv(outs, a, {"runs": 2})
+    write_outcomes_csv(outs, b, {"runs": 2})
     assert a.read_bytes() == b.read_bytes()
     back, meta = read_outcomes_csv(a)
     assert back == outs and meta == {"runs": "2"}
 
 
-def test_emit_campaign_aggregates_and_histogram(tmp_path):
+def test_write_aggregates_and_histogram_csv(tmp_path):
     aggs = [aggregate([_outcome(3), _outcome(5)], config_id="x1")]
     out = tmp_path / "agg.csv"
-    emit_campaign(aggs, out, {})
+    write_aggregates_csv(aggs, out, {})
     _, columns, rows = read_csv(out)
     assert columns[0] == "config_id" and rows[0][0] == "x1"
     hist = log_histogram([1, 10], bins_per_decade=1)
     hout = tmp_path / "h.csv"
-    emit_campaign(hist, hout, {})
+    write_histogram_csv(hist, hout, {})
     meta, columns, rows = read_csv(hout)
     assert columns == ["bin_lo", "bin_hi", "count"] and len(rows) == 2
     assert (meta["bins_per_decade"], meta["underflow"], meta["overflow"]) == ("1", "0", "0")
-
-
-def test_emit_campaign_rejects_bad_payload(tmp_path):
-    with pytest.raises(ValueError):
-        emit_campaign([], tmp_path / "x", {})
-    with pytest.raises(TypeError):
-        emit_campaign([object()], tmp_path / "x", {})
+    # a nonpositive value and one past max_value land in the metadata, not in a bin
+    hist = log_histogram([0, 3, 50, 700, 2000], bins_per_decade=2, max_value=1000)
+    write_histogram_csv(hist, hout, {"amount": 7})
+    assert hout.read_bytes() == (
+        b"# amount = 7\n# bins_per_decade = 2\n# overflow = 1\n# underflow = 1\n"
+        b"bin_lo,bin_hi,count\n1.0,3.1622776601683795,1\n3.1622776601683795,10.0,0\n"
+        b"10.0,31.622776601683793,0\n31.622776601683793,100.0,1\n"
+        b"100.0,316.22776601683796,0\n316.22776601683796,1000.0,1\n")

@@ -36,7 +36,7 @@ def test_two_node_clique_first_payment_depletes():
     for seed in range(10):
         rng = Rng(seed)
         cfg = SimConfig(topology="clique", nodes=2, balance=1, runs=1, base_seed=0)
-        out = _clique_fast(2, 2, cfg, rng)
+        out = _clique_fast(2, [1], cfg, rng)[0]
         assert out.tau == 1 and out.failure_kind == "depleted"
     out = run_payment_process(make_clique(2, 2), cfg, Rng(5))
     assert out.tau == 1
@@ -334,12 +334,25 @@ def test_multi_amount_equals_per_amount_monte_carlo(workers, mode, caplog):
     assert workers > 1 or builds == smallest[1]
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_campaigns_reject_workers_below_one(workers):
+    g = make_clique(4, 6)
+    cfg = SimConfig(topology="ring", nodes=5, balance=2, runs=2)
+    for campaign in (lambda: monte_carlo(cfg, workers=workers),
+                     lambda: monte_carlo(cfg, graph=g, workers=workers),
+                     lambda: capacity_sweep(cfg, 1, 3, 1, runs_per_point=2, workers=workers),
+                     lambda: multi_amount_experiment(g, [1, 2], runs=2, base_seed=0,
+                                                     workers=workers)):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            campaign()
+
+
 def test_multi_amount_requires_amounts():
     with pytest.raises(ValueError):
         multi_amount_experiment(make_clique(3, 4), [], runs=1, base_seed=0)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(n=st.integers(2, 9), graph_seed=st.integers(0, 2 ** 32 - 1),
        amounts=st.lists(st.integers(1, 6), min_size=1, max_size=5),
        mode=st.sampled_from(["depletion", "attempt"]), st_dags=st.booleans(),
@@ -431,8 +444,8 @@ def _ring_all(n, k, words, amount=1, stop_mode="depletion", max_steps=10 ** 12, 
     cfg = SimConfig(topology="ring", nodes=n, balance=k, amount=amount,
                     stop_mode=stop_mode, max_steps=max_steps)
     runs = [(run, _scripted(words, seed)) for run in
-            (_ring_fast, oracle_ring_fast, lambda n, c, cfg, rng:
-             run_payment_process(make_ring(n, c), cfg, rng))]
+            (lambda n, c, cfg, rng: _ring_fast(n, [c // 2], cfg, rng)[0], oracle_ring_fast,
+             lambda n, c, cfg, rng: run_payment_process(make_ring(n, c), cfg, rng))]
     outs = [(run(n, 2 * k, cfg, rng), rng.u64()) for run, rng in runs]
     assert outs[0] == outs[1] == outs[2]
     return outs[0][0]
@@ -555,7 +568,7 @@ def test_ring_kernel_matches_generic_loop(n):
                         stop_mode=mode, max_steps=cap)
         generic = [run_payment_process(g, cfg, Rng(run_seed(n, i)), cache)
                    for i in range(seeds)]
-        fast = [_ring_fast(n, 2 * k, cfg, Rng(run_seed(n, i))) for i in range(seeds)]
+        fast = [_ring_fast(n, [k], cfg, Rng(run_seed(n, i)))[0] for i in range(seeds)]
         assert fast == generic, (k, x, mode, cap)
 
 
@@ -571,7 +584,7 @@ def test_ring_kernel_safe_blocks_match_the_oracle(n, monkeypatch):
                                 stop_mode=mode)
                 for i in range(2):
                     rngs = Rng(run_seed(k, i)), Rng(run_seed(k, i))
-                    assert (_ring_fast(n, 2 * k, cfg, rngs[0])
+                    assert (_ring_fast(n, [k], cfg, rngs[0])[0]
                             == oracle_ring_fast(n, 2 * k, cfg, rngs[1])), (k, x, mode, i)
                     assert rngs[0].u64() == rngs[1].u64()
     assert blocks  # the runs took blocks of safe rounds
@@ -581,7 +594,7 @@ _SCRIPT_WORDS = st.one_of(st.integers(0, 2 ** 64 - 1), st.integers(2 ** 64 - 8, 
                           st.integers(0, 40))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(n=st.integers(3, 40), k=st.one_of(st.integers(1, 5), st.integers(6, 60)),
        x=st.integers(1, 3), mode=st.sampled_from(["depletion", "attempt"]),
        max_steps=st.one_of(st.integers(1, 400), st.integers(401, 3000)),
@@ -593,7 +606,7 @@ def test_ring_kernel_equals_generic_property(n, k, x, mode, max_steps, script, s
     cfg = SimConfig(topology="ring", nodes=n, balance=k, amount=x, stop_mode=mode,
                     max_steps=max_steps)
     rngs = [_scripted(script, seed) for _ in range(3)]
-    fast = _ring_fast(n, 2 * k, cfg, rngs[0])
+    fast = _ring_fast(n, [k], cfg, rngs[0])[0]
     assert fast == oracle_ring_fast(n, 2 * k, cfg, rngs[1])
     assert rngs[0].u64() == rngs[1].u64()
     if k <= 5 and max_steps <= 400:
@@ -655,7 +668,7 @@ def test_capacity_sweep_rejects_horizon_outside_0_to_max_steps(horizon):
         capacity_sweep(cfg, 1, 2, 1, runs_per_point=2, horizon=horizon)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(n=st.integers(2, 9), graph_seed=st.integers(0, 2 ** 32 - 1),
        x=st.integers(1, 3), mode=st.sampled_from(["depletion", "attempt"]),
        max_steps=st.integers(1, 60), seed=st.integers(0, 2 ** 64 - 1))
@@ -670,7 +683,7 @@ def test_payment_process_equals_oracle_property(n, graph_seed, x, mode, max_step
     assert run_payment_process(g, cfg, Rng(seed)) == oracle_payment_process(g, cfg, Rng(seed))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@settings(max_examples=120)
 @given(n=st.integers(2, 9), graph_seed=st.integers(0, 2 ** 32 - 1),
        x=st.integers(1, 3), mode=st.sampled_from(["depletion", "attempt"]),
        max_steps=st.integers(1, 60), seed=st.integers(0, 2 ** 64 - 1))

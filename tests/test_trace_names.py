@@ -8,7 +8,7 @@ import importlib.util
 from pathlib import Path
 
 import pcnsim
-from pcnsim import SimConfig, make_ring
+from pcnsim import Rng, SimConfig, make_ring
 
 _SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -29,6 +29,9 @@ def _campaigns():
            for topology in ("clique", "ring", "independent")]
     got.append(sim.monte_carlo(SimConfig(topology="snapshot", snapshot_path="<in-memory>",
                                          runs=2, base_seed=1, max_steps=50), graph=g))
+    # a one-point grid runs the independent chains through their kernel's
+    # walk, so the wrapped one-balance form is called directly
+    got.append([sim.run_independent_chains(6, 2, 0.5, 50, Rng(1))])
     sweep = sim.capacity_sweep(SimConfig(topology="ring", nodes=5, balance=1, base_seed=1),
                                1, 3, 2, runs_per_point=2)
     got.append([p.outcomes for p in sweep])
@@ -51,8 +54,8 @@ def test_traced_names_still_wrap_and_leave_outcomes_unchanged():
                  "rng.indices", "rng.bits", "graph.is_connected"):
         assert table[name]["calls"] > 0, name
     # the counts read off the wrapped runs' results are their taus; the
-    # multi-amount walk is not a wrapped name
-    runs = [o for outcomes in plain[:4] + plain[4] for o in outcomes]
+    # multi-point sweep and the multi-amount walk are not wrapped names
+    runs = [o for outcomes in plain[:4] for o in outcomes]
     assert sum(row["count"] for name, row in table.items()
                if name.startswith("sim.run[")) == sum(o.tau for o in runs)
     metrics = spans.per_layer(tracer, root, root, 0, 0.0)
