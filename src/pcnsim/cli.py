@@ -176,10 +176,12 @@ def _sim_fields(recipe: dict, *keys: str) -> dict:
 
 def _resolved_balance(recipe: dict) -> int | None:
     """Apply the capacity convention: 'capacity' means per-side k unless
-    capacity_is_total is set."""
-    if recipe.get("balance") is not None:
-        return recipe["balance"]
+    capacity_is_total is set.  Both name k, so giving both is an error."""
     cap = recipe.get("capacity")
+    if recipe.get("balance") is not None:
+        if cap is not None:
+            raise ConfigError("pass either balance or capacity, not both")
+        return recipe["balance"]
     if cap is None:
         return None
     if recipe.get("capacity_is_total"):

@@ -66,8 +66,8 @@ class Rng:
     """Buffered wrapper over numpy's PCG64 for fast exact scalar draws.
 
     Every draw reads PCG64's raw 64-bit words.  Scalar draws (``u64``,
-    ``randrange``, ``pair``, ``bit``) take whole words, in order, from an
-    internal buffer, which keeps per-draw cost near list-iteration speed;
+    ``randrange``, ``pair``) take whole words, in order, from an internal
+    buffer, which keeps per-draw cost near list-iteration speed;
     ``words`` returns a block of them as an array, buffered words first, and
     can put back the ones its caller did not use.  ``indices`` takes whole
     words too, and ``bits`` takes the bytes of the 32-bit halves numpy
@@ -88,7 +88,7 @@ class Rng:
         self._size = 64  # grows geometrically; keeps short-lived streams cheap
 
     def _refill(self) -> None:
-        self._buf = self.np.integers(0, 1 << 64, size=self._size, dtype=np.uint64).tolist()
+        self._buf = self.np.bit_generator.random_raw(self._size).tolist()
         self._size = next_size(self._size, _CHUNK)
         self._pos = 0
 
@@ -146,9 +146,6 @@ class Rng:
             return fresh
         return np.concatenate((np.array(held, dtype=np.uint64), fresh))
 
-    def bit(self) -> int:
-        return self.u64() & 1
-
     def pair(self, n: int) -> tuple[int, int]:
         """Ordered pair of distinct indices in [0, n), uniform over all n(n-1)."""
         s = self.randrange(n)
@@ -173,7 +170,7 @@ class Rng:
         parts: list[np.ndarray] = []
         need = count
         while need > 0:
-            raw = self.np.integers(0, 1 << 64, size=need + 16, dtype=np.uint64)
+            raw = self.np.bit_generator.random_raw(need + 16)
             kept = (raw if limit is None else raw[raw < limit])[:need] % ubound
             parts.append(kept)
             need -= len(kept)

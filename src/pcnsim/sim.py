@@ -273,74 +273,59 @@ def _clique_fast(n: int, ks: list[int], cfg: SimConfig, rng: Rng) -> list[RunOut
 def _ring_rounds(w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                                 np.ndarray]:
     """The rounds a block of raw words holds, read as ``Rng.pair`` and
-    ``randrange(2)`` read them: ``(first, end, clockwise, nxt)``.
+    ``randrange(2)`` read them: ``(s, span, r, nxt)``.
 
-    Round j pays over the arc of edges first[j], ..., end[j] - 1 (mod n;
-    end[j] < 2n), clockwise or not, and its draws end before word nxt[j].
-    Every word is decoded as if a round started there: s = w[i] % n, the
-    destination from w[i + 1] % (n - 1), and, for an antipodal pair, the
-    tie-break bit from w[i + 2].  The real rounds start at word 0 and follow
-    nxt[i] = i + 2 + antipodal[i].  A block holding a word that
-    ``randrange(n)`` or ``randrange(n - 1)`` would reject is decoded word by
-    word instead.  A round the block holds only in part is left out.
+    Round j pays from s[j] to (s[j] + span[j]) % n, an antipodal round with
+    tie-break draw r[j] (0 for the others), and its draws end before word
+    nxt[j].  The block is read only up to its first word that
+    ``randrange(n)`` or ``randrange(n - 1)`` could reject.  Every word is
+    decoded as if a round started there: s = w[i] % n, the destination from
+    w[i + 1] % (n - 1), and, for an antipodal pair, the tie-break bit from
+    w[i + 2].  The real rounds start at word 0 and follow
+    nxt[i] = i + 2 + antipodal[i].  A round the block holds only in part is
+    left out.
     """
-    cut = min(word_limit(n), word_limit(n - 1))
-    if cut < 1 << 64 and len(w) and w.max() >= np.uint64(cut):
-        s, span, clockwise, nxt = _ring_rounds_scalar(w.tolist(), n)
-    else:
-        every = (w % np.uint64(n)).astype(np.int64)
-        t = (w[1:] % np.uint64(n - 1)).astype(np.int64)
-        span = t + (t >= every[:-1]) - every[:-1]
-        span[span < 0] += n
-        starts, cur = [], 0
-        for a in np.flatnonzero(2 * span == n).tolist():
-            if a < cur or (a - cur) % 2:
-                continue  # not a round start
-            if a + 2 == len(w):  # the tie-break word is past the block
-                starts.append(np.arange(cur, a, 2))
-                cur = len(w)
-                break
-            starts.append(np.arange(cur, a + 1, 2))
-            cur = a + 3
-        starts.append(np.arange(cur, len(w) - 1, 2))
-        at = np.concatenate(starts)
-        s, span = every[at], span[at]
-        tie = 2 * span == n
-        clockwise = 2 * span < n
-        # from source 0 a tie bit of 0 goes clockwise, elsewhere counterclockwise
-        clockwise[tie] = ((w[at[tie] + 2] & np.uint64(1)) == 0) == (s[tie] == 0)
-        nxt = at + 2 + tie
-    first = np.where(clockwise, s, (s + span) % n)
-    return first, first + np.where(clockwise, span, n - span), clockwise, nxt
-
-
-def _ring_rounds_scalar(w: list[int], n: int) -> tuple[np.ndarray, ...]:
-    """``_ring_rounds``' (s, span, clockwise, nxt) by the scalar rule, which
-    passes over the words that ``randrange`` rejects."""
-    pos = 0
-
-    def draw(bound: int) -> Optional[int]:  # randrange(bound); None past the block
-        nonlocal pos
-        limit = word_limit(bound)
-        while pos < len(w):
-            pos += 1
-            if w[pos - 1] < limit:
-                return w[pos - 1] % bound
-        return None
-
-    rows = []
-    while (s := draw(n)) is not None and (t := draw(n - 1)) is not None:
-        span = (t + (t >= s) - s) % n
-        if 2 * span != n:
-            clockwise = 2 * span < n
-        elif (r := draw(2)) is not None:
-            clockwise = (r == 0) == (s == 0)
-        else:
+    # n >= 3, so n or n - 1 is no power of two and the cut is below 2**64
+    bad = w >= np.uint64(min(word_limit(n), word_limit(n - 1)))
+    if bad.any():
+        w = w[:bad.argmax()]
+    every = (w % np.uint64(n)).astype(np.int64)
+    t = (w[1:] % np.uint64(n - 1)).astype(np.int64)
+    span = t + (t >= every[:-1]) - every[:-1]
+    span[span < 0] += n
+    starts, cur = [], 0
+    for a in np.flatnonzero(2 * span == n).tolist():
+        if a < cur or (a - cur) % 2:
+            continue  # not a round start
+        if a + 2 == len(w):  # the tie-break word is past the block
+            starts.append(np.arange(cur, a, 2))
+            cur = len(w)
             break
-        rows.append((s, span, clockwise, pos))
-    cols = zip(*rows) if rows else [()] * 4
-    s, span, clockwise, nxt = (np.array(col, dtype=np.int64) for col in cols)
-    return s, span, clockwise.astype(bool), nxt
+        starts.append(np.arange(cur, a + 1, 2))
+        cur = a + 3
+    starts.append(np.arange(cur, len(w) - 1, 2))
+    at = np.concatenate(starts)
+    tie = 2 * span[at] == n
+    r = np.zeros(len(at), dtype=np.int64)
+    r[tie] = w[at[tie] + 2] & np.uint64(1)
+    return every[at], span[at], r, at + 2 + tie
+
+
+def _ring_arcs(s: np.ndarray, span: np.ndarray, r: np.ndarray,
+               n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The arcs of the rounds from s[j] to (s[j] + span[j]) % n, each as two
+    runs of edges: ``(first, split, wrap, clockwise)``.
+
+    Round j crosses edges first[j], ..., split[j] - 1, then 0, ...,
+    wrap[j] - 1 (none unless its arc passes edge n - 1).  An antipodal round
+    goes clockwise iff its tie-break draw r[j] is 0 from source 0 or 1 from
+    any other source (see ``_ring_fast``).
+    """
+    clockwise = np.where(2 * span == n, (r == 0) == (s == 0), 2 * span < n)
+    first = np.where(clockwise, s, (s + span) % n)
+    end = first + np.where(clockwise, span, n - span)
+    split = np.minimum(end, n)
+    return first, split, end - split, clockwise
 
 
 def _ring_fast(n: int, ks: list[int], cfg: SimConfig, rng: Rng) -> list[RunOutcome]:
@@ -358,15 +343,19 @@ def _ring_fast(n: int, ks: list[int], cfg: SimConfig, rng: Rng) -> list[RunOutco
     as [1, n-1].
 
     Each block of raw words (sizes from ``_RING_WORDS``) is decoded at once
-    by ``_ring_rounds``.  A round moves a balance by at most x, so while the
+    by ``_ring_rounds``, up to its first word that ``randrange`` could
+    reject.  When that word falls in the block's first round, the block goes
+    back to ``rng`` and that one round is drawn by ``Rng.pair`` (and
+    ``randrange(2)`` for a tie) instead.  Every arc is two runs of edges
+    (``_ring_arcs``).  A round moves a balance by at most x, so while the
     smallest slack to the band is h·x, none of the next h rounds can fail:
     when h >= ``_SAFE_ROUNDS`` they are applied together, through one
-    difference array over the arcs' ends (``_arc_ends``).  Otherwise the next
-    ``_SAFE_ROUNDS`` rounds go one at a time, one slice update per arc
-    segment, and those past the first h check each segment they updated; a
-    failing round's first edge past the band, in path order, is the failing
-    edge.  The words a run does not use go back to ``rng``, so the stream
-    ends where the scalar draws of the largest k end it.  Progress is logged
+    difference array over their runs' ends.  Otherwise the next
+    ``_SAFE_ROUNDS`` rounds go one at a time, one slice update per run,
+    and those past the first h check each run they updated; a failing
+    round's first edge past the band, in path order, is the failing edge.
+    The words a run does not use go back to ``rng``, so the stream ends
+    where the scalar draws of the largest k end it.  Progress is logged
     once per block.
     """
     x = cfg.amount
@@ -384,22 +373,30 @@ def _ring_fast(n: int, ks: list[int], cfg: SimConfig, rng: Rng) -> list[RunOutco
     while t < max_steps:
         w = rng.words(len(left) + size, left)
         size = next_size(size, top)
-        first, end, clockwise, nxt = _ring_rounds(w, n)
-        rounds = min(len(first), max_steps - t)
-        split = np.minimum(end, n)
-        wrap = end - split
+        s, span, r, nxt = _ring_rounds(w, n)
+        if not len(s):  # the block's first round holds a word randrange may reject
+            rng.words(0, w)
+            src, dst = rng.pair(n)
+            d = (dst - src) % n
+            s, span, nxt = np.array([src]), np.array([d]), np.zeros(1, dtype=np.int64)
+            r, w = np.array([rng.randrange(2) if 2 * d == n else 0]), w[:0]
+        first, split, wrap, clockwise = _ring_arcs(s, span, r, n)
+        rounds = min(len(s), max_steps - t)
         steps = np.where(clockwise, -x, x)
-        keys = wraps = None  # the arcs' ends, once a block of safe rounds needs them
+        keys = None  # the runs' ends, once a block of safe rounds needs them
         j = 0
         while j < rounds:
             h = min(band + int(_MIN(dev)), band - int(_MAX(dev))) // x
             if h >= _SAFE_ROUNDS:
                 if keys is None:
-                    keys, wraps = _arc_ends(first, end, clockwise, n)
+                    # round j's runs start at first and 0 and end at split and wrap;
+                    # ups count at p and downs at n + 1 + p, a clockwise round's swapped
+                    up = clockwise * (n + 1)
+                    down = n + 1 - up
+                    keys = np.stack((first + up, up, split + down, wrap + down), axis=1).ravel()
                 stop = min(j + h, rounds)
-                ends = np.bincount(keys[2 * j:2 * stop], minlength=2 * n)
-                moved = np.cumsum(ends[:n] - ends[n:])
-                moved += wraps[stop] - wraps[j]
+                ends = np.bincount(keys[4 * j:4 * stop], minlength=2 * n + 2)
+                moved = np.cumsum(ends[:n] - ends[n + 1:2 * n + 1])
                 moved *= x
                 dev += moved
                 j = stop
@@ -417,10 +414,10 @@ def _ring_fast(n: int, ks: list[int], cfg: SimConfig, rng: Rng) -> list[RunOutco
                     continue
                 if (_MIN(v) < -band or e and _MIN(u) < -band) if step < 0 else \
                         (_MAX(v) > band or e and _MAX(u) > band):
-                    # a clockwise payment crosses edges a, ..., end - 1 (mod n) and
-                    # lowers them, a counterclockwise one raises them from end - 1 down
-                    hops = np.arange(end[i] - a)
-                    path = (a + hops if step < 0 else end[i] - 1 - hops) % n
+                    # a clockwise payment crosses edges a, ..., b + e - 1 (mod n) and
+                    # lowers them, a counterclockwise one raises them from b + e - 1 down
+                    hops = np.arange(b - a + e)
+                    path = (a + hops if step < 0 else b + e - 1 - hops) % n
                     reach = -dev[path] if step < 0 else dev[path]  # moved the payment's way
                     while _MAX(reach) > band:
                         done.append(RunOutcome(t + i + spent, int(path[np.argmax(reach > band)]),
@@ -431,31 +428,10 @@ def _ring_fast(n: int, ks: list[int], cfg: SimConfig, rng: Rng) -> list[RunOutco
                         band = ks[len(done)] - lo
             j = stop
         t += rounds
-        left = w[nxt[rounds - 1]:] if rounds else w
+        left = w[nxt[rounds - 1]:]
         progress(t)
     rng.words(0, left)
     return done + [RunOutcome(t, None, STEP_CAP, rng.seed)] * (len(ks) - len(done))
-
-
-def _arc_ends(first: np.ndarray, end: np.ndarray, clockwise: np.ndarray,
-              n: int) -> tuple[np.ndarray, np.ndarray]:
-    """A block's arcs as a difference array: ``(keys, wraps)``.
-
-    A counterclockwise arc adds 1 (in units of x) to edges first, ...,
-    end - 1 (mod n), a clockwise one takes 1.  Keys 2j and 2j + 1 are where
-    round j's change goes up and where it goes down, mod n, the downs
-    offset by n.  For an arc that reaches n, the running sum of its ends is
-    its change less 1 on every edge, so ``wraps[j]`` sums the change of
-    those arcs among the first j rounds.  The running sum of a run of keys'
-    bincount, ups less downs, plus its share of ``wraps``, is what those
-    rounds move each balance by.
-    """
-    keys = np.empty(2 * len(first), dtype=np.int64)
-    keys[0::2] = np.where(clockwise, end, first) % n
-    keys[1::2] = np.where(clockwise, first, end) % n + n
-    wraps = np.zeros(len(first) + 1, dtype=np.int64)
-    np.cumsum(np.where(clockwise, -1, 1) * (end >= n), out=wraps[1:])
-    return keys, wraps
 
 
 def run_bdc_process(m: int, k: int, max_steps: int, rng: Rng) -> RunOutcome:

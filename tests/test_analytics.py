@@ -41,7 +41,7 @@ def test_hitting_time_simulated_mean_from_interior_start():
         pos = j
         t = 0
         while abs(pos) < k:
-            pos += 1 if rng.bit() else -1
+            pos += 1 if rng.randrange(2) else -1
             t += 1
         total += t
     want = expected_hitting_time(k, j)

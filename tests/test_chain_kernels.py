@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from pcnsim import (Rng, SimConfig, run_bdc_process, run_independent_chains,
                     run_seed)
 from pcnsim.analytics import ring_edge_probability
-from pcnsim.rng import chunk_sizes
+from pcnsim.rng import chunk_sizes, word_limit
 from pcnsim.sim import _RING_WORDS, _clique_fast, _first_exit, _ring_fast, _selection_cut
 
 from helpers import oracle_clique_fast, oracle_independent_chains
@@ -312,6 +312,24 @@ def test_rng_buffer_refills_keep_the_stream():
     words = np.random.Generator(np.random.PCG64(21)).integers(
         0, 1 << 64, size=len(got), dtype=np.uint64).tolist()
     assert got == words
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_refill_and_indices_read_raw_words_and_keep_a_held_half_word(seed):
+    # the scalar buffer and indices read PCG64's raw words, as numpy's
+    # full-range uint64 draw does, and leave a held 32-bit half-word alone
+    rng, twin = Rng(seed), np.random.Generator(np.random.PCG64(seed))
+    for gen in (rng.np, twin):
+        gen.integers(0, 1 << 32, dtype=np.uint32)  # holds the word's high half
+    assert _stream(rng)["has_uint32"] == 1
+    words = twin.bit_generator.random_raw(64 + 100 + 16)
+    assert [rng.u64() for _ in range(64)] == words[:64].tolist()  # the first refill
+    raw = words[64:]
+    kept = raw[raw < np.uint64(word_limit(7))][:100]
+    assert rng.indices(7, 100).tolist() == (kept % np.uint64(7)).tolist()
+    assert _stream(rng) == twin.bit_generator.state
+    assert rng.np.integers(0, 1 << 32, dtype=np.uint32) == twin.integers(0, 1 << 32,
+                                                                        dtype=np.uint32)
 
 
 def test_rng_copies_go_on_with_the_same_stream():

@@ -104,6 +104,28 @@ def test_capacity_convention_flag(tmp_path):
     assert meta_total["balance"] == "4"  # total 8 -> k = 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--topology", "clique", "--nodes", "5", "--runs", "2", "--workers", "1"],
+    ["couple-check", "--nodes", "5", "--seeds", "2"],
+    ["fit", "--points", "POINTS", "--model", "lower"],
+])
+@pytest.mark.parametrize("where", ["flags", "file"])
+def test_balance_with_capacity_is_config_error(tmp_path, capsys, argv, where):
+    # both name the per-side balance, so the run would silently drop one
+    points = tmp_path / "means.csv"
+    points.write_text("n,mean_tau\n10,5.0\n")
+    argv = [str(points) if arg == "POINTS" else arg for arg in argv]
+    if where == "flags":
+        argv += ["--balance", "4", "--capacity", "10"]
+    else:
+        config = tmp_path / "recipe.cfg"
+        config.write_text("balance = 4\n")
+        argv += ["--config", str(config), "--capacity", "10"]
+    assert run_cli(*argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "either balance or capacity" in err
+
+
 def test_snapshot_simulation_with_nodemap(tmp_path):
     doc = {
         "nodes": [{"pub_key": k} for k in "ABCDE"],

@@ -11,6 +11,8 @@ import pytest
 
 from pcnsim.cli import build_parser, read_recipe_file
 
+from test_readme import readme_commands
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 _SEEDED = {"--seed", "--max-steps"}
@@ -74,18 +76,12 @@ def _readme_block(heading: str) -> str:
     return re.search(r"```[a-z]*\n(.*?)```", section, re.S).group(1)
 
 
-def _readme_recipes() -> list[str]:
-    joined = _readme_block("## CLI").replace("\\\n", " ")
-    return [line.strip() for line in joined.splitlines()
-            if line.strip().startswith("pcnsim ")]
-
-
 def test_readme_has_a_recipe_for_every_command():
-    commands = {shlex.split(recipe)[1] for recipe in _readme_recipes()}
+    commands = {shlex.split(recipe)[1] for recipe in readme_commands()}
     assert commands == set(FLAGS)
 
 
-@pytest.mark.parametrize("recipe", _readme_recipes())
+@pytest.mark.parametrize("recipe", readme_commands())
 def test_readme_recipe_parses(recipe):
     argv = shlex.split(recipe)[1:]
     args = build_parser().parse_args(argv)

@@ -532,6 +532,43 @@ def test_ring_kernel_antipodal_tie_at_a_block_edge(offset, bit, want):
     assert (out.tau, out.failing_edge) == (len(pairs) + 2, want)
 
 
+def _clean_pairs(start):
+    """Pairs whose words fill ``start`` (even) words and leave every balance
+    as it was, but for a lone last round 0 -> 1 when start is 2 mod 4."""
+    return _ROUND_TRIP * (start // 4) + [(0, 1)] * (start % 4 // 2)
+
+
+_FIRST_WORDS = pcnsim.sim._RING_WORDS[0]
+
+
+@pytest.mark.parametrize("start, script", [
+    (_FIRST_WORDS - 2, [5, _TOP, 2]),     # the first block's last word, a destination
+    (_FIRST_WORDS, [_TOP, 5, 2]),          # the second block's first round, a source
+    (500, [_TOP, _TOP - 1, 5, _TOP, 2]),  # mid-block: two sources, then a destination
+])
+@pytest.mark.parametrize("k, stop_mode", [(2, "depletion"), (1, "attempt")])
+def test_ring_kernel_rejected_word_at_a_block_edge(start, script, k, stop_mode):
+    # n=7: randrange(7) rejects the top two words and randrange(6) the top
+    # four; the round holding them draws 5 -> 2, and the run goes on from
+    # a seeded stream until it fails
+    pairs = _clean_pairs(start)
+    assert len(_ring_words(7, pairs)) == start
+    out = _ring_all(7, k, _ring_words(7, pairs) + script, stop_mode=stop_mode)
+    assert out.tau > len(pairs)
+
+
+@pytest.mark.parametrize("start", [100, _FIRST_WORDS - 2])
+def test_ring_kernel_tie_word_past_the_cut_is_a_tie_bit(start):
+    # n=8: randrange(7) rejects the top word, but as a tie word it is bit 1,
+    # so each antipodal round 3 -> 7 goes clockwise, and with k=2 the second
+    # one fails on edge 3, the first of its arc
+    pairs = _clean_pairs(start)
+    words = _ring_words(8, pairs + [(3, 7), (3, 7)], [_TOP, _TOP])
+    assert words[start + 2] == words[start + 5] == _TOP
+    out = _ring_all(8, 2, words)
+    assert (out.tau, out.failing_edge) == (len(pairs) + 2, 3)
+
+
 @pytest.mark.parametrize("k", [20, 5])
 @pytest.mark.parametrize("stop_mode", ["depletion", "attempt"])
 def test_ring_kernel_fails_on_the_round_after_the_safe_ones(k, stop_mode):
@@ -575,8 +612,9 @@ def test_ring_kernel_matches_generic_loop(n):
 @pytest.mark.parametrize("n", [9, 64, 100, 513])
 def test_ring_kernel_safe_blocks_match_the_oracle(n, monkeypatch):
     blocks = []
-    arc_ends = pcnsim.sim._arc_ends
-    monkeypatch.setattr(pcnsim.sim, "_arc_ends", lambda *a: blocks.append(1) or arc_ends(*a))
+    bincount = np.bincount  # the kernel counts a safe block's run ends with it
+    monkeypatch.setattr(pcnsim.sim.np, "bincount",
+                        lambda *a, **kw: blocks.append(1) or bincount(*a, **kw))
     for k in (50, 64):
         for x in (1, 3):
             for mode in ("depletion", "attempt"):
