@@ -13,6 +13,8 @@ from .paths import BetweennessMap
 
 logger = logging.getLogger(__name__)
 
+_ALPHA = 2.0  # the bounds assume per-side balances k_e above alpha·sqrt(ln n)
+
 
 def expected_hitting_time(k: int, j: int) -> int:
     """Expected rounds for an unbiased chain started at j to reach ±k: k² − j²."""
@@ -88,13 +90,13 @@ class BoundReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def xi_and_bounds(g: ChannelGraph, bmap: BetweennessMap, alpha: float = 2.0) -> BoundReport:
+def xi_and_bounds(g: ChannelGraph, bmap: BetweennessMap) -> BoundReport:
     """Per-edge ratios k_e²/g(e), their minimum xi, and failure-time bound guides.
 
     Per-side balance is k_e = capacity(e) // 2 (the initially binding side for
     odd capacities).  Edges with g(e) = 0 lie on no shortest path; they get
     ratio inf, are excluded from xi, and are reported in ``warnings``.  Edges
-    with k_e <= alpha·sqrt(ln n) sit below the capacity floor the bounds
+    with k_e <= _ALPHA·sqrt(ln n) sit below the capacity floor the bounds
     assume and are flagged as warnings only.
     """
     n = g.node_count
@@ -102,7 +104,7 @@ def xi_and_bounds(g: ChannelGraph, bmap: BetweennessMap, alpha: float = 2.0) -> 
     if any(cap < 2 for cap in caps):
         raise ValueError("every edge needs capacity >= 2 (per-side balance >= 1)")
     log_n = math.log(n)
-    floor = alpha * math.sqrt(log_n) if n >= 2 else 0.0
+    floor = _ALPHA * math.sqrt(log_n) if n >= 2 else 0.0
     ratios: dict[int, float] = {}
     warnings: list[str] = []
     xi = math.inf
@@ -124,7 +126,7 @@ def xi_and_bounds(g: ChannelGraph, bmap: BetweennessMap, alpha: float = 2.0) -> 
             low_capacity += 1
     if low_capacity:
         warnings.append(
-            f"{low_capacity} edge(s) have k_e <= {alpha}*sqrt(ln n) ~ {floor:.3f}; "
+            f"{low_capacity} edge(s) have k_e <= {_ALPHA}*sqrt(ln n) ~ {floor:.3f}; "
             "bounds assume larger capacities"
         )
     if argmin < 0:
@@ -145,16 +147,16 @@ def xi_and_bounds(g: ChannelGraph, bmap: BetweennessMap, alpha: float = 2.0) -> 
     )
 
 
-def clique_failure_window(n: int, k: int, alpha: float = 2.0) -> tuple[float, float]:
+def clique_failure_window(n: int, k: int) -> tuple[float, float]:
     """Proof-constant failure-time window on the uniform clique.
 
     Returns (m·k²/(27·ln n), 4·m·k²) with m = n(n−1)/2.  Warns when k is at or
-    below sqrt(4·alpha·ln n), the statement-form capacity floor.
+    below sqrt(4·_ALPHA·ln n), the statement-form capacity floor.
     """
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
     m = n * (n - 1) // 2
-    if k <= math.sqrt(4.0 * alpha * math.log(n)):
+    if k <= math.sqrt(4.0 * _ALPHA * math.log(n)):
         logger.warning("k=%d at or below sqrt(4*alpha*ln n); window is a guide only", k)
     return m * k * k / (27.0 * math.log(n)), 4.0 * m * k * k
 

@@ -123,7 +123,7 @@ def read_recipe_file(path, command: str) -> dict:
     values: dict = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -204,6 +204,8 @@ def base_meta(resolved: dict) -> dict:
 
 
 def _graph_path(recipe: dict) -> str:
+    if recipe.get("graph") and recipe.get("snapshot"):
+        raise ConfigError("pass either graph or snapshot, not both")
     path = recipe.get("graph") or recipe.get("snapshot")
     if not path:
         raise ConfigError("a graph is required: pass --graph or --snapshot")
@@ -255,13 +257,11 @@ def cmd_simulate(args) -> int:
     if topology is None:
         raise ConfigError(f"topology is required; valid values: {', '.join(TOPOLOGIES)}")
     if topology == "snapshot":
-        # the graph file fixes the nodes and every capacity
-        given = [key for key in ("nodes", "balance", "capacity") if recipe.get(key) is not None]
-        if given:
-            raise ConfigError(f"a snapshot takes no {', '.join(given)} (its graph file "
-                              "sets them)")
+        # the graph file fixes every capacity (SimConfig refuses nodes and balance)
+        if recipe.get("capacity") is not None:
+            raise ConfigError("a snapshot takes no capacity (its graph file sets them)")
     else:
-        given = [key for key in ("graph", "snapshot", "plan") if recipe.get(key)]
+        given = [key for key in ("graph", "plan") if recipe.get(key)]
         if given:
             raise ConfigError(f"topology {topology} takes no {', '.join(given)} "
                               "(snapshot topology only)")
@@ -286,7 +286,8 @@ def cmd_simulate(args) -> int:
             raise ConfigError("pass either amount or amounts, not both")
     try:
         cfg = SimConfig(topology=topology, balance=balance, stop_mode=stop,
-                        snapshot_path=_graph_path(recipe) if topology == "snapshot" else None,
+                        snapshot_path=_graph_path(recipe) if topology == "snapshot"
+                        else recipe.get("snapshot") or None,
                         **_sim_fields(recipe, "nodes", "amount", "max_steps", "seed", "runs",
                                       "p_select"))
     except ValueError as exc:
@@ -383,7 +384,7 @@ def cmd_betweenness(args) -> int:
     recipe = resolve_recipe(args)
     g = _load_cmd_graph(recipe)
     resolved = {"command": "betweenness", "nodes": g.node_count,
-                "edges": g.edge_count, "graph": recipe.get("graph") or recipe.get("snapshot")}
+                "edges": g.edge_count, "graph": _graph_path(recipe)}
     echo_config(resolved)
     bmap = edge_betweenness(g)
     report = xi_and_bounds(g, bmap)
@@ -415,8 +416,7 @@ def cmd_redistribute(args) -> int:
         raise ConfigError("strategy must be 'uniform' or 'xi'")
     g = _load_cmd_graph(recipe)
     resolved = {"command": "redistribute", "strategy": strategy,
-                "nodes": g.node_count, "edges": g.edge_count,
-                "graph": recipe.get("graph") or recipe.get("snapshot")}
+                "nodes": g.node_count, "edges": g.edge_count, "graph": _graph_path(recipe)}
     echo_config(resolved)
     bmap = edge_betweenness(g)
     plan = (redistribute_uniform(g) if strategy == "uniform"
@@ -457,8 +457,7 @@ def cmd_couple_check(args) -> int:
     mismatches = 0
     for i in range(seeds):
         rng = Rng(run_seed(cfg.base_seed, i))
-        out1, out2 = run_coupled_clique(nodes, balance, cfg.max_steps, rng,
-                                        corrupt_map=args.corrupt_map)
+        out1, out2 = run_coupled_clique(nodes, balance, cfg.max_steps, rng)
         if out1.tau != out2.tau:
             mismatches += 1
             print(f"seed index {i}: tau1={out1.tau} != tau2={out2.tau}")
@@ -531,9 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag, dest=key, type=option.parse, choices=option.choices,
                                help=option.help)
         p.set_defaults(func=func)
-        if command == "couple-check":
-            p.add_argument("--corrupt-map", dest="corrupt_map", action="store_true",
-                           help=argparse.SUPPRESS)  # negative-control test hook
     return parser
 
 
@@ -552,6 +548,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (OSError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:  # a list's carries no message, numpy's names the array
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

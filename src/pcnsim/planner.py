@@ -111,12 +111,12 @@ def plan_rows(g: ChannelGraph, bmap: BetweennessMap, plan: CapacityPlan):
 PLAN_COLUMNS = ["edge_id", "old_capacity", "new_capacity", "betweenness", "new_ratio"]
 
 
-def load_plan_csv(path, g: ChannelGraph | None = None) -> list[int]:
-    """Read back a plan CSV into a per-edge capacity list (by edge_id).
+def load_plan_csv(path, g: ChannelGraph) -> list[int]:
+    """Read back a plan CSV made for g into a per-edge capacity list (by edge_id).
 
-    Edge ids must be 0..m-1, each once.  Given ``g``, the plan must be one
-    made for it: m is g's edge count and every row's ``old_capacity`` is g's
-    capacity of that edge.  Raises ValueError otherwise.
+    Edge ids must be 0..m-1, each once, with m g's edge count, and every
+    row's ``old_capacity`` must be g's capacity of that edge.  Raises
+    ValueError otherwise.
     """
     from .results import read_csv
 
@@ -129,12 +129,11 @@ def load_plan_csv(path, g: ChannelGraph | None = None) -> list[int]:
         if eid in caps:
             raise ValueError(f"edge_id {eid} appears twice")
         caps[eid] = (int(row[idx_old]), int(row[idx_new]))
-    m = len(caps) if g is None else g.edge_count
+    m = g.edge_count
     if sorted(caps) != list(range(m)):
         raise ValueError(f"edge ids are not exactly 0..{m - 1}")
-    if g is not None:
-        for eid, cap in enumerate(g.capacity.tolist()):
-            if caps[eid][0] != cap:
-                raise ValueError(f"plan is for another graph: edge {eid} has old_capacity "
-                                 f"{caps[eid][0]}, the graph has {cap}")
+    for eid, cap in enumerate(g.capacity.tolist()):
+        if caps[eid][0] != cap:
+            raise ValueError(f"plan is for another graph: edge {eid} has old_capacity "
+                             f"{caps[eid][0]}, the graph has {cap}")
     return [caps[eid][1] for eid in range(m)]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 import math
 import multiprocessing
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -29,6 +29,7 @@ _RING_WORDS = (512, 1 << 13)  # first and largest block of raw words the ring ke
 _SAFE_ROUNDS = 16  # fewest rounds the ring kernel applies at once without checks
 _MIN, _MAX = np.minimum.reduce, np.maximum.reduce
 _NEAR_ROWS = 8  # fewest rows the independent chains search at once
+_INT64_MAX = 2 ** 63 - 1
 
 
 @dataclass(frozen=True)
@@ -71,12 +72,22 @@ class SimConfig:
                 least = 3  # the default p_select is the n-ring's edge probability
             if self.nodes < least:
                 raise ValueError(f"{self.topology} needs n >= {least}, got {self.nodes}")
-        if self.p_select is not None:
-            if self.topology != "independent":
-                raise ValueError(f"p_select applies to the independent topology only, "
-                                 f"not {self.topology}")
-            if not 0.0 < self.p_select <= 1.0:
-                raise ValueError("p_select must be in (0, 1]")
+        for f in fields(self):
+            if f.name in spec.ignores and getattr(self, f.name) != f.default:
+                name = "snapshot" if f.name == "snapshot_path" else f.name
+                readers = [t for t, s in _TOPOLOGY.items() if f.name not in s.ignores]
+                raise ValueError(f"topology {self.topology} takes no {name}; {name} applies "
+                                 f"to the {'/'.join(readers)} topology only")
+        if self.p_select is not None and not 0.0 < self.p_select <= 1.0:
+            raise ValueError("p_select must be in (0, 1]")
+        # a kernel holds each edge's (or chain's) change from k in int64, and
+        # the round that fails takes it to k - lo + amount (see _stop_range)
+        if spec.kernel is not None:
+            lo = _stop_range(self)[0]
+            if self.balance + self.amount - lo > _INT64_MAX:
+                need = "balance + amount" if lo == 0 else "balance"
+                raise ValueError(f"the {self.topology} kernel holds balances in int64: "
+                                 f"{self.stop_mode} mode needs {need} <= 2**63 - 1")
 
     def config_id(self) -> str:
         parts = [self.topology]
@@ -133,6 +144,8 @@ def _first_exit(state: np.ndarray, ids: np.ndarray, steps: np.ndarray, lo: int,
     events however many chains there are; the smallest violating event
     index is the answer.  When no event leaves the range, returns -1 and
     applies the chunk to ``state``; otherwise ``state`` is left as it was.
+    The sums wrap modulo 2**64, so a level is exact wherever it fits int64,
+    as every level up to its chain's first exit does in the kernels.
     """
     shift = np.uint64(len(ids).bit_length())
     keys = np.sort(ids.astype(np.uint64) << shift | np.arange(len(ids), dtype=np.uint64))
@@ -242,9 +255,9 @@ def _clique_fast(n: int, ks: list[int], cfg: SimConfig, rng: Rng) -> list[RunOut
 
     On a clique the drawn shortest path is exactly the edge {u,v}, so drawing
     a distinct pair plus orientation is the same as drawing a uniform edge and
-    direction; run_coupled_clique verifies the two forms stop together.  Each
-    chunk draws its edges, then its direction bits, and goes through
-    _first_exit whole, and again for each band it breaks.
+    direction, in distribution; the tests compare the two forms' mean stop
+    times.  Each chunk draws its edges, then its direction bits, and goes
+    through _first_exit whole, and again for each band it breaks.
     """
     m = n * (n - 1) // 2
     x = cfg.amount
@@ -254,12 +267,13 @@ def _clique_fast(n: int, ks: list[int], cfg: SimConfig, rng: Rng) -> list[RunOut
         return done
     band = ks[len(done)] - lo
     dev = np.zeros(m, dtype=np.int64)
+    sides = np.array([-x, x], dtype=np.int64)  # each direction bit's step (2x may pass int64)
     t = 0
     progress = Progress(logger, "clique process", seed=rng.seed)
     for chunk in chunk_sizes(128, _CHUNK, cfg.max_steps):
         edges = rng.indices(m, chunk)
         dirs = rng.bits(chunk)  # 1: the larger-id endpoint pays the smaller-id one
-        steps = dirs.astype(np.int64) * (2 * x) - x
+        steps = sides.take(dirs)
         while (at := _first_exit(dev, edges, steps, -band, band)) >= 0:
             done.append(RunOutcome(t + at + spent, int(edges[at]), kind, rng.seed))
             if len(done) == len(ks):
@@ -459,20 +473,13 @@ def run_bdc_process(m: int, k: int, max_steps: int, rng: Rng) -> RunOutcome:
     return RunOutcome(t, None, STEP_CAP, rng.seed)
 
 
-def run_coupled_clique(n: int, k: int, max_steps: int, rng: Rng,
-                       corrupt_map: bool = False) -> tuple[RunOutcome, RunOutcome]:
+def run_coupled_clique(n: int, k: int, max_steps: int, rng: Rng) -> tuple[RunOutcome, RunOutcome]:
     """Run the clique payment process and the m-chain process on one stream.
 
     Both processes consume the same (source, destination) draws: the payment
     process updates edge balances on K_n; the chain process updates chain
     f({u,v}) by +1 when the pair follows the fixed orientation (smaller id →
     larger id) and −1 otherwise.  The coupling forces identical stop times.
-
-    ``corrupt_map`` is a negative-control hook.  Relabeling chains with any
-    bijection would still satisfy the coupling, so the hook makes f
-    non-bijective instead: pair 0 drives chain 1 and chain 0 starves, which
-    makes the stop times disagree on a constant fraction of seeds (needs
-    n >= 3 so that m >= 2).
     """
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
@@ -495,11 +502,10 @@ def run_coupled_clique(n: int, k: int, max_steps: int, rng: Rng,
             if b == 0 or b == capacity:
                 tau1, edge1 = t, eid
         if tau2 is None:
-            ce = 1 % m if corrupt_map and eid == 0 else eid
-            p = pos[ce] + (1 if forward else -1)
-            pos[ce] = p
+            p = pos[eid] + (1 if forward else -1)
+            pos[eid] = p
             if p == k or p == -k:
-                tau2, edge2 = t, ce
+                tau2, edge2 = t, eid
     out1 = (RunOutcome(tau1, edge1, DEPLETED, rng.seed) if tau1 is not None
             else RunOutcome(t, None, STEP_CAP, rng.seed))
     out2 = (RunOutcome(tau2, edge2, DEPLETED, rng.seed) if tau2 is not None
@@ -607,16 +613,20 @@ class _Topology(NamedTuple):
     min_nodes: Optional[int]  # fewest cfg.nodes; None: the graph sets n
     kernel: Optional[Callable]  # None: needs a graph
     takes_graph: bool  # whether a caller's graph may replace the kernel
+    ignores: tuple[str, ...]  # SimConfig fields its run never reads, so must leave unset
 
 
 # The one dispatch point for topologies; a snapshot's graph comes from build_graph.
 _TOPOLOGY = {
-    "clique": _Topology(2, lambda c, ks, rng: _clique_fast(c.nodes, ks, c, rng), True),
-    "ring": _Topology(3, lambda c, ks, rng: _ring_fast(c.nodes, ks, c, rng), True),
-    "snapshot": _Topology(None, None, True),
+    "clique": _Topology(2, lambda c, ks, rng: _clique_fast(c.nodes, ks, c, rng), True,
+                        ("snapshot_path", "p_select")),
+    "ring": _Topology(3, lambda c, ks, rng: _ring_fast(c.nodes, ks, c, rng), True,
+                      ("snapshot_path", "p_select")),
+    "snapshot": _Topology(None, None, True, ("nodes", "balance", "p_select")),
     # without p_select, each chain moves as often as an edge of the n-ring
     "independent": _Topology(1, lambda c, ks, rng: _chains_walk(
-        c.nodes, ks, c.p_select or ring_edge_probability(c.nodes), c.max_steps, rng), False),
+        c.nodes, ks, c.p_select or ring_edge_probability(c.nodes), c.max_steps, rng), False,
+        ("snapshot_path", "amount", "stop_mode")),
 }
 TOPOLOGIES = tuple(_TOPOLOGY)
 SWEEP_TOPOLOGIES = tuple(name for name, spec in _TOPOLOGY.items() if spec.kernel is not None)
@@ -732,6 +742,7 @@ def check_sweep(cfg: SimConfig, k_from: int, k_to: int, k_step: int,
                          f"({', '.join(SWEEP_TOPOLOGIES)}), got {cfg.topology}")
     if k_from > k_to or k_step <= 0:
         raise ValueError("need k_from <= k_to and k_step > 0")
+    replace(cfg, balance=k_to)  # SimConfig's checks at the largest balance
     if horizon is not None and not 0 <= horizon <= cfg.max_steps:
         raise ValueError(f"horizon must be in [0, max_steps], got {horizon}")
 

@@ -340,6 +340,25 @@ def oracle_clique_fast(n, capacity, cfg, rng):
     return RunOutcome(t, None, "step_cap_reached", rng.seed)
 
 
+def misrouted_chains(n, k, max_steps, rng):
+    """The chain side of ``pcnsim.run_coupled_clique`` with a pair -> chain map
+    that is no bijection: the pair {0, 1} drives chain 1, so chain 0 never
+    moves.  A negative control for the coupling: on the same stream its stop
+    time differs from the clique's on some seeds (needs n >= 3, so m >= 2).
+    """
+    pos = [0] * (n * (n - 1) // 2)
+    t = 0
+    while t < max_steps:
+        s, d = rng.pair(n)
+        u, v = (s, d) if s < d else (d, s)
+        chain = max(u * (2 * n - u - 1) // 2 + (v - u - 1), 1)
+        pos[chain] += 1 if s < d else -1
+        t += 1
+        if abs(pos[chain]) == k:
+            return RunOutcome(t, chain, "depleted", rng.seed)
+    return RunOutcome(t, None, "step_cap_reached", rng.seed)
+
+
 def oracle_independent_chains(n, k, p_select, max_steps, rng):
     """n independent chains, stepped and checked one row at a time.
 
@@ -377,14 +396,15 @@ def oracle_ring_fast(n, capacity, cfg, rng):
     counterclockwise arc for every source but 0, because make_ring lists
     node 0's neighbours as [1, n-1].  Each round is applied, then checked in
     path order: a balance below ``lo`` (the amount in depletion mode, 0 in
-    attempt mode) or above ``capacity - lo`` fails it.
+    attempt mode) or above ``capacity - lo`` fails it.  Balances are Python
+    ints, so the loop is exact at any capacity and amount.
     """
     x = cfg.amount
     attempt = cfg.stop_mode == "attempt"
     lo = 0 if attempt else x
     if capacity // 2 < lo:
         return RunOutcome(0, 0, "depleted", rng.seed)
-    cw = np.full(n, capacity // 2, dtype=np.int64)
+    cw = np.full(n, capacity // 2, dtype=object)
     hi = capacity - lo
     t = 0
     while t < cfg.max_steps:

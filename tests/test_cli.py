@@ -5,10 +5,13 @@ import math
 
 import pytest
 
-from pcnsim import make_ring
+import pcnsim.cli
+from pcnsim import Rng, make_ring, run_coupled_clique
 from pcnsim.cli import main
 from pcnsim.graph import write_edgelist
 from pcnsim.results import read_csv, read_outcomes_csv
+
+from helpers import misrouted_chains
 
 
 def run_cli(*argv):
@@ -302,12 +305,19 @@ def test_env_seed_is_not_read_by_commands_without_a_seed(tmp_path, monkeypatch, 
     assert "PCN_SIM_SEED must be an integer" in capsys.readouterr().err
 
 
-def test_couple_check_pass_and_corrupt(capsys):
+def test_couple_check_pass_and_corrupt(capsys, monkeypatch):
     assert run_cli("couple-check", "--nodes", "10", "--balance", "4",
                    "--seeds", "20", "--seed", "3") == 0
     assert "PASS" in capsys.readouterr().out
+
+    def misrouted(n, k, max_steps, rng):
+        # the clique's outcome against a chain process with a broken pair map
+        clique, _ = run_coupled_clique(n, k, max_steps, Rng(rng.seed))
+        return clique, misrouted_chains(n, k, max_steps, rng)
+
+    monkeypatch.setattr(pcnsim.cli, "run_coupled_clique", misrouted)
     assert run_cli("couple-check", "--nodes", "3", "--balance", "2",
-                   "--seeds", "60", "--seed", "3", "--corrupt-map") == 3
+                   "--seeds", "60", "--seed", "3") == 3
     assert "FAIL" in capsys.readouterr().out
 
 
@@ -736,3 +746,60 @@ def test_sweep_rejects_bad_range_before_the_echo(capsys, argv, message):
                    "--k-to", "2", "--runs-per-point", "2", "--workers", "1", *argv) == 1
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command,size", [
+    ("simulate", ["--balance", "3", "--runs", "3"]),
+    ("sweep", ["--k-from", "1", "--k-to", "3", "--runs-per-point", "3"])])
+@pytest.mark.parametrize("extra,name", [(["--amount", "7"], "amount"),
+                                        (["--stop", "attempt"], "stop_mode")])
+def test_independent_chains_refuse_amount_and_stop_mode(capsys, command, size, extra, name):
+    # the chains move by one and stop at depletion whatever these say
+    assert run_cli(command, "--topology", "independent", "--nodes", "16", *size,
+                   "--seed", "1", "--workers", "1", *extra) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert f"config error: topology independent takes no {name};" in err
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["betweenness"],
+                                  ["redistribute", "--strategy", "xi"]])
+def test_graph_with_snapshot_is_config_error(tmp_path, capsys, argv):
+    g = tmp_path / "ring.edges"
+    write_edgelist(make_ring(5, 8), g)
+    assert run_cli(*argv, "--graph", str(g), "--snapshot", str(g)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "config error: pass either graph or snapshot, not both\n"
+
+
+def test_amount_past_int64_is_config_error(capsys):
+    assert run_cli("simulate", "--topology", "clique", "--nodes", "5", "--balance", "3",
+                   "--amount", str(10 ** 23), "--stop", "attempt", "--workers", "1") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("config error: the clique kernel holds balances in int64: "
+                                 "attempt mode needs balance + amount <= 2**63 - 1\n")
+
+
+@pytest.mark.parametrize("callee,argv", [
+    ("monte_carlo", ["simulate", "--topology", "clique", "--nodes", "5", "--balance", "2"]),
+    ("run_coupled_clique", ["couple-check", "--nodes", "5", "--balance", "2"])])
+@pytest.mark.parametrize("error,line", [
+    (MemoryError(), "error: out of memory\n"),
+    (MemoryError("Unable to allocate 22.4 GiB"), "error: out of memory: Unable to allocate "
+                                                 "22.4 GiB\n")])
+def test_out_of_memory_is_runtime_error(capsys, monkeypatch, callee, argv, error, line):
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(pcnsim.cli, callee, exhausted)
+    assert run_cli(*argv, "--workers" if callee == "monte_carlo" else "--seeds", "1") == 2
+    assert capsys.readouterr().err == line
+
+
+def test_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    recipe = tmp_path / "bad.cfg"
+    recipe.write_bytes(b"topology = clique\n\xff\n")
+    assert run_cli("simulate", "--config", str(recipe)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"config error: cannot read config file {recipe}: 'utf-8' codec")

@@ -27,7 +27,7 @@ FLAGS = {
         "--runs-per-point", "--amount", "--stop", "--horizon", "--workers", "--p-select"},
     "betweenness": {"--config", "--out", "--graph", "--snapshot", "--plan"},
     "redistribute": {"--config", "--out", "--graph", "--snapshot", "--strategy"},
-    "couple-check": _SEEDED | _BALANCE | {"--config", "--nodes", "--seeds", "--corrupt-map"},
+    "couple-check": _SEEDED | _BALANCE | {"--config", "--nodes", "--seeds"},
     "fit": _BALANCE | {"--config", "--points", "--model"},
 }
 
@@ -43,18 +43,24 @@ def _subparsers() -> dict[str, argparse.ArgumentParser]:
 
 
 def _recipe_keys(command: str) -> list[str]:
-    """Config-file keys of a command: its flags less the two that are not recipe keys."""
-    return sorted(flag[2:].replace("-", "_")
-                  for flag in FLAGS[command] - {"--config", "--corrupt-map"})
+    """Config-file keys of a command: its flags less --config, the one that is no recipe key."""
+    return sorted(flag[2:].replace("-", "_") for flag in FLAGS[command] - {"--config"})
 
 
 def test_flag_sets_are_pinned():
-    assert [len(FLAGS[c]) for c in FLAGS] == [18, 15, 5, 5, 9, 6]
+    assert [len(FLAGS[c]) for c in FLAGS] == [18, 15, 5, 5, 8, 6]
     parsers = _subparsers()
     assert set(parsers) == set(FLAGS)
     for command, parser in parsers.items():
         flags = {flag for action in parser._actions for flag in action.option_strings}
         assert flags - {"-h", "--help"} == FLAGS[command], command
+
+
+def test_no_flag_is_hidden():
+    # a flag left out of --help would be a setting no user is told of
+    for command, parser in [("pcnsim", build_parser()), *_subparsers().items()]:
+        hidden = [action.dest for action in parser._actions if action.help == argparse.SUPPRESS]
+        assert hidden == [], command
 
 
 @pytest.mark.parametrize("command", sorted(FLAGS))

@@ -115,7 +115,7 @@ def test_apply_plan_and_csv_round_trip(tmp_path):
     plan = redistribute_xi_optimized(g, bmap)
     path = tmp_path / "plan.csv"
     write_csv(path, {"strategy": plan.strategy}, PLAN_COLUMNS, plan_rows(g, bmap, plan))
-    loaded = load_plan_csv(path)
+    loaded = load_plan_csv(path, g)
     assert loaded == plan.new_capacity
     g2 = apply_plan(g, plan)
     assert g2.total_capacity() == g.total_capacity()

@@ -7,7 +7,7 @@ import re
 import shlex
 from pathlib import Path
 
-from pcnsim.cli import build_parser
+from pcnsim.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -37,3 +37,10 @@ def test_readme_shell_commands_parse():
     for command in commands:
         argv = shlex.split(command)[1:]
         assert build_parser().parse_args(argv).cmd == argv[0], command
+
+
+def test_readme_couple_check_recipe_passes(capsys):
+    # the one recipe that needs no input file
+    recipe = next(command for command in readme_commands() if " couple-check " in command)
+    assert main(shlex.split(recipe)[1:]) == 0
+    assert "PASS: tau1 == tau2 in all 100 coupled runs" in capsys.readouterr().out

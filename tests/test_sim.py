@@ -7,6 +7,7 @@ import random
 import re
 import statistics
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from pcnsim.paths import DagCache
 from pcnsim.sim import (STEP_CAP, TOPOLOGIES, _clique_fast, _ring_fast, build_graph,
                         capacity_sweep)
 
-from helpers import oracle_payment_process, oracle_ring_fast, random_connected_edges
+from helpers import (misrouted_chains, oracle_clique_fast, oracle_payment_process,
+                     oracle_ring_fast, random_connected_edges)
 
 
 def test_ring3_unit_balance_always_fails_first_round():
@@ -73,11 +75,13 @@ def test_coupled_clique_trivial_and_exact():
 
 
 def test_coupled_clique_corrupt_map_detected():
+    # a chain process whose pair -> chain map is no bijection, on the same
+    # draws, must stop at another time than the clique on some seeds
     mismatch = 0
     for i in range(80):
-        o1, o2 = run_coupled_clique(3, 2, 10 ** 7, Rng(run_seed(13, i)),
-                                    corrupt_map=True)
-        mismatch += o1.tau != o2.tau
+        clique, chains = run_coupled_clique(3, 2, 10 ** 7, Rng(run_seed(13, i)))
+        assert clique.tau == chains.tau
+        mismatch += clique.tau != misrouted_chains(3, 2, 10 ** 7, Rng(run_seed(13, i))).tau
     assert mismatch > 0
 
 
@@ -690,6 +694,82 @@ def test_sim_config_rejects_too_few_nodes():
     # without p_select, independent chains take the n-ring's edge probability
     with pytest.raises(ValueError, match="independent needs n >= 3"):
         SimConfig(topology="independent", nodes=2, balance=2)
+
+
+# a value other than the default for each field a topology may not need
+_SETTINGS = {"nodes": 6, "balance": 2, "snapshot_path": "g.json", "amount": 2,
+             "stop_mode": "attempt", "p_select": 0.5}
+_KERNEL_READS = {"nodes", "balance", "amount", "stop_mode"}
+_READS = {"clique": _KERNEL_READS, "ring": _KERNEL_READS,
+          "independent": {"nodes", "balance", "p_select"},
+          "snapshot": {"snapshot_path", "amount", "stop_mode"}}
+
+
+def test_sim_config_takes_exactly_the_fields_its_run_reads():
+    assert set(_READS) == set(TOPOLOGIES)
+    for topology, reads in _READS.items():
+        needed = {key: _SETTINGS[key] for key in ("nodes", "balance", "snapshot_path")
+                  if key in reads}
+        SimConfig(topology=topology, **needed)
+        for key, value in _SETTINGS.items():
+            cfg = dict(needed, **{key: value})
+            if key in reads:
+                assert getattr(SimConfig(topology=topology, **cfg), key) == value
+            else:
+                name = "snapshot" if key == "snapshot_path" else key
+                with pytest.raises(ValueError, match=f"topology {topology} takes no {name};"):
+                    SimConfig(topology=topology, **cfg)
+    # the default amount and stop mode are what the chains run
+    SimConfig(topology="independent", nodes=4, balance=2, amount=1, stop_mode="depletion")
+
+
+_BIG = 2 ** 63 - 1  # int64's largest value
+
+
+@pytest.mark.parametrize("topology,kernel,oracle,n", [
+    ("ring", _ring_fast, oracle_ring_fast, 5), ("clique", _clique_fast, oracle_clique_fast, 4)])
+@pytest.mark.parametrize("mode,k,x", [
+    ("attempt", _BIG - 2 ** 61, 2 ** 61), ("attempt", _BIG - 2 ** 60 - 1, 2 ** 60 + 1),
+    ("depletion", _BIG, 2 ** 61), ("depletion", _BIG, 2 ** 62 + 5)])
+def test_kernels_are_exact_at_the_largest_balances_they_take(topology, kernel, oracle, n,
+                                                             mode, k, x):
+    # balance + amount (attempt) or balance (depletion) at 2**63 - 1, each
+    # run failing within a few rounds, against the Python-int oracles
+    cfg = SimConfig(topology=topology, nodes=n, balance=k, amount=x, stop_mode=mode,
+                    max_steps=10 ** 6)
+    outs = [kernel(n, [k], cfg, Rng(run_seed(6, i)))[0] for i in range(40)]
+    assert outs == [oracle(n, 2 * k, cfg, Rng(run_seed(6, i))) for i in range(40)]
+    assert not any(o.censored for o in outs)
+
+
+@pytest.mark.parametrize("topology", ["ring", "clique", "independent"])
+def test_sim_config_refuses_balances_past_int64(topology):
+    cases = [("depletion", _BIG + 1, 1)]
+    if topology != "independent":
+        cases += [("attempt", 3 * 2 ** 61, 2 ** 61), ("attempt", 3 * 2 ** 61, 2 ** 62),
+                  ("attempt", 2 ** 62 + 7, 2 ** 62), ("attempt", 1, _BIG)]
+    for mode, k, x in cases:
+        with pytest.raises(ValueError, match="holds balances in int64"):
+            SimConfig(topology=topology, nodes=5, balance=k, amount=x, stop_mode=mode)
+    # a sweep checks its largest balance too
+    with pytest.raises(ValueError, match="holds balances in int64"):
+        capacity_sweep(SimConfig(topology=topology, nodes=5, balance=1), 1, _BIG + 1, _BIG,
+                       runs_per_point=1)
+
+
+@pytest.mark.parametrize("topology", ["ring", "clique"])
+def test_amount_past_int64_that_no_balance_pays_depletes_at_round_zero(topology):
+    cfg = SimConfig(topology=topology, nodes=5, balance=3, amount=10 ** 23, runs=2)
+    assert [(o.tau, o.failure_kind) for o in monte_carlo(cfg)] == [(0, "depleted")] * 2
+
+
+def test_ring_kernel_leaves_int64_just_past_the_largest_balance_it_takes():
+    # why the bound: around SimConfig's check, the smallest refused attempt-mode
+    # pair (balance + amount = 2**63) wraps the kernel's int64 balances
+    k, x = 3 * 2 ** 61, 2 ** 61
+    cfg = SimpleNamespace(amount=x, stop_mode="attempt", max_steps=200)
+    outs = [_ring_fast(5, [k], cfg, Rng(run_seed(6, i)))[0] for i in range(40)]
+    assert outs != [oracle_ring_fast(5, 2 * k, cfg, Rng(run_seed(6, i))) for i in range(40)]
 
 
 def test_capacity_sweep_rejects_topologies_without_a_kernel():
