@@ -198,6 +198,8 @@ def fit_scale(points: list[tuple[int, float]], model: str, k: int) -> float:
         raise ValueError("need at least one data point")
     if any(n < 3 for n, _ in points):
         raise ValueError("all n must be >= 3")
+    if not all(math.isfinite(y) for _, y in points):
+        raise ValueError("every mean_tau must be finite")
     fs = [_fit_basis(n, model, k) for n, _ in points]
     denom = sum(f * f for f in fs)
     if denom == 0.0:

@@ -236,11 +236,14 @@ def parse_snapshot(source) -> SnapshotDocument:
         doc = source
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
         raise ValueError("snapshot document must have top-level 'nodes' and 'edges'")
+    if not isinstance(doc["nodes"], list) or not isinstance(doc["edges"], list):
+        raise ValueError("snapshot 'nodes' and 'edges' must be lists")
     node_keys = []
     seen = set()
     for rec in doc["nodes"]:
         try:
             key = rec["pub_key"]
+            hash(key)  # a list or an object is no key
         except (TypeError, KeyError):
             raise ValueError(f"malformed node record: {rec!r}") from None
         if key in seen:
@@ -251,6 +254,7 @@ def parse_snapshot(source) -> SnapshotDocument:
     for rec in doc["edges"]:
         try:
             k1, k2, cap = rec["node1_pub"], rec["node2_pub"], rec["capacity"]
+            hash((k1, k2))
         except (TypeError, KeyError):
             raise ValueError(f"malformed channel record: {rec!r}") from None
         try:

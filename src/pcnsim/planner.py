@@ -125,6 +125,9 @@ def load_plan_csv(path, g: ChannelGraph) -> list[int]:
                                  ("edge_id", "old_capacity", "new_capacity"))
     caps: dict[int, tuple[int, int]] = {}
     for row in rows:
+        if len(row) != len(columns):
+            raise ValueError(f"row {','.join(row)!r} has {len(row)} fields, "
+                             f"the header {len(columns)}")
         eid = int(row[idx_eid])
         if eid in caps:
             raise ValueError(f"edge_id {eid} appears twice")

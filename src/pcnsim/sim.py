@@ -257,7 +257,8 @@ def _clique_fast(n: int, ks: list[int], cfg: SimConfig, rng: Rng) -> list[RunOut
     a distinct pair plus orientation is the same as drawing a uniform edge and
     direction, in distribution; the tests compare the two forms' mean stop
     times.  Each chunk draws its edges, then its direction bits, and goes
-    through _first_exit whole, and again for each band it breaks.
+    through _first_exit whole, and again for each band it breaks; at unit
+    amount in depletion mode it is ``run_bdc_process``, one chain per edge.
     """
     m = n * (n - 1) // 2
     x = cfg.amount
@@ -452,8 +453,8 @@ def run_bdc_process(m: int, k: int, max_steps: int, rng: Rng) -> RunOutcome:
     """Multiple birth-and-death chains: each round one uniform chain moves ±1.
 
     All m chains start at 0; returns the iteration count at the first time
-    some chain reaches ±k.  Each chunk draws its move bits, then, when m > 1,
-    its chain indices.
+    some chain reaches ±k.  Each chunk draws chain ids, then move bits, in
+    ``_clique_fast``'s order, so this loop is the clique kernel's reference.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be >= 1")
@@ -461,8 +462,8 @@ def run_bdc_process(m: int, k: int, max_steps: int, rng: Rng) -> RunOutcome:
     t = 0
     progress = Progress(logger, "bdc process", seed=rng.seed)
     for chunk in chunk_sizes(128, _CHUNK, max_steps):
+        chains = rng.indices(m, chunk).tolist()
         moves = rng.bits(chunk).tolist()
-        chains = rng.indices(m, chunk).tolist() if m > 1 else [0] * chunk
         for e, up in zip(chains, moves):
             p = pos[e] + 1 if up else pos[e] - 1
             pos[e] = p
@@ -474,43 +475,15 @@ def run_bdc_process(m: int, k: int, max_steps: int, rng: Rng) -> RunOutcome:
 
 
 def run_coupled_clique(n: int, k: int, max_steps: int, rng: Rng) -> tuple[RunOutcome, RunOutcome]:
-    """Run the clique payment process and the m-chain process on one stream.
+    """The clique kernel's outcome and the m-chain process's, both on rng's seed.
 
-    Both processes consume the same (source, destination) draws: the payment
-    process updates edge balances on K_n; the chain process updates chain
-    f({u,v}) by +1 when the pair follows the fixed orientation (smaller id →
-    larger id) and −1 otherwise.  The coupling forces identical stop times.
+    ``_clique_fast`` at unit amount in depletion mode, and ``run_bdc_process``
+    with chain e for edge e, m = n(n-1)/2: the coupling forces the same stop
+    round and edge, so any difference is a fault in the kernel.
     """
-    if n < 2 or k < 1:
-        raise ValueError("need n >= 2 and k >= 1")
-    m = n * (n - 1) // 2
-    capacity = 2 * k
-    bal = [k] * m          # process 1: balance at smaller-id endpoint
-    pos = [0] * m          # process 2: chain positions
-    tau1 = tau2 = None
-    edge1 = edge2 = None
-    t = 0
-    while (tau1 is None or tau2 is None) and t < max_steps:
-        s, d = rng.pair(n)
-        u, v = (s, d) if s < d else (d, s)
-        eid = u * (2 * n - u - 1) // 2 + (v - u - 1)
-        forward = s < d  # follows the fixed orientation u -> v
-        t += 1
-        if tau1 is None:
-            b = bal[eid] + (-1 if forward else 1)
-            bal[eid] = b
-            if b == 0 or b == capacity:
-                tau1, edge1 = t, eid
-        if tau2 is None:
-            p = pos[eid] + (1 if forward else -1)
-            pos[eid] = p
-            if p == k or p == -k:
-                tau2, edge2 = t, eid
-    out1 = (RunOutcome(tau1, edge1, DEPLETED, rng.seed) if tau1 is not None
-            else RunOutcome(t, None, STEP_CAP, rng.seed))
-    out2 = (RunOutcome(tau2, edge2, DEPLETED, rng.seed) if tau2 is not None
-            else RunOutcome(t, None, STEP_CAP, rng.seed))
-    return out1, out2
+    cfg = SimConfig(topology="clique", nodes=n, balance=k, max_steps=max_steps)
+    clique = _clique_fast(n, [k], cfg, rng)[0]
+    return clique, run_bdc_process(n * (n - 1) // 2, k, max_steps, Rng(rng.seed))
 
 
 def _selection_cut(p: float) -> int:
@@ -612,20 +585,19 @@ class _Topology(NamedTuple):
 
     min_nodes: Optional[int]  # fewest cfg.nodes; None: the graph sets n
     kernel: Optional[Callable]  # None: needs a graph
-    takes_graph: bool  # whether a caller's graph may replace the kernel
     ignores: tuple[str, ...]  # SimConfig fields its run never reads, so must leave unset
 
 
 # The one dispatch point for topologies; a snapshot's graph comes from build_graph.
 _TOPOLOGY = {
-    "clique": _Topology(2, lambda c, ks, rng: _clique_fast(c.nodes, ks, c, rng), True,
+    "clique": _Topology(2, lambda c, ks, rng: _clique_fast(c.nodes, ks, c, rng),
                         ("snapshot_path", "p_select")),
-    "ring": _Topology(3, lambda c, ks, rng: _ring_fast(c.nodes, ks, c, rng), True,
+    "ring": _Topology(3, lambda c, ks, rng: _ring_fast(c.nodes, ks, c, rng),
                       ("snapshot_path", "p_select")),
-    "snapshot": _Topology(None, None, True, ("nodes", "balance", "p_select")),
+    "snapshot": _Topology(None, None, ("nodes", "balance", "p_select")),
     # without p_select, each chain moves as often as an edge of the n-ring
     "independent": _Topology(1, lambda c, ks, rng: _chains_walk(
-        c.nodes, ks, c.p_select or ring_edge_probability(c.nodes), c.max_steps, rng), False,
+        c.nodes, ks, c.p_select or ring_edge_probability(c.nodes), c.max_steps, rng),
         ("snapshot_path", "amount", "stop_mode")),
 }
 TOPOLOGIES = tuple(_TOPOLOGY)
@@ -711,15 +683,16 @@ def monte_carlo(cfg: SimConfig, graph: Optional[ChannelGraph] = None,
 
     Results are ordered by run index and bit-identical for a fixed config at
     every worker count: each run's stream depends only on (base_seed, index).
-    Without ``graph``, topologies with a graph-free kernel build no graph; a
-    caller's graph always runs the generic payment process.
+    Topologies with a graph-free kernel build no graph; a caller's graph
+    runs the generic payment process under ``topology="snapshot"`` only,
+    in place of the snapshot file.
     """
-    spec = _TOPOLOGY[cfg.topology]
-    if graph is None:
-        if spec.kernel is None:
-            graph = build_graph(cfg)
-    elif not spec.takes_graph:
-        raise ValueError(f"{cfg.topology} topology takes no graph")
+    if _TOPOLOGY[cfg.topology].kernel is not None:
+        if graph is not None:
+            raise ValueError(f"topology {cfg.topology} takes no graph; a caller's graph "
+                             f'runs under topology="snapshot"')
+    elif graph is None:
+        graph = build_graph(cfg)
     point = cfg.amount if graph is not None else cfg.balance
     return _campaign(graph, cfg, [point], workers)[0]
 

@@ -341,21 +341,29 @@ def oracle_clique_fast(n, capacity, cfg, rng):
 
 
 def misrouted_chains(n, k, max_steps, rng):
-    """The chain side of ``pcnsim.run_coupled_clique`` with a pair -> chain map
-    that is no bijection: the pair {0, 1} drives chain 1, so chain 0 never
-    moves.  A negative control for the coupling: on the same stream its stop
-    time differs from the clique's on some seeds (needs n >= 3, so m >= 2).
+    """The m-chain process of ``pcnsim.run_coupled_clique`` with a map from
+    drawn edge to chain that is no bijection: edge 0 drives chain 1, so chain
+    0 never moves.  It reads the clique kernel's stream (per chunk of 128
+    doubling to 2**14 rounds, the edge indices, then the direction bits, bit
+    1 moving the chain up), so it differs from the kernel only through the
+    map.  A negative control for the coupling: its stop time differs from the
+    clique's on some seeds (needs n >= 3, so m >= 2).
     """
-    pos = [0] * (n * (n - 1) // 2)
+    m = n * (n - 1) // 2
+    pos = [0] * m
     t = 0
+    size = 128
     while t < max_steps:
-        s, d = rng.pair(n)
-        u, v = (s, d) if s < d else (d, s)
-        chain = max(u * (2 * n - u - 1) // 2 + (v - u - 1), 1)
-        pos[chain] += 1 if s < d else -1
-        t += 1
-        if abs(pos[chain]) == k:
-            return RunOutcome(t, chain, "depleted", rng.seed)
+        chunk = int(min(size, max_steps - t))
+        size = min(size * 2, 1 << 14)
+        edges = rng.indices(m, chunk).tolist()
+        dirs = rng.np.integers(0, 2, size=chunk, dtype=np.uint8).tolist()
+        for eid, d in zip(edges, dirs):
+            chain = max(eid, 1)
+            pos[chain] += 1 if d else -1
+            t += 1
+            if abs(pos[chain]) == k:
+                return RunOutcome(t, chain, "depleted", rng.seed)
     return RunOutcome(t, None, "step_cap_reached", rng.seed)
 
 

@@ -1,9 +1,10 @@
 """Chunk-vectorized chain kernels against their scalar oracles.
 
 The clique fast path and the independent chains must give the same outcome,
-draw for draw, as the one-round-at-a-time loops in ``helpers``; the golden
-outcomes below were recorded with those loops as the package's own kernels,
-and with the multi birth-and-death-chain process as it still is.
+draw for draw, as the one-round-at-a-time loops in ``helpers``, and the
+clique's must equal the scalar multi birth-and-death-chain process's with one
+chain per edge; the golden outcomes below were recorded with those loops as
+the package's own kernels, and with the chain process as it still is.
 """
 
 from __future__ import annotations
@@ -55,6 +56,17 @@ def test_clique_matches_scalar_oracle(n, k, x, mode, cap, seed):
 def test_independent_chains_match_scalar_oracle(n, k, p, cap, seed):
     assert (run_independent_chains(n, k, p, cap, Rng(seed))
             == oracle_independent_chains(n, k, p, cap, Rng(seed)))
+
+
+@settings(max_examples=150)
+@given(n=st.one_of(st.just(2), st.integers(3, 48)), k=st.integers(1, 12),
+       cap=st.one_of(st.sampled_from([1, 127, 128, 129, 16_389, _FAR]), st.integers(1, 3000)),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_clique_is_the_m_chain_process(n, k, cap, seed):
+    # one chain per edge, read from the same chunks of edge ids and then
+    # direction bits: the same tau, failing edge and kind, censored or not
+    assert (run_bdc_process(n * (n - 1) // 2, k, cap, Rng(seed))
+            == _clique_fast(n, [k], _clique(n, k, cap=cap), Rng(seed))[0])
 
 
 @pytest.mark.parametrize("n,k", [(200, 16), (2000, 3)])
@@ -126,10 +138,10 @@ _GOLDEN_CLIQUE = [
 _GOLDEN_BDC = [
     ((1, 1, _FAR), (1, 0, "depleted")),
     ((1, 25, _FAR), (1999, 0, "depleted")),
-    ((3, 7, _FAR), (68, 2, "depleted")),
+    ((3, 7, _FAR), (128, 2, "depleted")),  # the n = 3 clique's, on the same seed
     ((7, 12, 333), (333, None, "step_cap_reached")),
-    ((100, 9, _FAR), (969, 12, "depleted")),
-    ((1000, 20, _FAR), (26781, 372, "depleted")),
+    ((100, 9, _FAR), (818, 65, "depleted")),
+    ((1000, 20, _FAR), (21760, 153, "depleted")),
 ]
 _GOLDEN_INDEPENDENT = [
     ((1, 3, 1.0, _FAR), (9, 0, "depleted")),
@@ -152,6 +164,7 @@ def test_golden_outcomes():
     got = [_triple(run_bdc_process(m, k, cap, Rng(run_seed(62, i))))
            for i, ((m, k, cap), _) in enumerate(_GOLDEN_BDC)]
     assert got == [want for _, want in _GOLDEN_BDC]
+    assert got[2] == _triple(_clique_fast(3, [7], _clique(3, 7), Rng(run_seed(62, 2)))[0])
     got = [_triple(run_independent_chains(n, k, p, cap, Rng(run_seed(63, i))))
            for i, ((n, k, p, cap), _) in enumerate(_GOLDEN_INDEPENDENT)]
     assert got == [want for _, want in _GOLDEN_INDEPENDENT]

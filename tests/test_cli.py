@@ -803,3 +803,32 @@ def test_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith(f"config error: cannot read config file {recipe}: 'utf-8' codec")
+
+
+_NODES_AB = [{"pub_key": "A"}, {"pub_key": "B"}]
+
+
+@pytest.mark.parametrize("name, text, argv, code, line", [
+    ("s.json", {"nodes": 5, "edges": []}, ["simulate", "--snapshot"], 2,
+     "error: cannot load graph {path}: snapshot 'nodes' and 'edges' must be lists"),
+    ("s.json", {"nodes": [{"pub_key": ["A"]}], "edges": []}, ["simulate", "--snapshot"], 2,
+     "error: cannot load graph {path}: malformed node record: {{'pub_key': ['A']}}"),
+    ("s.json", {"nodes": _NODES_AB, "edges": [{"node1_pub": ["A"], "node2_pub": "B",
+                                                "capacity": 5}]},
+     ["simulate", "--snapshot"], 2, "error: cannot load graph {path}: malformed channel record"),
+    ("plan.csv", "edge_id,old_capacity,new_capacity\n0,10\n",
+     ["betweenness", "--graph", "{graph}", "--plan"], 1,
+     "config error: plan {path}: row '0,10' has 2 fields, the header 3"),
+    ("p.csv", "3,nan\n4,inf\n", ["fit", "--model", "upper", "--balance", "4", "--points"], 1,
+     "config error: every mean_tau must be finite"),
+])
+def test_malformed_input_ends_in_one_line(tmp_path, capsys, name, text, argv, code, line):
+    path = tmp_path / name
+    path.write_text(text if isinstance(text, str) else json.dumps(text))
+    graph = tmp_path / "g.edges"
+    write_edgelist(make_ring(3, 10), graph)
+    argv = [a.format(graph=graph) for a in argv]
+    assert run_cli(*argv, str(path)) == code
+    err = capsys.readouterr().err
+    assert err.startswith(line.format(path=path))
+    assert err.count("\n") == 1 and "Traceback" not in err

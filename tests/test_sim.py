@@ -119,9 +119,9 @@ def test_monte_carlo_deterministic_and_worker_invariant(tmp_path):
         size = ({"snapshot_path": snapshot} if topology == "snapshot"
                 else {"nodes": 8, "balance": 4})
         campaigns.append((SimConfig(topology=topology, runs=12, base_seed=31, **size), None))
-    # a caller's graph in place of the ring kernel
-    campaigns.append((SimConfig(topology="ring", nodes=8, balance=4, runs=12, base_seed=31),
-                      ChannelGraph(8, edges)))
+    # a caller's graph in place of the snapshot file
+    campaigns.append((SimConfig(topology="snapshot", snapshot_path="<in-memory>", runs=12,
+                                base_seed=31), ChannelGraph(8, edges)))
     for cfg, graph in campaigns:
         a = monte_carlo(cfg, graph)
         b = monte_carlo(cfg, graph)
@@ -172,7 +172,7 @@ def test_clique_fast_path_matches_generic_distribution():
     fast = [o.tau for o in monte_carlo(
         SimConfig(topology="clique", nodes=6, balance=3, runs=4000, base_seed=2))]
     slow = [o.tau for o in monte_carlo(
-        SimConfig(topology="clique", nodes=6, balance=3, runs=4000, base_seed=777),
+        SimConfig(topology="snapshot", snapshot_path="<in-memory>", runs=4000, base_seed=777),
         graph=make_clique(6, 6))]
     mf, ms = statistics.mean(fast), statistics.mean(slow)
     sd = statistics.pstdev(fast + slow)
@@ -183,7 +183,7 @@ def test_clique_fast_path_matches_generic_distribution():
 def test_attempt_mode_on_clique_fast_and_generic():
     cfg_f = SimConfig(topology="clique", nodes=5, balance=2, amount=2, runs=400,
                       base_seed=3, stop_mode="attempt")
-    cfg_g = SimConfig(topology="clique", nodes=5, balance=2, amount=2, runs=400,
+    cfg_g = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=2, runs=400,
                       base_seed=813, stop_mode="attempt")
     mf = statistics.mean(o.tau for o in monte_carlo(cfg_f))
     mg = statistics.mean(o.tau for o in monte_carlo(cfg_g, graph=make_clique(5, 4)))
@@ -193,7 +193,7 @@ def test_attempt_mode_on_clique_fast_and_generic():
 
 def test_monte_carlo_rejects_disconnected_graph():
     g = ChannelGraph(4, [(0, 1, 4), (2, 3, 4)])
-    cfg = SimConfig(topology="ring", nodes=4, balance=2, runs=1)
+    cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", runs=1)
     with pytest.raises(ValueError, match="connected"):
         monte_carlo(cfg, graph=g)
 
@@ -288,7 +288,7 @@ def test_multi_amount_equals_plain_monte_carlo_for_unit_amount():
     got = multi_amount_experiment(g, [1], runs=6, base_seed=44)
     assert len(got) == 1 and got[0][0] == 1
     plain = monte_carlo(
-        SimConfig(topology="clique", nodes=5, balance=3, runs=6, base_seed=44,
+        SimConfig(topology="snapshot", snapshot_path="<in-memory>", runs=6, base_seed=44,
                   stop_mode="attempt"),
         graph=g)
     assert got[0][1] == plain
@@ -342,8 +342,9 @@ def test_multi_amount_equals_per_amount_monte_carlo(workers, mode, caplog):
 def test_campaigns_reject_workers_below_one(workers):
     g = make_clique(4, 6)
     cfg = SimConfig(topology="ring", nodes=5, balance=2, runs=2)
+    on_graph = SimConfig(topology="snapshot", snapshot_path="<in-memory>", runs=2)
     for campaign in (lambda: monte_carlo(cfg, workers=workers),
-                     lambda: monte_carlo(cfg, graph=g, workers=workers),
+                     lambda: monte_carlo(on_graph, graph=g, workers=workers),
                      lambda: capacity_sweep(cfg, 1, 3, 1, runs_per_point=2, workers=workers),
                      lambda: multi_amount_experiment(g, [1, 2], runs=2, base_seed=0,
                                                      workers=workers)):
@@ -665,15 +666,16 @@ def test_monte_carlo_kernel_topologies_build_no_graph(monkeypatch):
         assert len(monte_carlo(cfg)) == 3
 
 
-def test_monte_carlo_caller_ring_graph_runs_generic_loop(monkeypatch):
-    def no_kernel(*args):
-        raise AssertionError("ring kernel ran on a caller's graph")
-
+def test_monte_carlo_caller_ring_graph_runs_generic_loop():
     # one thin channel: the uniform ring kernel would never see it
     g = ChannelGraph(6, [(i, (i + 1) % 6, 2 if i == 3 else 40) for i in range(6)])
-    cfg = SimConfig(topology="ring", nodes=6, balance=20, runs=8, base_seed=12)
-    uniform = monte_carlo(cfg)
-    monkeypatch.setattr(pcnsim.sim, "_ring_fast", no_kernel)
+    ring = SimConfig(topology="ring", nodes=6, balance=20, runs=8, base_seed=12)
+    for topology in ("clique", "ring"):
+        # a kernel topology's config would label the graph's runs with its n and k
+        with pytest.raises(ValueError, match='takes no graph; .* topology="snapshot"'):
+            monte_carlo(replace(ring, topology=topology), graph=g)
+    uniform = monte_carlo(ring)
+    cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", runs=8, base_seed=12)
     outs = monte_carlo(cfg, graph=g)
     assert outs == [run_payment_process(g, cfg, Rng(run_seed(12, i))) for i in range(8)]
     assert outs != uniform
