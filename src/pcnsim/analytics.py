@@ -6,8 +6,6 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .graph import ChannelGraph
 from .paths import BetweennessMap
 
@@ -30,25 +28,25 @@ def hitting_tail_bound(k: int, t: int) -> float:
     return min(1.0, 4.0 * math.exp(-(k * k) / (6.0 * t)))
 
 
-def reflection_sandwich(k: int, t: int, chain_samples: int,
-                        seed: int = 0) -> tuple[float, float, float]:
-    """Estimate the reflection sandwich by simulating unbiased walks.
+def reflection_sandwich(k: int, t: int) -> tuple[float, float, float]:
+    """The reflection sandwich of an unbiased ±1 walk X from 0, exactly.
 
-    Returns ``(lo, hi, observed)`` where lo estimates Prob{|X_t| >= k}, hi is
-    2·lo, and observed estimates Prob{max over i<=t of |X_i| >= k}.  All three
-    come from the same simulated walks, so lo <= observed holds pathwise and
-    observed <= hi holds up to sampling error.
+    Returns ``(lo, hi, observed)``: lo = Prob{|X_t| >= k}, a binomial sum,
+    hi = 2·lo, and observed = Prob{max over i<=t of |X_i| >= k}, one minus
+    the share of the 2**t step sequences that stay inside (−k, k), counted
+    per position by a dynamic program.  The reflection principle gives
+    lo <= observed <= hi.
     """
-    if t < 1 or chain_samples < 1:
-        raise ValueError("t and chain_samples must be >= 1")
-    gen = np.random.Generator(np.random.PCG64(seed))
-    steps = gen.integers(0, 2, size=(chain_samples, t), dtype=np.int8).astype(np.int32) * 2 - 1
-    walks = np.cumsum(steps, axis=1)
-    endpoint = np.abs(walks[:, -1]) >= k
-    running_max = np.max(np.abs(walks), axis=1) >= k
-    lo = float(np.mean(endpoint))
-    observed = float(np.mean(running_max))
-    return lo, 2.0 * lo, observed
+    if k < 1 or t < 1:
+        raise ValueError("k and t must be >= 1")
+    total = 1 << t
+    # X_t = 2j − t after j up-steps
+    lo = sum(math.comb(t, j) for j in range(t + 1) if abs(2 * j - t) >= k) / total
+    inside = [0] * (k - 1) + [1] + [0] * (k - 1)  # sequences at −(k−1)..k−1
+    for _ in range(t):
+        padded = [0, *inside, 0]
+        inside = [padded[i] + padded[i + 2] for i in range(2 * k - 1)]
+    return lo, 2.0 * lo, (total - sum(inside)) / total
 
 
 def chernoff_lower(mu: float, delta: float) -> float:

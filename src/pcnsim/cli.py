@@ -458,9 +458,10 @@ def cmd_couple_check(args) -> int:
     for i in range(seeds):
         rng = Rng(run_seed(cfg.base_seed, i))
         out1, out2 = run_coupled_clique(nodes, balance, cfg.max_steps, rng)
-        if out1.tau != out2.tau:
+        if out1 != out2:
             mismatches += 1
-            print(f"seed index {i}: tau1={out1.tau} != tau2={out2.tau}")
+            print(f"seed index {i}: tau1={out1.tau} edge1={out1.failing_edge} != "
+                  f"tau2={out2.tau} edge2={out2.failing_edge}")
     if mismatches:
         print(f"FAIL: {mismatches}/{seeds} coupled runs disagreed")
         return EXIT_PROPERTY

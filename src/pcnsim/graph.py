@@ -114,7 +114,7 @@ class ChannelGraph:
             column.flags.writeable = False
         self.node_keys = node_keys
         self._csr: Csr | None = None
-        self._csr_lists: tuple[list[int], list[int]] | None = None
+        self._csr_lists: tuple[list[int], list[int], list[int]] | None = None
         self._connected: bool | None = None
 
     @property
@@ -151,12 +151,14 @@ class ChannelGraph:
         return self._csr
 
     @property
-    def csr_lists(self) -> tuple[list[int], list[int]]:
-        """``csr.indptr`` and ``csr.indices`` as Python lists, built on first
-        use: a search that visits a few hundred nodes runs faster over them
-        than through numpy calls.  They take about 4 MB for 45k edges."""
+    def csr_lists(self) -> tuple[list[int], list[int], list[int]]:
+        """``csr.indptr``, ``csr.indices`` and ``csr.degree`` as Python
+        lists, built on first use: a search that visits a few hundred nodes
+        runs faster over them than through numpy calls.  They take about
+        4 MB for 45k edges."""
         if self._csr_lists is None:
-            self._csr_lists = (self.csr.indptr.tolist(), self.csr.indices.tolist())
+            csr = self.csr
+            self._csr_lists = (csr.indptr.tolist(), csr.indices.tolist(), csr.degree.tolist())
         return self._csr_lists
 
     def is_connected(self) -> bool:
@@ -300,7 +302,7 @@ def giant_component(g: ChannelGraph) -> ChannelGraph:
     Ties between equal-sized components break toward the one containing the
     smallest original node id.  Original ids map to new ids in ascending order.
     """
-    indptr, indices = g.csr_lists
+    indptr, indices, _ = g.csr_lists
     seen = [False] * g.node_count
     best: list[int] = []
     for start in range(g.node_count):

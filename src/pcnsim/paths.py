@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -73,99 +74,65 @@ class _NodeView(Sequence):
 class ShortestPathDag:
     """Single-source BFS result on hop distances, kept as flat per-node arrays.
 
-    The BFS runs level by level only as deep as asked: ``extend(t)`` expands
-    levels until t has its distance, and a later call resumes where the last
-    one stopped.  Every node found so far has its final distance, path count
-    and BFS rank, since all its predecessors lie one level up.
-
     ``sigma[w]`` counts all distinct shortest source→w paths exactly;
     ``preds[w]`` lists exactly the neighbors of w at distance ``dist[w] - 1``,
     in BFS queue order.  Unreachable nodes carry ``dist = inf`` and
-    ``sigma = 0``.  All three are read-only list views of the complete DAG
-    that yield Python numbers; ``preds[w]`` is read off the graph's CSR rows
-    when asked for.
+    ``sigma = 0``.  All three are read-only list views that yield Python
+    numbers; ``preds[w]`` is read off the graph's CSR rows when asked for.
     """
 
-    __slots__ = ("source", "_csr", "_dist", "_sigma", "_rank", "_steps",
-                 "_frontier", "_depth", "_ranked")
+    __slots__ = ("source", "_csr", "_dist", "_sigma", "_rank", "_steps")
 
     def __init__(self, source: int, csr: Csr):
         n = len(csr.degree)
-        self.source = source
-        self._csr = csr
-        self._dist = np.full(n, -1, dtype=np.intp)  # hops from source; -1: not found
-        self._sigma = np.zeros(n, dtype=np.int64)   # object (Python ints) for huge counts
-        self._rank = np.empty(n, dtype=np.intp)     # position in BFS queue order
-        self._dist[source] = 0
-        self._sigma[source] = 1
-        self._rank[source] = 0
-        self._steps: dict[int, tuple[list[int], list[int], list[int]]] = {}
-        self._frontier = np.array([source], dtype=np.intp)  # the nodes at _depth
-        self._depth = 0
-        self._ranked = 1  # nodes found so far, so the next rank to hand out
-
-    def extend(self, target: int | None = None) -> None:
-        """Expand BFS levels until ``target`` has a distance, or, without a
-        target, until every reachable node has one.
-
-        A target that was found already, or a BFS that has run out of nodes,
-        expands nothing.
-        """
-        csr, dist, sigma = self._csr, self._dist, self._sigma
-        frontier, depth = self._frontier, self._depth
-        found = []
-        while frontier.size and (target is None or dist[target] < 0):
-            heads, tails, frontier, _ = csr.bfs_step(frontier, dist)
+        dist = np.full(n, -1, dtype=np.intp)  # hops from source; -1: unreachable
+        sigma = np.zeros(n, dtype=np.int64)   # object (Python ints) for huge counts
+        dist[source], sigma[source] = 0, 1
+        levels = [np.array([source], dtype=np.intp)]
+        while True:
+            heads, tails, frontier, _ = csr.bfs_step(levels[-1], dist)
             if not heads.size:
                 break
             sigma = _add_paths(sigma, heads, tails)
-            depth += 1
-            dist[frontier] = depth
-            found.append(frontier)
-        self._sigma, self._frontier, self._depth = sigma, frontier, depth
-        if found:
-            found = np.concatenate(found) if len(found) > 1 else found[0]
-            self._rank[found] = np.arange(self._ranked, self._ranked + found.size)
-            self._ranked += found.size
+            dist[frontier] = len(levels)
+            levels.append(frontier)
+        order = np.concatenate(levels)
+        self._rank = np.empty(n, dtype=np.intp)  # position in BFS queue order
+        self._rank[order] = np.arange(order.size)
+        self.source, self._csr, self._dist, self._sigma = source, csr, dist, sigma
+        self._steps: dict[int, tuple[list[int], list[int], list[int]]] = {}
 
     @property
     def dist(self) -> _NodeView:
-        self.extend()
         dist = self._dist
         return _NodeView(len(dist), lambda w: INF if dist[w] < 0 else int(dist[w]))
 
     @property
     def sigma(self) -> _NodeView:
-        self.extend()
         sigma = self._sigma
         return _NodeView(len(sigma), lambda w: int(sigma[w]))
 
     @property
     def preds(self) -> _NodeView:
-        self.extend()
         return _NodeView(len(self._dist), lambda w: list(self.step(w)[0]))
 
     def _reach(self, target: int) -> None:
-        """Extend the DAG to target; ValueError if source cannot reach it."""
+        """ValueError unless source reaches target."""
         n = len(self._dist)
         if not 0 <= target < n:
             raise ValueError(f"target {target} outside [0,{n})")
         if self._dist[target] < 0:
-            self.extend(target)
-            if self._dist[target] < 0:
-                raise ValueError(f"target {target} unreachable from source {self.source}")
+            raise ValueError(f"target {target} unreachable from source {self.source}")
 
     def step(self, w: int) -> tuple[list[int], list[int], list[int]]:
         """w's predecessors in BFS queue order, running sums of their sigma,
         and the edge that joins each of them to w.
 
-        Remembered per node, so repeated walks through a cached DAG stay cheap.
+        Remembered per node, so repeated walks through one DAG stay cheap.
         """
         got = self._steps.get(w)
         if got is None:
             csr = self._csr
-            if self._dist[w] < 0:
-                self.extend(w)
             d = self._dist[w]
             if w == self.source or d < 0:
                 preds = edges = self._rank[:0]
@@ -183,22 +150,18 @@ class ShortestPathDag:
         return got
 
 
-def sssp_dag(g: ChannelGraph, source: int, target: int | None = None) -> ShortestPathDag:
-    """The BFS DAG from source: complete, or only as deep as target's level
-    when a target is given (it grows on demand; see ShortestPathDag)."""
+def sssp_dag(g: ChannelGraph, source: int) -> ShortestPathDag:
+    """The complete BFS DAG from source."""
     n = g.node_count
     if not (0 <= source < n):
         raise ValueError(f"source {source} outside [0,{n})")
-    if target is not None and not (0 <= target < n):
-        raise ValueError(f"target {target} outside [0,{n})")
-    dag = ShortestPathDag(source, g.csr)
-    dag.extend(target)
-    return dag
+    return ShortestPathDag(source, g.csr)
 
 
 class StDag:
     """The part of source's shortest-path DAG that holds every shortest
-    source→target path, built by ``st_dag``.
+    source→target path, built by ``st_dag`` or read off a row of hop counts
+    to the target (``DagCache``).
 
     A predecessor of a node on a shortest source→target path lies on one
     too, so for each such node w ``step(w)`` equals
@@ -227,74 +190,38 @@ class StDag:
                              f"to {self.target}") from None
 
 
-def st_dag(g: ChannelGraph, source: int, target: int) -> StDag:
-    """Every shortest source→target path, found by a balanced bidirectional BFS.
-
-    Each step expands, by one whole level, the side whose frontier has the
-    smaller degree sum, until a level reaches a node the other side has
-    found.  The balls around source and target, of radii a and b, then meet
-    for the first time, so d(s, t) = a + b, and the nodes at distance a from
-    s on a shortest path are exactly those the two balls share.  The DAG's
-    nodes, those with d(s, v) + d(v, t) = d(s, t), are found from that layer
-    back to s over the forward distances and on to t over the backward ones.
-
-    Path counts and predecessor order are then rebuilt level by level from
-    s.  Scanning a level's nodes in BFS queue order, each along its CSR row,
-    meets every node of the next level first through its lowest-ranked
-    predecessor, at the position ``Csr.bfs_step`` orders it by, so the
-    levels keep the full BFS's queue order.
-    """
-    n = g.node_count
+def _check_pair(n: int, source: int, target: int) -> None:
     for v, name in ((source, "source"), (target, "target")):
         if not 0 <= v < n:
             raise ValueError(f"{name} {v} outside [0,{n})")
     if source == target:
         raise ValueError("target equals source")
-    ptr, nbr = g.csr_lists
-    seen = ({source: 0}, {target: 0})  # hops from source, hops to target
-    fronts = [[source], [target]]
-    work = [ptr[source + 1] - ptr[source], ptr[target + 1] - ptr[target]]
-    radius = [0, 0]
-    while True:
-        side = 0 if work[0] <= work[1] else 1
-        mine, other = seen[side], seen[1 - side]
-        depth = radius[side] + 1
-        level, degrees, met = [], 0, False
-        for v in fronts[side]:
-            for w in nbr[ptr[v]:ptr[v + 1]]:
-                if w not in mine:
-                    mine[w] = depth
-                    level.append(w)
-                    degrees += ptr[w + 1] - ptr[w]
-                    if w in other:
-                        met = True
-        if not level:
-            raise ValueError(f"target {target} unreachable from source {source}")
-        fronts[side], work[side], radius[side] = level, degrees, depth
-        if met:
-            break
-    hops_s, hops_t = seen
-    a, d = radius[0], radius[0] + radius[1]
-    layers: list = [None] * (d + 1)  # the DAG's nodes by distance from source
-    # the balls share only nodes of the level just expanded, all at distance a
-    layers[a] = {w for w in fronts[side] if w in other}
-    for depth in range(a, 0, -1):
-        layers[depth - 1] = {u for v in layers[depth] for u in nbr[ptr[v]:ptr[v + 1]]
-                             if hops_s.get(u) == depth - 1}
-    for depth in range(a, d):
-        layers[depth + 1] = {u for v in layers[depth] for u in nbr[ptr[v]:ptr[v + 1]]
-                             if hops_t.get(u) == d - depth - 1}
+
+
+def _rebuild(g: ChannelGraph, source: int, target: int, hops) -> StDag:
+    """The s–t DAG read off ``hops``, which holds d(w, target) for every
+    node w on a shortest source→target path (a full row, or -1 off them).
+
+    It is rebuilt level by level from source: a neighbour w of a node at
+    depth i - 1 on a shortest path is at depth i on one iff hops[w] = d - i,
+    as d(source, w) <= i and d(source, w) >= d - hops[w].  Scanning each
+    level in BFS queue order, along CSR rows, meets every node of the next
+    level first through its lowest-ranked predecessor, at the position
+    ``Csr.bfs_step`` gives it, so the levels keep the full BFS's order.
+    """
+    ptr, nbr, _ = g.csr_lists
     edge_of = g.csr.arc_edge.item
+    d = hops[source]
     steps: dict[int, tuple[list[int], list[int], list[int]]] = {source: ([], [], [])}
     sigma = {source: 1}
     order = [source]
-    for depth in range(1, d + 1):
-        layer, found = layers[depth], []
+    for want in range(d - 1, -1, -1):
+        found = []
         for p in order:
             count = sigma[p]
             for arc in range(ptr[p], ptr[p + 1]):
                 w = nbr[arc]
-                if w in layer:
+                if hops[w] == want:
                     got = steps.get(w)
                     if got is None:
                         steps[w] = ([p], [count], [edge_of(arc)])
@@ -309,14 +236,71 @@ def st_dag(g: ChannelGraph, source: int, target: int) -> StDag:
     return StDag(source, target, steps)
 
 
+def st_dag(g: ChannelGraph, source: int, target: int) -> StDag:
+    """Every shortest source→target path, found by a balanced bidirectional BFS.
+
+    Each step expands, by one whole level, the side whose frontier has the
+    smaller degree sum, until a level reaches a node the other side has
+    found.  The balls around source and target, of radii a and b, then meet
+    for the first time, so d(s, t) = a + b, and the nodes at distance a from
+    s on a shortest path are exactly those the two balls share.  The DAG's
+    nodes, those with d(s, v) + d(v, t) = d(s, t), are found from that layer
+    back to s over the forward distances and on to t over the backward ones,
+    and marked with their hops to t in a row of -1s that ``_rebuild`` reads.
+    """
+    n = g.node_count
+    _check_pair(n, source, target)
+    ptr, nbr, degree = g.csr_lists
+    seen = ({source: 0}, {target: 0})  # hops from source, hops to target
+    fronts = [[source], [target]]
+    work = [degree[source], degree[target]]
+    radius = [0, 0]
+    while True:
+        side = 0 if work[0] <= work[1] else 1
+        mine, other = seen[side], seen[1 - side]
+        depth = radius[side] + 1
+        level, degrees, met = [], 0, False
+        for v in fronts[side]:
+            for w in nbr[ptr[v]:ptr[v + 1]]:
+                if w not in mine:
+                    mine[w] = depth
+                    level.append(w)
+                    degrees += degree[w]
+                    if w in other:
+                        met = True
+        if not level:
+            raise ValueError(f"target {target} unreachable from source {source}")
+        fronts[side], work[side], radius[side] = level, degrees, depth
+        if met:
+            break
+    hops_s, hops_t = seen
+    a, b = radius
+    hops = array("i", [-1]) * n
+    # the balls share only nodes of the level just expanded, all b hops from t
+    middle = [w for w in fronts[side] if w in other]
+    for w in middle:
+        hops[w] = b
+    layer = middle
+    for at in range(a - 1, -1, -1):  # back to s: the DAG's nodes at hops `at` from s
+        layer = {u for v in layer for u in nbr[ptr[v]:ptr[v + 1]] if hops_s.get(u) == at}
+        for u in layer:
+            hops[u] = a + b - at
+    layer = middle
+    for at in range(b - 1, -1, -1):  # on to t: the DAG's nodes at hops `at` from t
+        layer = {u for v in layer for u in nbr[ptr[v]:ptr[v + 1]] if hops_t.get(u) == at}
+        for u in layer:
+            hops[u] = at
+    return _rebuild(g, source, target, hops)
+
+
 def sample_shortest_path(dag: ShortestPathDag | StDag, target: int, rng: Rng) -> list[int]:
     """One shortest source→target path, exactly uniform over all of them.
 
     Walks backward from the target choosing predecessor p with probability
     sigma(p) / sigma(current); the product telescopes to 1/sigma(target), so
     every shortest path is equally likely.  Integer draws are exact, and a
-    node with one predecessor takes no draw.  A per-source DAG and the s–t
-    DAG of the same pair give the same path for the same draws.
+    node with one predecessor takes no draw.  A source's full DAG and the
+    s–t DAG of the same pair give the same path for the same draws.
     """
     if target == dag.source:
         raise ValueError("target equals source")
@@ -428,50 +412,44 @@ def edge_selection_probability(g: ChannelGraph, bmap: BetweennessMap, eid: int) 
     return 2.0 * bmap.values[eid] / (n * (n - 1))
 
 
-# a DagCache keeps every source's DAG on graphs of at most this many nodes
-_PER_SOURCE_MAX_NODES = 2048
+# a DagCache builds rows of hop counts on graphs of at most this many nodes
+_ROW_MAX_NODES = 2048
 
 
 class DagCache:
-    """Shortest-path DAGs for the generic loop's draws; one cache per worker.
+    """The s–t DAGs for the generic loop's draws; one cache per worker.
 
-    On graphs of at most ``_PER_SOURCE_MAX_NODES`` nodes each source keeps
-    one per-source DAG, built only as deep as its first target and grown
-    when a later target lies deeper.  On larger graphs ``get(s, t)`` builds
-    the round's s–t DAG (``st_dag``): a few nodes where a per-source BFS
-    would find most of the graph.  A walk draws each round once for all its
-    amounts, so an s–t DAG is not kept.
-
-    Topology never changes during a campaign, so cached DAGs stay valid, and
-    every kind of DAG gives the same paths for the same draws; the cache only
-    trades memory for speed and cannot alter sampling.
+    ``get(s, t)`` returns the round's s–t DAG, built by ``st_dag`` for the
+    cache's first n gets.  Past n gets, on graphs of at most
+    ``_ROW_MAX_NODES`` nodes, each target keeps a row of hop counts to it,
+    one full BFS (``sssp_dag(g, t)``), and every DAG to it is read off the
+    row.  On larger graphs a campaign reuses too few rows to repay them.
+    A get that runs ``st_dag`` or builds a row is a miss.  Both ways give
+    the same DAG, so the cache cannot alter sampling.
     Not thread-safe: one instance per worker.
     """
 
     def __init__(self, g: ChannelGraph):
         self._g = g
-        self._per_source = g.node_count <= _PER_SOURCE_MAX_NODES
-        self._dags: dict[int, ShortestPathDag] = {}
+        self._rows = {} if g.node_count <= _ROW_MAX_NODES else None  # target: its row
         self.gets = 0
         self.misses = 0
 
-    @property
-    def kind(self) -> str:
-        """Which DAGs a miss builds: 'per-source' or 's-t'."""
-        return "per-source" if self._per_source else "s-t"
-
-    def get(self, source: int, target: int) -> ShortestPathDag | StDag:
-        """A DAG that sampling from source to target can walk: source's
-        per-source DAG, or the s–t DAG."""
+    def get(self, source: int, target: int) -> StDag:
+        """The DAG of every shortest source→target path."""
         self.gets += 1
-        if not self._per_source:
+        g, rows = self._g, self._rows
+        if rows is None or self.gets <= g.node_count:
             self.misses += 1
-            return st_dag(self._g, source, target)
-        dag = self._dags.get(source)
-        if dag is None:
+            return st_dag(g, source, target)
+        _check_pair(g.node_count, source, target)
+        row = rows.get(target)
+        if row is None:
             self.misses += 1
-            dag = self._dags[source] = sssp_dag(self._g, source, target)
-        return dag
+            row = rows[target] = sssp_dag(g, target)._dist.tolist()
+        if row[source] < 0:
+            raise ValueError(f"target {target} unreachable from source {source}")
+        return _rebuild(g, source, target, row)
 
 
 def betweenness_rows(g: ChannelGraph, bmap: BetweennessMap):

@@ -217,14 +217,12 @@ def _walk(g: ChannelGraph, amounts: list[int], cfg: SimConfig, rng: Rng,
     cache = dag_cache if dag_cache is not None else DagCache(g)
     t = 0
     progress = Progress(logger, "payment process", seed=rng.seed, detail=lambda: (
-        f", {alive} of {len(xs)} amounts running"
-        + (f", DAG cache hit ratio {1 - cache.misses / cache.gets:.3f}"
-           if cache.kind == "per-source" else "")))
+        f", {alive} of {len(xs)} amounts running, "
+        f"DAG cache hit ratio {1 - cache.misses / cache.gets:.3f}"))
     while alive and t < cfg.max_steps:
         s, dst = rng.pair(g.node_count)
         dag = cache.get(s, dst)
-        path = sample_shortest_path(dag, dst, rng)  # either raises if dst is unreachable
-        # sampling remembered each path node's step, so step(b) is a lookup
+        path = sample_shortest_path(dag, dst, rng)
         step = dag.step
         for a, b in zip(path, path[1:]):
             preds, _, edges = step(b)
@@ -653,7 +651,8 @@ def _campaign(graph: Optional[ChannelGraph], cfg: SimConfig, points: list[int],
     if graph is not None and not graph.is_connected():
         raise ValueError("graph must be connected (take the giant component first)")
     runs = cfg.runs
-    pooled = workers > 1 and runs > 1
+    workers = min(workers, runs)  # more would fork workers that get no run
+    pooled = workers > 1
     if pooled and "fork" not in multiprocessing.get_all_start_methods():
         logger.warning("fork unavailable; running sequentially")
         pooled = False
@@ -670,10 +669,9 @@ def _campaign(graph: Optional[ChannelGraph], cfg: SimConfig, points: list[int],
         # the smallest amount runs longest, so its rounds are the walks' rounds
         rounds = sum(max(o.tau for o in run) for run, _b, _g in done)
         logger.info("%s: %d runs, %d rounds, %d DAG builds, %d DAG cache gets, "
-                    "hit ratio %.3f, %s DAGs",
+                    "hit ratio %.3f",
                     ", ".join(replace(cfg, amount=x).config_id() for x in points),
-                    runs, rounds, builds, gets, 1 - builds / gets if gets else 0.0,
-                    DagCache(graph).kind)
+                    runs, rounds, builds, gets, 1 - builds / gets if gets else 0.0)
     return [list(outcomes) for outcomes in zip(*(run for run, _b, _g in done))]
 
 

@@ -288,7 +288,7 @@ def test_criterion_10_bound_inequality_spot_checks():
         steps = gen.integers(0, 2, size=(chains, t), dtype=np.int8).astype(np.int32) * 2 - 1
         hit = np.max(np.abs(np.cumsum(steps, axis=1)), axis=1) >= k
         assert float(np.mean(hit)) <= hitting_tail_bound(k, t)
-    lo, hi, observed = reflection_sandwich(5, 50, 100_000, seed=1003)
+    lo, hi, observed = reflection_sandwich(5, 50)
     se = 3 * math.sqrt(0.25 / 100_000)
     assert lo <= observed <= hi + se
 

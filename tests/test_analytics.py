@@ -76,20 +76,36 @@ def test_hitting_tail_bound_dominates_simulation():
 
 
 def test_reflection_sandwich_unit_step():
-    lo, hi, observed = reflection_sandwich(1, 1, 1000, seed=3)
+    lo, hi, observed = reflection_sandwich(1, 1)
     assert lo == 1.0 and observed == 1.0 and hi == 2.0
 
 
 def test_reflection_sandwich_vacuous_when_k_large():
-    lo, hi, observed = reflection_sandwich(100, 10, 1000, seed=4)
+    lo, hi, observed = reflection_sandwich(100, 10)
     assert lo == 0.0 and observed == 0.0 and hi == 0.0
 
 
 def test_reflection_sandwich_ordering():
-    lo, hi, observed = reflection_sandwich(5, 50, 100_000, seed=9)
+    lo, hi, observed = reflection_sandwich(5, 50)
     se = 3 * math.sqrt(0.25 / 100_000)
-    assert lo <= observed  # pathwise on shared samples
+    assert lo <= observed  # the reflection principle
     assert observed <= hi + se
+
+
+def test_reflection_sandwich_exact_values():
+    lo, hi, observed = reflection_sandwich(5, 50)
+    assert (round(lo, 6), round(hi, 6), round(observed, 6)) == (0.479888, 0.959775, 0.894708)
+    # against every step sequence of a short walk
+    for k, t in ((1, 3), (2, 7), (3, 10), (4, 12)):
+        end = far = 0
+        for bits in range(1 << t):
+            x, peak = 0, 0
+            for i in range(t):
+                x += 1 if bits >> i & 1 else -1
+                peak = max(peak, abs(x))
+            end += abs(x) >= k
+            far += peak >= k
+        assert reflection_sandwich(k, t) == (end / 2 ** t, 2 * end / 2 ** t, far / 2 ** t)
 
 
 def test_chernoff_values_and_validation():

@@ -8,8 +8,8 @@ betweenness values.  ``edge_betweenness`` runs a block of sources per BFS
 level; the block tests force blocks of 1, 2 and 3 sources and one block of
 all of them.  On a 2-core host the 512-ring's betweenness takes 0.13–0.21 s
 in its default blocks of 32 sources and 3–4 s in blocks of one.  The s–t
-DAGs of ``st_dag``, which ``DagCache`` builds when it cannot hold every
-source, are pinned to the per-source DAGs.
+DAGs that ``DagCache`` returns, built by ``st_dag`` or read off a row of hop
+counts to the target, are pinned to the full DAGs of ``sssp_dag``.
 """
 
 from __future__ import annotations
@@ -51,55 +51,29 @@ def test_dag_and_samples_match_oracle(n, extra, seed):
                         == oracle_sample_path(want, t, Rng(draw)))
 
 
-def _same_rank(dag, full):
-    """Equal BFS queue positions wherever the complete DAG reaches."""
-    reached = full._dist >= 0
-    return np.array_equal(dag._rank[reached], full._rank[reached])
-
-
-@settings(max_examples=40)
-@given(n=st.integers(2, 14), extra=st.floats(0.0, 0.6), seed=st.integers(0, 2 ** 16))
-def test_dag_to_target_depth_matches_full_dag(n, extra, seed):
+@settings(max_examples=60)
+@given(n=st.integers(2, 16), extra=st.floats(0.0, 0.6), seed=st.integers(0, 2 ** 16))
+def test_row_dags_match_st_dag_and_full_dag(n, extra, seed):
+    # past its first n gets the cache reads every DAG off the target's row
     g = ChannelGraph(n, random_connected_edges(random.Random(seed), n, extra_prob=extra))
-    for s in range(n):
-        full, want = sssp_dag(g, s), oracle_sssp_dag(g, s)
-        for t in range(n):
-            dag = sssp_dag(g, s, t)
-            # expanded down to t's level and no further
-            assert dag._depth == want.dist[t]
-            reached = dag._dist >= 0
-            assert np.array_equal(reached, (full._dist >= 0) & (full._dist <= dag._depth))
-            assert np.array_equal(dag._dist[reached], full._dist[reached])
-            for w in reached.nonzero()[0].tolist():
-                assert dag.step(w) == full.step(w), (s, t, w)
-            assert dag._depth == want.dist[t]  # steps of reached nodes expand nothing
-            if t != s:
-                draw = seed * 1000 + s * n + t
-                assert (sample_shortest_path(dag, t, Rng(draw))
-                        == sample_shortest_path(full, t, Rng(draw)))
-            # the views complete the DAG, and it completes to the oracle's
-            assert dag.dist == want.dist and dag.sigma == want.sigma
-            assert [dag.preds[w] for w in range(n)] == want.preds
-            assert _same_rank(dag, full)
-
-
-def test_cached_partial_dag_resumes_for_a_deeper_target():
-    g = _golden_graph()
-    full = sssp_dag(g, 0)
-    near = next(w for w in range(g.node_count) if full.dist[w] == 2)
-    far = max(range(g.node_count), key=lambda w: full.dist[w])
     cache = DagCache(g)
-    dag = cache.get(0, near)
-    assert dag._depth == 2 and dag._dist[far] < 0
-    assert (sample_shortest_path(dag, near, Rng(1))
-            == sample_shortest_path(full, near, Rng(1)))
-    assert cache.get(0, far) is dag and (cache.gets, cache.misses) == (2, 1)
-    for seed in range(5):
-        assert (sample_shortest_path(dag, far, Rng(seed))
-                == sample_shortest_path(full, far, Rng(seed)))
-    assert dag._depth == full.dist[far]
-    # ranks carry on from the first build across the resume
-    assert dag.dist == full.dist and dag.sigma == full.sigma and _same_rank(dag, full)
+    for _ in range(n):
+        cache.get(0, 1)
+    for s in range(n):
+        full = sssp_dag(g, s)
+        for t in range(n):
+            if t == s:
+                continue
+            dag = cache.get(s, t)
+            assert (dag.source, dag.target) == (s, t)
+            assert dag._steps == st_dag(g, s, t)._steps
+            for w in dag._steps:
+                assert dag.step(w) == full.step(w), (s, t, w)
+            draw = seed * 1000 + s * n + t
+            got, want = Rng(draw), Rng(draw)
+            assert sample_shortest_path(dag, t, got) == sample_shortest_path(full, t, want)
+            assert got.u64() == want.u64()  # the same draws were taken
+    assert cache.misses == 2 * n  # the first n gets, then one row per target
 
 
 @settings(max_examples=60)
@@ -108,19 +82,15 @@ def test_st_dag_samples_match_per_source_dag(n, extra, seed):
     edges = random_connected_edges(random.Random(seed), n, extra_prob=extra)
     g = ChannelGraph(n, edges)
     adj = adjacency_of(edges, n)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("pcnsim.paths._PER_SOURCE_MAX_NODES", 1)  # below n: s–t DAGs
-        cache = DagCache(g)
-    assert cache.kind == "s-t"
     for s in range(n):
         full, from_s = sssp_dag(g, s), bfs_dist(adj, s)
         for t in range(n):
             if t == s:
                 continue
-            dag = cache.get(s, t)
+            dag = st_dag(g, s, t)
             assert (dag.source, dag.target) == (s, t)
             # exactly the nodes on some shortest s–t path, each with its
-            # per-source step: predecessors in BFS order, sigma sums, edges
+            # full DAG's step: predecessors in BFS order, sigma sums, edges
             to_t = bfs_dist(adj, t)
             assert set(dag._steps) == {v for v in range(n)
                                        if from_s[v] + to_t[v] == from_s[t]}
@@ -130,7 +100,6 @@ def test_st_dag_samples_match_per_source_dag(n, extra, seed):
             got, want = Rng(draw), Rng(draw)
             assert sample_shortest_path(dag, t, got) == sample_shortest_path(full, t, want)
             assert got.u64() == want.u64()  # the same draws were taken
-    assert cache.misses == n * (n - 1)
 
 
 def test_st_dag_keeps_bfs_rank_order_where_node_ids_disagree():
@@ -162,12 +131,18 @@ def test_st_dag_sigma_past_int64_is_exact():
 
 def test_st_dag_rejects_bad_pairs():
     g = ChannelGraph(5, [(0, 1, 2), (1, 2, 2), (3, 4, 2)])
-    with pytest.raises(ValueError, match="unreachable"):
-        st_dag(g, 0, 4)
-    with pytest.raises(ValueError, match="equals source"):
-        st_dag(g, 1, 1)
-    with pytest.raises(ValueError, match="outside"):
-        st_dag(g, 0, 5)
+    cache = DagCache(g)
+    for _ in range(5):
+        cache.get(0, 1)
+    # st_dag, and a cache past its first n gets, which reads rows
+    for build in (lambda s, t: st_dag(g, s, t), cache.get):
+        with pytest.raises(ValueError, match="unreachable"):
+            build(0, 4)
+        with pytest.raises(ValueError, match="equals source"):
+            build(1, 1)
+        for s, t in ((0, 5), (-1, 2)):
+            with pytest.raises(ValueError, match="outside"):
+                build(s, t)
     dag = st_dag(g, 0, 2)
     with pytest.raises(ValueError, match="paths to 2"):
         sample_shortest_path(dag, 1, Rng(0))
@@ -175,14 +150,14 @@ def test_st_dag_rejects_bad_pairs():
         dag.step(3)
 
 
-def test_st_dag_cache_builds_every_get(monkeypatch):
+def test_st_dag_cache_builds_every_get():
+    # for its first n gets a cache keeps nothing
     g = make_ring(12, 2)
-    monkeypatch.setattr("pcnsim.paths._PER_SOURCE_MAX_NODES", 11)
     cache = DagCache(g)
     first = cache.get(0, 5)
     again = cache.get(0, 5)
     assert again is not first and again._steps == first._steps
-    assert (cache.gets, cache.misses) == (2, 2) and not cache._dags
+    assert (cache.gets, cache.misses) == (2, 2) and not cache._rows
 
 
 def test_unreachable_nodes_match_oracle():
@@ -255,24 +230,17 @@ def test_sample_path_through_65_diamonds_draws_two_words_at_the_target():
 
 
 def test_sigma_turns_to_python_ints_mid_bfs():
-    # junction 3i has sigma 2**i; the level into junction 62 is the first
-    # whose counts could reach 2**62
-    k = 70
-    g = _diamond_chain(k)
-    want = oracle_sssp_dag(g, 0)
-    dag = sssp_dag(g, 0, 3 * 61)
-    assert dag._sigma.dtype == np.int64 and dag._depth == 2 * 61
-    early = [dag.step(w) for w in range(3 * 61 + 1)]
-    assert sample_shortest_path(dag, 3 * 61, Rng(3)) == oracle_sample_path(want, 3 * 61, Rng(3))
-    dag.extend(3 * 62)
-    assert dag._sigma.dtype == object and dag._depth == 2 * 62
-    assert int(dag._sigma[3 * 62]) == 2 ** 62
-    assert [dag.step(w) for w in range(3 * 61 + 1)] == early
-    for seed in range(10):
-        assert (sample_shortest_path(dag, 3 * k, Rng(seed))
-                == oracle_sample_path(want, 3 * k, Rng(seed)))
-    assert dag.sigma == want.sigma and dag.dist == want.dist
-    assert _same_rank(dag, sssp_dag(g, 0))
+    # junction 3i has sigma 2**i: on a chain of 61 diamonds no level's
+    # counts could reach 2**62, on a chain of 62 the last diamond's could
+    for k, dtype in ((61, np.int64), (62, object)):
+        g = _diamond_chain(k)
+        dag, want = sssp_dag(g, 0), oracle_sssp_dag(g, 0)
+        assert dag._sigma.dtype == dtype
+        assert dag.sigma == want.sigma and dag.dist == want.dist
+        assert [dag.preds[w] for w in range(3 * k + 1)] == want.preds
+        for seed in range(10):
+            assert (sample_shortest_path(dag, 3 * k, Rng(seed))
+                    == oracle_sample_path(want, 3 * k, Rng(seed)))
 
 
 def test_sigma_past_int64_samples_uniformly():
@@ -386,7 +354,13 @@ def test_dag_cache_counts_gets():
     cache = DagCache(g)
     for s in (0, 1, 0, 2, 0):
         cache.get(s, 9)
-    assert (cache.gets, cache.misses) == (5, 3)
+    assert (cache.gets, cache.misses) == (5, 5)
+    for s in (0, 1, 0, 2, 0):
+        cache.get(s, 9)
+    # past 10 gets the first to each target builds its row, the others read it
+    for s, t in ((3, 9), (0, 9), (1, 9), (0, 6), (9, 6)):
+        cache.get(s, t)
+    assert (cache.gets, cache.misses) == (15, 12)
 
 
 def _golden_graph() -> ChannelGraph:
@@ -422,7 +396,7 @@ def test_payment_process_golden_outcomes():
             out = run_payment_process(g, cfg, Rng(run_seed(11, i)), cache)
             got.append((out.tau, out.failing_edge, out.failure_kind))
     assert got == _GOLDEN
-    assert cache.misses == 641
+    assert cache.misses == 1019  # every round builds its DAG: 1019 gets, below n
 
 
 def test_progress_lines_leave_outcomes_unchanged(monkeypatch, caplog):
@@ -466,7 +440,7 @@ def test_multi_amount_logs_campaign_cache_work_on_st_dags(workers, caplog):
 
 
 def _check_multi_amount_cache_work_on_st_dags(caps, amounts, max_steps, workers, caplog):
-    # 2100 nodes: more than a cache holds per-source DAGs for, so s–t DAGs
+    # 2100 nodes: more than a cache builds rows for, so every get runs st_dag
     rng = random.Random(2100)
     n = 2100
     g = ChannelGraph(n, [(u, v, 2 * rng.randrange(*caps))
@@ -490,9 +464,24 @@ def _check_multi_amount_cache_work_on_st_dags(caps, amounts, max_steps, workers,
     rounds = sum(o.tau for o in outs)
     drawn = sum(o.tau + (not o.censored) for o in outs)
     assert lines == [f"{ids}: 4 runs, {rounds} rounds, {drawn} DAG builds, "
-                     f"{drawn} DAG cache gets, hit ratio 0.000, s-t DAGs"]
+                     f"{drawn} DAG cache gets, hit ratio 0.000"]
 
 
-def test_dag_cache_keeps_per_source_dags_up_to_2048_nodes():
-    assert DagCache(make_ring(2048, 2)).kind == "per-source"
-    assert DagCache(make_ring(2049, 2)).kind == "s-t"
+@pytest.mark.parametrize("n, row", [(2048, True), (2049, False)])
+def test_dag_cache_builds_its_first_row_at_get_n_plus_1_up_to_2048_nodes(n, row, monkeypatch):
+    built = []
+
+    def counted(g, source):
+        built.append(source)
+        return sssp_dag(g, source)
+
+    monkeypatch.setattr("pcnsim.paths.sssp_dag", counted)
+    cache = DagCache(make_ring(n, 2))
+    for _ in range(n):
+        cache.get(0, 1)
+    assert built == [] and cache.misses == n
+    cache.get(0, 1)
+    cache.get(2, 1)
+    # get n + 1 builds the row to 1 (a miss) on the smaller ring, and get
+    # n + 2 reads it; on the larger one both run st_dag
+    assert built == ([1] if row else []) and cache.misses == (n + 1 if row else n + 2)

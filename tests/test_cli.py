@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 import pcnsim.cli
-from pcnsim import Rng, make_ring, run_coupled_clique
+from pcnsim import Rng, make_ring, run_coupled_clique, run_seed
 from pcnsim.cli import main
 from pcnsim.graph import write_edgelist
 from pcnsim.results import read_csv, read_outcomes_csv
@@ -319,6 +320,23 @@ def test_couple_check_pass_and_corrupt(capsys, monkeypatch):
     assert run_cli("couple-check", "--nodes", "3", "--balance", "2",
                    "--seeds", "60", "--seed", "3") == 3
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_couple_check_fails_on_the_right_round_at_the_wrong_edge(capsys, monkeypatch):
+    def wrong_edge(n, k, max_steps, rng):
+        clique, chains = run_coupled_clique(n, k, max_steps, rng)
+        return replace(clique, failing_edge=clique.failing_edge ^ 1), chains
+
+    monkeypatch.setattr(pcnsim.cli, "run_coupled_clique", wrong_edge)
+    assert run_cli("couple-check", "--nodes", "10", "--balance", "4",
+                   "--seeds", "3", "--seed", "0") == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "FAIL: 3/3 coupled runs disagreed"
+    for i, line in enumerate(lines[-4:-1]):
+        clique, chains = run_coupled_clique(10, 4, 10 ** 12, Rng(run_seed(0, i)))
+        assert line == (f"seed index {i}: tau1={clique.tau} "
+                        f"edge1={clique.failing_edge ^ 1} != tau2={chains.tau} "
+                        f"edge2={chains.failing_edge}")
 
 
 @pytest.mark.parametrize("argv", [("--nodes", "1", "--balance", "2"),

@@ -273,7 +273,7 @@ def test_is_connected_is_found_once(monkeypatch):
 
 
 def test_every_bfs_runs_on_bfs_step(monkeypatch):
-    # one BFS step serves the per-source DAGs, betweenness and the
+    # one BFS step serves the full DAGs (and so the rows), betweenness and the
     # connectivity check: with it broken, each of them fails
     g = make_ring(6, 2)
 

@@ -283,6 +283,39 @@ def test_capacity_sweep_is_one_campaign_at_any_worker_count(cfg, monkeypatch):
     assert len({tuple(o.tau for o in p.outcomes) for p in pooled}) > 1
 
 
+def test_campaign_starts_at_most_one_process_per_run(monkeypatch):
+    asked = []
+
+    class InProcess:
+        """A pool that runs its work in this process and starts none."""
+
+        def __init__(self, processes, initializer, initargs):
+            asked.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items, chunksize=1):
+            return [func(item) for item in items]
+
+    g = make_clique(5, 6)
+    cfgs = [(SimConfig(topology="ring", nodes=8, balance=4, runs=2, base_seed=5), None),
+            (SimConfig(topology="snapshot", snapshot_path="<in-memory>", runs=2,
+                       base_seed=5), g)]
+    want = [monte_carlo(cfg, graph) for cfg, graph in cfgs]
+    monkeypatch.setattr(pcnsim.sim, "_worker_args", ())  # the initializer sets it here
+    monkeypatch.setattr(pcnsim.sim.multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=InProcess))
+    assert [monte_carlo(cfg, graph, workers=8) for cfg, graph in cfgs] == want
+    assert multi_amount_experiment(g, [1, 2], runs=2, base_seed=5, workers=8) == [
+        (x, monte_carlo(replace(cfgs[1][0], amount=x, stop_mode="attempt"), g)) for x in (1, 2)]
+    assert asked == [2, 2, 2]
+
+
 def test_multi_amount_equals_plain_monte_carlo_for_unit_amount():
     g = make_clique(5, 6)
     got = multi_amount_experiment(g, [1], runs=6, base_seed=44)
@@ -371,8 +404,8 @@ def test_multi_amount_walk_equals_oracle_per_amount_property(n, graph_seed, amou
     g = ChannelGraph(n, random_connected_edges(random.Random(graph_seed), n, extra_prob=0.4,
                                                caps=(2, 3, 4, 5, 7, 8, 9)))
     with pytest.MonkeyPatch.context() as mp:
-        if st_dags:
-            mp.setattr("pcnsim.paths._PER_SOURCE_MAX_NODES", 1)
+        if st_dags:  # no rows: every round runs st_dag
+            mp.setattr("pcnsim.paths._ROW_MAX_NODES", 1)
         campaigns = multi_amount_experiment(g, amounts, runs=2, base_seed=seed,
                                             stop_mode=mode, max_steps=max_steps)
     assert [x for x, _outs in campaigns] == amounts
@@ -390,7 +423,7 @@ def test_walk_progress_lines_report_the_amounts_running(st_dags, monkeypatch, ca
     amounts = [7, 1, 3]
     monkeypatch.setattr("pcnsim.progress._PROGRESS_SECONDS", 0)  # a line per round
     if st_dags:
-        monkeypatch.setattr("pcnsim.paths._PER_SOURCE_MAX_NODES", 1)
+        monkeypatch.setattr("pcnsim.paths._ROW_MAX_NODES", 1)
     with caplog.at_level(logging.INFO, logger="pcnsim.sim"):
         campaigns = multi_amount_experiment(g, amounts, runs=1, base_seed=56)
     taus = [outs[0].tau for _x, outs in campaigns]
@@ -400,12 +433,13 @@ def test_walk_progress_lines_report_the_amounts_running(st_dags, monkeypatch, ca
     # lines after rounds 1..t count it; the round that stops the last amount
     # logs nothing
     assert len(lines) == max(taus)
-    ratio = "" if st_dags else r", DAG cache hit ratio \d\.\d{3}"
     seed = campaigns[0][1][0].seed_used
+    ratio = r"0\.000" if st_dags else r"\d\.\d{3}"  # without rows every get builds
     for t, line in enumerate(lines, 1):
         running = sum(t <= tau for tau in taus)
         assert re.fullmatch(rf"payment process at {t} rounds, \d+\.\d rounds/s, "
-                            rf"{running} of 3 amounts running{ratio} \(seed {seed}\)",
+                            rf"{running} of 3 amounts running, DAG cache hit ratio "
+                            rf"{ratio} \(seed {seed}\)",
                             line), line
 
 
@@ -809,19 +843,18 @@ def test_payment_process_equals_oracle_property(n, graph_seed, x, mode, max_step
        max_steps=st.integers(1, 60), seed=st.integers(0, 2 ** 64 - 1))
 def test_payment_process_on_st_dags_equals_oracle_property(n, graph_seed, x, mode,
                                                            max_steps, seed):
-    # a cache that holds fewer sources than the graph has nodes samples
-    # every round from an s–t DAG
+    # a cache that builds no rows samples every round from st_dag
     edges = random_connected_edges(random.Random(graph_seed), n, extra_prob=0.4,
                                    caps=(2, 3, 4, 5, 7, 8, 9))
     g = ChannelGraph(n, edges)
     cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=x,
                     stop_mode=mode, max_steps=max_steps)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("pcnsim.paths._PER_SOURCE_MAX_NODES", 1)
+        mp.setattr("pcnsim.paths._ROW_MAX_NODES", 1)
         cache = DagCache(g)
-    assert cache.kind == "s-t"
     assert (run_payment_process(g, cfg, Rng(seed), cache)
             == oracle_payment_process(g, cfg, Rng(seed)))
+    assert cache.misses == cache.gets
 
 
 @pytest.mark.parametrize("mode, pairs, want", [
@@ -834,7 +867,7 @@ def test_payment_process_on_st_dags_pays_an_edge_both_ways(mode, pairs, want, mo
     g = ChannelGraph(3, [(0, 1, 8), (1, 2, 12)])
     cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=2,
                     stop_mode=mode, max_steps=len(pairs))
-    monkeypatch.setattr("pcnsim.paths._PER_SOURCE_MAX_NODES", 1)
+    monkeypatch.setattr("pcnsim.paths._ROW_MAX_NODES", 1)
     out = run_payment_process(g, cfg, ScriptedRng(pairs), DagCache(g))
     assert (out.tau, out.failing_edge, out.failure_kind) == want
     assert oracle_payment_process(g, cfg, ScriptedRng(pairs)) == out
@@ -845,7 +878,7 @@ def test_payment_process_depleted_before_the_first_round_names_the_smallest_edge
     # edges 1 and 2 start below amount 2 at their smaller-id end; no pair is drawn
     g = ChannelGraph(3, [(0, 1, 8), (1, 2, 3), (0, 2, 2)])
     cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=2)
-    monkeypatch.setattr("pcnsim.paths._PER_SOURCE_MAX_NODES", 1)
+    monkeypatch.setattr("pcnsim.paths._ROW_MAX_NODES", 1)
     out = run_payment_process(g, cfg, ScriptedRng([]), DagCache(g))
     assert (out.tau, out.failing_edge, out.failure_kind) == (0, 1, "depleted")
     assert oracle_payment_process(g, cfg, ScriptedRng([])) == out
