@@ -192,6 +192,8 @@ def fit_scale(points: list[tuple[int, float]], model: str, k: int) -> float:
     """
     if model not in ("upper", "lower"):
         raise ValueError(f"model must be 'upper' or 'lower', got {model!r}")
+    if k < 1:
+        raise ValueError("balance must be >= 1")
     if not points:
         raise ValueError("need at least one data point")
     if any(n < 3 for n, _ in points):
@@ -207,6 +209,8 @@ def fit_scale(points: list[tuple[int, float]], model: str, k: int) -> float:
 
 def fit_residual(points: list[tuple[int, float]], model: str, k: int, p: float) -> float:
     """Sum of squared residuals of mean_tau − p·f(n)."""
+    if k < 1:
+        raise ValueError("balance must be >= 1")
     return sum((y - p * _fit_basis(n, model, k)) ** 2 for n, y in points)
 
 

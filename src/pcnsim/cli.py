@@ -476,6 +476,8 @@ def cmd_fit(args) -> int:
     balance = _resolved_balance(recipe)
     if not points_path or model is None or balance is None:
         raise ConfigError("fit requires --points, --model, and --balance")
+    if balance < 1:
+        raise ConfigError("fit needs balance >= 1")
     points = []
     try:
         with open(points_path, "r", encoding="utf-8") as fh:

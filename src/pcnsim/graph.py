@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -14,6 +15,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 _MAX_NODES = 3_037_000_499  # the largest n with n * n below 2**63
+_DECIMAL = re.compile("-?[0-9]+")  # a snapshot's capacity string
 
 
 class Csr(NamedTuple):
@@ -226,7 +228,8 @@ def parse_snapshot(source) -> SnapshotDocument:
 
     Accepts a dict, a JSON string, or a path.  Expected shape: top-level
     ``nodes`` (objects with ``pub_key``) and ``edges`` (objects with
-    ``node1_pub``, ``node2_pub``, and ``capacity`` as decimal string or int).
+    ``node1_pub``, ``node2_pub``, and ``capacity`` as int or a string of
+    ASCII decimal digits, with an optional leading minus).
     Unknown fields are ignored.
     """
     if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
@@ -260,7 +263,9 @@ def parse_snapshot(source) -> SnapshotDocument:
         except (TypeError, KeyError):
             raise ValueError(f"malformed channel record: {rec!r}") from None
         try:
-            if type(cap) not in (int, str):  # int() would take true as 1 and 12.7 as 12
+            # int() would take true as 1, 12.7 as 12, and "1_000", " 12 ", "+7"
+            # or non-ASCII digits
+            if not (type(cap) is int or type(cap) is str and _DECIMAL.fullmatch(cap)):
                 raise TypeError
             cap_int = int(cap)
         except (TypeError, ValueError):

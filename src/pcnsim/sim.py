@@ -29,7 +29,6 @@ _RING_WORDS = (512, 1 << 13)  # first and largest block of raw words the ring ke
 _SAFE_ROUNDS = 16  # fewest rounds the ring kernel applies at once without checks
 _MIN, _MAX = np.minimum.reduce, np.maximum.reduce
 _NEAR_ROWS = 8  # fewest rows the independent chains search at once
-_INT64_MAX = 2 ** 63 - 1
 
 
 @dataclass(frozen=True)
@@ -80,14 +79,6 @@ class SimConfig:
                                  f"to the {'/'.join(readers)} topology only")
         if self.p_select is not None and not 0.0 < self.p_select <= 1.0:
             raise ValueError("p_select must be in (0, 1]")
-        # a kernel holds each edge's (or chain's) change from k in int64, and
-        # the round that fails takes it to k - lo + amount (see _stop_range)
-        if spec.kernel is not None:
-            lo = _stop_range(self)[0]
-            if self.balance + self.amount - lo > _INT64_MAX:
-                need = "balance + amount" if lo == 0 else "balance"
-                raise ValueError(f"the {self.topology} kernel holds balances in int64: "
-                                 f"{self.stop_mode} mode needs {need} <= 2**63 - 1")
 
     def config_id(self) -> str:
         parts = [self.topology]
@@ -132,6 +123,17 @@ def _stop_range(cfg: SimConfig) -> tuple[int, int, str]:
     return cfg.amount, 1, DEPLETED
 
 
+def _bands(cfg: SimConfig, ks: list[int],
+           seed: int) -> tuple[list[int], list[RunOutcome], int, str]:
+    """``(bands, done, spent, kind)`` of the kernels at each k of ``ks``: a
+    count u of moves of the amount x passes k's band K = (k - lo) // x iff
+    x·u > k - lo (``_stop_range``; for the chains x = lo = 1, so K = k - 1).
+    K < 0 iff k < lo, and ``done`` holds those ks' outcomes, depleted at 0."""
+    lo, spent, kind = _stop_range(cfg)
+    bands = [(k - lo) // cfg.amount for k in ks]
+    return bands, [RunOutcome(0, 0, DEPLETED, seed) for b in bands if b < 0], spent, kind
+
+
 def _first_exit(state: np.ndarray, ids: np.ndarray, steps: np.ndarray, lo: int,
                 hi: int) -> int:
     """Index of the first event of a chunk that takes its chain outside [lo, hi].
@@ -144,8 +146,6 @@ def _first_exit(state: np.ndarray, ids: np.ndarray, steps: np.ndarray, lo: int,
     events however many chains there are; the smallest violating event
     index is the answer.  When no event leaves the range, returns -1 and
     applies the chunk to ``state``; otherwise ``state`` is left as it was.
-    The sums wrap modulo 2**64, so a level is exact wherever it fits int64,
-    as every level up to its chain's first exit does in the kernels.
     """
     shift = np.uint64(len(ids).bit_length())
     keys = np.sort(ids.astype(np.uint64) << shift | np.arange(len(ids), dtype=np.uint64))
@@ -247,7 +247,7 @@ def _walk(g: ChannelGraph, amounts: list[int], cfg: SimConfig, rng: Rng,
     return done
 
 
-def _clique_fast(n: int, ks: list[int], cfg: SimConfig, rng: Rng) -> list[RunOutcome]:
+def _clique_fast(cfg: SimConfig, ks: list[int], rng: Rng) -> list[RunOutcome]:
     """Payment process on a clique of uniform per-side balance k, at every k
     of ``ks`` (see ``_Topology``), via its single-edge form.
 
@@ -258,26 +258,22 @@ def _clique_fast(n: int, ks: list[int], cfg: SimConfig, rng: Rng) -> list[RunOut
     through _first_exit whole, and again for each band it breaks; at unit
     amount in depletion mode it is ``run_bdc_process``, one chain per edge.
     """
-    m = n * (n - 1) // 2
-    x = cfg.amount
-    lo, spent, kind = _stop_range(cfg)
-    done = [RunOutcome(0, 0, DEPLETED, rng.seed) for k in ks if k < lo]
+    m = cfg.nodes * (cfg.nodes - 1) // 2
+    bands, done, spent, kind = _bands(cfg, ks, rng.seed)
     if len(done) == len(ks):
         return done
-    band = ks[len(done)] - lo
+    band = bands[len(done)]
     dev = np.zeros(m, dtype=np.int64)
-    sides = np.array([-x, x], dtype=np.int64)  # each direction bit's step (2x may pass int64)
     t = 0
     progress = Progress(logger, "clique process", seed=rng.seed)
     for chunk in chunk_sizes(128, _CHUNK, cfg.max_steps):
         edges = rng.indices(m, chunk)
-        dirs = rng.bits(chunk)  # 1: the larger-id endpoint pays the smaller-id one
-        steps = sides.take(dirs)
+        steps = rng.bits(chunk).astype(np.int64) * 2 - 1  # +1: the larger-id endpoint pays
         while (at := _first_exit(dev, edges, steps, -band, band)) >= 0:
             done.append(RunOutcome(t + at + spent, int(edges[at]), kind, rng.seed))
             if len(done) == len(ks):
                 return done
-            band = ks[len(done)] - lo
+            band = bands[len(done)]
         t += chunk
         progress(t)
     return done + [RunOutcome(t, None, STEP_CAP, rng.seed)] * (len(ks) - len(done))
@@ -341,42 +337,40 @@ def _ring_arcs(s: np.ndarray, span: np.ndarray, r: np.ndarray,
     return first, split, end - split, clockwise
 
 
-def _ring_fast(n: int, ks: list[int], cfg: SimConfig, rng: Rng) -> list[RunOutcome]:
+def _ring_fast(cfg: SimConfig, ks: list[int], rng: Rng) -> list[RunOutcome]:
     """Payment process on a ring of uniform per-side balance k, at every k of
     ``ks`` (see ``_Topology``), a block of rounds at a time.
 
-    Every shortest path on a ring is an arc, so a round adds ±x to a run of
-    ``dev``, where ``dev[i]`` is how far the balance node i can push to i+1
-    over edge i has moved from k.  Edge n-1 joins n-1 and 0, and make_ring
-    stores its balance at node 0, so ``dev[n-1]`` is the other side of it.
-    The draws are those of run_payment_process, so outcomes are identical:
-    an antipodal pair (even n) takes one ``randrange(2)``, and r == 0 picks
-    the antipode's first BFS predecessor, which lies on the counterclockwise
-    arc for every source but 0, because make_ring lists node 0's neighbours
-    as [1, n-1].
+    Every shortest path on a ring is an arc, so a round adds ±1 to a run of
+    ``dev``, where ``dev[i]`` counts the moves by which the balance node i can
+    push to i+1 over edge i has left k.  Edge n-1 joins n-1 and 0, and
+    make_ring stores its balance at node 0, so ``dev[n-1]`` is the other side
+    of it.  The draws are those of run_payment_process, so outcomes are
+    identical: an antipodal pair (even n) takes one ``randrange(2)``, and
+    r == 0 picks the antipode's first BFS predecessor, which lies on the
+    counterclockwise arc for every source but 0, because make_ring lists
+    node 0's neighbours as [1, n-1].
 
-    Each block of raw words (sizes from ``_RING_WORDS``) is decoded at once
-    by ``_ring_rounds``, up to its first word that ``randrange`` could
-    reject.  When that word falls in the block's first round, the block goes
-    back to ``rng`` and that one round is drawn by ``Rng.pair`` (and
-    ``randrange(2)`` for a tie) instead.  Every arc is two runs of edges
-    (``_ring_arcs``).  A round moves a balance by at most x, so while the
-    smallest slack to the band is h·x, none of the next h rounds can fail:
-    when h >= ``_SAFE_ROUNDS`` they are applied together, through one
-    difference array over their runs' ends.  Otherwise the next
-    ``_SAFE_ROUNDS`` rounds go one at a time, one slice update per run,
-    and those past the first h check each run they updated; a failing
-    round's first edge past the band, in path order, is the failing edge.
-    The words a run does not use go back to ``rng``, so the stream ends
-    where the scalar draws of the largest k end it.  Progress is logged
-    once per block.
+    Each block of raw words (sizes from ``_RING_WORDS``) is decoded at once by
+    ``_ring_rounds``, up to its first word that ``randrange`` could reject.
+    When that word falls in the block's first round, the block goes back to
+    ``rng`` and that one round is drawn by ``Rng.pair`` (and ``randrange(2)``
+    for a tie) instead.  Every arc is two runs of edges (``_ring_arcs``).  A
+    round moves a count by at most 1, so while the smallest slack to the band
+    is h, none of the next h rounds can fail: when h >= ``_SAFE_ROUNDS`` they
+    are applied together, through one difference array over their runs' ends.
+    Otherwise the next ``_SAFE_ROUNDS`` rounds go one at a time, one slice
+    update per run, and those past the first h check each run they updated; a
+    failing round's first edge past the band, in path order, is the failing
+    edge.  The words a run does not use go back to ``rng``, so the stream ends
+    where the scalar draws of the largest k end it.  Progress is logged once
+    per block.
     """
-    x = cfg.amount
-    lo, spent, kind = _stop_range(cfg)
-    done = [RunOutcome(0, 0, DEPLETED, rng.seed) for k in ks if k < lo]
+    n = cfg.nodes
+    bands, done, spent, kind = _bands(cfg, ks, rng.seed)
     if len(done) == len(ks):
         return done
-    band = ks[len(done)] - lo
+    band = bands[len(done)]
     dev = np.zeros(n, dtype=np.int64)
     max_steps = cfg.max_steps
     t = 0
@@ -395,11 +389,11 @@ def _ring_fast(n: int, ks: list[int], cfg: SimConfig, rng: Rng) -> list[RunOutco
             r, w = np.array([rng.randrange(2) if 2 * d == n else 0]), w[:0]
         first, split, wrap, clockwise = _ring_arcs(s, span, r, n)
         rounds = min(len(s), max_steps - t)
-        steps = np.where(clockwise, -x, x)
+        steps = np.where(clockwise, -1, 1)
         keys = None  # the runs' ends, once a block of safe rounds needs them
         j = 0
         while j < rounds:
-            h = min(band + int(_MIN(dev)), band - int(_MAX(dev))) // x
+            h = min(band + int(_MIN(dev)), band - int(_MAX(dev)))
             if h >= _SAFE_ROUNDS:
                 if keys is None:
                     # round j's runs start at first and 0 and end at split and wrap;
@@ -409,9 +403,7 @@ def _ring_fast(n: int, ks: list[int], cfg: SimConfig, rng: Rng) -> list[RunOutco
                     keys = np.stack((first + up, up, split + down, wrap + down), axis=1).ravel()
                 stop = min(j + h, rounds)
                 ends = np.bincount(keys[4 * j:4 * stop], minlength=2 * n + 2)
-                moved = np.cumsum(ends[:n] - ends[n + 1:2 * n + 1])
-                moved *= x
-                dev += moved
+                dev += np.cumsum(ends[:n] - ends[n + 1:2 * n + 1])
                 j = stop
                 continue
             stop = min(j + _SAFE_ROUNDS, rounds)
@@ -438,7 +430,7 @@ def _ring_fast(n: int, ks: list[int], cfg: SimConfig, rng: Rng) -> list[RunOutco
                         if len(done) == len(ks):
                             rng.words(0, w[nxt[i]:])
                             return done
-                        band = ks[len(done)] - lo
+                        band = bands[len(done)]
             j = stop
         t += rounds
         left = w[nxt[rounds - 1]:]
@@ -480,7 +472,7 @@ def run_coupled_clique(n: int, k: int, max_steps: int, rng: Rng) -> tuple[RunOut
     round and edge, so any difference is a fault in the kernel.
     """
     cfg = SimConfig(topology="clique", nodes=n, balance=k, max_steps=max_steps)
-    clique = _clique_fast(n, [k], cfg, rng)[0]
+    clique = _clique_fast(cfg, [k], rng)[0]
     return clique, run_bdc_process(n * (n - 1) // 2, k, max_steps, Rng(rng.seed))
 
 
@@ -502,15 +494,12 @@ def run_independent_chains(n: int, k: int, p_select: float, max_steps: int,
     expected number of moving chains per round matches the ring when
     p_select = ring_edge_probability(n).
     """
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be >= 1")
-    if not (0.0 < p_select <= 1.0):
-        raise ValueError("p_select must be in (0, 1]")
-    return _chains_walk(n, [k], p_select, max_steps, rng)[0]
+    cfg = SimConfig(topology="independent", nodes=n, balance=k, p_select=p_select,
+                    max_steps=max_steps)
+    return _chains_walk(cfg, [k], rng)[0]
 
 
-def _chains_walk(n: int, ks: list[int], p_select: float, max_steps: int,
-                 rng: Rng) -> list[RunOutcome]:
+def _chains_walk(cfg: SimConfig, ks: list[int], rng: Rng) -> list[RunOutcome]:
     """run_independent_chains at every k of ``ks`` (see ``_Topology``).
 
     The stream is that of drawing each block of rows as ``random``
@@ -522,21 +511,23 @@ def _chains_walk(n: int, ks: list[int], p_select: float, max_steps: int,
     them with ``advance``, which drops the buffered 32-bit half-word, so
     that is put back, and draws the block's directions whole with
     ``rng.bits``; a run leaves the stream where drawing whole blocks leaves
-    it.  Each window is summed at once; only chains close enough to ±k to
-    reach it within the window get a row-by-row running sum.
+    it.  Each window is summed at once; only chains close enough to pass
+    their band within the window get a row-by-row running sum.
     """
+    n = cfg.nodes
     bitgen = rng.np.bit_generator
-    cut = _selection_cut(p_select)
+    # without p_select, each chain moves as often as an edge of the n-ring
+    cut = _selection_cut(cfg.p_select or ring_edge_probability(n))
     below = np.uint64(cut) if cut < 1 << 64 else None  # None: p_select = 1, all move
     fork = np.random.PCG64(0)  # its seed is never used: each block sets its state
     pos = np.zeros(n, dtype=np.int64)
-    done: list[RunOutcome] = []
-    k = ks[0]
+    bands, done, spent, kind = _bands(cfg, ks, rng.seed)
+    band = bands[0]  # every k >= 1 = lo
     t = 0
     dist = np.zeros(n, dtype=np.int64)  # |pos|
     top = 0  # max |pos|
     progress = Progress(logger, "independent chains", seed=rng.seed)
-    for block in chunk_sizes(8, 256, max_steps):
+    for block in chunk_sizes(8, 256, cfg.max_steps):
         start = bitgen.state
         fork.state = start  # reads the block's selection words as windows come
         bitgen.advance(block * n)  # past them, dropping the buffered half-word
@@ -549,21 +540,21 @@ def _chains_walk(n: int, ks: list[int], p_select: float, max_steps: int,
         r = 0
         while r < block:
             # a row moves a chain by at most 1, so over the next w rows only
-            # chains within w of ±k can reach it; their running sums are exact
-            w = min(block - r, max(k - top, _NEAR_ROWS))
+            # chains within w of passing their band can; their running sums are exact
+            w = min(block - r, max(band + 1 - top, _NEAR_ROWS))
             rows = steps[r:r + w]
             if below is not None:
                 rows = rows * (fork.random_raw(w * n).reshape(w, n) < below)
-            near = np.flatnonzero(dist >= k - w)
+            near = np.flatnonzero(dist > band - w)
             if len(near):
                 level = np.abs(pos[near] + np.cumsum(rows[:, near], axis=0))
-                while (path := level >= k).any():
+                while (path := level > band).any():
                     i = int(np.argmax(path.any(axis=1)))
-                    done.append(RunOutcome(t + r + i + 1, int(near[np.argmax(path[i])]),
-                                           DEPLETED, rng.seed))
+                    done.append(RunOutcome(t + r + i + spent, int(near[np.argmax(path[i])]),
+                                           kind, rng.seed))
                     if len(done) == len(ks):
                         return done
-                    k = ks[len(done)]
+                    band = bands[len(done)]
             pos += rows.sum(axis=0, dtype=np.int16)
             r += w
             dist = np.abs(pos)
@@ -576,8 +567,9 @@ def _chains_walk(n: int, ks: list[int], p_select: float, max_steps: int,
 class _Topology(NamedTuple):
     """A kernel ``(cfg, ks, rng)`` runs one graph-free replica at each k of
     the ascending ``ks``.  No draw reads k, so they share one walk of each
-    edge's (or chain's) change, and k stops at the first round that takes a
-    change past k - lo (``_stop_range``; k - 1 for the chains), or before
+    edge's (or chain's) change from k, counted in moves of the amount (exact
+    at any k and amount, as a count never passes the rounds run); k stops at
+    the first round that takes a count past its band (``_bands``), or before
     round 0 on edge 0 if k < lo.  A round that stops the smallest running k
     is checked again for the next, so each k gets its own failing edge."""
 
@@ -588,15 +580,10 @@ class _Topology(NamedTuple):
 
 # The one dispatch point for topologies; a snapshot's graph comes from build_graph.
 _TOPOLOGY = {
-    "clique": _Topology(2, lambda c, ks, rng: _clique_fast(c.nodes, ks, c, rng),
-                        ("snapshot_path", "p_select")),
-    "ring": _Topology(3, lambda c, ks, rng: _ring_fast(c.nodes, ks, c, rng),
-                      ("snapshot_path", "p_select")),
+    "clique": _Topology(2, _clique_fast, ("snapshot_path", "p_select")),
+    "ring": _Topology(3, _ring_fast, ("snapshot_path", "p_select")),
     "snapshot": _Topology(None, None, ("nodes", "balance", "p_select")),
-    # without p_select, each chain moves as often as an edge of the n-ring
-    "independent": _Topology(1, lambda c, ks, rng: _chains_walk(
-        c.nodes, ks, c.p_select or ring_edge_probability(c.nodes), c.max_steps, rng),
-        ("snapshot_path", "amount", "stop_mode")),
+    "independent": _Topology(1, _chains_walk, ("snapshot_path", "amount", "stop_mode")),
 }
 TOPOLOGIES = tuple(_TOPOLOGY)
 SWEEP_TOPOLOGIES = tuple(name for name, spec in _TOPOLOGY.items() if spec.kernel is not None)
@@ -707,13 +694,12 @@ class SweepPoint:
 def check_sweep(cfg: SimConfig, k_from: int, k_to: int, k_step: int,
                 horizon: Optional[int] = None) -> None:
     """ValueError unless capacity_sweep can run this topology, balance range
-    and horizon."""
+    and horizon; the kernels take every balance past cfg's."""
     if cfg.topology not in SWEEP_TOPOLOGIES:
         raise ValueError(f"a sweep needs a graph-free topology "
                          f"({', '.join(SWEEP_TOPOLOGIES)}), got {cfg.topology}")
     if k_from > k_to or k_step <= 0:
         raise ValueError("need k_from <= k_to and k_step > 0")
-    replace(cfg, balance=k_to)  # SimConfig's checks at the largest balance
     if horizon is not None and not 0 <= horizon <= cfg.max_steps:
         raise ValueError(f"horizon must be in [0, max_steps], got {horizon}")
 

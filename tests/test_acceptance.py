@@ -139,7 +139,7 @@ def test_criterion_05b_ring_formula_match(ring_frequencies):
 
     Expected to fail on even rings: the closed form sums only distances up to
     ceil(n/2)-1 and omits antipodal pairs, sitting 1/(2(n-1)) below the true
-    inclusion probability n/(4(n-1)).  At n=8 that gap is ~158 standard
+    inclusion probability n/(4(n-1)).  At n=8 that gap is ~174.1 standard
     errors.  Kept faithful and red rather than loosened.
     """
     for n, freqs in ring_frequencies.items():

@@ -288,3 +288,12 @@ def test_fit_scale_validation():
         fit_scale([(2, 1.0)], "upper", 4)
     with pytest.raises(ValueError):
         fit_scale([(10, 1.0)], "middle", 4)
+
+
+@pytest.mark.parametrize("k", [-16, 0])
+def test_fit_refuses_a_balance_below_one(k):
+    # the basis is k**2, so -16 would fit as 16 and 0 would zero every basis value
+    with pytest.raises(ValueError, match="balance must be >= 1"):
+        fit_scale([(10, 1.0)], "upper", k)
+    with pytest.raises(ValueError, match="balance must be >= 1"):
+        fit_residual([(10, 1.0)], "upper", k, 1.0)

@@ -45,8 +45,7 @@ def _caps():
        seed=st.integers(0, 2 ** 32))
 def test_clique_matches_scalar_oracle(n, k, x, mode, cap, seed):
     cfg = _clique(n, k, x, mode, cap)
-    assert _clique_fast(n, [k], cfg, Rng(seed))[0] == oracle_clique_fast(n, 2 * k, cfg,
-                                                                         Rng(seed))
+    assert _clique_fast(cfg, [k], Rng(seed))[0] == oracle_clique_fast(n, 2 * k, cfg, Rng(seed))
 
 
 @settings(max_examples=120)
@@ -66,7 +65,7 @@ def test_clique_is_the_m_chain_process(n, k, cap, seed):
     # one chain per edge, read from the same chunks of edge ids and then
     # direction bits: the same tau, failing edge and kind, censored or not
     assert (run_bdc_process(n * (n - 1) // 2, k, cap, Rng(seed))
-            == _clique_fast(n, [k], _clique(n, k, cap=cap), Rng(seed))[0])
+            == _clique_fast(_clique(n, k, cap=cap), [k], Rng(seed))[0])
 
 
 @pytest.mark.parametrize("n,k", [(200, 16), (2000, 3)])
@@ -75,7 +74,7 @@ def test_clique_large_runs_match_scalar_oracle(n, k):
         cfg = _clique(n, k, 1, mode)
         for i in range(2):
             rng = Rng(run_seed(5, i))
-            assert _clique_fast(n, [k], cfg, rng)[0] == oracle_clique_fast(
+            assert _clique_fast(cfg, [k], rng)[0] == oracle_clique_fast(
                 n, 2 * k, cfg, Rng(run_seed(5, i)))
 
 
@@ -158,13 +157,13 @@ def _triple(out):
 
 
 def test_golden_outcomes():
-    got = [_triple(_clique_fast(n, [k], _clique(n, k, x, mode, cap), Rng(run_seed(61, i)))[0])
+    got = [_triple(_clique_fast(_clique(n, k, x, mode, cap), [k], Rng(run_seed(61, i)))[0])
            for i, ((n, k, x, mode, cap), _) in enumerate(_GOLDEN_CLIQUE)]
     assert got == [want for _, want in _GOLDEN_CLIQUE]
     got = [_triple(run_bdc_process(m, k, cap, Rng(run_seed(62, i))))
            for i, ((m, k, cap), _) in enumerate(_GOLDEN_BDC)]
     assert got == [want for _, want in _GOLDEN_BDC]
-    assert got[2] == _triple(_clique_fast(3, [7], _clique(3, 7), Rng(run_seed(62, 2)))[0])
+    assert got[2] == _triple(_clique_fast(_clique(3, 7), [7], Rng(run_seed(62, 2)))[0])
     got = [_triple(run_independent_chains(n, k, p, cap, Rng(run_seed(63, i))))
            for i, ((n, k, p, cap), _) in enumerate(_GOLDEN_INDEPENDENT)]
     assert got == [want for _, want in _GOLDEN_INDEPENDENT]
@@ -247,7 +246,7 @@ def test_clique_attempt_failure_is_not_applied():
             if not 0 <= bal + (1 if d else -1) <= 2:
                 break
             bal += 1 if d else -1
-        out = _clique_fast(2, [1], cfg, Rng(seed))[0]
+        out = _clique_fast(cfg, [1], Rng(seed))[0]
         assert (out.tau, out.failing_edge, out.failure_kind) == (tau, 0, "attempt_failed")
 
 
@@ -434,11 +433,11 @@ def _progress_lines(caplog, what):
 
 
 @pytest.mark.parametrize("what,run", [
-    ("clique process", lambda: _clique_fast(20, [8], _clique(20, 8), Rng(3))[0]),
+    ("clique process", lambda: _clique_fast(_clique(20, 8), [8], Rng(3))[0]),
     ("bdc process", lambda: run_bdc_process(50, 12, _FAR, Rng(3))),
     ("independent chains", lambda: run_independent_chains(64, 9, 0.1, _FAR, Rng(3))),
-    ("ring process", lambda: _ring_fast(41, [30], SimConfig(topology="ring", nodes=41,
-                                                             balance=30), Rng(3))[0]),
+    ("ring process", lambda: _ring_fast(SimConfig(topology="ring", nodes=41, balance=30),
+                                        [30], Rng(3))[0]),
 ])
 def test_kernel_progress_lines_leave_outcomes_unchanged(monkeypatch, caplog, what, run):
     quiet = run()

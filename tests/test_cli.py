@@ -398,6 +398,15 @@ def test_fit_single_point(tmp_path, capsys):
     assert float(p_line.split("=")[1]) == pytest.approx(want)
 
 
+@pytest.mark.parametrize("k", ["-16", "0"])
+def test_fit_refuses_a_balance_below_one_before_the_echo(tmp_path, capsys, k):
+    points = tmp_path / "p.csv"
+    points.write_text("20,8000\n")
+    assert run_cli("fit", "--points", str(points), "--model", "upper", "--balance", k) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "config error: fit needs balance >= 1\n"
+
+
 def test_fit_requires_model(tmp_path):
     points = tmp_path / "p.csv"
     points.write_text("20,8000\n")
@@ -790,12 +799,17 @@ def test_graph_with_snapshot_is_config_error(tmp_path, capsys, argv):
     assert out == "" and err == "config error: pass either graph or snapshot, not both\n"
 
 
-def test_amount_past_int64_is_config_error(capsys):
+def test_amount_past_int64_runs(tmp_path, capsys):
+    # the kernels count moves of the amount, so they take any amount; no
+    # balance of 3 can pay this one, so every run fails on its first round
+    out = tmp_path / "o.csv"
     assert run_cli("simulate", "--topology", "clique", "--nodes", "5", "--balance", "3",
-                   "--amount", str(10 ** 23), "--stop", "attempt", "--workers", "1") == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err == ("config error: the clique kernel holds balances in int64: "
-                                 "attempt mode needs balance + amount <= 2**63 - 1\n")
+                   "--amount", str(10 ** 23), "--stop", "attempt", "--runs", "2",
+                   "--workers", "1", "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    rows = [line.split(",") for line in out.read_text().splitlines()
+            if not line.startswith("#")][1:]
+    assert [(tau, kind) for _run, _seed, tau, kind, _edge in rows] == [("0", "attempt_failed")] * 2
 
 
 @pytest.mark.parametrize("callee,argv", [

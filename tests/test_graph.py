@@ -119,7 +119,8 @@ def test_parse_snapshot_rejects_malformed():
         parse_snapshot(_doc(["A", "B"], [("A", "B", "12x")]))
 
 
-@pytest.mark.parametrize("capacity", [12.7, 12.0, True, False])
+@pytest.mark.parametrize("capacity", [12.7, 12.0, True, False,
+                                      "1_000", " 12 ", "+7", "\u0661\u0662"])
 def test_parse_snapshot_rejects_float_and_bool_capacity(capacity):
     doc = {"nodes": [{"pub_key": "A"}, {"pub_key": "B"}],
            "edges": [{"node1_pub": "A", "node2_pub": "B", "capacity": capacity}]}
@@ -129,6 +130,10 @@ def test_parse_snapshot_rejects_float_and_bool_capacity(capacity):
     for fine in (12, "12"):
         doc["edges"][0]["capacity"] = fine
         assert parse_snapshot(doc).channels == [("A", "B", 12)]
+    # a negative capacity parses, and ingest refuses it
+    doc["edges"][0]["capacity"] = "-12"
+    with pytest.raises(ValueError, match="nonpositive capacity -12"):
+        ingest_snapshot(parse_snapshot(doc))
 
 
 @pytest.mark.parametrize("edges", [[(0, 1, 4.5)], [(0, 1, True)], [(0.0, 1, 4)],

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcnsim import Rng, SimConfig
-from pcnsim.sim import _chains_walk, _clique_fast, _ring_fast
+from pcnsim.sim import _TOPOLOGY, _chains_walk, _clique_fast, _ring_fast
 
 from helpers import oracle_clique_fast, oracle_independent_chains, oracle_ring_fast
 
@@ -59,7 +59,7 @@ def _cfg(topology, n, ks, x, mode, cap):
        seed=st.integers(0, 2 ** 64 - 1))
 def test_ring_walk_equals_one_run_per_balance_property(n, ks, x, mode, cap, seed):
     cfg = _cfg("ring", n, ks, x, mode, cap)
-    _check_walk(lambda ks, rng: _ring_fast(n, ks, cfg, rng),
+    _check_walk(lambda ks, rng: _ring_fast(cfg, ks, rng),
                 lambda k, rng: oracle_ring_fast(n, 2 * k, cfg, rng), ks, seed)
 
 
@@ -68,7 +68,7 @@ def test_ring_walk_equals_one_run_per_balance_property(n, ks, x, mode, cap, seed
        cap=st.one_of(st.just(_FAR), st.integers(1, 3000)), seed=st.integers(0, 2 ** 32))
 def test_clique_walk_equals_one_run_per_balance_property(n, ks, x, mode, cap, seed):
     cfg = _cfg("clique", n, ks, x, mode, cap)
-    _check_walk(lambda ks, rng: _clique_fast(n, ks, cfg, rng),
+    _check_walk(lambda ks, rng: _clique_fast(cfg, ks, rng),
                 lambda k, rng: oracle_clique_fast(n, 2 * k, cfg, rng), ks, seed)
 
 
@@ -76,8 +76,32 @@ def test_clique_walk_equals_one_run_per_balance_property(n, ks, x, mode, cap, se
 @given(n=st.integers(1, 60), ks=_grids(14), p=st.sampled_from([1.0, 0.5, 0.25, 0.05]),
        cap=st.one_of(st.just(_FAR), st.integers(1, 700)), seed=st.integers(0, 2 ** 32))
 def test_chains_walk_equals_one_run_per_balance_property(n, ks, p, cap, seed):
-    _check_walk(lambda ks, rng: _chains_walk(n, ks, p, cap, rng),
+    cfg = SimConfig(topology="independent", nodes=n, balance=ks[0], p_select=p, max_steps=cap)
+    _check_walk(lambda ks, rng: _chains_walk(cfg, ks, rng),
                 lambda k, rng: oracle_independent_chains(n, k, p, cap, rng), ks, seed)
+
+
+@settings(max_examples=300)
+@given(topology=st.sampled_from(["ring", "clique", "independent"]), n=st.integers(3, 20),
+       k=st.one_of(st.integers(1, 12), st.integers(13, 80)), x=st.integers(1, 5), mode=_MODES,
+       cap=st.one_of(st.integers(1, 300), st.integers(301, 1500)),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_kernels_read_a_balance_only_through_its_band_property(topology, n, k, x, mode,
+                                                               cap, seed):
+    # a kernel stops balance k once a change passes k - lo, with lo the
+    # amount in depletion mode and 0 in attempt mode, and it changes in
+    # steps of x, so k runs as lo + K·x does, K = (k - lo) // x; below lo
+    # (K < 0) both deplete before round 0
+    if topology == "independent":
+        x, mode = 1, "depletion"  # the chains' only amount and stop mode
+    lo = x if mode == "depletion" else 0
+    low = lo + (k - lo) // x * x
+    kernel = _TOPOLOGY[topology].kernel
+    cfg = _cfg(topology, n, [k], x, mode, cap)
+    out = kernel(cfg, [k], Rng(seed))[0]
+    assert out == kernel(cfg, [low], Rng(seed))[0]
+    if k < lo:
+        assert (out.tau, out.failing_edge, out.failure_kind) == (0, 0, "depleted")
 
 
 @pytest.mark.parametrize("mode", ["depletion", "attempt"])
@@ -96,6 +120,6 @@ def test_one_ring_round_stops_every_balance_it_takes_past_its_band(mode):
         rng.words(0, np.zeros(64, dtype=np.uint64))
         return rng
 
-    outs = _ring_fast(5, ks, cfg, zeros())
+    outs = _ring_fast(cfg, ks, zeros())
     assert [(o.tau, o.failing_edge) for o in outs] == want
-    assert outs == [_ring_fast(5, [k], cfg, zeros())[0] for k in ks]
+    assert outs == [_ring_fast(cfg, [k], zeros())[0] for k in ks]

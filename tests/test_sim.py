@@ -22,8 +22,8 @@ from pcnsim.paths import DagCache
 from pcnsim.sim import (STEP_CAP, TOPOLOGIES, _clique_fast, _ring_fast, build_graph,
                         capacity_sweep)
 
-from helpers import (misrouted_chains, oracle_clique_fast, oracle_payment_process,
-                     oracle_ring_fast, random_connected_edges)
+from helpers import (misrouted_chains, oracle_clique_fast, oracle_independent_chains,
+                     oracle_payment_process, oracle_ring_fast, random_connected_edges)
 
 
 def test_ring3_unit_balance_always_fails_first_round():
@@ -38,7 +38,7 @@ def test_two_node_clique_first_payment_depletes():
     for seed in range(10):
         rng = Rng(seed)
         cfg = SimConfig(topology="clique", nodes=2, balance=1, runs=1, base_seed=0)
-        out = _clique_fast(2, [1], cfg, rng)[0]
+        out = _clique_fast(cfg, [1], rng)[0]
         assert out.tau == 1 and out.failure_kind == "depleted"
     out = run_payment_process(make_clique(2, 2), cfg, Rng(5))
     assert out.tau == 1
@@ -483,7 +483,7 @@ def _ring_all(n, k, words, amount=1, stop_mode="depletion", max_steps=10 ** 12, 
     cfg = SimConfig(topology="ring", nodes=n, balance=k, amount=amount,
                     stop_mode=stop_mode, max_steps=max_steps)
     runs = [(run, _scripted(words, seed)) for run in
-            (lambda n, c, cfg, rng: _ring_fast(n, [c // 2], cfg, rng)[0], oracle_ring_fast,
+            (lambda n, c, cfg, rng: _ring_fast(cfg, [c // 2], rng)[0], oracle_ring_fast,
              lambda n, c, cfg, rng: run_payment_process(make_ring(n, c), cfg, rng))]
     outs = [(run(n, 2 * k, cfg, rng), rng.u64()) for run, rng in runs]
     assert outs[0] == outs[1] == outs[2]
@@ -644,7 +644,7 @@ def test_ring_kernel_matches_generic_loop(n):
                         stop_mode=mode, max_steps=cap)
         generic = [run_payment_process(g, cfg, Rng(run_seed(n, i)), cache)
                    for i in range(seeds)]
-        fast = [_ring_fast(n, [k], cfg, Rng(run_seed(n, i)))[0] for i in range(seeds)]
+        fast = [_ring_fast(cfg, [k], Rng(run_seed(n, i)))[0] for i in range(seeds)]
         assert fast == generic, (k, x, mode, cap)
 
 
@@ -661,7 +661,7 @@ def test_ring_kernel_safe_blocks_match_the_oracle(n, monkeypatch):
                                 stop_mode=mode)
                 for i in range(2):
                     rngs = Rng(run_seed(k, i)), Rng(run_seed(k, i))
-                    assert (_ring_fast(n, [k], cfg, rngs[0])[0]
+                    assert (_ring_fast(cfg, [k], rngs[0])[0]
                             == oracle_ring_fast(n, 2 * k, cfg, rngs[1])), (k, x, mode, i)
                     assert rngs[0].u64() == rngs[1].u64()
     assert blocks  # the runs took blocks of safe rounds
@@ -683,7 +683,7 @@ def test_ring_kernel_equals_generic_property(n, k, x, mode, max_steps, script, s
     cfg = SimConfig(topology="ring", nodes=n, balance=k, amount=x, stop_mode=mode,
                     max_steps=max_steps)
     rngs = [_scripted(script, seed) for _ in range(3)]
-    fast = _ring_fast(n, [k], cfg, rngs[0])[0]
+    fast = _ring_fast(cfg, [k], rngs[0])[0]
     assert fast == oracle_ring_fast(n, 2 * k, cfg, rngs[1])
     assert rngs[0].u64() == rngs[1].u64()
     if k <= 5 and max_steps <= 400:
@@ -766,46 +766,58 @@ _BIG = 2 ** 63 - 1  # int64's largest value
     ("ring", _ring_fast, oracle_ring_fast, 5), ("clique", _clique_fast, oracle_clique_fast, 4)])
 @pytest.mark.parametrize("mode,k,x", [
     ("attempt", _BIG - 2 ** 61, 2 ** 61), ("attempt", _BIG - 2 ** 60 - 1, 2 ** 60 + 1),
-    ("depletion", _BIG, 2 ** 61), ("depletion", _BIG, 2 ** 62 + 5)])
+    ("depletion", _BIG, 2 ** 61), ("depletion", _BIG, 2 ** 62 + 5),
+    ("attempt", 3 * 2 ** 61, 2 ** 61), ("depletion", _BIG + 1, 2 ** 61)])
 def test_kernels_are_exact_at_the_largest_balances_they_take(topology, kernel, oracle, n,
                                                              mode, k, x):
-    # balance + amount (attempt) or balance (depletion) at 2**63 - 1, each
-    # run failing within a few rounds, against the Python-int oracles
+    # balance + amount (attempt) or balance (depletion) at 2**63 - 1 and at
+    # 2**63, each run failing within a few rounds, against the Python-int oracles
     cfg = SimConfig(topology=topology, nodes=n, balance=k, amount=x, stop_mode=mode,
                     max_steps=10 ** 6)
-    outs = [kernel(n, [k], cfg, Rng(run_seed(6, i)))[0] for i in range(40)]
+    outs = [kernel(cfg, [k], Rng(run_seed(6, i)))[0] for i in range(40)]
     assert outs == [oracle(n, 2 * k, cfg, Rng(run_seed(6, i))) for i in range(40)]
     assert not any(o.censored for o in outs)
 
 
 @pytest.mark.parametrize("topology", ["ring", "clique", "independent"])
-def test_sim_config_refuses_balances_past_int64(topology):
-    cases = [("depletion", _BIG + 1, 1)]
-    if topology != "independent":
-        cases += [("attempt", 3 * 2 ** 61, 2 ** 61), ("attempt", 3 * 2 ** 61, 2 ** 62),
-                  ("attempt", 2 ** 62 + 7, 2 ** 62), ("attempt", 1, _BIG)]
-    for mode, k, x in cases:
-        with pytest.raises(ValueError, match="holds balances in int64"):
-            SimConfig(topology=topology, nodes=5, balance=k, amount=x, stop_mode=mode)
-    # a sweep checks its largest balance too
-    with pytest.raises(ValueError, match="holds balances in int64"):
-        capacity_sweep(SimConfig(topology=topology, nodes=5, balance=1), 1, _BIG + 1, _BIG,
-                       runs_per_point=1)
+def test_kernels_are_exact_past_int64(topology):
+    # a kernel counts moves of the amount, and a count never passes the rounds
+    # run, so any balance and amount are exact; the caps are small, as a band
+    # this wide takes a unit amount some k**2 rounds to reach
+    if topology == "independent":
+        outs = [run_independent_chains(64, 2 ** 70, 0.5, 300, Rng(run_seed(7, i)))
+                for i in range(5)]
+        assert outs == [oracle_independent_chains(64, 2 ** 70, 0.5, 300, Rng(run_seed(7, i)))
+                        for i in range(5)]
+        assert all(o.censored and o.tau == 300 for o in outs)
+    else:
+        n, kernel, oracle = {"ring": (5, _ring_fast, oracle_ring_fast),
+                             "clique": (4, _clique_fast, oracle_clique_fast)}[topology]
+        for mode in ("depletion", "attempt"):
+            for k, x, cap in [(2 ** 70 + 3, 2 ** 68 + 1, 1000), (2 ** 64 + 5, 2 ** 63, 1000),
+                              (2 ** 63 + 9, 2 ** 61, 1000), (5, 2 ** 80, 1000),
+                              (2 ** 70, 1, 300)]:
+                cfg = SimConfig(topology=topology, nodes=n, balance=k, amount=x,
+                                stop_mode=mode, max_steps=cap)
+                outs = [kernel(cfg, [k], Rng(run_seed(7, i)))[0] for i in range(40)]
+                assert outs == [oracle(n, 2 * k, cfg, Rng(run_seed(7, i)))
+                                for i in range(40)], (mode, k, x)
+                if x > k:  # no balance pays the amount
+                    assert {o.tau for o in outs} == {0}
+                elif x == 1:  # no count reaches the band
+                    assert all(o.censored and o.tau == cap for o in outs)
+                else:
+                    assert not any(o.censored for o in outs)
+    points = capacity_sweep(SimConfig(topology=topology, nodes=5, balance=1, max_steps=200),
+                            2 ** 64, 2 ** 66, 2 ** 64, runs_per_point=2)
+    assert [p.balance for p in points] == [2 ** 64, 2 ** 65, 3 * 2 ** 64, 2 ** 66]
+    assert all(o.censored and o.tau == 200 for p in points for o in p.outcomes)
 
 
 @pytest.mark.parametrize("topology", ["ring", "clique"])
 def test_amount_past_int64_that_no_balance_pays_depletes_at_round_zero(topology):
     cfg = SimConfig(topology=topology, nodes=5, balance=3, amount=10 ** 23, runs=2)
     assert [(o.tau, o.failure_kind) for o in monte_carlo(cfg)] == [(0, "depleted")] * 2
-
-
-def test_ring_kernel_leaves_int64_just_past_the_largest_balance_it_takes():
-    # why the bound: around SimConfig's check, the smallest refused attempt-mode
-    # pair (balance + amount = 2**63) wraps the kernel's int64 balances
-    k, x = 3 * 2 ** 61, 2 ** 61
-    cfg = SimpleNamespace(amount=x, stop_mode="attempt", max_steps=200)
-    outs = [_ring_fast(5, [k], cfg, Rng(run_seed(6, i)))[0] for i in range(40)]
-    assert outs != [oracle_ring_fast(5, 2 * k, cfg, Rng(run_seed(6, i))) for i in range(40)]
 
 
 def test_capacity_sweep_rejects_topologies_without_a_kernel():
