@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .graph import (ChannelGraph, SnapshotDocument, giant_component, ingest_snapshot,
                     make_clique, make_ring, parse_snapshot)
-from .paths import (BetweennessMap, DagCache, ShortestPathDag, StDag, edge_betweenness,
+from .paths import (BetweennessMap, DagCache, ShortestPathDag, edge_betweenness,
                     edge_selection_probability, sample_shortest_path, sssp_dag, st_dag)
 from .analytics import (BoundReport, chernoff_lower, chernoff_upper,
                         clique_failure_window, expected_hitting_time, fit_scale,

@@ -163,15 +163,28 @@ class ChannelGraph:
             self._csr_lists = (csr.indptr.tolist(), csr.indices.tolist(), csr.degree.tolist())
         return self._csr_lists
 
+    def hops(self, source: int) -> list[int]:
+        """Hops from source to every node, -1 where it does not reach: one
+        level-synchronous BFS on ``Csr.bfs_step``, which counts no paths."""
+        n = self.node_count
+        if not 0 <= source < n:
+            raise ValueError(f"source {source} outside [0,{n})")
+        dist = np.full(n, -1, dtype=np.intp)
+        dist[source] = 0
+        frontier = np.array([source], dtype=np.intp)
+        step = self.csr.bfs_step
+        depth = 0
+        while frontier.size:
+            _, _, frontier, _ = step(frontier, dist)
+            depth += 1
+            dist[frontier] = depth
+        return dist.tolist()
+
     def is_connected(self) -> bool:
-        """Whether every node reaches node 0; found by one BFS on first call."""
+        """Whether every node reaches node 0; found by one hop row
+        (``hops(0)``) on first call."""
         if self._connected is None:
-            dist = np.full(self.node_count, -1, dtype=np.intp)
-            frontier = np.zeros(1, dtype=np.intp)
-            while frontier.size:
-                dist[frontier] = 0
-                _, _, frontier, _ = self.csr.bfs_step(frontier, dist)
-            self._connected = bool((dist == 0).all())
+            self._connected = -1 not in self.hops(0)
         return self._connected
 
     def with_capacities(self, capacities) -> "ChannelGraph":

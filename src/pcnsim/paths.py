@@ -3,24 +3,25 @@
 from __future__ import annotations
 
 import logging
-import math
 from array import array
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
-from .graph import ChannelGraph, Csr
+from .graph import ChannelGraph
 from .progress import Progress
 from .rng import Rng
 
 logger = logging.getLogger(__name__)
 
-INF = math.inf
+# a node's step in a shortest-path DAG: its predecessors, running sums of
+# their path counts, and the edge from each of them
+_Step = tuple[list[int], list[int], list[int]]
 
-# sigma counts are int64 until a BFS level could push one to 2**62 or past
-# it; from that level on they are Python ints
+# edge_betweenness keeps sigma counts in int64 until a BFS level could push
+# one to 2**62 or past it; from that level on they are Python ints
 _SIGMA_LIMIT = 1 << 62
 
 # edge_betweenness runs its sources in blocks of B, all B searches side by
@@ -43,151 +44,39 @@ def _add_paths(sigma: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> np.nd
     return sigma
 
 
-class _NodeView(Sequence):
-    """Read-only list view of per-node values, each computed when read."""
-
-    __slots__ = ("_n", "_get")
-
-    def __init__(self, n: int, get):
-        self._n = n
-        self._get = get
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, w: int):
-        if not -self._n <= w < self._n:
-            raise IndexError(f"node {w} outside [0,{self._n})")
-        return self._get(w % self._n)
-
-    def __eq__(self, other):
-        if isinstance(other, Sequence):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
-
 class ShortestPathDag:
-    """Single-source BFS result on hop distances, kept as flat per-node arrays.
+    """Shortest paths from ``source``, held as each node's step, built by
+    ``_rebuild``.
 
-    ``sigma[w]`` counts all distinct shortest source→w paths exactly;
-    ``preds[w]`` lists exactly the neighbors of w at distance ``dist[w] - 1``,
-    in BFS queue order.  Unreachable nodes carry ``dist = inf`` and
-    ``sigma = 0``.  All three are read-only list views that yield Python
-    numbers; ``preds[w]`` is read off the graph's CSR rows when asked for.
+    ``step(w)`` gives w's predecessors in BFS queue order, running sums of
+    their path counts (Python ints, exact at any size) and the edge that
+    joins each of them to w.  ``sssp_dag`` holds every node the source
+    reaches; ``st_dag`` and ``DagCache`` hold only the nodes on a shortest
+    path to one target.  The predecessors of a node on a shortest path lie
+    on one too, so a node held by both has the same step in each, and a
+    path to it samples alike from both.
     """
 
-    __slots__ = ("source", "_csr", "_dist", "_sigma", "_rank", "_steps")
+    __slots__ = ("source", "_steps")
 
-    def __init__(self, source: int, csr: Csr):
-        n = len(csr.degree)
-        dist = np.full(n, -1, dtype=np.intp)  # hops from source; -1: unreachable
-        sigma = np.zeros(n, dtype=np.int64)   # object (Python ints) for huge counts
-        dist[source], sigma[source] = 0, 1
-        levels = [np.array([source], dtype=np.intp)]
-        while True:
-            heads, tails, frontier, _ = csr.bfs_step(levels[-1], dist)
-            if not heads.size:
-                break
-            sigma = _add_paths(sigma, heads, tails)
-            dist[frontier] = len(levels)
-            levels.append(frontier)
-        order = np.concatenate(levels)
-        self._rank = np.empty(n, dtype=np.intp)  # position in BFS queue order
-        self._rank[order] = np.arange(order.size)
-        self.source, self._csr, self._dist, self._sigma = source, csr, dist, sigma
-        self._steps: dict[int, tuple[list[int], list[int], list[int]]] = {}
-
-    @property
-    def dist(self) -> _NodeView:
-        dist = self._dist
-        return _NodeView(len(dist), lambda w: INF if dist[w] < 0 else int(dist[w]))
-
-    @property
-    def sigma(self) -> _NodeView:
-        sigma = self._sigma
-        return _NodeView(len(sigma), lambda w: int(sigma[w]))
-
-    @property
-    def preds(self) -> _NodeView:
-        return _NodeView(len(self._dist), lambda w: list(self.step(w)[0]))
-
-    def _reach(self, target: int) -> None:
-        """ValueError unless source reaches target."""
-        n = len(self._dist)
-        if not 0 <= target < n:
-            raise ValueError(f"target {target} outside [0,{n})")
-        if self._dist[target] < 0:
-            raise ValueError(f"target {target} unreachable from source {self.source}")
-
-    def step(self, w: int) -> tuple[list[int], list[int], list[int]]:
-        """w's predecessors in BFS queue order, running sums of their sigma,
-        and the edge that joins each of them to w.
-
-        Remembered per node, so repeated walks through one DAG stay cheap.
-        """
-        got = self._steps.get(w)
-        if got is None:
-            csr = self._csr
-            d = self._dist[w]
-            if w == self.source or d < 0:
-                preds = edges = self._rank[:0]
-            else:
-                start, stop = csr.indptr[w], csr.indptr[w + 1]
-                nbrs = csr.indices[start:stop]
-                keep = self._dist[nbrs] == d - 1
-                preds, edges = nbrs[keep], csr.arc_edge[start:stop][keep]
-                if preds.size > 1:
-                    order = np.argsort(self._rank[preds])
-                    preds, edges = preds[order], edges[order]
-            got = (preds.tolist(), np.add.accumulate(self._sigma[preds]).tolist(),
-                   edges.tolist())
-            self._steps[w] = got
-        return got
-
-
-def sssp_dag(g: ChannelGraph, source: int) -> ShortestPathDag:
-    """The complete BFS DAG from source."""
-    n = g.node_count
-    if not (0 <= source < n):
-        raise ValueError(f"source {source} outside [0,{n})")
-    return ShortestPathDag(source, g.csr)
-
-
-class StDag:
-    """The part of source's shortest-path DAG that holds every shortest
-    source→target path, built by ``st_dag`` or read off a row of hop counts
-    to the target (``DagCache``).
-
-    A predecessor of a node on a shortest source→target path lies on one
-    too, so for each such node w ``step(w)`` equals
-    ``sssp_dag(g, source).step(w)``: the same predecessors in the same BFS
-    queue order, the same path counts and edges.  Only those nodes are kept.
-    """
-
-    __slots__ = ("source", "target", "_steps")
-
-    def __init__(self, source: int, target: int,
-                 steps: dict[int, tuple[list[int], list[int], list[int]]]):
+    def __init__(self, source: int, steps: dict[int, _Step]):
         self.source = source
-        self.target = target
         self._steps = steps
 
-    def _reach(self, target: int) -> None:
-        if target != self.target:
-            raise ValueError(f"this DAG holds the paths to {self.target}, not to {target}")
-
-    def step(self, w: int) -> tuple[list[int], list[int], list[int]]:
-        """As ShortestPathDag.step, for a node on a shortest source→target path."""
+    def step(self, w: int) -> _Step:
+        """w's predecessors, running sums of their path counts, and edges."""
         try:
             return self._steps[w]
         except KeyError:
             raise ValueError(f"node {w} lies on no shortest path from {self.source} "
-                             f"to {self.target}") from None
+                             "in this DAG") from None
+
+
+def sssp_dag(g: ChannelGraph, source: int) -> ShortestPathDag:
+    """The complete BFS DAG from source, read off its hop row
+    (``ChannelGraph.hops``) one level of hops 1, 2, ... at a time until a
+    level comes back empty."""
+    return _rebuild(g, source, g.hops(source), count(1))
 
 
 def _check_pair(n: int, source: int, target: int) -> None:
@@ -198,45 +87,52 @@ def _check_pair(n: int, source: int, target: int) -> None:
         raise ValueError("target equals source")
 
 
-def _rebuild(g: ChannelGraph, source: int, target: int, hops) -> StDag:
-    """The s–t DAG read off ``hops``, which holds d(w, target) for every
-    node w on a shortest source→target path (a full row, or -1 off them).
+def _rebuild(g: ChannelGraph, source: int, hops, wants) -> ShortestPathDag:
+    """The DAG from source whose level i, for i = 1, 2, ..., holds the
+    neighbours w of level i - 1 with ``hops[w]`` equal to the i-th value of
+    ``wants``; it ends with ``wants`` or at the first empty level.  Path
+    counts are summed level by level, as in Brandes (2001).
 
-    It is rebuilt level by level from source: a neighbour w of a node at
-    depth i - 1 on a shortest path is at depth i on one iff hops[w] = d - i,
-    as d(source, w) <= i and d(source, w) >= d - hops[w].  Scanning each
-    level in BFS queue order, along CSR rows, meets every node of the next
-    level first through its lowest-ranked predecessor, at the position
-    ``Csr.bfs_step`` gives it, so the levels keep the full BFS's order.
+    With hops from source and wants 1, 2, ... it is the full DAG
+    (``sssp_dag``).  With d(w, target) on every node w of a shortest
+    source→target path (a full row, or -1 off them) and wants d - 1, ...,
+    0, where d = hops[source], it is the s–t DAG: a neighbour w of a node
+    at depth i - 1 on a shortest path is at depth i on one iff
+    hops[w] = d - i, as d(source, w) <= i and d(source, w) >= d - hops[w].
+    Scanning each level in BFS queue order, along CSR rows, meets every node
+    of the next level first through its lowest-ranked predecessor, at the
+    position ``Csr.bfs_step`` gives it, so the levels keep the full BFS's
+    order.
     """
     ptr, nbr, _ = g.csr_lists
     edge_of = g.csr.arc_edge.item
-    d = hops[source]
-    steps: dict[int, tuple[list[int], list[int], list[int]]] = {source: ([], [], [])}
+    steps: dict[int, _Step] = {source: ([], [], [])}
     sigma = {source: 1}
     order = [source]
-    for want in range(d - 1, -1, -1):
+    for want in wants:
         found = []
         for p in order:
-            count = sigma[p]
+            ways = sigma[p]
             for arc in range(ptr[p], ptr[p + 1]):
                 w = nbr[arc]
                 if hops[w] == want:
                     got = steps.get(w)
                     if got is None:
-                        steps[w] = ([p], [count], [edge_of(arc)])
+                        steps[w] = ([p], [ways], [edge_of(arc)])
                         found.append(w)
                     else:
                         got[0].append(p)
-                        got[1].append(got[1][-1] + count)
+                        got[1].append(got[1][-1] + ways)
                         got[2].append(edge_of(arc))
+        if not found:
+            break
         for w in found:
             sigma[w] = steps[w][1][-1]
         order = found
-    return StDag(source, target, steps)
+    return ShortestPathDag(source, steps)
 
 
-def st_dag(g: ChannelGraph, source: int, target: int) -> StDag:
+def st_dag(g: ChannelGraph, source: int, target: int) -> ShortestPathDag:
     """Every shortest source→target path, found by a balanced bidirectional BFS.
 
     Each step expands, by one whole level, the side whose frontier has the
@@ -246,7 +142,8 @@ def st_dag(g: ChannelGraph, source: int, target: int) -> StDag:
     s on a shortest path are exactly those the two balls share.  The DAG's
     nodes, those with d(s, v) + d(v, t) = d(s, t), are found from that layer
     back to s over the forward distances and on to t over the backward ones,
-    and marked with their hops to t in a row of -1s that ``_rebuild`` reads.
+    and marked with their hops to t in a row of -1s that ``_rebuild`` reads,
+    d(s, t) - 1 hops down to 0.
     """
     n = g.node_count
     _check_pair(n, source, target)
@@ -290,21 +187,22 @@ def st_dag(g: ChannelGraph, source: int, target: int) -> StDag:
         layer = {u for v in layer for u in nbr[ptr[v]:ptr[v + 1]] if hops_t.get(u) == at}
         for u in layer:
             hops[u] = at
-    return _rebuild(g, source, target, hops)
+    return _rebuild(g, source, hops, range(a + b - 1, -1, -1))
 
 
-def sample_shortest_path(dag: ShortestPathDag | StDag, target: int, rng: Rng) -> list[int]:
+def sample_shortest_path(dag: ShortestPathDag, target: int, rng: Rng) -> list[int]:
     """One shortest source→target path, exactly uniform over all of them.
 
     Walks backward from the target choosing predecessor p with probability
     sigma(p) / sigma(current); the product telescopes to 1/sigma(target), so
     every shortest path is equally likely.  Integer draws are exact, and a
-    node with one predecessor takes no draw.  A source's full DAG and the
-    s–t DAG of the same pair give the same path for the same draws.
+    node with one predecessor takes no draw.  Any node the DAG holds is a
+    target, and every DAG that holds it gives the same path for the same
+    draws; a target it does not hold is a ValueError.
     """
     if target == dag.source:
         raise ValueError("target equals source")
-    dag._reach(target)
+    dag.step(target)  # ValueError unless the DAG holds target
     steps = dag._steps
     path = [target]
     node = target
@@ -312,10 +210,7 @@ def sample_shortest_path(dag: ShortestPathDag | StDag, target: int, rng: Rng) ->
     while node != src:
         # runs once per hop: indexing the step measured ~5% faster here than
         # unpacking all three of its fields
-        try:
-            step = steps[node]
-        except KeyError:
-            step = dag.step(node)
+        step = steps[node]
         preds = step[0]
         if len(preds) == 1:
             node = preds[0]
@@ -422,10 +317,10 @@ class DagCache:
     ``get(s, t)`` returns the round's s–t DAG, built by ``st_dag`` for the
     cache's first n gets.  Past n gets, on graphs of at most
     ``_ROW_MAX_NODES`` nodes, each target keeps a row of hop counts to it,
-    one full BFS (``sssp_dag(g, t)``), and every DAG to it is read off the
-    row.  On larger graphs a campaign reuses too few rows to repay them.
-    A get that runs ``st_dag`` or builds a row is a miss.  Both ways give
-    the same DAG, so the cache cannot alter sampling.
+    one hop-count BFS (``ChannelGraph.hops(t)``), and ``_rebuild`` reads
+    every DAG to it off the row.  On larger graphs a campaign reuses too few
+    rows to repay them.  A get that runs ``st_dag`` or builds a row is a
+    miss.  Both ways give the same DAG, so the cache cannot alter sampling.
     Not thread-safe: one instance per worker.
     """
 
@@ -435,7 +330,7 @@ class DagCache:
         self.gets = 0
         self.misses = 0
 
-    def get(self, source: int, target: int) -> StDag:
+    def get(self, source: int, target: int) -> ShortestPathDag:
         """The DAG of every shortest source→target path."""
         self.gets += 1
         g, rows = self._g, self._rows
@@ -446,10 +341,11 @@ class DagCache:
         row = rows.get(target)
         if row is None:
             self.misses += 1
-            row = rows[target] = sssp_dag(g, target)._dist.tolist()
-        if row[source] < 0:
+            row = rows[target] = g.hops(target)
+        d = row[source]
+        if d < 0:
             raise ValueError(f"target {target} unreachable from source {source}")
-        return _rebuild(g, source, target, row)
+        return _rebuild(g, source, row, range(d - 1, -1, -1))
 
 
 def betweenness_rows(g: ChannelGraph, bmap: BetweennessMap):

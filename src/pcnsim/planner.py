@@ -121,8 +121,12 @@ def load_plan_csv(path, g: ChannelGraph) -> list[int]:
     from .results import read_csv
 
     meta, columns, rows = read_csv(path)
-    idx_eid, idx_old, idx_new = (columns.index(c) for c in
-                                 ("edge_id", "old_capacity", "new_capacity"))
+    need = ("edge_id", "old_capacity", "new_capacity")
+    missing = [c for c in need if c not in columns]
+    if missing:
+        raise ValueError(f"no {' or '.join(missing)} column: a plan needs "
+                         f"{', '.join(need)}")
+    idx_eid, idx_old, idx_new = map(columns.index, need)
     caps: dict[int, tuple[int, int]] = {}
     for row in rows:
         if len(row) != len(columns):

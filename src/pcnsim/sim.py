@@ -636,7 +636,8 @@ def _campaign(graph: Optional[ChannelGraph], cfg: SimConfig, points: list[int],
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if graph is not None and not graph.is_connected():
-        raise ValueError("graph must be connected (take the giant component first)")
+        raise ValueError("graph must be connected (only .json snapshots are cut to "
+                         "their giant component when loaded)")
     runs = cfg.runs
     workers = min(workers, runs)  # more would fork workers that get no run
     pooled = workers > 1

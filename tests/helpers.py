@@ -177,6 +177,35 @@ def oracle_sssp_dag(g, source):
     return SimpleNamespace(source=source, dist=dist, sigma=sigma, preds=preds)
 
 
+def dag_tables(dag, n):
+    """``dist``, ``sigma`` and ``preds`` of a ``pcnsim`` DAG, read off its
+    ``step(w)`` in the shape ``oracle_sssp_dag`` gives them: a node the DAG
+    does not hold has dist inf, sigma 0 and no predecessors."""
+    dist, sigma, preds = [math.inf] * n, [0] * n, [[] for _ in range(n)]
+    dist[dag.source], sigma[dag.source] = 0, 1
+    held = []
+    for w in range(n):
+        try:
+            ps, acc, _edges = dag.step(w)
+        except ValueError:
+            continue
+        if w != dag.source:
+            preds[w], sigma[w] = list(ps), acc[-1]
+            held.append(w)
+    # a node lies one hop past its first predecessor: settle a level a pass
+    while held:
+        later = []
+        for w in held:
+            d = dist[preds[w][0]]
+            if d == math.inf:
+                later.append(w)
+            else:
+                dist[w] = d + 1
+        assert len(later) < len(held), "a step's predecessors never reach the source"
+        held = later
+    return SimpleNamespace(source=dag.source, dist=dist, sigma=sigma, preds=preds)
+
+
 def oracle_sample_path(dag, target, rng):
     """Backward walk choosing predecessor p with probability sigma(p)/sigma(w).
 

@@ -1,12 +1,13 @@
 """The CSR BFS core against the deque-BFS oracles in helpers.
 
-``sssp_dag`` and ``edge_betweenness`` run one level-synchronous numpy BFS over
-``ChannelGraph.csr``; these tests pin them to the per-node list
-implementations they replaced: equal distances, path counts and predecessor
-order, identical sampled paths for the same draws, and bit-identical
-betweenness values.  ``edge_betweenness`` runs a block of sources per BFS
-level; the block tests force blocks of 1, 2 and 3 sources and one block of
-all of them.  On a 2-core host the 512-ring's betweenness takes 0.13–0.21 s
+``ChannelGraph.hops`` and ``edge_betweenness`` run one level-synchronous
+numpy BFS over ``ChannelGraph.csr``, and ``sssp_dag`` reads its DAG off a
+hop row; these tests pin them to the per-node list implementations they
+replaced: equal distances, path counts and predecessor order (read off each
+DAG's ``step(w)``), identical sampled paths for the same draws, and
+bit-identical betweenness values.  ``edge_betweenness`` runs a block of
+sources per BFS level; the block tests force blocks of 1, 2 and 3 sources
+and one block of all of them.  On a 2-core host the 512-ring's betweenness takes 0.13–0.21 s
 in its default blocks of 32 sources and 3–4 s in blocks of one.  The s–t
 DAGs that ``DagCache`` returns, built by ``st_dag`` or read off a row of hop
 counts to the target, are pinned to the full DAGs of ``sssp_dag``.
@@ -26,9 +27,9 @@ from hypothesis import given, settings, strategies as st
 from pcnsim import (ChannelGraph, Rng, SimConfig, edge_betweenness, make_ring,
                     monte_carlo, multi_amount_experiment, run_payment_process, run_seed,
                     sssp_dag)
-from pcnsim.paths import DagCache, sample_shortest_path, st_dag
+from pcnsim.paths import DagCache, _add_paths, sample_shortest_path, st_dag
 
-from helpers import (adjacency_of, bfs_dist, csr_rows, oracle_edge_betweenness,
+from helpers import (adjacency_of, bfs_dist, csr_rows, dag_tables, oracle_edge_betweenness,
                      oracle_sample_path, oracle_sssp_dag, random_connected_edges,
                      small_world_edges)
 
@@ -39,11 +40,13 @@ def test_dag_and_samples_match_oracle(n, extra, seed):
     g = ChannelGraph(n, random_connected_edges(random.Random(seed), n, extra_prob=extra))
     for s in range(n):
         got, want = sssp_dag(g, s), oracle_sssp_dag(g, s)
-        assert got.dist == want.dist
-        assert got.sigma == want.sigma
-        assert all(type(x) is int for x in got.sigma)
+        tables = dag_tables(got, n)
+        assert tables.dist == want.dist
+        assert tables.sigma == want.sigma
+        assert all(type(x) is int for x in tables.sigma)
         for w in range(n):
-            assert got.preds[w] == want.preds[w], (s, w)
+            assert tables.preds[w] == want.preds[w], (s, w)
+            assert got.step(w)[2] == [g.edge_id(p, w) for p in want.preds[w]], (s, w)
         for t in range(n):
             if t != s:
                 draw = seed * 1000 + s * n + t
@@ -65,7 +68,7 @@ def test_row_dags_match_st_dag_and_full_dag(n, extra, seed):
             if t == s:
                 continue
             dag = cache.get(s, t)
-            assert (dag.source, dag.target) == (s, t)
+            assert dag.source == s
             assert dag._steps == st_dag(g, s, t)._steps
             for w in dag._steps:
                 assert dag.step(w) == full.step(w), (s, t, w)
@@ -88,7 +91,7 @@ def test_st_dag_samples_match_per_source_dag(n, extra, seed):
             if t == s:
                 continue
             dag = st_dag(g, s, t)
-            assert (dag.source, dag.target) == (s, t)
+            assert dag.source == s
             # exactly the nodes on some shortest s–t path, each with its
             # full DAG's step: predecessors in BFS order, sigma sums, edges
             to_t = bfs_dist(adj, t)
@@ -143,11 +146,35 @@ def test_st_dag_rejects_bad_pairs():
         for s, t in ((0, 5), (-1, 2)):
             with pytest.raises(ValueError, match="outside"):
                 build(s, t)
+    # the DAG's inner node 1 is a target too; node 3 lies off the DAG
     dag = st_dag(g, 0, 2)
-    with pytest.raises(ValueError, match="paths to 2"):
-        sample_shortest_path(dag, 1, Rng(0))
+    assert sample_shortest_path(dag, 1, Rng(0)) == [0, 1]
+    with pytest.raises(ValueError, match="no shortest path"):
+        sample_shortest_path(dag, 3, Rng(0))
     with pytest.raises(ValueError, match="no shortest path"):
         dag.step(3)
+
+
+@settings(max_examples=40)
+@given(n=st.integers(3, 16), extra=st.floats(0.0, 0.6), seed=st.integers(0, 2 ** 16))
+def test_st_dag_inner_nodes_sample_as_the_full_dag(n, extra, seed):
+    # any node an s–t DAG holds is a valid target: its steps are the full
+    # DAG's, so it gets the full DAG's path for the same draws
+    g = ChannelGraph(n, random_connected_edges(random.Random(seed), n, extra_prob=extra))
+    rng = random.Random(seed)
+    s, t = rng.sample(range(n), 2)
+    dag, full = st_dag(g, s, t), sssp_dag(g, s)
+    for w in range(n):
+        if w == s:
+            continue
+        draw = seed * 1000 + w
+        if w in dag._steps:
+            got, want = Rng(draw), Rng(draw)
+            assert sample_shortest_path(dag, w, got) == sample_shortest_path(full, w, want)
+            assert got.u64() == want.u64()
+        else:
+            with pytest.raises(ValueError, match="no shortest path"):
+                sample_shortest_path(dag, w, Rng(draw))
 
 
 def test_st_dag_cache_builds_every_get():
@@ -163,7 +190,7 @@ def test_st_dag_cache_builds_every_get():
 def test_unreachable_nodes_match_oracle():
     g = ChannelGraph(7, [(0, 1, 2), (1, 2, 2), (0, 2, 2), (4, 5, 2)])
     for s in (0, 4, 3):
-        got, want = sssp_dag(g, s), oracle_sssp_dag(g, s)
+        got, want = dag_tables(sssp_dag(g, s), 7), oracle_sssp_dag(g, s)
         assert got.dist == want.dist and got.sigma == want.sigma
         assert [got.preds[w] for w in range(7)] == want.preds
 
@@ -199,9 +226,10 @@ def test_sigma_past_int64_is_exact():
     k = 70
     g = _diamond_chain(k)
     dag, want = sssp_dag(g, 0), oracle_sssp_dag(g, 0)
-    assert [dag.sigma[3 * i] for i in range(k + 1)] == [2 ** i for i in range(k + 1)]
-    assert dag.sigma == want.sigma and dag.dist == want.dist
-    assert type(dag.sigma[3 * k]) is int
+    tables = dag_tables(dag, g.node_count)
+    assert [tables.sigma[3 * i] for i in range(k + 1)] == [2 ** i for i in range(k + 1)]
+    assert tables.sigma == want.sigma and tables.dist == want.dist
+    assert type(tables.sigma[3 * k]) is int
     for seed in range(20):
         assert (sample_shortest_path(dag, 3 * k, Rng(seed))
                 == oracle_sample_path(want, 3 * k, Rng(seed)))
@@ -214,7 +242,7 @@ def test_sample_path_through_65_diamonds_draws_two_words_at_the_target():
     g = _diamond_chain(k)
     assert g.node_count == 196
     dag = sssp_dag(g, 0)
-    assert dag.sigma[3 * k] == 2 ** 65
+    assert dag.step(3 * k)[1][-1] == 2 ** 65
     for seed in range(10):
         words = np.random.Generator(np.random.PCG64(seed)).integers(
             0, 1 << 64, size=k + 2, dtype=np.uint64).tolist()
@@ -229,15 +257,29 @@ def test_sample_path_through_65_diamonds_draws_two_words_at_the_target():
         assert used == k + 1 and rng.u64() == words[used]
 
 
-def test_sigma_turns_to_python_ints_mid_bfs():
-    # junction 3i has sigma 2**i: on a chain of 61 diamonds no level's
-    # counts could reach 2**62, on a chain of 62 the last diamond's could
-    for k, dtype in ((61, np.int64), (62, object)):
+def test_betweenness_sigma_turns_to_python_ints_mid_bfs(monkeypatch):
+    # one source per block; junction 3i has sigma 2**i from junction 0: on a
+    # chain of 61 diamonds no level's counts could reach 2**62 from any
+    # source, on a chain of 62 the last diamond's could
+    for k, switches in ((61, False), (62, True)):
         g = _diamond_chain(k)
+        n, m = g.node_count, g.edge_count
+        monkeypatch.setattr("pcnsim.paths._BLOCK_BUDGET", max(n, 2 * m))
+        python_ints = set()
+
+        def spy(*args):
+            sigma = _add_paths(*args)
+            python_ints.add(sigma.dtype == object)
+            return sigma
+
+        monkeypatch.setattr("pcnsim.paths._add_paths", spy)
+        assert edge_betweenness(g).values == oracle_edge_betweenness(g)
+        assert (True in python_ints) == switches and False in python_ints
+        # a DAG's counts are Python ints whatever their size
         dag, want = sssp_dag(g, 0), oracle_sssp_dag(g, 0)
-        assert dag._sigma.dtype == dtype
-        assert dag.sigma == want.sigma and dag.dist == want.dist
-        assert [dag.preds[w] for w in range(3 * k + 1)] == want.preds
+        tables = dag_tables(dag, n)
+        assert tables.sigma == want.sigma and tables.dist == want.dist
+        assert [tables.preds[w] for w in range(3 * k + 1)] == want.preds
         for seed in range(10):
             assert (sample_shortest_path(dag, 3 * k, Rng(seed))
                     == oracle_sample_path(want, 3 * k, Rng(seed)))
@@ -470,12 +512,13 @@ def _check_multi_amount_cache_work_on_st_dags(caps, amounts, max_steps, workers,
 @pytest.mark.parametrize("n, row", [(2048, True), (2049, False)])
 def test_dag_cache_builds_its_first_row_at_get_n_plus_1_up_to_2048_nodes(n, row, monkeypatch):
     built = []
+    hops = ChannelGraph.hops
 
     def counted(g, source):
         built.append(source)
-        return sssp_dag(g, source)
+        return hops(g, source)
 
-    monkeypatch.setattr("pcnsim.paths.sssp_dag", counted)
+    monkeypatch.setattr(ChannelGraph, "hops", counted)
     cache = DagCache(make_ring(n, 2))
     for _ in range(n):
         cache.get(0, 1)

@@ -622,6 +622,30 @@ def test_plan_made_for_another_graph_is_config_error(tmp_path, capsys):
     assert err.count("\n") == 1 and "plan is for another graph: edge 1" in err
 
 
+def test_plan_without_a_required_column_is_config_error(tmp_path, capsys):
+    gpath, plan = _plan_for(tmp_path, [8, 8, 8, 8, 8])
+    text = plan.read_text()
+    assert text.count("old_capacity") == 1  # the header's column name
+    plan.write_text(text.replace("old_capacity", "capacity_before"))
+    capsys.readouterr()
+    code = run_cli("simulate", "--graph", str(gpath), "--plan", str(plan),
+                   "--runs", "2", "--workers", "1")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"config error: plan {plan}: no old_capacity column: a plan needs "
+        "edge_id, old_capacity, new_capacity\n")
+
+
+def test_disconnected_edge_list_says_only_snapshots_are_cut(tmp_path, capsys):
+    gpath = tmp_path / "split.edges"
+    gpath.write_text("4 2\n0 1 8\n2 3 8\n")
+    code = run_cli("simulate", "--graph", str(gpath), "--runs", "2", "--workers", "1")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: graph must be connected")
+    assert "only .json snapshots are cut to their giant component" in err
+
+
 def test_verbose_leaves_outputs_and_echo_unchanged(tmp_path, capsys, caplog):
     gpath = tmp_path / "g.edges"
     write_edgelist(make_ring(9, 6), gpath)

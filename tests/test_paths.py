@@ -10,28 +10,28 @@ from pcnsim import (ChannelGraph, DagCache, Rng, edge_betweenness,
                     edge_selection_probability, make_clique, make_ring,
                     sample_shortest_path, sssp_dag)
 
-from helpers import (brute_edge_betweenness, enumerate_shortest_paths,
-                     mean_pair_distance, random_connected_edges)
+from helpers import (brute_edge_betweenness, dag_tables, enumerate_shortest_paths,
+                     mean_pair_distance, oracle_sssp_dag, random_connected_edges)
 
 PATH_GRAPH = [(0, 1, 2), (1, 2, 2)]
 
 
 def test_sssp_on_path_graph():
     g = ChannelGraph(3, PATH_GRAPH)
-    dag = sssp_dag(g, 0)
+    dag = dag_tables(sssp_dag(g, 0), 3)
     assert dag.sigma == [1, 1, 1]
     assert dag.dist == [0, 1, 2]
     assert dag.preds[2] == [1]
 
 
 def test_sssp_four_cycle_two_paths():
-    dag = sssp_dag(make_ring(4, 2), 0)
+    dag = dag_tables(sssp_dag(make_ring(4, 2), 0), 4)
     assert dag.sigma[2] == 2
     assert sorted(dag.preds[2]) == [1, 3]
 
 
 def test_sssp_clique_unit_paths():
-    dag = sssp_dag(make_clique(6, 2), 3)
+    dag = dag_tables(sssp_dag(make_clique(6, 2), 3), 6)
     assert all(dag.sigma[v] == 1 for v in range(6) if v != 3)
     assert all(dag.dist[v] == 1 for v in range(6) if v != 3)
 
@@ -39,7 +39,11 @@ def test_sssp_clique_unit_paths():
 def test_sssp_unreachable_marked_inf():
     g = ChannelGraph(4, [(0, 1, 2), (2, 3, 2)])
     dag = sssp_dag(g, 0)
-    assert dag.dist[2] == math.inf and dag.sigma[2] == 0
+    with pytest.raises(ValueError, match="no shortest path"):
+        dag.step(2)  # the DAG holds no node the source does not reach
+    tables = dag_tables(dag, 4)
+    assert tables.dist[2] == math.inf and tables.sigma[2] == 0
+    assert tables == oracle_sssp_dag(g, 0)
 
 
 def test_sigma_recurrence_on_random_graphs():
@@ -49,7 +53,8 @@ def test_sigma_recurrence_on_random_graphs():
         edges = random_connected_edges(rng, n)
         g = ChannelGraph(n, edges)
         src = rng.randrange(n)
-        dag = sssp_dag(g, src)
+        dag = dag_tables(sssp_dag(g, src), n)
+        assert dag == oracle_sssp_dag(g, src)
         for w in range(n):
             if w == src or dag.sigma[w] == 0:
                 continue
@@ -107,10 +112,11 @@ def test_sampling_uniform_over_enumerated_paths():
         edges = random_connected_edges(rng_graph, n, extra_prob=0.35)
         g = ChannelGraph(n, edges)
         dags = {s: sssp_dag(g, s) for s in range(n)}
+        sigmas = {s: dag_tables(dags[s], n).sigma for s in range(n)}
         best = max(((s, t) for s in range(n) for t in range(n) if s != t),
-                   key=lambda st: dags[st[0]].sigma[st[1]])
+                   key=lambda st: sigmas[st[0]][st[1]])
         s, t = best
-        sigma = dags[s].sigma[t]
+        sigma = sigmas[s][t]
         if sigma < 2:
             continue
         checked_multi += 1
@@ -222,13 +228,15 @@ def test_sampled_paths_are_simple_and_strictly_shortening():
     rng = Rng(8)
     for s in range(10):
         dag = sssp_dag(g, s)
+        dist = dag_tables(dag, 10).dist
+        assert dist == oracle_sssp_dag(g, s).dist
         for t in range(10):
             if t == s:
                 continue
             path = sample_shortest_path(dag, t, rng)
             assert len(set(path)) == len(path)
-            assert len(path) - 1 == dag.dist[t]
-            assert [dag.dist[v] for v in path] == list(range(len(path)))
+            assert len(path) - 1 == dist[t]
+            assert [dist[v] for v in path] == list(range(len(path)))
 
 
 def test_dag_cache_does_not_change_sampling():

@@ -36,6 +36,9 @@ def _campaigns():
                                1, 3, 2, runs_per_point=2)
     got.append([p.outcomes for p in sweep])
     got.append(sim.multi_amount_experiment(g, [2, 1], runs=2, base_seed=1, max_steps=50))
+    # no campaign builds a full DAG (the cache's rows are hop rows), so the
+    # wrapped name is called directly
+    got.append(pcnsim.paths.sssp_dag(g, 0)._steps)
     return got
 
 
