@@ -24,7 +24,7 @@ DEPLETED = "depleted"
 ATTEMPT_FAILED = "attempt_failed"
 STEP_CAP = "step_cap_reached"
 
-_CHUNK = 1 << 14
+_CLIQUE_CHUNK = 1 << 14  # largest chunk of rounds the clique kernel and its chain process draw
 _RING_WORDS = (512, 1 << 13)  # first and largest block of raw words the ring kernel decodes
 _SAFE_ROUNDS = 16  # fewest rounds the ring kernel applies at once without checks
 _MIN, _MAX = np.minimum.reduce, np.maximum.reduce
@@ -139,29 +139,46 @@ def _first_exit(state: np.ndarray, ids: np.ndarray, steps: np.ndarray, lo: int,
     """Index of the first event of a chunk that takes its chain outside [lo, hi].
 
     Event i adds ``steps[i]`` to ``state[ids[i]]``; every chain starts the
-    chunk inside the range.  One sort of the keys (chain id, event index),
-    packed into a uint64 (so chain ids stay below 2**(64 - C.bit_length())),
-    groups the events by chain in event order, so a running sum per group
-    gives each chain's level after each of its events, in O(C log C) for C
-    events however many chains there are; the smallest violating event
-    index is the answer.  When no event leaves the range, returns -1 and
-    applies the chunk to ``state``; otherwise ``state`` is left as it was.
+    chunk inside the range.  A count bound first sets aside the chains that
+    cannot leave, in O(C) for C events however many chains there are: one
+    ``bincount`` of the ids modulo a power of two of at least 2C buckets
+    counts each bucket's events, which bounds those of every chain in it
+    (exactly, when no two chains share a bucket).  A chain with c such
+    events moves at most c·max|step| either way, so if that keeps it inside
+    the range, it stays there.  Only the other, "hot", events are sorted by
+    the keys (chain id, event index), packed into an int64 (so chain ids
+    stay below 2**(63 - C.bit_length())): that groups them by chain in event
+    order, and a running sum per group gives each hot chain's level after
+    each of its events.  The smallest violating event index is the answer,
+    read off the key, so it indexes the whole chunk.  When no event leaves
+    the range, returns -1 and applies the chunk to ``state``, hot and cold
+    events alike, with one scatter; otherwise ``state`` is left as it was.
     """
-    shift = np.uint64(len(ids).bit_length())
-    keys = np.sort(ids.astype(np.uint64) << shift | np.arange(len(ids), dtype=np.uint64))
-    order = (keys & ((np.uint64(1) << shift) - np.uint64(1))).astype(np.intp)
-    chain = (keys >> shift).astype(np.intp)
-    moved = steps[order]
-    heads = np.flatnonzero(np.concatenate(([True], chain[1:] != chain[:-1])))
-    run = np.cumsum(moved)
-    # less the sum before each group's first event: a running sum per chain
-    run -= np.repeat(run[heads] - moved[heads], np.diff(heads, append=len(chain)))
-    level = state[chain] + run
-    out = (level < lo) | (level > hi)
-    if out.any():
-        return int(order[out].min())
-    tails = np.append(heads[1:], len(chain)) - 1
-    state[chain[tails]] = level[tails]
+    size = len(ids)
+    ids = ids.astype(np.intp)
+    bucket = ids & ((1 << (2 * size - 1).bit_length()) - 1)
+    start = state[ids]
+    reach = np.bincount(bucket)[bucket] * int(_MAX(np.abs(steps)))
+    hot = (start - reach < lo) | (start + reach > hi)
+    if hot.any():
+        shift = size.bit_length()
+        keys = np.sort((ids << shift | np.arange(size))[hot])
+        order = keys & ((1 << shift) - 1)
+        chain = keys >> shift
+        moved = steps[order]
+        ends = np.empty(len(keys) + 1, dtype=bool)  # where each chain's events start, and the end
+        ends[0] = ends[-1] = True
+        np.not_equal(chain[1:], chain[:-1], out=ends[1:-1])
+        ends = np.flatnonzero(ends)
+        heads = ends[:-1]
+        run = np.cumsum(moved)
+        # less the sum before each group's first event: a running sum per chain
+        run -= np.repeat(run[heads] - moved[heads], ends[1:] - heads)
+        level = state[chain] + run
+        out = (level < lo) | (level > hi)
+        if out.any():
+            return int(order[out].min())
+    np.add.at(state, ids, steps)
     return -1
 
 
@@ -255,8 +272,10 @@ def _clique_fast(cfg: SimConfig, ks: list[int], rng: Rng) -> list[RunOutcome]:
     a distinct pair plus orientation is the same as drawing a uniform edge and
     direction, in distribution; the tests compare the two forms' mean stop
     times.  Each chunk draws its edges, then its direction bits, and goes
-    through _first_exit whole, and again for each band it breaks; at unit
-    amount in depletion mode it is ``run_bdc_process``, one chain per edge.
+    through _first_exit whole, and again for each band it breaks; only the
+    rounds on edges whose count could pass the band within the chunk are
+    sorted.  At unit amount in depletion mode it is ``run_bdc_process``,
+    one chain per edge.
     """
     m = cfg.nodes * (cfg.nodes - 1) // 2
     bands, done, spent, kind = _bands(cfg, ks, rng.seed)
@@ -266,7 +285,7 @@ def _clique_fast(cfg: SimConfig, ks: list[int], rng: Rng) -> list[RunOutcome]:
     dev = np.zeros(m, dtype=np.int64)
     t = 0
     progress = Progress(logger, "clique process", seed=rng.seed)
-    for chunk in chunk_sizes(128, _CHUNK, cfg.max_steps):
+    for chunk in chunk_sizes(128, _CLIQUE_CHUNK, cfg.max_steps):
         edges = rng.indices(m, chunk)
         steps = rng.bits(chunk).astype(np.int64) * 2 - 1  # +1: the larger-id endpoint pays
         while (at := _first_exit(dev, edges, steps, -band, band)) >= 0:
@@ -451,7 +470,7 @@ def run_bdc_process(m: int, k: int, max_steps: int, rng: Rng) -> RunOutcome:
     pos = [0] * m
     t = 0
     progress = Progress(logger, "bdc process", seed=rng.seed)
-    for chunk in chunk_sizes(128, _CHUNK, max_steps):
+    for chunk in chunk_sizes(128, _CLIQUE_CHUNK, max_steps):
         chains = rng.indices(m, chunk).tolist()
         moves = rng.bits(chunk).tolist()
         for e, up in zip(chains, moves):

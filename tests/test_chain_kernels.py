@@ -68,8 +68,9 @@ def test_clique_is_the_m_chain_process(n, k, cap, seed):
             == _clique_fast(_clique(n, k, cap=cap), [k], Rng(seed))[0])
 
 
-@pytest.mark.parametrize("n,k", [(200, 16), (2000, 3)])
+@pytest.mark.parametrize("n,k", [(200, 16), (2000, 3), (2000, 8)])
 def test_clique_large_runs_match_scalar_oracle(n, k):
+    # (2000, 8): m = 1999000 chains share _first_exit's bucket table of at most 2**15
     for mode in ("depletion", "attempt"):
         cfg = _clique(n, k, 1, mode)
         for i in range(2):
@@ -229,6 +230,38 @@ def test_first_exit_matches_scalar_walk(chains, size, width, reach, seed):
     lo, hi = -width * reach, width * reach
     state = rng.integers(lo, hi + 1, chains)
     ids = rng.integers(0, chains, size)
+    steps = rng.choice([-reach, reach], size)
+    _check_first_exit(state, ids, steps, lo, hi)
+
+
+def test_first_exit_maps_hot_events_back_to_the_chunk():
+    # chain 0 starts at hi, so it is hot, and leaves at event 3, after three
+    # events on cold chains; among the hot events alone it is event 0
+    assert _check_first_exit([6, 0, 0], [1, 2, 1, 0], [1, -1, 1, 1], -3, 6) == 3
+    # five events, 16 buckets: chain 18 shares chain 2's, so the bound
+    # counts three events for each and both are hot, though chain 2 alone
+    # would be cold; chain 4 leaves at event 4, after chain 3's cold event
+    state = np.zeros(19, dtype=np.int64)
+    state[[2, 4]] = 5, 7
+    assert _check_first_exit(state, [2, 18, 18, 3, 4], [1, -1, -1, 1, 1], -2, 7) == 4
+    assert _check_first_exit(state, [2, 18, 18, 3, 4], [1, -1, -1, 1, -1], -2, 7) == -1
+
+
+@settings(max_examples=200)
+@given(chains=st.integers(1, 5000), pool=st.integers(1, 64), size=st.integers(1, 64),
+       lo=st.integers(-30, 0), width=st.integers(0, 30), near=st.integers(0, 4),
+       reach=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
+def test_first_exit_with_shared_buckets_matches_scalar_walk(chains, pool, size, lo, width,
+                                                            near, reach, seed):
+    # up to 5000 chains against a table of at most 128 buckets, so most
+    # buckets hold several chains and the bound overcounts; the chunk's
+    # events fall on a pool of chains, each within near steps of lo or hi
+    rng = np.random.default_rng(seed)
+    hi = lo + width
+    side = rng.integers(0, 2, chains).astype(bool)
+    offset = rng.integers(0, near * reach + 1, chains)
+    state = np.clip(np.where(side, hi - offset, lo + offset), lo, hi)
+    ids = rng.choice(rng.choice(chains, min(pool, chains), replace=False), size)
     steps = rng.choice([-reach, reach], size)
     _check_first_exit(state, ids, steps, lo, hi)
 
