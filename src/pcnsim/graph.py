@@ -239,17 +239,14 @@ def _check_capacity(capacity: int) -> None:
 def parse_snapshot(source) -> SnapshotDocument:
     """Parse an LND ``describegraph``-shaped document.
 
-    Accepts a dict, a JSON string, or a path.  Expected shape: top-level
-    ``nodes`` (objects with ``pub_key``) and ``edges`` (objects with
-    ``node1_pub``, ``node2_pub``, and ``capacity`` as int or a string of
-    ASCII decimal digits, with an optional leading minus).
-    Unknown fields are ignored.
+    Accepts a dict or a path.  Expected shape: top-level ``nodes`` (objects
+    with ``pub_key``) and ``edges`` (objects with ``node1_pub``,
+    ``node2_pub``, and ``capacity`` as int or a string of ASCII decimal
+    digits, with an optional leading minus).  Unknown fields are ignored.
     """
-    if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
+    if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    elif isinstance(source, str):
-        doc = json.loads(source)
     else:
         doc = source
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:

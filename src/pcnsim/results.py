@@ -111,29 +111,22 @@ def log_histogram(values: Iterable[float], bins_per_decade: int = 1,
     return LogHistogram(bpd, edges, counts, underflow, overflow)
 
 
-def _render(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(path, meta: dict, columns: list[str], rows: Iterable[tuple]) -> None:
     """CSV with a '# key = value' metadata header; byte-stable for fixed input.
 
-    Each row is a tuple with one value per column.  ``%s`` renders a value
-    as ``_render`` does (it is ``str``, and ``str`` of a float is its
-    ``repr``), except for None, so a row without None goes through one
-    format with a ``%s`` per column, and only rows holding None take the
-    value-by-value path.  The file is written in one call.
+    Each row is a tuple with one value per column.  Every value, in a row or
+    in the header, is rendered by ``%s`` (``str``, and ``str`` of a float is
+    its ``repr``), and None as an empty field.  The file is written in one
+    call.
     """
-    lines = [f"# {key} = {_render(meta[key])}\n" for key in sorted(meta)]
+    lines = ["# %s = %s\n" % (key, "" if meta[key] is None else meta[key])
+             for key in sorted(meta)]
     lines.append(",".join(columns) + "\n")
     line = ",".join(["%s"] * len(columns)) + "\n"
     for row in rows:
-        lines.append(",".join(map(_render, row)) + "\n" if None in row
-                     else line % row)
+        if None in row:
+            row = tuple("" if value is None else value for value in row)
+        lines.append(line % row)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("".join(lines))

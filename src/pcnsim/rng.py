@@ -65,17 +65,16 @@ def run_seed(base_seed: int, run_index: int) -> int:
 class Rng:
     """Buffered wrapper over numpy's PCG64 for fast exact scalar draws.
 
-    Every draw reads PCG64's raw 64-bit words.  Scalar draws (``u64``,
-    ``randrange``, ``pair``) take whole words, in order, from an internal
-    buffer, which keeps per-draw cost near list-iteration speed;
-    ``words`` returns a block of them as an array, buffered words first, and
-    can put back the ones its caller did not use.  ``indices`` takes whole
-    words too, and ``bits`` takes the bytes of the 32-bit halves numpy
-    splits words into.  Integer draws are rejection sampled, so they are
-    exactly uniform (no modulo bias).  The underlying
-    :class:`numpy.random.Generator` is exposed as ``.np`` for vectorized use;
-    mixing scalar and vector draws is fine, the stream stays deterministic for
-    a fixed call sequence.
+    Every draw reads whole raw 64-bit words of PCG64.  Scalar draws
+    (``u64``, ``randrange``, ``pair``) take them, in order, from an internal
+    buffer, which keeps per-draw cost near list-iteration speed; ``words``
+    returns a block of them as an array, buffered words first, and can put
+    back the ones its caller did not use.  ``indices`` and ``bits`` read
+    fresh words straight from the bit generator.  Integer draws are
+    rejection sampled, so they are exactly uniform (no modulo bias).  The
+    underlying :class:`numpy.random.Generator` is exposed as ``.np`` for
+    vectorized use; mixing scalar and vector draws is fine, the stream stays
+    deterministic for a fixed call sequence.
     """
 
     __slots__ = ("seed", "np", "_buf", "_pos", "_size")
@@ -179,30 +178,14 @@ class Rng:
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint64)
 
     def bits(self, count: int) -> np.ndarray:
-        """`count` independent fair bits, as uint8: exactly
-        ``self.np.integers(0, 2, size=count, dtype=np.uint8)``, stream included.
+        """`count` independent fair bits, as uint8: the top bit of each
+        little-endian byte of the next ceil(count/8) raw words.
 
-        numpy draws those from 32-bit halves of PCG64's raw words, low half
-        first, taking a half it holds buffered (``has_uint32``, ``uinteger``)
-        before any new word; each half gives four bytes, low byte first, and
-        bit i is the top bit of byte i.  So the bits are the top bits of the
-        buffered half's bytes, if one is held, then of the little-endian bytes
-        of ``random_raw`` words.  A word whose high half goes unused leaves it
-        buffered for the next 32-bit draw, as numpy does.
+        Like every draw it reads whole raw words.  numpy's ``integers(0, 2,
+        size=count, dtype=np.uint8)`` takes the same bytes from the words'
+        32-bit halves, so it gives the same bits over calls of a multiple of
+        8 bits and then one of any count; only numpy would keep an unused
+        high half for its next 32-bit draw.
         """
-        bitgen = self.np.bit_generator
-        state = bitgen.state
-        halves = -(-count // 4)  # the 32-bit draws numpy makes
-        held = min(state["has_uint32"], halves)
-        words = bitgen.random_raw((halves - held + 1) // 2)
-        raw = words.astype("<u8", copy=False).view(np.uint8)
-        if held:
-            half = np.array([state["uinteger"]], dtype="<u4").view(np.uint8)
-            raw = np.concatenate((half, raw))
-        if held or len(words):
-            state = bitgen.state
-            state["has_uint32"] = (halves - held) % 2
-            if len(words):  # numpy keeps the last word's high half, used or not
-                state["uinteger"] = int(words[-1] >> np.uint64(32))
-            bitgen.state = state
-        return raw[:count] >> 7
+        words = self.np.bit_generator.random_raw(-(-count // 8))
+        return words.astype("<u8", copy=False).view(np.uint8)[:count] >> 7

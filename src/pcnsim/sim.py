@@ -527,11 +527,11 @@ def _chains_walk(cfg: SimConfig, ks: list[int], rng: Rng) -> list[RunOutcome]:
     one per chain and row, and are compared as integers with
     ``_selection_cut(p_select)``.  A fork of the stream reads them a window
     of rows at a time, only as far as the run gets.  The stream itself skips
-    them with ``advance``, which drops the buffered 32-bit half-word, so
-    that is put back, and draws the block's directions whole with
-    ``rng.bits``; a run leaves the stream where drawing whole blocks leaves
-    it.  Each window is summed at once; only chains close enough to pass
-    their band within the window get a row-by-row running sum.
+    them with ``advance`` and draws the block's directions whole with
+    ``rng.bits``; every draw reads whole raw words, so a run leaves the
+    stream where drawing whole blocks leaves it.  Each window is summed at
+    once; only chains close enough to pass their band within the window get
+    a row-by-row running sum.
     """
     n = cfg.nodes
     bitgen = rng.np.bit_generator
@@ -547,12 +547,8 @@ def _chains_walk(cfg: SimConfig, ks: list[int], rng: Rng) -> list[RunOutcome]:
     top = 0  # max |pos|
     progress = Progress(logger, "independent chains", seed=rng.seed)
     for block in chunk_sizes(8, 256, cfg.max_steps):
-        start = bitgen.state
-        fork.state = start  # reads the block's selection words as windows come
-        bitgen.advance(block * n)  # past them, dropping the buffered half-word
-        state = bitgen.state
-        state["has_uint32"], state["uinteger"] = start["has_uint32"], start["uinteger"]
-        bitgen.state = state
+        fork.state = bitgen.state  # reads the block's selection words as windows come
+        bitgen.advance(block * n)  # past them
         steps = rng.bits(block * n).view(np.int8).reshape(block, n)
         steps *= 2
         steps -= 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import logging
 import pickle
-from itertools import accumulate, takewhile
+from itertools import accumulate, islice, takewhile
 
 import numpy as np
 import pytest
@@ -89,24 +89,6 @@ def test_independent_chains_large_k_matches_scalar_oracle():
 
 def _stream(rng):
     return rng.np.bit_generator.state
-
-
-@settings(max_examples=80)
-@given(n=st.integers(1, 70), k=st.integers(1, 6),
-       p=st.sampled_from([1.0, 0.3, 0.05, ring_edge_probability(70)]),
-       cap=st.one_of(st.just(_FAR), st.integers(1, 300)), seed=st.integers(0, 2 ** 32))
-def test_independent_chains_carry_a_buffered_half_word(n, k, p, cap, seed):
-    # one uint8 draw leaves the high half of a 32-bit draw buffered in PCG64;
-    # the chains skip their selection words with advance, which drops it, so
-    # they must put it back before drawing directions, and leave the stream
-    # where whole-block draws leave it, censored or not
-    rng, twin = Rng(seed), Rng(seed)
-    for r in (rng, twin):
-        r.np.integers(0, 2, size=1, dtype=np.uint8)
-    assert _stream(rng)["has_uint32"] == 1
-    assert (run_independent_chains(n, k, p, cap, rng)
-            == oracle_independent_chains(n, k, p, cap, twin))
-    assert _stream(rng) == _stream(twin)
 
 
 @pytest.mark.parametrize("p", [0.25, 0.05, ring_edge_probability(4096), 1e-300,
@@ -424,41 +406,67 @@ def test_words_put_back_come_first_and_go_on_in_a_copy():
         assert [held.u64() for _ in range(11)] == want[9:20]
 
 
-_COUNTS = st.one_of(st.integers(0, 9), st.integers(0, 5000))
+_COUNTS = st.one_of(st.integers(0, 9), st.integers(0, 5000),
+                    st.integers(0, 700).map(lambda c: 8 * c))
 
 
 @settings(max_examples=150)
 @given(seed=st.integers(0, 2 ** 32),
-       calls=st.lists(st.tuples(_COUNTS, st.integers(0, 3),
-                                st.sampled_from([None, "pickle", "deepcopy"])),
+       calls=st.lists(st.tuples(_COUNTS, st.sampled_from([None, "pickle", "deepcopy"])),
                       min_size=1, max_size=8))
-def test_bits_are_numpys_uint8_integers(seed, calls):
-    # each call takes bits, then `halves` 32-bit draws that may leave a
-    # half-word buffered or take it, and maybe goes on in a copy of the Rng
-    rng, twin = Rng(seed), np.random.Generator(np.random.PCG64(seed))
-    for count, halves, copier in calls:
+def test_bits_are_the_top_bits_of_whole_raw_words(seed, calls):
+    # each call reads ceil(count/8) raw words: bit i is the top bit of byte
+    # i % 8 of word i // 8, counted from the low byte; the stream goes on
+    # after those words, in a copy too.  While every call so far took a
+    # multiple of 8 bits, the bits are numpy's uint8 integers, the call
+    # after them included
+    rng, raw = Rng(seed), np.random.PCG64(seed)
+    numpys = np.random.Generator(np.random.PCG64(seed))
+    whole = True
+    for count, copier in calls:
         got = rng.bits(count)
         assert got.dtype == np.uint8
-        assert got.tolist() == twin.integers(0, 2, size=count, dtype=np.uint8).tolist()
-        assert _stream(rng) == twin.bit_generator.state
-        assert rng.np.random() == twin.random()
-        assert (rng.np.integers(0, 1 << 32, size=halves, dtype=np.uint32).tolist()
-                == twin.integers(0, 1 << 32, size=halves, dtype=np.uint32).tolist())
+        words = raw.random_raw(-(-count // 8)).tolist()
+        assert got.tolist() == [w >> 8 * i + 7 & 1 for w in words for i in range(8)][:count]
+        assert _stream(rng) == raw.state
+        if whole:
+            assert got.tolist() == numpys.integers(0, 2, size=count, dtype=np.uint8).tolist()
+            whole = count % 8 == 0
         if copier == "pickle":
             rng = pickle.loads(pickle.dumps(rng))
         elif copier == "deepcopy":
             rng = copy.deepcopy(rng)
+    assert rng.np.bit_generator.random_raw(3).tolist() == raw.random_raw(3).tolist()
 
 
-def test_bits_go_on_from_a_held_half_word_in_a_copy():
-    rng, twin = Rng(12), np.random.Generator(np.random.PCG64(12))
-    for gen in (rng.np, twin):
-        gen.integers(0, 2, size=3, dtype=np.uint8)  # holds the word's high half
-    assert _stream(rng)["has_uint32"] == 1
-    want = [twin.integers(0, 2, size=c, dtype=np.uint8).tolist() for c in (3, 13, 0, 4096)]
-    for held in (pickle.loads(pickle.dumps(rng)), copy.deepcopy(rng)):
-        assert [held.bits(c).tolist() for c in (3, 13, 0, 4096)] == want
-        assert _stream(held) == twin.bit_generator.state
+@pytest.mark.parametrize("kernel,first,cap", [
+    ("clique", 128, 1 << 14), ("bdc", 128, 1 << 14), ("chains", 8, 256)])
+@settings(max_examples=60)
+@given(n=st.integers(2, 30), k=st.integers(1, 10), end=st.integers(1, 7), odd=st.integers(0, 127),
+       capped=st.booleans(), seed=st.integers(0, 2 ** 64 - 1))
+def test_kernels_draw_whole_bytes_of_bits_before_their_last_call(kernel, first, cap, n, k, end,
+                                                                  odd, capped, seed):
+    # numpy's uint8 integers hold no 32-bit half-word between calls of a
+    # multiple of 8 bits, so Rng.bits gives its bits; a capped run, at a
+    # balance it cannot deplete, ends on a chunk clipped to an odd count of
+    # rounds, its last call
+    if capped:
+        sizes = list(islice(chunk_sizes(first, cap, _FAR), end))
+        max_steps, k = sum(sizes[:-1]) + (2 * odd + 1) % sizes[-1], 10 ** 6
+    else:
+        max_steps = _FAR
+    counts, bits = [], Rng.bits
+    rng = Rng(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Rng, "bits", lambda rng, count: counts.append(count) or bits(rng, count))
+        if kernel == "clique":
+            _clique_fast(_clique(n, k, cap=max_steps), [k], rng)
+        elif kernel == "bdc":
+            run_bdc_process(n * (n - 1) // 2, k, max_steps, rng)
+        else:
+            run_independent_chains(n, k, 0.3, max_steps, rng)
+    assert counts and all(count % 8 == 0 for count in counts[:-1]), counts
+    assert _stream(rng)["has_uint32"] == 0
 
 
 def _progress_lines(caplog, what):

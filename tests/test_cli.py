@@ -9,7 +9,7 @@ import pytest
 import pcnsim.cli
 from pcnsim import Rng, make_ring, run_coupled_clique, run_seed
 from pcnsim.cli import main
-from pcnsim.graph import write_edgelist
+from pcnsim.graph import load_graph, write_edgelist
 from pcnsim.results import read_csv, read_outcomes_csv
 
 from helpers import misrouted_chains
@@ -877,6 +877,17 @@ _NODES_AB = [{"pub_key": "A"}, {"pub_key": "B"}]
      "config error: plan {path}: row '0,10' has 2 fields, the header 3"),
     ("p.csv", "3,nan\n4,inf\n", ["fit", "--model", "upper", "--balance", "4", "--points"], 1,
      "config error: every mean_tau must be finite"),
+    ("p.csv", "n,mean_tau\n3,1.5\n4\n", ["fit", "--model", "upper", "--balance", "4",
+                                           "--points"], 1,
+     "config error: points file rows must be 'n,mean_tau' ({path})"),
+    ("bad.edges", "3\n0 1 4\n", ["betweenness", "--graph"], 2,
+     "error: cannot load graph {path}: {path}: first line must be 'n m'"),
+    ("bad.edges", "3 2\n0 1 4\n1 2\n", ["betweenness", "--graph"], 2,
+     "error: cannot load graph {path}: {path}: bad edge line '1 2'"),
+    ("bad.edges", "3 2\n0 1 4\n# 1 2 4\n", ["betweenness", "--graph"], 2,
+     "error: cannot load graph {path}: {path}: header claims 2 edges, found 1"),
+    ("r.cfg", "topology = clique\n\n# nodes next\nnodes 5\n", ["simulate", "--config"], 1,
+     "config error: {path}:4: expected 'key = value', got 'nodes 5'"),
 ])
 def test_malformed_input_ends_in_one_line(tmp_path, capsys, name, text, argv, code, line):
     path = tmp_path / name
@@ -888,3 +899,43 @@ def test_malformed_input_ends_in_one_line(tmp_path, capsys, name, text, argv, co
     err = capsys.readouterr().err
     assert err.startswith(line.format(path=path))
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["simulate", "--topology", "clique", "--nodes", "5", "--capacity", "5",
+      "--capacity-is-total"], 1, "config error: total capacity must be even, got 5"),
+    (["betweenness"], 1, "config error: a graph is required: pass --graph or --snapshot"),
+    (["sweep", "--topology", "clique", "--nodes", "5", "--k-from", "2"], 1,
+     "config error: sweep requires k_to"),
+    (["couple-check", "--nodes", "5"], 1,
+     "config error: couple-check requires --nodes and --balance"),
+    (["fit", "--model", "upper", "--balance", "4", "--points", "{tmp}/nope.csv"], 2,
+     "error: cannot read points file {tmp}/nope.csv: "),
+])
+def test_missing_or_unreadable_input_ends_in_one_line(tmp_path, capsys, argv, code, line):
+    assert run_cli(*[a.format(tmp=tmp_path) for a in argv]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(line.format(tmp=tmp_path))
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_recipe_file_with_blank_and_comment_lines_runs(tmp_path, capsys):
+    recipe = tmp_path / "recipe.cfg"
+    recipe.write_text("# a clique campaign\ntopology = clique\n\nnodes = 5  # small\n"
+                      "balance = 2\n   \nruns = 2\n")
+    assert run_cli("simulate", "--config", str(recipe), "--seed", "3", "--workers", "1") == 0
+    echoed = capsys.readouterr().out
+    assert "nodes = 5" in echoed and "runs = 2" in echoed
+
+
+def test_snapshot_path_named_like_json_text_loads(tmp_path, monkeypatch, capsys):
+    # a path is read as a path, not as JSON text, though it starts with "{"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "{lnd}.json").write_text(json.dumps(
+        {"nodes": [{"pub_key": k} for k in "ABC"],
+         "edges": [{"node1_pub": a, "node2_pub": b, "capacity": 6} for a, b in ("AB", "BC")]}))
+    g = load_graph("{lnd}.json")
+    assert (g.node_count, g.edge_count, g.node_keys) == (3, 2, ["A", "B", "C"])
+    assert run_cli("betweenness", "--snapshot", "{lnd}.json") == 0
+    out = capsys.readouterr().out
+    assert "graph = {lnd}.json" in out and "edges = 2" in out

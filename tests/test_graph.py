@@ -220,6 +220,22 @@ def test_load_graph_snapshot_takes_giant_component(tmp_path):
     assert g.edge_count == 2
 
 
+def test_snapshot_duplicate_node_record_is_kept_once():
+    doc = _doc(["A", "B", "A", "C"], [("A", "B", 6), ("B", "C", 4)])
+    assert parse_snapshot(doc).node_keys == ["A", "B", "C"]
+    g = ingest_snapshot(parse_snapshot(doc))
+    assert (g.node_count, g.edge_count) == (3, 2)
+
+
+def test_edgelist_skips_comment_and_blank_lines_after_the_header(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_text("3 2\n\n# first channel\n0 1 4\n   \n1 2 6\n# end\n")
+    g = read_edgelist(path)
+    assert g.node_count == 3
+    assert (g.edge_u.tolist(), g.edge_v.tolist(), g.capacity.tolist()) == ([0, 1], [1, 2],
+                                                                           [4, 6])
+
+
 def test_edges_are_read_only_int64_arrays():
     g = ChannelGraph(4, [(2, 1, 5), (0, 3, 7), (3, 1, 9)])
     for column in (g.edge_u, g.edge_v, g.capacity):

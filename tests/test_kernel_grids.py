@@ -29,10 +29,8 @@ def _grids(top):
 
 
 def _left(rng):
-    """Where a run left the stream: any buffered 32-bit half-word, and the
-    next raw words, buffered ones first."""
-    state = rng.np.bit_generator.state
-    return state["has_uint32"], state["uinteger"], [rng.u64() for _ in range(3)]
+    """Where a run left the stream: the next raw words, buffered ones first."""
+    return [rng.u64() for _ in range(3)]
 
 
 def _check_walk(walk, oracle, ks, seed):

@@ -9,7 +9,7 @@ from pcnsim import (ChannelGraph, apply_plan, edge_betweenness, make_clique,
                     redistribute_uniform, redistribute_xi_optimized, xi_and_bounds)
 from pcnsim.analytics import BOUND_REPORT_COLUMNS, bound_report_rows
 from pcnsim.paths import BetweennessMap
-from pcnsim.planner import load_plan_csv, plan_rows, PLAN_COLUMNS
+from pcnsim.planner import MIN_CAPACITY, load_plan_csv, plan_rows, PLAN_COLUMNS
 from pcnsim.results import read_csv, write_csv
 
 from helpers import log_uniform_capacities, random_connected_edges
@@ -70,6 +70,23 @@ def test_xi_optimized_zero_betweenness_gets_floor():
     plan = redistribute_xi_optimized(g, BetweennessMap([2.0, 0.0, 2.0]))
     assert plan.new_capacity[1] == 2
     assert sum(plan.new_capacity) == 30
+
+
+def test_xi_optimized_clamps_low_betweenness_edges_and_resolves():
+    # a 10-node path (edges 0-8) with two leaves on each end node (edges
+    # 9-12), every capacity 3: the leaf edges' share of the total 39 at
+    # g = 13 is below the floor, so they clamp there and the path edges
+    # split what is left
+    edges = [(i, i + 1, 3) for i in range(9)] + [(0, 10, 3), (0, 11, 3), (9, 12, 3),
+                                                  (9, 13, 3)]
+    g = ChannelGraph(14, edges)
+    bmap = edge_betweenness(g)
+    assert bmap.values[9:] == [13.0] * 4
+    share = g.total_capacity() / sum(math.sqrt(v) for v in bmap.values)
+    assert share * math.sqrt(13.0) < MIN_CAPACITY
+    plan = redistribute_xi_optimized(g, bmap)
+    assert plan.new_capacity == [3, 3, 4, 4, 4, 4, 3, 3, 3, 2, 2, 2, 2]
+    assert plan.total_before == plan.total_after == 39
 
 
 def test_plans_conserve_capacity_on_random_graphs():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from pcnsim import Rng, RunOutcome, aggregate, log_histogram
@@ -145,6 +146,15 @@ def test_write_csv_renders_mixed_rows_byte_for_byte(tmp_path):
                                  b",0.1,inf,True,x y,18446744073709551617\n"
                                  b"1e-300,-inf,False,s,9223372036854775808,\n"
                                  b"3,2.5,,-7,1e+22,0.0\n")
+
+
+def test_write_csv_renders_a_numpy_float_one_way_with_or_without_none(tmp_path):
+    # %s is str: a numpy float prints as its value in the header and in a
+    # row, whether or not the row also holds None
+    path = tmp_path / "t.csv"
+    half = np.float64(0.5)
+    write_csv(path, {"h": half, "n": None}, ["a", "b"], [(half, 1), (half, None)])
+    assert path.read_bytes() == b"# h = 0.5\n# n = \na,b\n0.5,1\n0.5,\n"
 
 
 def test_write_csv_io_error_has_path_context(tmp_path):
