@@ -6,7 +6,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -15,7 +15,9 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 _MAX_NODES = 3_037_000_499  # the largest n with n * n below 2**63
+_INT64_MAX = 2 ** 63 - 1
 _DECIMAL = re.compile("-?[0-9]+")  # a snapshot's capacity string
+_DECIMALS = re.compile("-?[0-9]+(?:\n-?[0-9]+)*")  # several, one to a line
 
 
 class Csr(NamedTuple):
@@ -205,10 +207,14 @@ def _reject(message: str, bad: np.ndarray, *columns: np.ndarray) -> None:
 
 @dataclass
 class SnapshotDocument:
-    """Parsed channel-graph snapshot: node public keys plus raw channel records."""
+    """Parsed channel-graph snapshot, in columns: the distinct node public
+    keys in document order, and one entry per channel record in
+    ``node1``, ``node2`` (its endpoint keys) and ``capacity`` (an int)."""
 
-    node_keys: list[str]
-    channels: list[tuple[str, str, int]]
+    node_keys: list
+    node1: list
+    node2: list
+    capacity: list[int]
 
 
 def make_clique(n: int, capacity: int) -> ChannelGraph:
@@ -237,12 +243,16 @@ def _check_capacity(capacity: int) -> None:
 
 
 def parse_snapshot(source) -> SnapshotDocument:
-    """Parse an LND ``describegraph``-shaped document.
+    """Parse an LND ``describegraph``-shaped document into columns.
 
     Accepts a dict or a path.  Expected shape: top-level ``nodes`` (objects
     with ``pub_key``) and ``edges`` (objects with ``node1_pub``,
     ``node2_pub``, and ``capacity`` as int or a string of ASCII decimal
-    digits, with an optional leading minus).  Unknown fields are ignored.
+    digits, with an optional leading minus).  Unknown fields are ignored; a
+    repeated node record is kept once.  Each field is read by one list
+    comprehension, and every capacity string by one regex pass; a faulty
+    document raises the ValueError of its first faulty record, in document
+    order, nodes before channels.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -251,106 +261,173 @@ def parse_snapshot(source) -> SnapshotDocument:
         doc = source
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
         raise ValueError("snapshot document must have top-level 'nodes' and 'edges'")
-    if not isinstance(doc["nodes"], list) or not isinstance(doc["edges"], list):
+    nodes, channels = doc["nodes"], doc["edges"]
+    if not isinstance(nodes, list) or not isinstance(channels, list):
         raise ValueError("snapshot 'nodes' and 'edges' must be lists")
-    node_keys = []
-    seen = set()
-    for rec in doc["nodes"]:
+    try:
+        node_keys = _node_keys(nodes)
+    except (TypeError, KeyError):
+        rec = nodes[_first_malformed(_node_keys, nodes)]
+        raise ValueError(f"malformed node record: {rec!r}") from None
+    # the records before the first malformed one are read, and a bad
+    # capacity among them comes first
+    good = len(channels)
+    try:
+        node1, node2, capacity = _channel_columns(channels)
+    except (TypeError, KeyError):
+        good = _first_malformed(_channel_columns, channels)
+        node1, node2, capacity = _channel_columns(channels[:good])
+    bad = _first_non_integer(capacity)
+    if bad is not None:
+        raise ValueError(f"channel {node1[bad]}–{node2[bad]} has non-integer capacity "
+                         f"{capacity[bad]!r}")
+    if good < len(channels):
+        raise ValueError(f"malformed channel record: {channels[good]!r}")
+    return SnapshotDocument(node_keys, node1, node2, list(map(int, capacity)))
+
+
+def _node_keys(records: list) -> list:
+    """The distinct ``pub_key`` values of node records, first seen first."""
+    return list(dict.fromkeys([rec["pub_key"] for rec in records]))
+
+
+def _channel_columns(records: list) -> tuple[list, list, list]:
+    node1 = [rec["node1_pub"] for rec in records]
+    node2 = [rec["node2_pub"] for rec in records]
+    capacity = [rec["capacity"] for rec in records]
+    hash(tuple(node1))  # a list or an object is no key
+    hash(tuple(node2))
+    return node1, node2, capacity
+
+
+def _first_malformed(read, records: list) -> int:
+    """Index of the first record that ``read`` refuses on its own, by
+    TypeError or KeyError: the one that made ``read(records)`` raise."""
+    for i, rec in enumerate(records):
         try:
-            key = rec["pub_key"]
-            hash(key)  # a list or an object is no key
+            read([rec])
         except (TypeError, KeyError):
-            raise ValueError(f"malformed node record: {rec!r}") from None
-        if key in seen:
-            continue
-        seen.add(key)
-        node_keys.append(key)
-    channels = []
-    for rec in doc["edges"]:
-        try:
-            k1, k2, cap = rec["node1_pub"], rec["node2_pub"], rec["capacity"]
-            hash((k1, k2))
-        except (TypeError, KeyError):
-            raise ValueError(f"malformed channel record: {rec!r}") from None
-        try:
-            # int() would take true as 1, 12.7 as 12, and "1_000", " 12 ", "+7"
-            # or non-ASCII digits
-            if not (type(cap) is int or type(cap) is str and _DECIMAL.fullmatch(cap)):
-                raise TypeError
-            cap_int = int(cap)
-        except (TypeError, ValueError):
-            raise ValueError(f"channel {k1}–{k2} has non-integer capacity {cap!r}") from None
-        channels.append((k1, k2, cap_int))
-    return SnapshotDocument(node_keys=node_keys, channels=channels)
+            return i
+
+
+def _first_non_integer(capacity: list) -> int | None:
+    """Index of the first capacity that is neither an int nor a string of
+    ASCII decimal digits with an optional leading minus; None if all are.
+
+    int() would take true as 1, 12.7 as 12, and "1_000", " 12 ", "+7" or
+    non-ASCII digits.
+    """
+    kinds = set(map(type, capacity))
+    if kinds <= {int, str}:
+        strings = capacity if int not in kinds else [c for c in capacity if type(c) is str]
+        # one pass over the strings joined by newlines, which none may hold
+        text = "\n".join(strings)
+        if not strings or (_DECIMALS.fullmatch(text)
+                           and text.count("\n") == len(strings) - 1):
+            return None
+    return next(i for i, cap in enumerate(capacity)
+                if not (type(cap) is int or type(cap) is str and _DECIMAL.fullmatch(cap)))
 
 
 def ingest_snapshot(doc: SnapshotDocument) -> ChannelGraph:
     """Build a simple ChannelGraph from a snapshot.
 
     Nodes are re-indexed densely in document order.  Parallel channels between
-    the same endpoint pair are merged by summing capacities; self-loops are
-    dropped with a warning.  The original-key ↔ dense-id map is kept on the
-    returned graph (``node_keys``) so findings trace back to real nodes.
+    the same endpoint pair are merged by summing capacities, and the merged
+    edges keep the order of each pair's first channel; self-loops are dropped
+    with a warning.  The original-key ↔ dense-id map is kept on the returned
+    graph (``node_keys``) so findings trace back to real nodes.
+
+    Keys become ids through one ``np.fromiter`` over the index, and one
+    ``np.unique`` on ``lo·n + hi`` groups the channels of a pair.  The
+    channels are checked in document order, the first fault raising: an
+    unknown key, then a nonpositive capacity.  A merged capacity past int64
+    raises too.
     """
-    index = {key: i for i, key in enumerate(doc.node_keys)}
-    merged: dict[tuple[int, int], int] = {}
-    for k1, k2, cap in doc.channels:
-        if k1 not in index or k2 not in index:
-            missing = k1 if k1 not in index else k2
+    n, m = len(doc.node_keys), len(doc.node1)
+    index = dict(zip(doc.node_keys, range(n)))
+    u = np.fromiter(map(index.get, doc.node1, repeat(-1)), dtype=np.int64, count=m)
+    v = np.fromiter(map(index.get, doc.node2, repeat(-1)), dtype=np.int64, count=m)
+    try:
+        cap = np.array(doc.capacity, dtype=np.int64)
+    except OverflowError:  # kept exact: a sign check or ChannelGraph refuses it
+        cap = np.array(doc.capacity, dtype=object)
+    fault = (u < 0) | (v < 0) | (cap <= 0)
+    first = int(fault.argmax()) if fault.any() else m
+    for i in (u[:first] == v[:first]).nonzero()[0].tolist():
+        logger.warning("dropping self-loop channel on node %s", doc.node1[i])
+    if first < m:
+        k1, k2 = doc.node1[first], doc.node2[first]
+        if u[first] < 0 or v[first] < 0:
+            missing = k1 if u[first] < 0 else k2
             raise ValueError(f"channel references unknown node key {missing!r}")
-        if cap <= 0:
-            raise ValueError(f"channel {k1}–{k2} has nonpositive capacity {cap}")
-        u, v = index[k1], index[k2]
-        if u == v:
-            logger.warning("dropping self-loop channel on node %s", k1)
-            continue
-        if u > v:
-            u, v = v, u
-        merged[(u, v)] = merged.get((u, v), 0) + cap
-    edges = [(u, v, cap) for (u, v), cap in merged.items()]
-    return ChannelGraph(len(doc.node_keys), edges, node_keys=list(doc.node_keys))
+        raise ValueError(f"channel {k1}–{k2} has nonpositive capacity {doc.capacity[first]}")
+    keep = u != v
+    lo, hi, cap = np.minimum(u, v)[keep], np.maximum(u, v)[keep], cap[keep]
+    pairs, pair = np.unique(lo * n + hi, return_inverse=True)
+    # each pair's first channel, in document order: a stable sort inside
+    # np.unique (return_index) costs about three times as much
+    head = np.full(pairs.size, pair.size)
+    np.minimum.at(head, pair, np.arange(pair.size))
+    head.sort()
+    # np.add.at wraps around past int64: where a pair's sum could pass it, the
+    # sums are taken exact, and ChannelGraph refuses one that does
+    if cap.size and int(cap.max()) * int(np.bincount(pair).max()) > _INT64_MAX:
+        cap = cap.astype(object)
+    total = np.zeros(pairs.size, dtype=cap.dtype)
+    np.add.at(total, pair, cap)
+    return ChannelGraph(n, np.column_stack([lo[head], hi[head], total[pair[head]]]),
+                        node_keys=list(doc.node_keys))
 
 
 def giant_component(g: ChannelGraph) -> ChannelGraph:
     """Induced subgraph on the largest connected component, nodes re-indexed.
 
     Ties between equal-sized components break toward the one containing the
-    smallest original node id.  Original ids map to new ids in ascending order.
+    smallest original node id.  Original ids map to new ids in ascending
+    order, and the kept edges keep their order.  Components come from
+    ``_component_roots``, on the edge arrays alone.
     """
-    indptr, indices, _ = g.csr_lists
-    seen = [False] * g.node_count
-    best: list[int] = []
-    for start in range(g.node_count):
-        if seen[start]:
-            continue
-        comp = _component_of(indptr, indices, start, seen)
-        if len(comp) > len(best):  # first-found wins ties: starts scan upward
-            best = comp
-    if len(best) < 2:
+    n = g.node_count
+    root = _component_roots(n, g.edge_u, g.edge_v)
+    size = np.bincount(root, minlength=n)
+    # a root is the smallest id of its component, so the first largest wins ties
+    best = int(size.argmax())
+    if size[best] < 2:
         raise ValueError("largest component is a single node; no channels to keep")
-    best.sort()
-    remap = np.full(g.node_count, -1, dtype=np.int64)
-    remap[best] = np.arange(len(best))
+    nodes = (root == best).nonzero()[0]
+    remap = np.full(n, -1, dtype=np.int64)
+    remap[nodes] = np.arange(nodes.size)
     # an edge's ends share a component, so checking one end is enough
     keep = remap[g.edge_u] >= 0
     edges = np.column_stack([remap[g.edge_u[keep]], remap[g.edge_v[keep]], g.capacity[keep]])
-    keys = [g.node_keys[old] for old in best] if g.node_keys is not None else None
-    return ChannelGraph(len(best), edges, node_keys=keys)
+    keys = [g.node_keys[old] for old in nodes.tolist()] if g.node_keys is not None else None
+    return ChannelGraph(nodes.size, edges, node_keys=keys)
 
 
-def _component_of(indptr: list[int], indices: list[int], start: int,
-                  seen: list[bool]) -> list[int]:
-    comp = [start]
-    seen[start] = True
-    head = 0
-    while head < len(comp):
-        v = comp[head]
-        head += 1
-        for w in indices[indptr[v]:indptr[v + 1]]:
-            if not seen[w]:
-                seen[w] = True
-                comp.append(w)
-    return comp
+def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each node's component, named by its smallest node id.
+
+    Shiloach–Vishkin hooking (J. Algorithms 1982; FastSV, SIAM PP 2020):
+    every node points at a smaller-or-equal id, and each round hooks every
+    root onto the smallest root across its edges (``np.minimum.at``), if
+    smaller, then jumps pointers until every node points at its root.
+    Edges inside one tree are dropped; the rounds end when none is left.
+    """
+    root = np.arange(n)
+    while True:
+        ru, rv = root[u], root[v]
+        apart = (ru != rv).nonzero()[0]
+        if not apart.size:
+            return root
+        u, v, ru, rv = u[apart], v[apart], ru[apart], rv[apart]
+        np.minimum.at(root, ru, rv)
+        np.minimum.at(root, rv, ru)
+        while True:
+            up = root[root]
+            if (up == root).all():
+                break
+            root = up
 
 
 def write_edgelist(g: ChannelGraph, path) -> None:
@@ -362,27 +439,28 @@ def write_edgelist(g: ChannelGraph, path) -> None:
 
 
 def read_edgelist(path) -> ChannelGraph:
+    """Read the format ``write_edgelist`` writes.  Blank lines and lines
+    starting with ``#`` are skipped, before the header as after it."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: first line must be 'n m'")
-        n, m = int(header[0]), int(header[1])
-        edges = []
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}: bad edge line {line!r}")
-            edges.append((int(parts[0]), int(parts[1]), int(parts[2])))
+        lines = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
+    try:
+        n, m = map(int, lines[0].split())
+    except (IndexError, ValueError):
+        raise ValueError(f"{path}: first line must be 'n m'") from None
+    edges = []
+    for line in lines[1:]:
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(f"{path}: bad edge line {line!r}")
+        edges.append((int(parts[0]), int(parts[1]), int(parts[2])))
     if len(edges) != m:
         raise ValueError(f"{path}: header claims {m} edges, found {len(edges)}")
     return ChannelGraph(n, edges)
 
 
 def load_graph(path) -> ChannelGraph:
-    """Load a graph file: ``.json`` snapshots (giant component) or edge lists."""
+    """Load a graph file: ``.json`` snapshots, through ``parse_snapshot``,
+    ``ingest_snapshot`` and ``giant_component``, or edge lists."""
     p = Path(path)
     if p.suffix.lower() == ".json":
         g = ingest_snapshot(parse_snapshot(p))

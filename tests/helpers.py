@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import deque
 from types import SimpleNamespace
 
@@ -478,3 +479,74 @@ def oracle_ring_fast(n, capacity, cfg, rng):
             return RunOutcome(t + 1, failing, "depleted", rng.seed)
         t += 1
     return RunOutcome(t, None, "step_cap_reached", rng.seed)
+
+
+def oracle_load_snapshot(doc, dropped=None):
+    """The snapshot load one Python step per record, parse to giant component.
+
+    The reference for ``giant_component(ingest_snapshot(parse_snapshot(doc)))``
+    on a snapshot dict: it raises the same ValueError for the first fault,
+    and appends the key of each self-loop it drops to ``dropped``, if given.
+    """
+    if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
+        raise ValueError("snapshot document must have top-level 'nodes' and 'edges'")
+    if not isinstance(doc["nodes"], list) or not isinstance(doc["edges"], list):
+        raise ValueError("snapshot 'nodes' and 'edges' must be lists")
+    node_keys = []
+    seen = set()
+    for rec in doc["nodes"]:
+        try:
+            key = rec["pub_key"]
+            hash(key)
+        except (TypeError, KeyError):
+            raise ValueError(f"malformed node record: {rec!r}") from None
+        if key not in seen:
+            seen.add(key)
+            node_keys.append(key)
+    channels = []
+    for rec in doc["edges"]:
+        try:
+            k1, k2, cap = rec["node1_pub"], rec["node2_pub"], rec["capacity"]
+            hash((k1, k2))
+        except (TypeError, KeyError):
+            raise ValueError(f"malformed channel record: {rec!r}") from None
+        if not (type(cap) is int or type(cap) is str and re.fullmatch("-?[0-9]+", cap)):
+            raise ValueError(f"channel {k1}–{k2} has non-integer capacity {cap!r}")
+        channels.append((k1, k2, int(cap)))
+
+    index = {key: i for i, key in enumerate(node_keys)}
+    merged = {}
+    for k1, k2, cap in channels:
+        if k1 not in index or k2 not in index:
+            missing = k1 if k1 not in index else k2
+            raise ValueError(f"channel references unknown node key {missing!r}")
+        if cap <= 0:
+            raise ValueError(f"channel {k1}–{k2} has nonpositive capacity {cap}")
+        u, v = index[k1], index[k2]
+        if u == v:
+            if dropped is not None:
+                dropped.append(k1)
+            continue
+        pair = (min(u, v), max(u, v))
+        merged[pair] = merged.get(pair, 0) + cap
+    g = ChannelGraph(len(node_keys), [(u, v, cap) for (u, v), cap in merged.items()],
+                     node_keys=list(node_keys))
+
+    adj = adjacency_of(zip(g.edge_u.tolist(), g.edge_v.tolist(), g.capacity.tolist()),
+                       g.node_count)
+    seen_node = set()
+    best = []
+    for start in range(g.node_count):  # upward, so the first largest wins ties
+        if start not in seen_node:
+            comp = list(bfs_dist(adj, start))
+            seen_node.update(comp)
+            if len(comp) > len(best):
+                best = comp
+    if len(best) < 2:
+        raise ValueError("largest component is a single node; no channels to keep")
+    best.sort()
+    remap = {old: new for new, old in enumerate(best)}
+    edges = [(remap[u], remap[v], cap)
+             for u, v, cap in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.capacity.tolist())
+             if u in remap]
+    return ChannelGraph(len(best), edges, node_keys=[node_keys[old] for old in best])

@@ -888,6 +888,8 @@ _NODES_AB = [{"pub_key": "A"}, {"pub_key": "B"}]
      "error: cannot load graph {path}: {path}: header claims 2 edges, found 1"),
     ("r.cfg", "topology = clique\n\n# nodes next\nnodes 5\n", ["simulate", "--config"], 1,
      "config error: {path}:4: expected 'key = value', got 'nodes 5'"),
+    ("bad.edges", "# ring\nx 2\n0 1 4\n1 2 4\n", ["betweenness", "--graph"], 2,
+     "error: cannot load graph {path}: {path}: first line must be 'n m'\n"),
 ])
 def test_malformed_input_ends_in_one_line(tmp_path, capsys, name, text, argv, code, line):
     path = tmp_path / name

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -129,7 +130,8 @@ def test_parse_snapshot_rejects_float_and_bool_capacity(capacity):
     assert "\n" not in str(err.value)
     for fine in (12, "12"):
         doc["edges"][0]["capacity"] = fine
-        assert parse_snapshot(doc).channels == [("A", "B", 12)]
+        parsed = parse_snapshot(doc)
+        assert (parsed.node1, parsed.node2, parsed.capacity) == (["A"], ["B"], [12])
     # a negative capacity parses, and ingest refuses it
     doc["edges"][0]["capacity"] = "-12"
     with pytest.raises(ValueError, match="nonpositive capacity -12"):
@@ -236,6 +238,23 @@ def test_edgelist_skips_comment_and_blank_lines_after_the_header(tmp_path):
                                                                            [4, 6])
 
 
+def test_edgelist_skips_comment_and_blank_lines_before_the_header(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_text("# a path\n\n   \n3 2\n0 1 4\n1 2 6\n")
+    g = read_edgelist(path)
+    assert (g.node_count, g.capacity.tolist()) == (3, [4, 6])
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n", "x 2\n0 1 4\n1 2 4\n",
+                                  "3\n0 1 4\n", "# ring\n3 2 1\n0 1 4\n1 2 4\n",
+                                  "3 2.0\n0 1 4\n1 2 4\n"])
+def test_edgelist_header_that_is_not_two_integers_is_refused(tmp_path, text):
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: first line must be 'n m'$"):
+        read_edgelist(path)
+
+
 def test_edges_are_read_only_int64_arrays():
     g = ChannelGraph(4, [(2, 1, 5), (0, 3, 7), (3, 1, 9)])
     for column in (g.edge_u, g.edge_v, g.capacity):
@@ -271,6 +290,20 @@ def test_snapshot_capacity_outside_int64_is_value_error():
     for doc in (too_big, merged_too_big):
         with pytest.raises(ValueError, match="outside int64"):
             ingest_snapshot(parse_snapshot(doc))
+
+
+def test_merged_capacity_past_int64_is_refused_even_when_the_sum_wraps():
+    # three sum to -2**62 - 3 in wrapping int64 arithmetic, five to 2**62 - 5
+    for count in (3, 5):
+        doc = _doc(["A", "B"], [("A", "B", 2 ** 62 - 1)] * count)
+        with pytest.raises(ValueError, match="outside int64"):
+            ingest_snapshot(parse_snapshot(doc))
+
+
+def test_merged_capacity_of_exactly_int64_max_is_kept():
+    g = ingest_snapshot(parse_snapshot(_doc(["A", "B"], [("A", "B", 2 ** 62),
+                                                         ("B", "A", 2 ** 62 - 1)])))
+    assert g.capacity.tolist() == [2 ** 63 - 1]
 
 
 def test_node_count_bounds():
