@@ -26,7 +26,9 @@ STEP_CAP = "step_cap_reached"
 
 _CLIQUE_CHUNK = 1 << 14  # largest chunk of rounds the clique kernel and its chain process draw
 _RING_WORDS = (512, 1 << 13)  # first and largest block of raw words the ring kernel decodes
-_SAFE_ROUNDS = 16  # fewest rounds the ring kernel applies at once without checks
+_SAFE_ROUNDS = 16  # fewest rounds the ring kernel applies unchecked, most it takes one at a time
+_RING_BATCH = 32  # rounds the ring kernel checks at once near the band
+_RING_BLOCK = 1 << 14  # most rounds x edges in one of the ring kernel's exact blocks
 _MIN, _MAX = np.minimum.reduce, np.maximum.reduce
 _NEAR_ROWS = 8  # fewest rows the independent chains search at once
 
@@ -356,6 +358,18 @@ def _ring_arcs(s: np.ndarray, span: np.ndarray, r: np.ndarray,
     return first, split, end - split, clockwise
 
 
+def _ring_levels(dev: np.ndarray, hot: np.ndarray, first: np.ndarray, split: np.ndarray,
+                 wrap: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """The exact block of a batch of ring rounds: row i, column c is
+    ``|dev[hot[c]]|`` once round i is applied, where round i adds steps[i] to
+    edges first[i], ..., split[i] - 1 and 0, ..., wrap[i] - 1."""
+    cover = (hot >= first[:, None]) & (hot < split[:, None])
+    cover |= hot < wrap[:, None]
+    level = np.cumsum(cover * steps[:, None], axis=0)
+    level += dev[hot]
+    return np.abs(level, out=level)
+
+
 def _ring_fast(cfg: SimConfig, ks: list[int], rng: Rng) -> list[RunOutcome]:
     """Payment process on a ring of uniform per-side balance k, at every k of
     ``ks`` (see ``_Topology``), a block of rounds at a time.
@@ -378,12 +392,23 @@ def _ring_fast(cfg: SimConfig, ks: list[int], rng: Rng) -> list[RunOutcome]:
     round moves a count by at most 1, so while the smallest slack to the band
     is h, none of the next h rounds can fail: when h >= ``_SAFE_ROUNDS`` they
     are applied together, through one difference array over their runs' ends.
-    Otherwise the next ``_SAFE_ROUNDS`` rounds go one at a time, one slice
-    update per run, and those past the first h check each run they updated; a
-    failing round's first edge past the band, in path order, is the failing
-    edge.  The words a run does not use go back to ``rng``, so the stream ends
-    where the scalar draws of the largest k end it.  Progress is logged once
-    per block.
+    Otherwise the next ``_RING_BATCH`` rounds form a batch near the band.  One
+    ``bincount`` of its runs' ends, split by sign, gives each edge how many
+    +1 runs (plus) and -1 runs (minus) cover it, and an edge is hot iff
+    dev + plus or dev - minus is past the band; no other edge can leave it
+    during the batch.  A batch with no hot edge goes through the same kind of
+    difference array.  Otherwise ``_ring_levels`` gives every hot edge's
+    |count| after each round of the batch: the first row past the band is
+    the stop round, its first hot edge past the band in path order is the
+    failing edge, and the next balance's band is checked on the same block
+    from that row on (a larger band has fewer hot edges, so the block is
+    still exact for it).  Only the edges within R of the band can leave it
+    within R rounds; a batch of R rounds with more than ``_RING_BLOCK`` / R
+    of them goes one round at a time instead, for at most ``_SAFE_ROUNDS``
+    rounds, with one slice update per run, and the rounds past the first h
+    check the runs they updated.  The words a run does not use go back to
+    ``rng``, so the stream ends where the scalar draws of the largest k end
+    it.  Progress is logged once per block.
     """
     n = cfg.nodes
     bands, done, spent, kind = _bands(cfg, ks, rng.seed)
@@ -409,20 +434,54 @@ def _ring_fast(cfg: SimConfig, ks: list[int], rng: Rng) -> list[RunOutcome]:
         first, split, wrap, clockwise = _ring_arcs(s, span, r, n)
         rounds = min(len(s), max_steps - t)
         steps = np.where(clockwise, -1, 1)
-        keys = None  # the runs' ends, once a block of safe rounds needs them
+        keys = None  # the runs' ends, once a batch counts them
         j = 0
         while j < rounds:
             h = min(band + int(_MIN(dev)), band - int(_MAX(dev)))
-            if h >= _SAFE_ROUNDS:
+            stop = min(j + (h if h >= _SAFE_ROUNDS else _RING_BATCH), rounds)
+            near = h < stop - j
+            # an edge can leave the band within the batch only if it is closer to it
+            # than the batch has rounds (every edge, when the band is that narrow);
+            # a batch with more of them than an exact block holds goes a round at a time
+            if not near or (stop - j) * (n if band < stop - j else np.count_nonzero(
+                    np.abs(dev) > band - (stop - j))) <= _RING_BLOCK:
                 if keys is None:
-                    # round j's runs start at first and 0 and end at split and wrap;
-                    # ups count at p and downs at n + 1 + p, a clockwise round's swapped
+                    # round j's runs start at first and 0 and end at split and wrap; a +1
+                    # round counts its starts at p and its ends at n + 1 + p, a -1 round's
+                    # swapped, and a batch near the band counts a -1 round's 2n + 2 further on
                     up = clockwise * (n + 1)
-                    down = n + 1 - up
-                    keys = np.stack((first + up, up, split + down, wrap + down), axis=1).ravel()
-                stop = min(j + h, rounds)
-                ends = np.bincount(keys[4 * j:4 * stop], minlength=2 * n + 2)
-                dev += np.cumsum(ends[:n] - ends[n + 1:2 * n + 1])
+                    keys = np.stack((first + up, up, split + n + 1 - up, wrap + n + 1 - up),
+                                    axis=1).ravel()
+                    signed = keys + np.repeat(clockwise * (2 * n + 2), 4)
+                if near:
+                    # the +1 runs' starts and ends, then the -1 runs' ends and starts: how
+                    # many +1 runs cover each edge, and less how many -1 runs do
+                    ends = np.bincount(signed[4 * j:4 * stop],
+                                       minlength=4 * n + 4).reshape(2, 2, -1)
+                    plus, less = np.cumsum(ends[:, 0, :n] - ends[:, 1, :n], axis=1)
+                    hot = np.flatnonzero((dev + plus > band) | (dev + less < -band))
+                    if len(hot):
+                        level = _ring_levels(dev, hot, first[j:stop], split[j:stop], wrap[j:stop],
+                                             steps[j:stop])
+                        row = 0
+                        while (past := level[row:] > band).any():
+                            row += int(past.argmax()) // len(hot)
+                            i = j + row
+                            out = hot[level[row] > band]
+                            # the first of them along the path: up from first[i] for a
+                            # clockwise payment, down from split[i] + wrap[i] - 1 otherwise
+                            along = (out - first[i] if clockwise[i] else
+                                     split[i] + wrap[i] - 1 - out) % n
+                            done.append(RunOutcome(t + i + spent, int(out[np.argmin(along)]),
+                                                   kind, rng.seed))
+                            if len(done) == len(ks):
+                                rng.words(0, w[nxt[i]:])
+                                return done
+                            band = bands[len(done)]
+                    dev += plus + less
+                else:
+                    ends = np.bincount(keys[4 * j:4 * stop], minlength=2 * n + 2)
+                    dev += np.cumsum(ends[:n] - ends[n + 1:2 * n + 1])
                 j = stop
                 continue
             stop = min(j + _SAFE_ROUNDS, rounds)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pcnsim.sim
 from pcnsim import Rng, SimConfig
 from pcnsim.sim import _TOPOLOGY, _chains_walk, _clique_fast, _ring_fast
 
@@ -59,6 +60,24 @@ def test_ring_walk_equals_one_run_per_balance_property(n, ks, x, mode, cap, seed
     cfg = _cfg("ring", n, ks, x, mode, cap)
     _check_walk(lambda ks, rng: _ring_fast(cfg, ks, rng),
                 lambda k, rng: oracle_ring_fast(n, 2 * k, cfg, rng), ks, seed)
+
+
+@pytest.mark.parametrize("batch, block", [(1, 1), (1, 2 ** 30), (32, 1), (32, 2 ** 30)])
+@settings(max_examples=100)
+@given(n=st.integers(3, 40),
+       ks=st.lists(st.integers(1, 40), min_size=1, max_size=6, unique=True).map(sorted),
+       x=st.integers(1, 3), mode=_MODES, cap=st.integers(1, 3000),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_ring_batches_equal_the_oracle_property(batch, block, n, ks, x, mode, cap, seed):
+    # batches of one round or of 32, and exact blocks that hold at most one
+    # level or every one: each path of the kernel near the band, on odd and
+    # even rings (antipodal ties) and grids of balances an amount apart
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pcnsim.sim, "_RING_BATCH", batch)
+        patch.setattr(pcnsim.sim, "_RING_BLOCK", block)
+        cfg = _cfg("ring", n, ks, x, mode, cap)
+        _check_walk(lambda ks, rng: _ring_fast(cfg, ks, rng),
+                    lambda k, rng: oracle_ring_fast(n, 2 * k, cfg, rng), ks, seed)
 
 
 @settings(max_examples=200)

@@ -613,8 +613,9 @@ def test_ring_kernel_tie_word_past_the_cut_is_a_tie_bit(start):
 def test_ring_kernel_fails_on_the_round_after_the_safe_ones(k, stop_mode):
     # every round pays 0 -> 1 over edge 0 (all words are 0), which may fall
     # to 1 in depletion mode and to 0 in attempt mode, so the first k - 1 or
-    # k rounds are safe: with k=20 they go in one safe block, with k=5 one
-    # at a time unchecked; the round after them fails
+    # k rounds are safe: with k=20 they go in one safe block and the next
+    # batch finds edge 0 hot, with k=5 they open a batch near the band whose
+    # exact block stops at the round after them, which fails
     out = _ring_all(5, k, [0] * (4 * k), stop_mode=stop_mode)
     assert (out.tau, out.failing_edge) == (k, 0)
 
@@ -625,8 +626,8 @@ _FIRST_ROUNDS = pcnsim.sim._RING_WORDS[0] // 2  # the first block on an odd ring
 @pytest.mark.parametrize("k, cap", [(5, 7), (5, 13), (100, 50), (100, 130), (100, 777),
                                     (64, _FIRST_ROUNDS), (64, _FIRST_ROUNDS + 1)])
 def test_ring_kernel_step_cap_inside_a_block(k, cap):
-    # k=5 runs checked rounds, k=100 blocks of safe ones, and the last two
-    # caps end at the first block's end and just past it
+    # k=5 runs batches near the band, k=100 mostly safe blocks, and the last
+    # two caps end at the first block of words' end and just past it
     for seed in range(3):
         out = _ring_all(9, k, [], max_steps=cap, seed=seed)
         assert out.tau <= cap
@@ -648,13 +649,28 @@ def test_ring_kernel_matches_generic_loop(n):
         assert fast == generic, (k, x, mode, cap)
 
 
-@pytest.mark.parametrize("n", [9, 64, 100, 513])
-def test_ring_kernel_safe_blocks_match_the_oracle(n, monkeypatch):
-    blocks = []
-    bincount = np.bincount  # the kernel counts a safe block's run ends with it
-    monkeypatch.setattr(pcnsim.sim.np, "bincount",
-                        lambda *a, **kw: blocks.append(1) or bincount(*a, **kw))
-    for k in (50, 64):
+def _batch_probe(monkeypatch):
+    """Counts of the ring kernel's batches: ``counted`` went through its
+    difference array (one ``bincount`` each), and ``hot`` of those built an
+    exact block of levels (``_ring_levels``) for their hot edges."""
+    seen = {"counted": 0, "hot": 0}
+    bincount, levels = np.bincount, pcnsim.sim._ring_levels
+
+    def counted(*args, **kw):
+        seen["counted"] += 1
+        return bincount(*args, **kw)
+
+    def hot(*args):
+        seen["hot"] += 1
+        return levels(*args)
+
+    monkeypatch.setattr(pcnsim.sim.np, "bincount", counted)
+    monkeypatch.setattr(pcnsim.sim, "_ring_levels", hot)
+    return seen
+
+
+def _ring_kernel_equals_oracle(n, ks):
+    for k in ks:
         for x in (1, 3):
             for mode in ("depletion", "attempt"):
                 cfg = SimConfig(topology="ring", nodes=n, balance=k, amount=x,
@@ -664,7 +680,22 @@ def test_ring_kernel_safe_blocks_match_the_oracle(n, monkeypatch):
                     assert (_ring_fast(cfg, [k], rngs[0])[0]
                             == oracle_ring_fast(n, 2 * k, cfg, rngs[1])), (k, x, mode, i)
                     assert rngs[0].u64() == rngs[1].u64()
-    assert blocks  # the runs took blocks of safe rounds
+
+
+@pytest.mark.parametrize("n", [9, 64, 100, 513])
+def test_ring_kernel_safe_blocks_match_the_oracle(n, monkeypatch):
+    seen = _batch_probe(monkeypatch)
+    _ring_kernel_equals_oracle(n, (50, 64))
+    assert seen["counted"] > seen["hot"]  # the runs applied batches with no hot edge
+
+
+@pytest.mark.parametrize("n", [9, 64, 511])
+def test_ring_kernel_hot_batches_match_the_oracle(n, monkeypatch):
+    # k <= 16 starts every run near the band; up to 512 edges, a whole ring
+    # fits an exact block of _RING_BATCH rounds
+    seen = _batch_probe(monkeypatch)
+    _ring_kernel_equals_oracle(n, (2, 5, 8, 16))
+    assert seen["hot"]  # the runs found hot edges and searched their exact blocks
 
 
 _SCRIPT_WORDS = st.one_of(st.integers(0, 2 ** 64 - 1), st.integers(2 ** 64 - 8, 2 ** 64 - 1),
