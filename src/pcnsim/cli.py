@@ -26,7 +26,8 @@ from .results import (Aggregate, aggregate, write_aggregates_csv, write_csv,
                       write_outcomes_csv, write_sweep_csv)
 from .rng import PRNG_ID, Rng, run_seed
 from .sim import (SimConfig, STOP_MODES, SWEEP_TOPOLOGIES, TOPOLOGIES, capacity_sweep,
-                  check_sweep, monte_carlo, multi_amount_experiment, run_coupled_clique)
+                  check_reads, check_sweep, monte_carlo, multi_amount_experiment,
+                  run_coupled_clique)
 
 logger = logging.getLogger(__name__)
 
@@ -167,11 +168,16 @@ def resolve_recipe(args: argparse.Namespace) -> dict:
     return recipe
 
 
+# the recipe keys that name a SimConfig field by another name; the commands
+# refuse a given key whose field the topology never reads even at the field's
+# default, which SimConfig cannot tell from unset (no recipe default names a field)
+_FIELDS = {"seed": "base_seed", "stop": "stop_mode", "snapshot": "snapshot_path"}
+
+
 def _sim_fields(recipe: dict, *keys: str) -> dict:
     """SimConfig keyword arguments for the given recipe keys that are set;
     SimConfig's field defaults stand for the rest."""
-    names = {"seed": "base_seed", "stop": "stop_mode"}
-    return {names.get(key, key): recipe[key] for key in keys if key in recipe}
+    return {_FIELDS.get(key, key): recipe[key] for key in keys if key in recipe}
 
 
 def _resolved_balance(recipe: dict) -> int | None:
@@ -285,6 +291,7 @@ def cmd_simulate(args) -> int:
         if recipe.get("amount") is not None:
             raise ConfigError("pass either amount or amounts, not both")
     try:
+        check_reads(topology, [_FIELDS.get(key, key) for key in recipe])
         cfg = SimConfig(topology=topology, balance=balance, stop_mode=stop,
                         snapshot_path=_graph_path(recipe) if topology == "snapshot"
                         else recipe.get("snapshot") or None,
@@ -346,6 +353,7 @@ def cmd_sweep(args) -> int:
     k_step, runs_per_point = recipe["k_step"], recipe["runs_per_point"]
     horizon = recipe.get("horizon")
     try:
+        check_reads(topology, [_FIELDS.get(key, key) for key in recipe])
         cfg = SimConfig(topology=topology, nodes=recipe["nodes"], balance=recipe["k_from"],
                         runs=runs_per_point,
                         **_sim_fields(recipe, "amount", "stop", "max_steps", "seed",

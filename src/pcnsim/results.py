@@ -10,11 +10,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Optional
 
 from .sim import RunOutcome
 
 logger = logging.getLogger(__name__)
+
+_WRITE_ROWS = 512  # rows rendered and written at once by write_csv
 
 
 @dataclass(frozen=True)
@@ -116,20 +119,21 @@ def write_csv(path, meta: dict, columns: list[str], rows: Iterable[tuple]) -> No
 
     Each row is a tuple with one value per column.  Every value, in a row or
     in the header, is rendered by ``%s`` (``str``, and ``str`` of a float is
-    its ``repr``), and None as an empty field.  The file is written in one
-    call.
+    its ``repr``), and None as an empty field.  The header is one write, the
+    rows ``_WRITE_ROWS`` to a write: one string of a whole large file takes
+    fresh heap arenas that are released again once it is written.
     """
-    lines = ["# %s = %s\n" % (key, "" if meta[key] is None else meta[key])
-             for key in sorted(meta)]
-    lines.append(",".join(columns) + "\n")
+    header = "".join("# %s = %s\n" % (key, "" if meta[key] is None else meta[key])
+                     for key in sorted(meta)) + ",".join(columns) + "\n"
     line = ",".join(["%s"] * len(columns)) + "\n"
-    for row in rows:
-        if None in row:
-            row = tuple("" if value is None else value for value in row)
-        lines.append(line % row)
+    rows = iter(rows)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("".join(lines))
+            fh.write(header)
+            while chunk := [line % (tuple("" if value is None else value for value in row)
+                                    if None in row else row)
+                            for row in islice(rows, _WRITE_ROWS)]:
+                fh.write("".join(chunk))
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 

@@ -73,12 +73,8 @@ class SimConfig:
                 least = 3  # the default p_select is the n-ring's edge probability
             if self.nodes < least:
                 raise ValueError(f"{self.topology} needs n >= {least}, got {self.nodes}")
-        for f in fields(self):
-            if f.name in spec.ignores and getattr(self, f.name) != f.default:
-                name = "snapshot" if f.name == "snapshot_path" else f.name
-                readers = [t for t, s in _TOPOLOGY.items() if f.name not in s.ignores]
-                raise ValueError(f"topology {self.topology} takes no {name}; {name} applies "
-                                 f"to the {'/'.join(readers)} topology only")
+        check_reads(self.topology, [f.name for f in fields(self)
+                                    if getattr(self, f.name) != f.default])
         if self.p_select is not None and not 0.0 < self.p_select <= 1.0:
             raise ValueError("p_select must be in (0, 1]")
 
@@ -100,6 +96,16 @@ class SimConfig:
         return d
 
 
+def check_reads(topology: str, names: list[str]) -> None:
+    """ValueError if the topology's run never reads a SimConfig field of ``names``."""
+    for name in names:
+        if name in _TOPOLOGY[topology].ignores:
+            readers = "/".join(t for t, s in _TOPOLOGY.items() if name not in s.ignores)
+            name = "snapshot" if name == "snapshot_path" else name
+            raise ValueError(f"topology {topology} takes no {name}; {name} applies "
+                             f"to the {readers} topology only")
+
+
 @dataclass(frozen=True)
 class RunOutcome:
     """Result of one run: rounds survived, what stopped it, and its seed."""
@@ -114,26 +120,51 @@ class RunOutcome:
         return self.failure_kind == STEP_CAP
 
 
-def _stop_range(cfg: SimConfig) -> tuple[int, int, str]:
-    """``(lo, spent, kind)`` for cfg's stop mode: a round fails as ``kind``
-    when it takes the balance at an edge's smaller-id end outside
-    ``[lo, c - lo]``, and tau counts it iff ``spent``.  The run ends there, so
-    a kernel may apply the round before checking it.  An edge whose
-    smaller-id end starts below ``lo`` is depleted before the first round."""
-    if cfg.stop_mode == "attempt":
-        return 0, 0, ATTEMPT_FAILED
-    return cfg.amount, 1, DEPLETED
+class _Ledger:
+    """One run's outcome at every point of its grid, by the one stop rule.
 
+    The points (amounts on a graph, balances k on a kernel's topology) share
+    one walk, as no draw reads a balance.  A point of amount x stops at the
+    first round that takes some end of an edge (or chain) to a net payout of
+    u moves of x with x·(u + d) > room, room being the end's balance before
+    the run; so u passes the band K = room // x - d.  d is 1 in depletion
+    mode, where the failing round is applied and counts, and 0 in attempt
+    mode, where it is refused: after t whole rounds, tau is t + d.  K < 0
+    (depletion mode only) stops the point before round 0, at t = -1.
+    Points stop in ``order``, narrowest band first, each checked again on
+    the round that stopped the last, so each gets its own failing edge.
+    ``limits`` holds each point's band, or on a graph its amount, by the
+    caller's index, and ``limit`` the next point's (None once all stopped).
+    """
 
-def _bands(cfg: SimConfig, ks: list[int],
-           seed: int) -> tuple[list[int], list[RunOutcome], int, str]:
-    """``(bands, done, spent, kind)`` of the kernels at each k of ``ks``: a
-    count u of moves of the amount x passes k's band K = (k - lo) // x iff
-    x·u > k - lo (``_stop_range``; for the chains x = lo = 1, so K = k - 1).
-    K < 0 iff k < lo, and ``done`` holds those ks' outcomes, depleted at 0."""
-    lo, spent, kind = _stop_range(cfg)
-    bands = [(k - lo) // cfg.amount for k in ks]
-    return bands, [RunOutcome(0, 0, DEPLETED, seed) for b in bands if b < 0], spent, kind
+    def __init__(self, cfg: SimConfig, seed: int, order: list[int]):
+        self.d, self.kind = (1, DEPLETED) if cfg.stop_mode == "depletion" else (0, ATTEMPT_FAILED)
+        self.seed, self.order, self.limits = seed, order, []
+        self.done: list = [None] * len(order)
+        self.stopped = 0
+
+    @property
+    def limit(self) -> Optional[int]:
+        return self.limits[self.order[self.stopped]] if self.stopped < len(self.order) else None
+
+    def stop(self, t: int, edge: int) -> Optional[int]:
+        """Stop the next point on ``edge`` after t whole rounds; the new limit."""
+        self.done[self.order[self.stopped]] = RunOutcome(t + self.d, edge, self.kind, self.seed)
+        self.stopped += 1
+        return self.limit
+
+    def close(self, t: int) -> list[RunOutcome]:
+        """Every point's outcome, those still running censored at round t."""
+        return [o or RunOutcome(t, None, STEP_CAP, self.seed) for o in self.done]
+
+    @classmethod
+    def of_kernel(cls, cfg: SimConfig, ks: list[int], seed: int) -> _Ledger:
+        """A kernel's ledger over its ascending ``ks``: every end starts at k."""
+        run = cls(cfg, seed, list(range(len(ks))))
+        run.limits = [k // cfg.amount - run.d for k in ks]
+        while (band := run.limit) is not None and band < 0:
+            run.stop(-1, 0)
+        return run
 
 
 def _first_exit(state: np.ndarray, ids: np.ndarray, steps: np.ndarray, lo: int,
@@ -196,11 +227,8 @@ def run_payment_process(g: ChannelGraph, cfg: SimConfig, rng: Rng,
     Per round: a distinct (source, destination) pair is drawn uniformly, a
     shortest path between them is drawn uniformly, and a payment of
     ``cfg.amount`` moves that amount along every path edge toward the
-    destination.  In depletion mode the round is applied and the run stops
-    once some edge is left with b_min below the amount; in attempt mode an
-    infeasible drawn path is not applied and ends the run.  Either way the
-    failing edge is the first such edge on the path.  This is the
-    one-amount case of ``_walk``.
+    destination, until a hop fails by ``_Ledger``'s rule; the failing edge
+    is the first such edge on the path.  The one-amount case of ``_walk``.
     """
     return _walk(g, [cfg.amount], cfg, rng, dag_cache)[0]
 
@@ -210,35 +238,27 @@ def _walk(g: ChannelGraph, amounts: list[int], cfg: SimConfig, rng: Rng,
     """run_payment_process at every amount at once, outcomes in the order of
     ``amounts``; cfg gives the stop mode and step cap.
 
-    No draw reads a balance, so the amounts share one net flow f per edge
-    (payments out of its smaller-id end) until they stop.  An amount x
-    survives a hop iff x·u <= room, from the hop's new f: paying out of the
-    smaller-id end, room = c // 2 and u = f + d, else room = c - c // 2 and
-    u = d - f, where d is 1 in depletion mode and 0 in attempt mode.  So the
-    amounts still running are always the smallest, and each path edge stops
-    the largest of them that it bounds.
+    The amounts share one net flow f per edge, out of its smaller-id end,
+    until they stop by ``_Ledger``'s rule: a hop out of that end (room
+    c // 2) fails x iff x·(f + d) > room, one out of the other (room
+    c - c // 2) iff x·(d - f) > room.  The largest running amount has the
+    narrowest band, so each path edge stops the largest ones it bounds.
     """
-    _lo, d, kind = _stop_range(cfg)  # d: 1 in depletion mode, where the failing round counts
-    order = sorted(range(len(amounts)), key=amounts.__getitem__)
-    xs = [amounts[i] for i in order]
-    done: list = [None] * len(amounts)
-    alive = len(xs)  # xs[:alive] are still running
-    capacity = g.capacity
-    # an edge's smaller-id end holds c // 2, which is below x iff c < 2x
-    while d and alive and 2 * xs[alive - 1] > capacity.min():
-        alive -= 1
-        done[order[alive]] = RunOutcome(0, int(np.argmax(capacity < 2 * xs[alive])),
-                                        DEPLETED, rng.seed)
+    run = _Ledger(cfg, rng.seed, sorted(range(len(amounts)), key=lambda i: -amounts[i]))
+    run.limits = amounts
+    d, x = run.d, run.limit
+    while x is not None and d * x > g.capacity.min() // 2:
+        x = run.stop(-1, int(np.argmax(g.capacity // 2 < x)))
     # the net flow over each edge this run has paid over; the others hold
     # c // 2 at their smaller-id end, so a run costs what its rounds touch
     flow: dict[int, int] = {}
-    cap = capacity.item
+    cap = g.capacity.item
     cache = dag_cache if dag_cache is not None else DagCache(g)
     t = 0
     progress = Progress(logger, "payment process", seed=rng.seed, detail=lambda: (
-        f", {alive} of {len(xs)} amounts running, "
+        f", {len(amounts) - run.stopped} of {len(amounts)} amounts running, "
         f"DAG cache hit ratio {1 - cache.misses / cache.gets:.3f}"))
-    while alive and t < cfg.max_steps:
+    while x is not None and t < cfg.max_steps:
         s, dst = rng.pair(g.node_count)
         dag = cache.get(s, dst)
         path = sample_shortest_path(dag, dst, rng)
@@ -253,17 +273,13 @@ def _walk(g: ChannelGraph, amounts: list[int], cfg: SimConfig, rng: Rng,
             else:
                 f = flow.get(eid, 0) - 1
                 room, u = c - c // 2, d - f
-            while alive and xs[alive - 1] * u > room:
-                alive -= 1
-                done[order[alive]] = RunOutcome(t + d, eid, kind, rng.seed)
-            if not alive:
-                return done
+            while x * u > room:
+                if (x := run.stop(t, eid)) is None:
+                    return run.done
             flow[eid] = f
         t += 1
         progress(t)
-    for i in order[:alive]:
-        done[i] = RunOutcome(t, None, STEP_CAP, rng.seed)
-    return done
+    return run.close(t)
 
 
 def _clique_fast(cfg: SimConfig, ks: list[int], rng: Rng) -> list[RunOutcome]:
@@ -280,10 +296,9 @@ def _clique_fast(cfg: SimConfig, ks: list[int], rng: Rng) -> list[RunOutcome]:
     one chain per edge.
     """
     m = cfg.nodes * (cfg.nodes - 1) // 2
-    bands, done, spent, kind = _bands(cfg, ks, rng.seed)
-    if len(done) == len(ks):
-        return done
-    band = bands[len(done)]
+    run = _Ledger.of_kernel(cfg, ks, rng.seed)
+    if (band := run.limit) is None:
+        return run.done
     dev = np.zeros(m, dtype=np.int64)
     t = 0
     progress = Progress(logger, "clique process", seed=rng.seed)
@@ -291,13 +306,11 @@ def _clique_fast(cfg: SimConfig, ks: list[int], rng: Rng) -> list[RunOutcome]:
         edges = rng.indices(m, chunk)
         steps = rng.bits(chunk).astype(np.int64) * 2 - 1  # +1: the larger-id endpoint pays
         while (at := _first_exit(dev, edges, steps, -band, band)) >= 0:
-            done.append(RunOutcome(t + at + spent, int(edges[at]), kind, rng.seed))
-            if len(done) == len(ks):
-                return done
-            band = bands[len(done)]
+            if (band := run.stop(t + at, int(edges[at]))) is None:
+                return run.done
         t += chunk
         progress(t)
-    return done + [RunOutcome(t, None, STEP_CAP, rng.seed)] * (len(ks) - len(done))
+    return run.close(t)
 
 
 def _ring_rounds(w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -411,17 +424,15 @@ def _ring_fast(cfg: SimConfig, ks: list[int], rng: Rng) -> list[RunOutcome]:
     it.  Progress is logged once per block.
     """
     n = cfg.nodes
-    bands, done, spent, kind = _bands(cfg, ks, rng.seed)
-    if len(done) == len(ks):
-        return done
-    band = bands[len(done)]
+    run = _Ledger.of_kernel(cfg, ks, rng.seed)
+    band = run.limit
     dev = np.zeros(n, dtype=np.int64)
     max_steps = cfg.max_steps
     t = 0
     size, top = _RING_WORDS
     left = np.zeros(0, dtype=np.uint64)  # words the last block's rounds did not use
     progress = Progress(logger, "ring process", seed=rng.seed)
-    while t < max_steps:
+    while band is not None and t < max_steps:
         w = rng.words(len(left) + size, left)
         size = next_size(size, top)
         s, span, r, nxt = _ring_rounds(w, n)
@@ -472,12 +483,9 @@ def _ring_fast(cfg: SimConfig, ks: list[int], rng: Rng) -> list[RunOutcome]:
                             # clockwise payment, down from split[i] + wrap[i] - 1 otherwise
                             along = (out - first[i] if clockwise[i] else
                                      split[i] + wrap[i] - 1 - out) % n
-                            done.append(RunOutcome(t + i + spent, int(out[np.argmin(along)]),
-                                                   kind, rng.seed))
-                            if len(done) == len(ks):
+                            if (band := run.stop(t + i, int(out[np.argmin(along)]))) is None:
                                 rng.words(0, w[nxt[i]:])
-                                return done
-                            band = bands[len(done)]
+                                return run.done
                     dev += plus + less
                 else:
                     ends = np.bincount(keys[4 * j:4 * stop], minlength=2 * n + 2)
@@ -503,18 +511,15 @@ def _ring_fast(cfg: SimConfig, ks: list[int], rng: Rng) -> list[RunOutcome]:
                     path = (a + hops if step < 0 else b + e - 1 - hops) % n
                     reach = -dev[path] if step < 0 else dev[path]  # moved the payment's way
                     while _MAX(reach) > band:
-                        done.append(RunOutcome(t + i + spent, int(path[np.argmax(reach > band)]),
-                                               kind, rng.seed))
-                        if len(done) == len(ks):
+                        if (band := run.stop(t + i, int(path[np.argmax(reach > band)]))) is None:
                             rng.words(0, w[nxt[i]:])
-                            return done
-                        band = bands[len(done)]
+                            return run.done
             j = stop
         t += rounds
         left = w[nxt[rounds - 1]:]
         progress(t)
     rng.words(0, left)
-    return done + [RunOutcome(t, None, STEP_CAP, rng.seed)] * (len(ks) - len(done))
+    return run.close(t)
 
 
 def run_bdc_process(m: int, k: int, max_steps: int, rng: Rng) -> RunOutcome:
@@ -599,8 +604,8 @@ def _chains_walk(cfg: SimConfig, ks: list[int], rng: Rng) -> list[RunOutcome]:
     below = np.uint64(cut) if cut < 1 << 64 else None  # None: p_select = 1, all move
     fork = np.random.PCG64(0)  # its seed is never used: each block sets its state
     pos = np.zeros(n, dtype=np.int64)
-    bands, done, spent, kind = _bands(cfg, ks, rng.seed)
-    band = bands[0]  # every k >= 1 = lo
+    run = _Ledger.of_kernel(cfg, ks, rng.seed)
+    band = run.limit  # every k >= 1 = d·x
     t = 0
     dist = np.zeros(n, dtype=np.int64)  # |pos|
     top = 0  # max |pos|
@@ -624,28 +629,22 @@ def _chains_walk(cfg: SimConfig, ks: list[int], rng: Rng) -> list[RunOutcome]:
                 level = np.abs(pos[near] + np.cumsum(rows[:, near], axis=0))
                 while (path := level > band).any():
                     i = int(np.argmax(path.any(axis=1)))
-                    done.append(RunOutcome(t + r + i + spent, int(near[np.argmax(path[i])]),
-                                           kind, rng.seed))
-                    if len(done) == len(ks):
-                        return done
-                    band = bands[len(done)]
+                    if (band := run.stop(t + r + i, int(near[np.argmax(path[i])]))) is None:
+                        return run.done
             pos += rows.sum(axis=0, dtype=np.int16)
             r += w
             dist = np.abs(pos)
             top = int(dist.max())
         t += block
         progress(t)
-    return done + [RunOutcome(t, None, STEP_CAP, rng.seed)] * (len(ks) - len(done))
+    return run.close(t)
 
 
 class _Topology(NamedTuple):
-    """A kernel ``(cfg, ks, rng)`` runs one graph-free replica at each k of
-    the ascending ``ks``.  No draw reads k, so they share one walk of each
-    edge's (or chain's) change from k, counted in moves of the amount (exact
-    at any k and amount, as a count never passes the rounds run); k stops at
-    the first round that takes a count past its band (``_bands``), or before
-    round 0 on edge 0 if k < lo.  A round that stops the smallest running k
-    is checked again for the next, so each k gets its own failing edge."""
+    """A kernel ``(cfg, ks, rng)`` runs one graph-free replica at each k of the
+    ascending ``ks``, as one walk of each edge's (or chain's) change from k in
+    moves of the amount (exact at any k and amount, as a count never passes
+    the rounds run); each k stops by ``_Ledger``'s rule (``_Ledger.of_kernel``)."""
 
     min_nodes: Optional[int]  # fewest cfg.nodes; None: the graph sets n
     kernel: Optional[Callable]  # None: needs a graph

@@ -803,9 +803,18 @@ def test_sweep_rejects_bad_range_before_the_echo(capsys, argv, message):
     ("simulate", ["--balance", "3", "--runs", "3"]),
     ("sweep", ["--k-from", "1", "--k-to", "3", "--runs-per-point", "3"])])
 @pytest.mark.parametrize("extra,name", [(["--amount", "7"], "amount"),
-                                        (["--stop", "attempt"], "stop_mode")])
-def test_independent_chains_refuse_amount_and_stop_mode(capsys, command, size, extra, name):
-    # the chains move by one and stop at depletion whatever these say
+                                        (["--stop", "attempt"], "stop_mode"),
+                                        (["--amount", "1"], "amount"),
+                                        (["--stop", "depletion"], "stop_mode"),
+                                        (["--config", "amount = 1"], "amount")])
+def test_independent_chains_refuse_amount_and_stop_mode(tmp_path, capsys, command, size, extra,
+                                                        name):
+    # the chains move by one and stop at depletion whatever these say, so they
+    # refuse them even at those defaults, by flag or by config file
+    if extra[0] == "--config":
+        recipe = tmp_path / "recipe.conf"
+        recipe.write_text(extra[1] + "\n")
+        extra = ["--config", str(recipe)]
     assert run_cli(command, "--topology", "independent", "--nodes", "16", *size,
                    "--seed", "1", "--workers", "1", *extra) == 1
     out, err = capsys.readouterr()

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from pcnsim import Rng, RunOutcome, aggregate, log_histogram
-from pcnsim.results import (read_csv, read_outcomes_csv, write_aggregates_csv, write_csv,
-                            write_histogram_csv, write_outcomes_csv)
+from pcnsim.results import (_WRITE_ROWS, read_csv, read_outcomes_csv, write_aggregates_csv,
+                            write_csv, write_histogram_csv, write_outcomes_csv)
 
 
 def _outcome(tau, kind="depleted", edge=0, seed=1):
@@ -155,6 +155,18 @@ def test_write_csv_renders_a_numpy_float_one_way_with_or_without_none(tmp_path):
     half = np.float64(0.5)
     write_csv(path, {"h": half, "n": None}, ["a", "b"], [(half, 1), (half, None)])
     assert path.read_bytes() == b"# h = 0.5\n# n = \na,b\n0.5,1\n0.5,\n"
+
+
+def test_write_csv_in_chunks_equals_the_one_string_rendering(tmp_path):
+    # three whole writes of rows and a partial one, from a generator, with
+    # None and float values: the bytes of the whole file rendered at once
+    rows = [(i, None if i % 7 == 0 else i / 3, f"k{i}" if i % 5 else None)
+            for i in range(3 * _WRITE_ROWS + 17)]
+    path = tmp_path / "t.csv"
+    write_csv(path, {"m": 0.25, "n": None}, ["a", "b", "c"], (row for row in rows))
+    whole = "# m = 0.25\n# n = \na,b,c\n" + "".join(
+        ",".join("" if value is None else str(value) for value in row) + "\n" for row in rows)
+    assert path.read_bytes() == whole.encode()
 
 
 def test_write_csv_io_error_has_path_context(tmp_path):
