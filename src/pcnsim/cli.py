@@ -399,8 +399,6 @@ def cmd_betweenness(args) -> int:
     print(f"xi = {report.xi!r} at edge {report.argmin_edge}")
     print(f"bounds (unit constants): [{report.lower_bound_value!r}, {report.upper_bound_value!r}]")
     print(f"bounds (proof constants): [{report.proof_lower!r}, {report.proof_upper!r}]")
-    for warning in report.warnings:
-        print(f"warning: {warning}")
     out = recipe.get("out")
     if out:
         meta = base_meta(resolved)

@@ -33,40 +33,45 @@ class Csr(NamedTuple):
     degree: np.ndarray
     arc_edge: np.ndarray
 
-    def bfs_step(self, frontier: np.ndarray, dist: np.ndarray):
-        """One BFS level from a non-empty ``frontier``: the arcs out of it to
-        keys with negative ``dist``, as ``(heads, tails)``, the keys they
-        reach, and the whole scan, every arc out of the frontier, as
-        ``(tails, heads, arc positions)``.
+    def copies(self, b: int) -> "Csr":
+        """The disjoint union of b copies of this graph, itself a Csr.
 
-        Several searches can run side by side in arrays of ``len(dist)``
-        entries, a multiple of the node count n: node v of the j-th search
-        has key j·n + v, and each search's arcs stay inside its own keys.
-        With n entries, keys are nodes.  The scan runs row by row in
-        frontier order, the order a deque BFS scans arcs when it pops the
-        frontier in that order, and the reached keys come in the order that
-        BFS appends them to its queue: by first occurrence among the heads.
+        Row j·n + v is row v with every neighbour shifted by j·n, and its
+        arcs run along edges j·m + e, where row v's run along e: for one
+        search per copy, an arc's edge is its flat index into a (b, m) array.
+        """
+        n, arcs = len(self.degree), len(self.indices)
+        shift = np.arange(b)[:, None]
+        indptr = np.append((self.indptr[:-1] + shift * arcs).ravel(), b * arcs)
+        return Csr(indptr, (self.indices + shift * n).ravel(), np.tile(self.degree, b),
+                   (self.arc_edge + shift * (arcs // 2)).ravel())
+
+    def bfs_step(self, frontier: np.ndarray, dist: np.ndarray):
+        """One BFS level from a non-empty ``frontier`` of rows, with ``dist``
+        holding each row's depth and -1 where unvisited: the rows it reaches,
+        and the whole scan, every arc out of the frontier, as ``(arc
+        positions, heads, dist of the heads)``.
+
+        The scan runs row by row in frontier order, the order a deque BFS
+        scans arcs when it pops the frontier in that order, and the reached
+        rows come in the order that BFS appends them to its queue: by first
+        occurrence among the heads of negative ``dist``.  On ``copies(b)``
+        one step expands a level of b searches, one in each copy.
         """
         # a BFS runs one level per hop of its depth, so each call is kept to
         # few small numpy operations
-        n, size = len(self.degree), len(dist)
-        nodes = frontier % n if size > n else frontier
-        counts = self.degree[nodes]
+        counts = self.degree[frontier]
         ends = np.add.accumulate(counts)
-        arcs = np.arange(ends[-1]) + (self.indptr[nodes] - ends + counts).repeat(counts)
+        arcs = np.arange(ends[-1]) + (self.indptr[frontier] - ends + counts).repeat(counts)
         heads = self.indices[arcs]
-        if size > n:
-            heads += (frontier - nodes).repeat(counts)
-        # one index array gathers both: cheaper than two boolean masks
-        fresh = (dist[heads] < 0).nonzero()[0]
-        tails = frontier.repeat(counts)
-        scan = tails, heads, arcs
-        heads, tails = heads[fresh], tails[fresh]
-        arc = np.arange(heads.size)
-        first = np.empty(size, dtype=np.intp)
-        first[heads] = heads.size
-        np.minimum.at(first, heads, arc)
-        return heads, tails, heads[first[heads] == arc], scan
+        near = dist[heads]
+        # an index array gathers them at half the cost of a boolean mask
+        fresh = heads[(near < 0).nonzero()[0]]
+        arc = np.arange(fresh.size)
+        first = np.empty(len(dist), dtype=np.intp)
+        first[fresh] = fresh.size
+        np.minimum.at(first, fresh, arc)
+        return fresh[first[fresh] == arc], (arcs, heads, near)
 
 
 class ChannelGraph:
@@ -177,7 +182,7 @@ class ChannelGraph:
         step = self.csr.bfs_step
         depth = 0
         while frontier.size:
-            _, _, frontier, _ = step(frontier, dist)
+            frontier, _ = step(frontier, dist)
             depth += 1
             dist[frontier] = depth
         return dist.tolist()

@@ -241,60 +241,68 @@ def edge_betweenness(g: ChannelGraph) -> BetweennessMap:
 
     Each unordered pair {s,t} contributes sigma(s,t|e)/sigma(s,t) once;
     disconnected pairs contribute nothing.  Sources run in blocks of B, the
-    largest that keeps B·max(n, 2m) within ``_BLOCK_BUDGET``: node v of the
-    block's j-th source has key j·n + v, so one ``Csr.bfs_step`` per level
-    expands every source of the block, and its scan of the level's rows
-    also yields the level's shortest-path arcs, grouped by head in queue
-    order.  Dependencies then flow back one level at a time, deepest first,
-    over those arcs by descending queue position of their head, and each
-    source's edge shares join the total in source order.  So every float is
-    summed in the order of the sequential algorithm (reverse queue order,
-    sources ascending), and the values are its values.
+    largest that keeps B·max(n, 2m) within ``_BLOCK_BUDGET``, on B disjoint
+    copies of the graph (``Csr.copies``): the block's j-th source searches
+    copy j, so one ``Csr.bfs_step`` per level expands every source of the
+    block.  Its scan of a level's rows reads the heads' depths once, which
+    finds both the next level and the level's arcs up to the level above:
+    its shortest-path arcs, grouped by row in queue order, over which the
+    level's path counts are summed.  Dependencies then flow back one level
+    at a time, deepest first, over those arcs by descending queue position
+    of their row, and each source's edge shares join the total in source
+    order.  So every float is summed in the order of the sequential
+    algorithm (reverse queue order, sources ascending), and the values are
+    its values.
 
-    A level costs some 20–30 µs of numpy calls whatever its width, which a
-    block shares: on a 2-core host a 512-node ring (B = 32) takes 0.13–0.21 s,
-    where one source at a time took 3.2 s.  A line every 10 s of wall time
-    (``progress._PROGRESS_SECONDS``) logs the sources done and their rate.
+    A level costs a few tens of µs of numpy calls whatever its width, which
+    a block shares: on a 2-core host a 512-node ring (B = 32) takes about
+    0.08 s, where one source at a time took 3.2 s.  A line every 10 s of
+    wall time (``progress._PROGRESS_SECONDS``) logs the sources done and
+    their rate.
     """
     n, m = g.node_count, g.edge_count
-    csr = g.csr
     block = max(1, min(n, _BLOCK_BUDGET // max(n, 2 * m)))
+    union = g.csr.copies(block)
+    # each arc's row (its tail); its arc_edge is its flat index into the
+    # block's (B, m) edge shares
+    row_of = np.arange(block * n).repeat(union.degree)
     acc = np.zeros(m)
     progress = Progress(logger, "edge betweenness", "sources", total=n)
     for first in range(0, n, block):
         b = min(block, n - first)
-        size = b * n
-        frontier = np.arange(b) * (n + 1) + first  # key j·n + (first + j)
-        dist = np.full(size, -1, dtype=np.intp)
+        frontier = np.arange(b) * (n + 1) + first  # node first + j of copy j
+        dist = np.full(block * n, -1, dtype=np.intp)
         dist[frontier] = 0
-        sigma = np.zeros(size, dtype=np.int64)
+        sigma = np.zeros(block * n, dtype=np.int64)
         sigma[frontier] = 1
-        dag = []  # (heads, tails, arc positions) into each level, deepest last
+        dag = []  # (rows, preds, shares) of each level's arcs up, deepest last
         depth = 0
         while True:
-            heads, tails, frontier, (rows, nbrs, arcs) = csr.bfs_step(frontier, dist)
+            reached, (arcs, heads, near) = union.bfs_step(frontier, dist)
             if depth:
-                # the level's rows, scanned in queue order, keep their arcs to
-                # the level above: its shortest-path arcs, grouped by head;
-                # reversed, they run by descending queue position of the head
-                up = (dist[nbrs] == depth - 1).nonzero()[0][::-1]
-                dag.append((rows[up], nbrs[up], arcs[up]))
-            if not heads.size:
+                # reversed, the level's arcs up run by descending queue
+                # position of their row
+                lift = (near == depth - 1).nonzero()[0][::-1]
+                up = arcs[lift]
+                rows, preds = row_of[up], heads[lift]
+                dag.append((rows, preds, union.arc_edge[up]))
+                sigma = _add_paths(sigma, rows, preds)
+            if not reached.size:
                 break
-            sigma = _add_paths(sigma, heads, tails)
             depth += 1
-            dist[frontier] = depth
-        delta = np.zeros(size)
-        share = np.zeros((b, m))
-        for heads, tails, arcs in reversed(dag):
-            c = np.empty(heads.size)
+            dist[reached] = depth
+            frontier = reached
+        delta = np.zeros(block * n)
+        share = np.zeros(block * m)
+        for rows, preds, shares in reversed(dag):
+            c = np.empty(rows.size)
             # Python-int sigma yields Python floats, which float64 holds exactly
-            np.multiply(sigma[tails], (1.0 + delta[heads]) / sigma[heads],
+            np.multiply(sigma[preds], (1.0 + delta[rows]) / sigma[rows],
                         out=c, casting="unsafe")
-            np.add.at(delta, tails, c)
+            np.add.at(delta, preds, c)
             # an edge is a shortest-path arc at most once per source
-            share[heads // n, csr.arc_edge[arcs]] = c
-        for row in share:
+            share[shares] = c
+        for row in share.reshape(block, m)[:b]:
             acc += row
         progress(first + b)
     # every unordered pair was counted from both endpoints
@@ -303,8 +311,13 @@ def edge_betweenness(g: ChannelGraph) -> BetweennessMap:
 
 def edge_selection_probability(g: ChannelGraph, bmap: BetweennessMap, eid: int) -> float:
     """Probability that edge eid lies on one uniformly sampled payment path."""
-    n = g.node_count
-    return 2.0 * bmap.values[eid] / (n * (n - 1))
+    return _per_pair(g.node_count) * bmap.values[eid]
+
+
+def _per_pair(n: int) -> float:
+    """One over the n(n - 1)/2 unordered node pairs: the selection
+    probability per unit of betweenness, as the betweenness CSV writes it."""
+    return 2.0 / (n * (n - 1))
 
 
 # a DagCache builds rows of hop counts on graphs of at most this many nodes
@@ -350,8 +363,7 @@ class DagCache:
 
 def betweenness_rows(g: ChannelGraph, bmap: BetweennessMap):
     """Rows for the betweenness CSV export (see results.write_csv)."""
-    n = g.node_count
-    norm = 2.0 / (n * (n - 1))
+    norm = _per_pair(g.node_count)
     for eid, (u, v, cap) in enumerate(zip(g.edge_u.tolist(), g.edge_v.tolist(),
                                           g.capacity.tolist())):
         yield eid, u, v, cap, bmap.values[eid], norm * bmap.values[eid]

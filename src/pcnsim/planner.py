@@ -89,6 +89,8 @@ def redistribute_xi_optimized(g: ChannelGraph, bmap: BetweennessMap) -> Capacity
 
 
 def _check_total(total: int, m: int) -> None:
+    if m == 0:
+        raise ValueError("the graph has no channels to redistribute")
     if total < MIN_CAPACITY * m:
         raise ValueError(
             f"total capacity {total} cannot give every one of {m} edges capacity >= {MIN_CAPACITY}"

@@ -6,11 +6,13 @@ hop row; these tests pin them to the per-node list implementations they
 replaced: equal distances, path counts and predecessor order (read off each
 DAG's ``step(w)``), identical sampled paths for the same draws, and
 bit-identical betweenness values.  ``edge_betweenness`` runs a block of
-sources per BFS level; the block tests force blocks of 1, 2 and 3 sources
-and one block of all of them.  On a 2-core host the 512-ring's betweenness takes 0.13–0.21 s
-in its default blocks of 32 sources and 3–4 s in blocks of one.  The s–t
-DAGs that ``DagCache`` returns, built by ``st_dag`` or read off a row of hop
-counts to the target, are pinned to the full DAGs of ``sssp_dag``.
+sources per BFS level, one in each of the disjoint copies of the graph that
+``Csr.copies`` builds; the block tests force blocks of 1, 2 and 3 sources
+and one block of all of them.  On a 2-core host the 512-ring's betweenness
+takes about 0.08 s in its default blocks of 32 sources and 3–4 s in blocks
+of one.  The s–t DAGs that ``DagCache`` returns, built by ``st_dag`` or
+read off a row of hop counts to the target, are pinned to the full DAGs of
+``sssp_dag``.
 """
 
 from __future__ import annotations
@@ -213,6 +215,65 @@ def test_csr_rows_follow_adjacency_order():
                 assert arc_edge[a] == g.edge_id(v, w)
 
 
+@settings(max_examples=60)
+@given(sizes=st.lists(st.integers(1, 10), min_size=1, max_size=3),
+       isolated=st.integers(0, 3), b=st.integers(1, 4), extra=st.floats(0.0, 0.6),
+       seed=st.integers(0, 2 ** 16))
+def test_copies_shift_rows_and_step_each_copy_as_one_search(sizes, isolated, b, extra,
+                                                             seed):
+    # components and isolated nodes, ids shuffled across them
+    rng = random.Random(seed)
+    n = max(2, sum(sizes) + isolated)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges, offset = [], 0
+    for size in sizes:
+        edges += [(label[offset + u], label[offset + v], c)
+                  for u, v, c in random_connected_edges(rng, size, extra_prob=extra)]
+        offset += size
+    g = ChannelGraph(n, edges)
+    m, csr = g.edge_count, g.csr
+    union = csr.copies(b)
+    assert len(union.degree) == b * n and union.indptr[-1] == b * 2 * m
+    for j in range(b):
+        for v in range(n):
+            row, lo, hi = j * n + v, csr.indptr[v], csr.indptr[v + 1]
+            assert union.degree[row] == csr.degree[v]
+            arcs = slice(union.indptr[row], union.indptr[row + 1])
+            assert union.indices[arcs].tolist() == (csr.indices[lo:hi] + j * n).tolist()
+            assert union.arc_edge[arcs].tolist() == (csr.arc_edge[lo:hi] + j * m).tolist()
+    # one search per copy, from its own source, step by step as each alone
+    sources = [rng.randrange(n) for _ in range(b)]
+    frontier = np.array([j * n + s for j, s in enumerate(sources)])
+    dist = np.full(b * n, -1, dtype=np.intp)
+    dist[frontier] = 0
+    alone = []
+    for s in sources:
+        one = np.full(n, -1, dtype=np.intp)
+        one[s] = 0
+        alone.append((np.array([s]), one))
+    depth = 0
+    while frontier.size:
+        reached, (arcs, heads, near) = union.bfs_step(frontier, dist)
+        depth += 1
+        dist[reached] = depth
+        for j, (front, one) in enumerate(alone):
+            if not front.size:
+                assert not (frontier // n == j).any()
+                continue
+            got, (a1, h1, n1) = csr.bfs_step(front, one)
+            one[got] = depth
+            alone[j] = got, one
+            mine = arcs // max(1, 2 * m) == j
+            assert (reached[reached // n == j] - j * n).tolist() == got.tolist()
+            assert (arcs[mine] - j * 2 * m).tolist() == a1.tolist()
+            assert (heads[mine] - j * n).tolist() == h1.tolist()
+            assert near[mine].tolist() == n1.tolist()
+        frontier = reached
+    assert all(not front.size for front, _ in alone)
+    assert (dist.reshape(b, n) == np.array([one for _, one in alone])).all()
+
+
 def _diamond_chain(k: int) -> ChannelGraph:
     """Junctions 0, 3, 6, ..., 3k; junction 3i joins 3i+3 via 3i+1 and 3i+2."""
     edges = []
@@ -283,6 +344,29 @@ def test_betweenness_sigma_turns_to_python_ints_mid_bfs(monkeypatch):
         for seed in range(10):
             assert (sample_shortest_path(dag, 3 * k, Rng(seed))
                     == oracle_sample_path(want, 3 * k, Rng(seed)))
+
+
+@pytest.mark.parametrize("g", [make_ring(7, 2), _diamond_chain(4),
+                               ChannelGraph(9, random_connected_edges(random.Random(4), 9,
+                                                                      extra_prob=0.5))])
+def test_betweenness_sums_paths_over_shortest_path_arcs_only(g, monkeypatch):
+    # all sources in one block, so copy j searches from node j: every arc a
+    # level's counts are summed over runs from a node to one of its
+    # predecessors, each arc once
+    n, m = g.node_count, g.edge_count
+    monkeypatch.setattr("pcnsim.paths._BLOCK_BUDGET", n * max(n, 2 * m))
+    summed = []
+
+    def spy(sigma, heads, tails):
+        summed.extend(zip((heads // n).tolist(), (heads % n).tolist(),
+                          (tails - heads // n * n).tolist()))
+        return _add_paths(sigma, heads, tails)
+
+    monkeypatch.setattr("pcnsim.paths._add_paths", spy)
+    edge_betweenness(g)
+    want = [(s, w, p) for s in range(n)
+            for w, preds in enumerate(oracle_sssp_dag(g, s).preds) for p in preds]
+    assert sorted(summed) == sorted(want)
 
 
 def test_sigma_past_int64_samples_uniformly():

@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -256,6 +260,32 @@ def test_redistribute_xi_command(tmp_path):
     code = run_cli("simulate", "--graph", str(gpath), "--plan", str(out),
                    "--runs", "3", "--seed", "1", "--workers", "1", "--out", str(out2))
     assert code == 0
+
+
+@pytest.mark.parametrize("strategy", ["uniform", "xi"])
+def test_redistribute_without_channels_is_one_error_line(tmp_path, capsys, strategy):
+    gpath = tmp_path / "empty.edges"
+    gpath.write_text("2 0\n")
+    assert run_cli("redistribute", "--strategy", strategy, "--graph", str(gpath)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the graph has no channels to redistribute"]
+
+
+def test_betweenness_warnings_go_to_stderr_once(tmp_path):
+    # every edge of a 5-ring with capacity 2 sits below the capacity floor
+    gpath = tmp_path / "ring.edges"
+    write_edgelist(make_ring(5, 2), gpath)
+    src = str(Path(pcnsim.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-m", "pcnsim.cli", "betweenness", "--graph",
+                           str(gpath)], capture_output=True, text=True, env=env, check=False,
+                          timeout=60)
+    assert done.returncode == 0
+    assert "xi = " in done.stdout and "k_e <=" not in done.stdout
+    assert done.stderr.splitlines() == [
+        "WARNING pcnsim.analytics: 5 edge(s) have k_e <= 2.0*sqrt(ln n) ~ 2.537; "
+        "bounds assume larger capacities"]
 
 
 def test_redistribute_requires_strategy(capsys):

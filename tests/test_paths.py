@@ -9,9 +9,11 @@ import pytest
 from pcnsim import (ChannelGraph, DagCache, Rng, edge_betweenness,
                     edge_selection_probability, make_clique, make_ring,
                     sample_shortest_path, sssp_dag)
+from pcnsim.paths import BETWEENNESS_COLUMNS, betweenness_rows
 
 from helpers import (brute_edge_betweenness, dag_tables, enumerate_shortest_paths,
-                     mean_pair_distance, oracle_sssp_dag, random_connected_edges)
+                     mean_pair_distance, oracle_sssp_dag, random_connected_edges,
+                     small_world_edges)
 
 PATH_GRAPH = [(0, 1, 2), (1, 2, 2)]
 
@@ -185,6 +187,20 @@ def test_selection_probability_examples():
     gp = ChannelGraph(3, PATH_GRAPH)
     bp = edge_betweenness(gp)
     assert edge_selection_probability(gp, bp, gp.edge_id(0, 1)) == pytest.approx(2 / 3)
+
+
+def test_csv_selection_probability_is_edge_selection_probability():
+    # 2g/(n(n-1)) and g·(2/(n(n-1))) differ in the last bit on 43 of these
+    # 179 edges: the CSV and the function take the same one
+    rng = random.Random(3)
+    g = ChannelGraph(60, [(u, v, 2) for u, v in small_world_edges(rng, 60, radius=3,
+                                                                 rewire_prob=0.2)])
+    bmap = edge_betweenness(g)
+    column = BETWEENNESS_COLUMNS.index("selection_probability")
+    rows = list(betweenness_rows(g, bmap))
+    assert len(rows) == g.edge_count
+    for eid, row in enumerate(rows):
+        assert row[column] == edge_selection_probability(g, bmap, eid), eid
 
 
 def test_selection_probabilities_sum_to_mean_distance():
