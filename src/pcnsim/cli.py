@@ -119,9 +119,10 @@ def _command_keys(command: str) -> list[str]:
 
 def read_recipe_file(path, command: str) -> dict:
     """Flat ``key = value`` document; '#' comments; keys the command has no
-    flag for are rejected."""
+    flag for, and keys given twice, are rejected."""
     keys = _command_keys(command)
     values: dict = {}
+    set_on: dict[str, int] = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
@@ -138,6 +139,10 @@ def read_recipe_file(path, command: str) -> dict:
         if key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r} for {command}; "
                               f"valid keys: {', '.join(sorted(keys))}")
+        if key in set_on:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is already set on line "
+                              f"{set_on[key]}")
+        set_on[key] = lineno
         option = OPTIONS[key]
         try:
             values[key] = option.parse(value)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from .graph import ChannelGraph
 from .paths import BetweennessMap
+from .results import read_csv
 
 MIN_CAPACITY = 2  # per-side balance >= 1, so no edge is born depleted
 
@@ -28,64 +29,56 @@ class CapacityPlan:
 
 
 def redistribute_uniform(g: ChannelGraph) -> CapacityPlan:
-    """Spread the total evenly: base = total // m, remainder one unit at a time
-    to edges in ascending edge-id order."""
-    m = g.edge_count
-    total = g.total_capacity()
-    _check_total(total, m)
-    base, remainder = divmod(total, m)
-    caps = [base + 1 if eid < remainder else base for eid in range(m)]
-    return CapacityPlan(caps, "uniform", total, sum(caps))
+    """Spread the total evenly: the equal-weight case of ``_apportion``, so
+    each edge gets total // m and the remainder goes to the smallest ids."""
+    return _apportion(g, [1] * g.edge_count, "uniform")
 
 
 def redistribute_xi_optimized(g: ChannelGraph, bmap: BetweennessMap) -> CapacityPlan:
-    """Reallocate so the ratio k_e²/g(e) is (nearly) equal across edges.
+    """Reallocate so the ratio k_e²/g(e) is (nearly) equal across edges:
+    ``_apportion`` by weight sqrt(g(e)), each float root read as an exact
+    integer on one power-of-two scale.  Raises ValueError unless bmap holds
+    one finite, nonnegative value per edge, not all of them 0."""
+    values = bmap.values
+    if len(values) != g.edge_count:
+        raise ValueError(f"the betweenness map has {len(values)} values for {g.edge_count} "
+                         f"edges: edge {min(len(values), g.edge_count)} has no match")
+    for eid, v in enumerate(values):
+        if not 0 <= v < math.inf:
+            raise ValueError(f"edge {eid} has betweenness {v!r}, not a finite value >= 0")
+    ratios = [math.sqrt(v).as_integer_ratio() for v in values]
+    scale = max((q for _, q in ratios), default=1)  # each q is a power of two
+    return _apportion(g, [p * (scale // q) for p, q in ratios], "xi_optimized")
 
-    Real-valued targets are k_e = λ·sqrt(g(e)), i.e. capacity 2λ·sqrt(g(e)),
-    with λ solved so the total is preserved.  Edges with g(e)=0 never
-    constrain xi and get the floor capacity before λ is solved; edges whose
-    real target would fall below the floor are clamped and λ re-solved
-    (waterfilling).  Integerization is largest-remainder on capacities with
-    ascending-edge-id tie-break, so the total is preserved exactly.
+
+def _apportion(g: ChannelGraph, weights: list[int], strategy: str) -> CapacityPlan:
+    """Largest-remainder apportionment of g's total capacity by integer weight.
+
+    Targets are budget·w/Σw over the unclamped edges.  Lightest first, an edge
+    whose target is below MIN_CAPACITY (as at weight 0) is clamped to it,
+    which only raises the others' threshold.  The rest get their targets'
+    integer parts; the spare units go by largest remainder, ties to smaller ids.
     """
-    m = g.edge_count
-    total = g.total_capacity()
+    m, total = g.edge_count, g.total_capacity()
     _check_total(total, m)
-    roots = [math.sqrt(bmap.values[eid]) for eid in range(m)]
-    clamped = {eid for eid in range(m) if roots[eid] == 0.0}
-    active = [eid for eid in range(m) if eid not in clamped]
-    if not active:
+    budget, denom = total, sum(weights)
+    if denom == 0:
         raise ValueError("every edge has zero betweenness; nothing to optimize")
-    while True:
-        budget = total - MIN_CAPACITY * len(clamped)
-        denom = sum(roots[eid] for eid in active)
-        lam2 = budget / denom  # 2*lambda: target capacity per unit sqrt(g)
-        below = [eid for eid in active if lam2 * roots[eid] < MIN_CAPACITY]
-        if not below:
-            break
-        clamped.update(below)
-        active = [eid for eid in active if eid not in clamped]
-        if not active:
-            raise ValueError("total capacity too small to exceed the per-edge floor")
-    caps = [0] * m
-    for eid in clamped:
-        caps[eid] = MIN_CAPACITY
-    floors = {eid: int(lam2 * roots[eid]) for eid in active}
-    spare = budget - sum(floors.values())
-    # largest fractional part first; ties to the smaller edge id
-    order = sorted(active, key=lambda eid: (-(lam2 * roots[eid] - floors[eid]), eid))
-    if spare >= 0:
-        bump = set(order[:spare])
-        for eid in active:
-            caps[eid] = floors[eid] + (1 if eid in bump else 0)
-    else:
-        # float slop pushed a floor past the budget; shave smallest fractions
-        shave = set(order[spare:])
-        for eid in active:
-            caps[eid] = floors[eid] - (1 if eid in shave else 0)
-        if any(caps[eid] < MIN_CAPACITY for eid in active):
-            raise ValueError("rounding left an edge below the capacity floor")
-    return CapacityPlan(caps, "xi_optimized", total, sum(caps))
+    clamped = set()
+    for eid in sorted(range(m), key=weights.__getitem__):
+        if budget * weights[eid] >= MIN_CAPACITY * denom:
+            break  # reached by the last edge at the latest, as total >= MIN_CAPACITY·m
+        clamped.add(eid)
+        budget -= MIN_CAPACITY
+        denom -= weights[eid]
+    caps = [MIN_CAPACITY] * m
+    rems = {}
+    for eid in range(m):
+        if eid not in clamped:
+            caps[eid], rems[eid] = divmod(budget * weights[eid], denom)
+    for eid in sorted(rems, key=rems.__getitem__, reverse=True)[:total - sum(caps)]:
+        caps[eid] += 1  # stable sort: equal remainders keep ascending ids
+    return CapacityPlan(caps, strategy, total, sum(caps))
 
 
 def _check_total(total: int, m: int) -> None:
@@ -120,8 +113,6 @@ def load_plan_csv(path, g: ChannelGraph) -> list[int]:
     row's ``old_capacity`` must be g's capacity of that edge.  Raises
     ValueError otherwise.
     """
-    from .results import read_csv
-
     meta, columns, rows = read_csv(path)
     need = ("edge_id", "old_capacity", "new_capacity")
     missing = [c for c in need if c not in columns]

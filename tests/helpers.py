@@ -10,6 +10,7 @@ import math
 import random
 import re
 from collections import deque
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -147,6 +148,37 @@ def log_uniform_capacities(rng: random.Random, count, lo=1000.0, hi=100000.0):
         c = math.exp(rng.uniform(math.log(lo), math.log(hi)))
         caps.append(max(2, 2 * int(c / 2)))  # even, at least 2
     return caps
+
+
+def oracle_apportion(total, weights, floor=2):
+    """Batch water-filling with exact ``Fraction`` targets.
+
+    The reference for ``pcnsim.planner._apportion``: edge e's target is
+    budget·w_e/Σw over the unclamped edges, where budget is the total less
+    ``floor`` per clamped edge.  Every weight-0 edge starts clamped; each
+    pass clamps every edge whose target is below the floor at once, and
+    re-solves until none is.  Targets are rounded down, and the spare units
+    go one each by largest fractional part, ties to the smaller edge id.
+    Returns the capacities and the unclamped edges' targets.
+    """
+    m = len(weights)
+    clamped = {e for e in range(m) if weights[e] == 0}
+    while True:
+        active = [e for e in range(m) if e not in clamped]
+        budget = total - floor * len(clamped)
+        denom = sum(weights[e] for e in active)
+        targets = {e: Fraction(budget * weights[e], denom) for e in active}
+        below = [e for e in active if targets[e] < floor]
+        if not below:
+            break
+        clamped.update(below)
+    caps = [floor] * m
+    for e, target in targets.items():
+        caps[e] = math.floor(target)
+    spare = total - sum(caps)
+    for e in sorted(active, key=lambda e: (-(targets[e] - caps[e]), e))[:spare]:
+        caps[e] += 1
+    return caps, targets
 
 
 def oracle_sssp_dag(g, source):

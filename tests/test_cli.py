@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,12 +12,14 @@ from pathlib import Path
 import pytest
 
 import pcnsim.cli
-from pcnsim import Rng, make_ring, run_coupled_clique, run_seed
+from pcnsim import (ChannelGraph, Rng, edge_betweenness, make_ring, redistribute_uniform,
+                    redistribute_xi_optimized, run_coupled_clique, run_seed)
 from pcnsim.cli import main
 from pcnsim.graph import load_graph, write_edgelist
+from pcnsim.planner import plan_rows
 from pcnsim.results import read_csv, read_outcomes_csv
 
-from helpers import misrouted_chains
+from helpers import log_uniform_capacities, misrouted_chains, small_world_edges
 
 
 def run_cli(*argv):
@@ -269,6 +272,44 @@ def test_redistribute_without_channels_is_one_error_line(tmp_path, capsys, strat
     assert run_cli("redistribute", "--strategy", strategy, "--graph", str(gpath)) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: the graph has no channels to redistribute"]
+
+
+@pytest.mark.parametrize("n", [5, 8, 64, 100, 512])
+def test_redistribute_xi_keeps_floor_capacity_rings_at_the_floor(tmp_path, capsys, n):
+    gpath = tmp_path / "ring.edges"
+    write_edgelist(make_ring(n, 2), gpath)
+    out = tmp_path / "plan.csv"
+    assert run_cli("redistribute", "--graph", str(gpath), "--strategy", "xi",
+                   "--out", str(out)) == 0
+    _, _, rows = read_csv(out)
+    assert [r[2] for r in rows] == ["2"] * n
+    xi_line = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("xi before = "))
+    before, after = xi_line[len("xi before = "):].split(", after = ")
+    assert before == after
+
+
+@pytest.mark.parametrize("strategy", ["uniform", "xi"])
+def test_redistribute_writes_the_library_plan_rows(tmp_path, strategy):
+    rng = random.Random(31)
+    edges = small_world_edges(rng, 80, radius=3)
+    caps = log_uniform_capacities(rng, len(edges), 20_000, 5_000_000)
+    gpath = tmp_path / "sw.edges"
+    write_edgelist(ChannelGraph(80, [(u, v, c) for (u, v), c in zip(edges, caps)]), gpath)
+    out = tmp_path / "plan.csv"
+    assert run_cli("redistribute", "--graph", str(gpath), "--strategy", strategy,
+                   "--out", str(out)) == 0
+    g = load_graph(gpath)
+    bmap = edge_betweenness(g)
+    plan = redistribute_uniform(g) if strategy == "uniform" else \
+        redistribute_xi_optimized(g, bmap)
+    _, _, rows = read_csv(out)
+    assert rows == [["%s" % value for value in row] for row in plan_rows(g, bmap, plan)]
+    runs = tmp_path / "runs.csv"
+    assert run_cli("simulate", "--graph", str(gpath), "--plan", str(out), "--amount", "1000",
+                   "--stop", "attempt", "--runs", "2", "--max-steps", "50", "--seed", "1",
+                   "--workers", "1", "--out", str(runs)) == 0
+    assert len(read_outcomes_csv(runs)[0]) == 2
 
 
 def test_betweenness_warnings_go_to_stderr_once(tmp_path):
@@ -757,6 +798,16 @@ def test_config_key_without_a_flag_for_the_command_is_rejected(tmp_path, capsys,
     listed = {"simulate": "max_steps", "sweep": "max_steps", "fit": "points",
               "betweenness": "out", "redistribute": "out", "couple-check": "seed"}[command]
     assert listed in captured.err.split("valid keys: ")[1] and captured.out == ""
+
+
+def test_config_key_given_twice_is_config_error(tmp_path, capsys):
+    recipe = tmp_path / "recipe.cfg"
+    recipe.write_text("topology = clique\nnodes = 4\nbalance = 2\nseed = 1\n"
+                      "# the seed again\nseed = 2\n")
+    assert run_cli("simulate", "--config", str(recipe), "--runs", "1", "--workers", "1") == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {recipe}:6: key 'seed' is already set on line 4\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("spelling,balance", [("1", "4"), ("TRUE", "4"), ("Yes", "4"),

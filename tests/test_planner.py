@@ -2,17 +2,19 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pcnsim import (ChannelGraph, apply_plan, edge_betweenness, make_clique,
+from pcnsim import (ChannelGraph, apply_plan, edge_betweenness, make_clique, make_ring,
                     redistribute_uniform, redistribute_xi_optimized, xi_and_bounds)
 from pcnsim.analytics import BOUND_REPORT_COLUMNS, bound_report_rows
 from pcnsim.paths import BetweennessMap
-from pcnsim.planner import MIN_CAPACITY, load_plan_csv, plan_rows, PLAN_COLUMNS
+from pcnsim.planner import MIN_CAPACITY, _apportion, load_plan_csv, plan_rows, PLAN_COLUMNS
 from pcnsim.results import read_csv, write_csv
 
-from helpers import log_uniform_capacities, random_connected_edges
+from helpers import log_uniform_capacities, oracle_apportion, random_connected_edges
 
 
 def _graph_with_total(total_per_edge):
@@ -87,6 +89,50 @@ def test_xi_optimized_clamps_low_betweenness_edges_and_resolves():
     plan = redistribute_xi_optimized(g, bmap)
     assert plan.new_capacity == [3, 3, 4, 4, 4, 4, 3, 3, 3, 2, 2, 2, 2]
     assert plan.total_before == plan.total_after == 39
+
+
+def test_xi_optimized_spare_unit_goes_to_the_larger_float():
+    # equal in exact arithmetic, one float bit apart: the larger value's
+    # remainder is the larger, so it takes the spare unit
+    g = _graph_with_total([9, 2])
+    plan = redistribute_xi_optimized(g, BetweennessMap([3.5833333333333326, 3.583333333333333]))
+    assert plan.new_capacity == [5, 6]
+
+
+@pytest.mark.parametrize("values, message", [
+    ([4.0, 4.0, 4.0], "has 3 values for 4 edges: edge 3 has no match"),
+    ([4.0] * 5, "has 5 values for 4 edges: edge 4 has no match"),
+    ([4.0, -1.0, 4.0, 4.0], "edge 1 has betweenness -1.0, not a finite value >= 0"),
+    ([4.0, 4.0, math.inf, 4.0], "edge 2 has betweenness inf, not a finite value >= 0"),
+    ([4.0, 4.0, 4.0, math.nan], "edge 3 has betweenness nan, not a finite value >= 0"),
+])
+def test_xi_optimized_rejects_a_bad_betweenness_map(values, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        redistribute_xi_optimized(make_ring(4, 8), BetweennessMap(values))
+
+
+_WEIGHT = st.one_of(st.just(0), st.integers(1, 30), st.integers(1, 10 ** 30))
+
+
+@settings(max_examples=400)
+@given(weights=st.lists(_WEIGHT, min_size=1, max_size=12), dominant=st.booleans(),
+       extra=st.one_of(st.integers(0, 8), st.integers(0, 10 ** 6), st.integers(0, 2 ** 62)))
+def test_apportion_matches_exact_batch_water_filling(weights, dominant, extra):
+    if dominant:
+        weights = weights + [10 ** 45]
+    if not any(weights):
+        weights = weights + [1]
+    m = len(weights)
+    total = MIN_CAPACITY * m + extra
+    g = _graph_with_total([total // m + (eid < total % m) for eid in range(m)])  # in int64
+    plan = _apportion(g, weights, "weights")
+    caps, targets = oracle_apportion(total, weights)
+    assert plan.new_capacity == caps
+    assert plan.total_before == plan.total_after == sum(caps) == total
+    assert min(caps) >= MIN_CAPACITY
+    assert all(weights[eid] > 0 for eid in targets)
+    for eid, target in targets.items():
+        assert abs(caps[eid] - target) < 1
 
 
 def test_plans_conserve_capacity_on_random_graphs():
