@@ -246,6 +246,19 @@ def _write_nodemap(g: ChannelGraph, out: str, meta: dict) -> None:
     print(f"node map written to {path}")
 
 
+def _out_path(recipe: dict) -> str | None:
+    """The out path, refused before any work unless it names a file in an
+    existing directory."""
+    out = recipe.get("out")
+    if out:
+        path = Path(out)
+        if path.is_dir():
+            raise ConfigError(f"cannot write {out}: it is a directory")
+        if not path.parent.is_dir():
+            raise ConfigError(f"cannot write {out}: no directory {path.parent}")
+    return out
+
+
 def _at_least_one(recipe: dict, key: str) -> int:
     if recipe[key] < 1:
         raise ConfigError(f"{key} must be >= 1, got {recipe[key]}")
@@ -305,6 +318,7 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc))
     workers = _at_least_one(recipe, "workers")
+    out = _out_path(recipe)
     graph = _load_cmd_graph(recipe) if topology == "snapshot" else None
     # worker count never enters the echo/metadata: outputs are identical at any N
     resolved = dict(cfg.as_dict(), command="simulate")
@@ -314,7 +328,6 @@ def cmd_simulate(args) -> int:
         resolved["amounts"] = ",".join(str(x) for x in amounts)
     echo_config(resolved)
     meta = base_meta(resolved)
-    out = recipe.get("out")
 
     if amounts:
         campaigns = multi_amount_experiment(graph, amounts, cfg.runs, cfg.base_seed,
@@ -367,6 +380,7 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc))
     workers = _at_least_one(recipe, "workers")
+    out = _out_path(recipe)
     resolved = dict(cfg.as_dict(), command="sweep",
                     k_from=recipe["k_from"], k_to=recipe["k_to"], k_step=k_step,
                     runs_per_point=runs_per_point)
@@ -386,7 +400,6 @@ def cmd_sweep(args) -> int:
         if point.p_fail_within_horizon is not None:
             line += f" p_fail<=H={point.p_fail_within_horizon:.4g}"
         print(line)
-    out = recipe.get("out")
     if out:
         write_sweep_csv(points, out, base_meta(resolved), horizon=horizon)
         print(f"sweep written to {out}")
@@ -395,6 +408,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_betweenness(args) -> int:
     recipe = resolve_recipe(args)
+    out = _out_path(recipe)
     g = _load_cmd_graph(recipe)
     resolved = {"command": "betweenness", "nodes": g.node_count,
                 "edges": g.edge_count, "graph": _graph_path(recipe)}
@@ -404,7 +418,6 @@ def cmd_betweenness(args) -> int:
     print(f"xi = {report.xi!r} at edge {report.argmin_edge}")
     print(f"bounds (unit constants): [{report.lower_bound_value!r}, {report.upper_bound_value!r}]")
     print(f"bounds (proof constants): [{report.proof_lower!r}, {report.proof_upper!r}]")
-    out = recipe.get("out")
     if out:
         meta = base_meta(resolved)
         write_csv(out, meta, BETWEENNESS_COLUMNS, betweenness_rows(g, bmap))
@@ -425,6 +438,7 @@ def cmd_redistribute(args) -> int:
     strategy = recipe.get("strategy")
     if strategy not in ("uniform", "xi"):
         raise ConfigError("strategy must be 'uniform' or 'xi'")
+    out = _out_path(recipe)
     g = _load_cmd_graph(recipe)
     resolved = {"command": "redistribute", "strategy": strategy,
                 "nodes": g.node_count, "edges": g.edge_count, "graph": _graph_path(recipe)}
@@ -437,7 +451,6 @@ def cmd_redistribute(args) -> int:
     xi_before = xi_and_bounds(g, bmap).xi
     xi_after = xi_and_bounds(apply_plan(g, plan), bmap).xi
     print(f"xi before = {xi_before!r}, after = {xi_after!r}")
-    out = recipe.get("out")
     if out:
         meta = base_meta(dict(resolved, total_before=plan.total_before,
                               total_after=plan.total_after,
@@ -502,13 +515,12 @@ def cmd_fit(args) -> int:
         raise RuntimeError(f"cannot read points file {points_path}: {exc}") from exc
     except ValueError:
         raise ConfigError(f"points file rows must be 'n,mean_tau' ({points_path})")
-    resolved = {"command": "fit", "model": model, "balance": balance,
-                "points": points_path, "n_points": len(points)}
-    echo_config(resolved)
     try:
         p = fit_scale(points, model, balance)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    echo_config({"command": "fit", "model": model, "balance": balance,
+                 "points": points_path, "n_points": len(points)})
     residual = fit_residual(points, model, balance, p)
     print(f"p = {p!r}")
     print(f"sum squared residual = {residual!r}")

@@ -60,10 +60,9 @@ class SimConfig:
             raise ValueError("max_steps must be >= 1")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        if spec.kernel is None:
-            if self.snapshot_path is None:
-                raise ValueError(f"{self.topology} topology needs snapshot_path")
-        else:
+        if not 0 <= self.base_seed < 1 << 64:  # run_seed reads it mod 2**64
+            raise ValueError(f"base_seed must be in [0, 2**64), got {self.base_seed}")
+        if spec.kernel is not None:
             if self.nodes is None or self.balance is None:
                 raise ValueError(f"{self.topology} topology needs nodes and balance")
             if self.balance < 1:
@@ -217,6 +216,9 @@ def _first_exit(state: np.ndarray, ids: np.ndarray, steps: np.ndarray, lo: int,
 
 def build_graph(cfg: SimConfig) -> ChannelGraph:
     """The snapshot topology's graph; the other topologies run graph-free kernels."""
+    if cfg.snapshot_path is None:
+        raise ValueError(f"{cfg.topology} topology needs snapshot_path, or a graph "
+                         f"passed to monte_carlo")
     return load_graph(cfg.snapshot_path)
 
 
@@ -314,24 +316,21 @@ def _clique_fast(cfg: SimConfig, ks: list[int], rng: Rng) -> list[RunOutcome]:
 
 
 def _ring_rounds(w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                                np.ndarray]:
-    """The rounds a block of raw words holds, read as ``Rng.pair`` and
-    ``randrange(2)`` read them: ``(s, span, r, nxt)``.
+                                                np.ndarray, np.ndarray]:
+    """The arcs of the rounds a block of raw words holds, read as ``Rng.pair``
+    and ``randrange(2)`` read words they accept: ``(first, split, wrap,
+    clockwise, nxt)``.
 
-    Round j pays from s[j] to (s[j] + span[j]) % n, an antipodal round with
-    tie-break draw r[j] (0 for the others), and its draws end before word
-    nxt[j].  The block is read only up to its first word that
-    ``randrange(n)`` or ``randrange(n - 1)`` could reject.  Every word is
-    decoded as if a round started there: s = w[i] % n, the destination from
-    w[i + 1] % (n - 1), and, for an antipodal pair, the tie-break bit from
-    w[i + 2].  The real rounds start at word 0 and follow
+    Round j crosses edges first[j], ..., split[j] - 1, then 0, ...,
+    wrap[j] - 1 (none unless its arc passes edge n - 1), and its draws end
+    before word nxt[j].  Every word is decoded as if a round started there:
+    s = w[i] % n, the destination from w[i + 1] % (n - 1), and, for an
+    antipodal pair, the tie-break bit r from w[i + 2], which sends the round
+    clockwise iff r is 0 from source 0 or 1 from any other source (see
+    ``_ring_fast``).  The real rounds start at word 0 and follow
     nxt[i] = i + 2 + antipodal[i].  A round the block holds only in part is
     left out.
     """
-    # n >= 3, so n or n - 1 is no power of two and the cut is below 2**64
-    bad = w >= np.uint64(min(word_limit(n), word_limit(n - 1)))
-    if bad.any():
-        w = w[:bad.argmax()]
     every = (w % np.uint64(n)).astype(np.int64)
     t = (w[1:] % np.uint64(n - 1)).astype(np.int64)
     span = t + (t >= every[:-1]) - every[:-1]
@@ -348,27 +347,21 @@ def _ring_rounds(w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
         cur = a + 3
     starts.append(np.arange(cur, len(w) - 1, 2))
     at = np.concatenate(starts)
-    tie = 2 * span[at] == n
-    r = np.zeros(len(at), dtype=np.int64)
-    r[tie] = w[at[tie] + 2] & np.uint64(1)
-    return every[at], span[at], r, at + 2 + tie
-
-
-def _ring_arcs(s: np.ndarray, span: np.ndarray, r: np.ndarray,
-               n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The arcs of the rounds from s[j] to (s[j] + span[j]) % n, each as two
-    runs of edges: ``(first, split, wrap, clockwise)``.
-
-    Round j crosses edges first[j], ..., split[j] - 1, then 0, ...,
-    wrap[j] - 1 (none unless its arc passes edge n - 1).  An antipodal round
-    goes clockwise iff its tie-break draw r[j] is 0 from source 0 or 1 from
-    any other source (see ``_ring_fast``).
-    """
-    clockwise = np.where(2 * span == n, (r == 0) == (s == 0), 2 * span < n)
+    s, span = every[at], span[at]
+    tie = 2 * span == n
+    clockwise = 2 * span < n
+    clockwise[tie] = ((w[at[tie] + 2] & np.uint64(1)) == 0) == (s[tie] == 0)
     first = np.where(clockwise, s, (s + span) % n)
     end = first + np.where(clockwise, span, n - span)
     split = np.minimum(end, n)
-    return first, split, end - split, clockwise
+    return first, split, end - split, clockwise, at + 2 + tie
+
+
+def _first_on_arc(out: np.ndarray, first: int, end: int, clockwise: bool, n: int) -> int:
+    """The first of the edges ``out`` along a round's arc over edges first,
+    ..., end - 1 (mod n): counting up from first for a clockwise payment,
+    down from end - 1 otherwise."""
+    return int(out[np.argmin((out - first if clockwise else end - 1 - out) % n)])
 
 
 def _ring_levels(dev: np.ndarray, hot: np.ndarray, first: np.ndarray, split: np.ndarray,
@@ -397,37 +390,41 @@ def _ring_fast(cfg: SimConfig, ks: list[int], rng: Rng) -> list[RunOutcome]:
     counterclockwise arc for every source but 0, because make_ring lists
     node 0's neighbours as [1, n-1].
 
-    Each block of raw words (sizes from ``_RING_WORDS``) is decoded at once by
-    ``_ring_rounds``, up to its first word that ``randrange`` could reject.
-    When that word falls in the block's first round, the block goes back to
-    ``rng`` and that one round is drawn by ``Rng.pair`` (and ``randrange(2)``
-    for a tie) instead.  Every arc is two runs of edges (``_ring_arcs``).  A
-    round moves a count by at most 1, so while the smallest slack to the band
-    is h, none of the next h rounds can fail: when h >= ``_SAFE_ROUNDS`` they
-    are applied together, through one difference array over their runs' ends.
-    Otherwise the next ``_RING_BATCH`` rounds form a batch near the band.  One
-    ``bincount`` of its runs' ends, split by sign, gives each edge how many
-    +1 runs (plus) and -1 runs (minus) cover it, and an edge is hot iff
-    dev + plus or dev - minus is past the band; no other edge can leave it
-    during the batch.  A batch with no hot edge goes through the same kind of
-    difference array.  Otherwise ``_ring_levels`` gives every hot edge's
-    |count| after each round of the batch: the first row past the band is
-    the stop round, its first hot edge past the band in path order is the
-    failing edge, and the next balance's band is checked on the same block
-    from that row on (a larger band has fewer hot edges, so the block is
-    still exact for it).  Only the edges within R of the band can leave it
-    within R rounds; a batch of R rounds with more than ``_RING_BLOCK`` / R
-    of them goes one round at a time instead, for at most ``_SAFE_ROUNDS``
-    rounds, with one slice update per run, and the rounds past the first h
-    check the runs they updated.  The words a run does not use go back to
-    ``rng``, so the stream ends where the scalar draws of the largest k end
-    it.  Progress is logged once per block.
+    Each block of raw words (sizes from ``_RING_WORDS``) is decoded whole by
+    ``_ring_rounds`` when every word is below the cut that ``randrange(n)`` and
+    ``randrange(n - 1)`` share.  A block that holds a word at or past it goes
+    back to ``rng``, and one round is drawn by ``Rng.pair`` (and
+    ``randrange(2)`` for a tie) and decoded by ``_ring_rounds`` from the values
+    its draws accepted, so one rejection rule (``Rng.randrange``'s) serves the
+    kernel.  A round moves a count by at most 1, so while the smallest slack to
+    the band is h, none of the next h rounds can fail: when h >=
+    ``_SAFE_ROUNDS`` they are applied together, through one difference array
+    over their runs' ends.  Otherwise the next ``_RING_BATCH`` rounds form a
+    batch near the band.  One ``bincount`` of its runs' ends, split by sign,
+    gives each edge how many +1 runs (plus) and -1 runs (minus) cover it, and
+    an edge is hot iff dev + plus or dev - minus is past the band; no other
+    edge can leave it during the batch.  A batch with no hot edge goes through
+    the same kind of difference array.  Otherwise ``_ring_levels`` gives every
+    hot edge's |count| after each round of the batch: the first row past the
+    band is the stop round, its first hot edge past the band in path order
+    (``_first_on_arc``) is the failing edge, and the next balance's band is
+    checked on the same block from that row on (a larger band has fewer hot
+    edges, so the block is still exact for it).  Only the edges within R of the
+    band can leave it within R rounds; a batch of R rounds with more than
+    ``_RING_BLOCK`` / R of them goes one round at a time instead, for at most
+    ``_SAFE_ROUNDS`` rounds, with one slice update per run, and the rounds past
+    the first h check the runs they updated; a failing one's edge is
+    ``_first_on_arc``'s too.  The words a run does not use go back to ``rng``,
+    so the stream ends where the scalar draws of the largest k end it.
+    Progress is logged once per block.
     """
     n = cfg.nodes
     run = _Ledger.of_kernel(cfg, ks, rng.seed)
     band = run.limit
     dev = np.zeros(n, dtype=np.int64)
     max_steps = cfg.max_steps
+    # n >= 3, so n or n - 1 is no power of two and the cut is below 2**64
+    cut = np.uint64(min(word_limit(n), word_limit(n - 1)))
     t = 0
     size, top = _RING_WORDS
     left = np.zeros(0, dtype=np.uint64)  # words the last block's rounds did not use
@@ -435,15 +432,13 @@ def _ring_fast(cfg: SimConfig, ks: list[int], rng: Rng) -> list[RunOutcome]:
     while band is not None and t < max_steps:
         w = rng.words(len(left) + size, left)
         size = next_size(size, top)
-        s, span, r, nxt = _ring_rounds(w, n)
-        if not len(s):  # the block's first round holds a word randrange may reject
+        if _MAX(w) >= cut:  # a word randrange may reject: one round of scalar draws
             rng.words(0, w)
             src, dst = rng.pair(n)
-            d = (dst - src) % n
-            s, span, nxt = np.array([src]), np.array([d]), np.zeros(1, dtype=np.int64)
-            r, w = np.array([rng.randrange(2) if 2 * d == n else 0]), w[:0]
-        first, split, wrap, clockwise = _ring_arcs(s, span, r, n)
-        rounds = min(len(s), max_steps - t)
+            tie = [rng.randrange(2)] if 2 * ((dst - src) % n) == n else []
+            w = np.array([src, dst - (dst > src)] + tie, dtype=np.uint64)
+        first, split, wrap, clockwise, nxt = _ring_rounds(w, n)
+        rounds = min(len(first), max_steps - t)
         steps = np.where(clockwise, -1, 1)
         keys = None  # the runs' ends, once a batch counts them
         j = 0
@@ -478,12 +473,9 @@ def _ring_fast(cfg: SimConfig, ks: list[int], rng: Rng) -> list[RunOutcome]:
                         while (past := level[row:] > band).any():
                             row += int(past.argmax()) // len(hot)
                             i = j + row
-                            out = hot[level[row] > band]
-                            # the first of them along the path: up from first[i] for a
-                            # clockwise payment, down from split[i] + wrap[i] - 1 otherwise
-                            along = (out - first[i] if clockwise[i] else
-                                     split[i] + wrap[i] - 1 - out) % n
-                            if (band := run.stop(t + i, int(out[np.argmin(along)]))) is None:
+                            edge = _first_on_arc(hot[level[row] > band], first[i],
+                                                 split[i] + wrap[i], clockwise[i], n)
+                            if (band := run.stop(t + i, edge)) is None:
                                 rng.words(0, w[nxt[i]:])
                                 return run.done
                     dev += plus + less
@@ -505,13 +497,10 @@ def _ring_fast(cfg: SimConfig, ks: list[int], rng: Rng) -> list[RunOutcome]:
                     continue
                 if (_MIN(v) < -band or e and _MIN(u) < -band) if step < 0 else \
                         (_MAX(v) > band or e and _MAX(u) > band):
-                    # a clockwise payment crosses edges a, ..., b + e - 1 (mod n) and
-                    # lowers them, a counterclockwise one raises them from b + e - 1 down
-                    hops = np.arange(b - a + e)
-                    path = (a + hops if step < 0 else b + e - 1 - hops) % n
-                    reach = -dev[path] if step < 0 else dev[path]  # moved the payment's way
-                    while _MAX(reach) > band:
-                        if (band := run.stop(t + i, int(path[np.argmax(reach > band)]))) is None:
+                    # only this round's arc can be past the band
+                    while len(out := np.flatnonzero(np.abs(dev) > band)):
+                        edge = _first_on_arc(out, a, b + e, step < 0, n)
+                        if (band := run.stop(t + i, edge)) is None:
                             rng.words(0, w[nxt[i]:])
                             return run.done
             j = stop
@@ -744,7 +733,7 @@ def monte_carlo(cfg: SimConfig, graph: Optional[ChannelGraph] = None,
     every worker count: each run's stream depends only on (base_seed, index).
     Topologies with a graph-free kernel build no graph; a caller's graph
     runs the generic payment process under ``topology="snapshot"`` only,
-    in place of the snapshot file.
+    in place of the snapshot file, so cfg then needs no ``snapshot_path``.
     """
     if _TOPOLOGY[cfg.topology].kernel is not None:
         if graph is not None:
@@ -809,6 +798,6 @@ def multi_amount_experiment(graph: ChannelGraph, amounts: list[int], runs: int,
     if not amounts:
         raise ValueError("amounts must be nonempty")
     # the smallest amount, so that SimConfig checks every amount is at least 1
-    cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", amount=min(amounts),
-                    stop_mode=stop_mode, max_steps=max_steps, base_seed=base_seed, runs=runs)
+    cfg = SimConfig(topology="snapshot", amount=min(amounts), stop_mode=stop_mode,
+                    max_steps=max_steps, base_seed=base_seed, runs=runs)
     return list(zip(amounts, _campaign(graph, cfg, amounts, workers)))

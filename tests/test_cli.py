@@ -1031,3 +1031,95 @@ def test_snapshot_path_named_like_json_text_loads(tmp_path, monkeypatch, capsys)
     assert run_cli("betweenness", "--snapshot", "{lnd}.json") == 0
     out = capsys.readouterr().out
     assert "graph = {lnd}.json" in out and "edges = 2" in out
+
+
+_WRITERS = [
+    ["simulate", "--topology", "ring", "--nodes", "8", "--balance", "2", "--runs", "2"],
+    ["simulate", "--graph", "{graph}", "--runs", "2"],
+    ["simulate", "--graph", "{graph}", "--amounts", "1,2", "--runs", "2"],
+    ["sweep", "--topology", "ring", "--nodes", "8", "--k-from", "2", "--k-to", "4"],
+    ["betweenness", "--graph", "{graph}"],
+    ["redistribute", "--graph", "{graph}", "--strategy", "uniform"],
+]
+
+
+@pytest.mark.parametrize("argv", _WRITERS)
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_an_out_path_that_cannot_be_written_is_refused_before_the_echo(tmp_path, capsys,
+                                                                        argv, where):
+    graph = tmp_path / "g.edges"
+    write_edgelist(make_ring(5, 8), graph)
+    out = tmp_path / "nope" / "b.csv" if where == "missing directory" else tmp_path
+    assert run_cli(*[a.format(graph=graph) for a in argv], "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_an_out_write_that_fails_at_write_time_is_a_runtime_error(tmp_path, capsys,
+                                                                  monkeypatch):
+    def full(*_args):
+        raise OSError("cannot write b.csv: [Errno 28] No space left on device")
+
+    monkeypatch.setattr(pcnsim.cli, "write_outcomes_csv", full)
+    assert run_cli(*_WRITERS[0], "--out", str(tmp_path / "b.csv")) == 2
+    captured = capsys.readouterr()
+    assert "count=" in captured.out  # the runs ran; only the write failed
+    assert captured.err == "error: cannot write b.csv: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2,5.0\n", "all n must be >= 3"),
+    ("3,5.0\n4,nan\n", "every mean_tau must be finite"),
+])
+def test_fit_refuses_bad_points_before_the_echo(tmp_path, capsys, text, message):
+    points = tmp_path / "p.csv"
+    points.write_text(text)
+    assert run_cli("fit", "--points", str(points), "--model", "upper", "--balance", "4") == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"config error: {message}\n"
+
+
+_SEED_COMMANDS = {
+    "simulate": (["simulate", "--topology", "ring", "--nodes", "8", "--balance", "2",
+                  "--runs", "1", "--workers", "1"], "base_seed = {seed}"),
+    "sweep": (["sweep", "--topology", "ring", "--nodes", "8", "--k-from", "2", "--k-to", "3",
+               "--runs-per-point", "1", "--workers", "1"], "base_seed = {seed}"),
+    "couple-check": (["couple-check", "--nodes", "4", "--balance", "2", "--seeds", "2"],
+                     "seed = {seed}"),
+}
+
+
+def _seed_from(source, seed, tmp_path, monkeypatch):
+    """The extra argv that gives ``seed`` by flag, config file or environment."""
+    if source == "flag":
+        return ["--seed", seed]
+    if source == "file":
+        recipe = tmp_path / "seed.cfg"
+        recipe.write_text(f"seed = {seed}\n")
+        return ["--config", str(recipe)]
+    monkeypatch.setenv("PCN_SIM_SEED", seed)
+    return []
+
+
+@pytest.mark.parametrize("command", list(_SEED_COMMANDS))
+@pytest.mark.parametrize("source", ["flag", "file", "env"])
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64), "-7"])
+def test_a_base_seed_outside_64_bits_is_refused_before_the_echo(tmp_path, capsys, monkeypatch,
+                                                                 command, source, seed):
+    argv, _line = _SEED_COMMANDS[command]
+    assert run_cli(*argv, *_seed_from(source, seed, tmp_path, monkeypatch)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: base_seed must be in [0, 2**64), got {seed}\n"
+
+
+@pytest.mark.parametrize("command", list(_SEED_COMMANDS))
+@pytest.mark.parametrize("source", ["flag", "file", "env"])
+@pytest.mark.parametrize("seed", ["0", str(2 ** 64 - 1)])
+def test_a_base_seed_at_either_end_of_64_bits_runs(tmp_path, capsys, monkeypatch, command,
+                                                    source, seed):
+    argv, line = _SEED_COMMANDS[command]
+    assert run_cli(*argv, *_seed_from(source, seed, tmp_path, monkeypatch)) == 0
+    assert line.format(seed=seed) in capsys.readouterr().out.splitlines()

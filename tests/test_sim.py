@@ -19,6 +19,7 @@ from pcnsim import (ChannelGraph, Rng, SimConfig, make_clique,
                     run_bdc_process, run_coupled_clique, run_independent_chains,
                     run_payment_process, run_seed)
 from pcnsim.paths import DagCache
+from pcnsim.rng import word_limit
 from pcnsim.sim import (STEP_CAP, TOPOLOGIES, _clique_fast, _ring_fast, build_graph,
                         capacity_sweep)
 
@@ -196,6 +197,33 @@ def test_monte_carlo_rejects_disconnected_graph():
     cfg = SimConfig(topology="snapshot", snapshot_path="<in-memory>", runs=1)
     with pytest.raises(ValueError, match="connected"):
         monte_carlo(cfg, graph=g)
+
+
+def test_a_callers_graph_needs_no_snapshot_path():
+    g = make_ring(6, 4)
+    cfg = SimConfig(topology="snapshot", runs=5, base_seed=3)
+    assert cfg.as_dict() == {"topology": "snapshot", "amount": 1, "stop_mode": "depletion",
+                             "max_steps": 10 ** 12, "base_seed": 3, "runs": 5}
+    assert (monte_carlo(cfg, graph=g)
+            == monte_carlo(replace(cfg, snapshot_path="<in-memory>"), graph=g))
+
+
+def test_a_snapshot_campaign_without_a_graph_or_a_path_names_both():
+    cfg = SimConfig(topology="snapshot", runs=1)
+    with pytest.raises(ValueError, match="needs snapshot_path, or a graph passed to "
+                                         "monte_carlo"):
+        monte_carlo(cfg)
+    with pytest.raises(ValueError, match="needs snapshot_path"):
+        build_graph(cfg)
+
+
+@pytest.mark.parametrize("seed", [-1, 0, 2 ** 64 - 1, 2 ** 64])
+def test_sim_config_takes_a_base_seed_in_64_bits_only(seed):
+    if 0 <= seed < 2 ** 64:
+        assert SimConfig(topology="ring", nodes=8, balance=2, base_seed=seed).base_seed == seed
+        return
+    with pytest.raises(ValueError, match=r"base_seed must be in \[0, 2\*\*64\)"):
+        SimConfig(topology="ring", nodes=8, balance=2, base_seed=seed)
 
 
 def test_payment_process_on_disconnected_graph_raises():
@@ -606,6 +634,46 @@ def test_ring_kernel_tie_word_past_the_cut_is_a_tie_bit(start):
     assert words[start + 2] == words[start + 5] == _TOP
     out = _ring_all(8, 2, words)
     assert (out.tau, out.failing_edge) == (len(pairs) + 2, 3)
+
+
+def _rejectable_stream(n, seed, rounds, marks, loose):
+    """Raw words of ``rounds`` scripted rounds on the n-ring, each followed
+    by its way back so that runs last, except a share ``loose`` of them and
+    every antipodal one, with a word that ``randrange`` rejects put before
+    the source or destination of each round whose words cover one of the
+    word positions ``marks``."""
+    rnd = random.Random(seed)
+    bounds = [b for b in (n, n - 1) if word_limit(b) < 2 ** 64]
+    words = []
+    for _ in range(rounds):
+        s, d = rnd.sample(range(n), 2)
+        tie = 2 * ((d - s) % n) == n
+        for pair in [(s, d)] if tie or rnd.random() < loose else [(s, d), (d, s)]:
+            draws = _ring_words(n, [pair], [rnd.getrandbits(64)] if tie else [])
+            if any(len(words) <= mark < len(words) + len(draws) for mark in marks):
+                bound = rnd.choice(bounds)
+                draws.insert(0 if bound == n else 1, rnd.randrange(word_limit(bound), 2 ** 64))
+            words += draws
+    return words
+
+
+@settings(max_examples=80)
+@given(n=st.integers(3, 40), k=st.integers(1, 6),
+       stop_mode=st.sampled_from(["depletion", "attempt"]),
+       cap=st.one_of(st.just(10 ** 12), st.integers(1, 400)),
+       rounds=st.integers(1, 300), loose=st.sampled_from([0.0, 0.05, 0.3]),
+       seed=st.integers(0, 2 ** 32),
+       marks=st.lists(st.one_of(st.integers(0, 900),
+                                st.integers(_FIRST_WORDS - 6, _FIRST_WORDS + 6)),
+                      max_size=6))
+def test_ring_kernel_matches_on_streams_with_rejected_words(n, k, stop_mode, cap, rounds,
+                                                             loose, seed, marks):
+    # the kernel, its one-round oracle and the generic loop agree on the
+    # outcome and on where the stream ends, with rejected words anywhere,
+    # at the first block's edge too
+    out = _ring_all(n, k, _rejectable_stream(n, seed, rounds, marks, loose),
+                    stop_mode=stop_mode, max_steps=cap, seed=seed)
+    assert out.tau <= cap
 
 
 @pytest.mark.parametrize("k", [20, 5])
