@@ -224,9 +224,16 @@ def _graph_path(recipe: dict) -> str:
 
 
 def _load_cmd_graph(recipe: dict) -> ChannelGraph:
+    """The command's graph; with an out path, refused if a node key could
+    not stand in its node-map CSV row."""
     path = _graph_path(recipe)
     try:
         g = load_graph(path)
+        if recipe.get("out") and g.node_keys is not None:
+            for key in map(str, g.node_keys):  # each as the node map's %s writes it
+                if "," in key or "\r" in key or "\n" in key:
+                    raise ValueError(f"node key {key!r} holds a comma, CR or LF, "
+                                     "which a node-map CSV row cannot hold")
     except (OSError, ValueError) as exc:
         raise RuntimeError(f"cannot load graph {path}: {exc}") from exc
     if recipe.get("plan"):

@@ -94,11 +94,11 @@ def _rebuild(g: ChannelGraph, source: int, hops, wants) -> ShortestPathDag:
     counts are summed level by level, as in Brandes (2001).
 
     With hops from source and wants 1, 2, ... it is the full DAG
-    (``sssp_dag``).  With d(w, target) on every node w of a shortest
-    source→target path (a full row, or -1 off them) and wants d - 1, ...,
-    0, where d = hops[source], it is the s–t DAG: a neighbour w of a node
-    at depth i - 1 on a shortest path is at depth i on one iff
-    hops[w] = d - i, as d(source, w) <= i and d(source, w) >= d - hops[w].
+    (``sssp_dag``).  With hops to target, exact wherever not -1 and set on
+    every node of a shortest source→target path, and wants d - 1, ..., 0,
+    where d = hops[source], it is the s–t DAG: a neighbour w of a node at
+    depth i - 1 on a shortest path is at depth i on one iff hops[w] = d - i,
+    as d(source, w) <= i and d(source, w) >= d - hops[w].
     Scanning each level in BFS queue order, along CSR rows, meets every node
     of the next level first through its lowest-ranked predecessor, at the
     position ``Csr.bfs_step`` gives it, so the levels keep the full BFS's
@@ -137,57 +137,49 @@ def st_dag(g: ChannelGraph, source: int, target: int) -> ShortestPathDag:
 
     Each step expands, by one whole level, the side whose frontier has the
     smaller degree sum, until a level reaches a node the other side has
-    found.  The balls around source and target, of radii a and b, then meet
-    for the first time, so d(s, t) = a + b, and the nodes at distance a from
-    s on a shortest path are exactly those the two balls share.  The DAG's
-    nodes, those with d(s, v) + d(v, t) = d(s, t), are found from that layer
-    back to s over the forward distances and on to t over the backward ones,
-    and marked with their hops to t in a row of -1s that ``_rebuild`` reads,
-    d(s, t) - 1 hops down to 0.
+    found.  The balls around source and target, hop arrays of radii a and b
+    (-1 outside), then meet for the first time, so d(s, t) = a + b, and the
+    nodes at distance a from s on a shortest path are exactly those they
+    share.  The target's ball is the row ``_rebuild`` reads, d(s, t) - 1
+    hops down to 0: it holds the exact hops to t of every DAG node at least
+    a hops from s.  The rest are traced back from the shared layer to s and
+    given their hops to t, a + b - (hops from s), in the same row.
     """
     n = g.node_count
     _check_pair(n, source, target)
     ptr, nbr, degree = g.csr_lists
-    seen = ({source: 0}, {target: 0})  # hops from source, hops to target
+    balls = (array("i", [-1]) * n, array("i", [-1]) * n)  # hops from source, to target
+    balls[0][source] = balls[1][target] = 0
     fronts = [[source], [target]]
     work = [degree[source], degree[target]]
     radius = [0, 0]
     while True:
         side = 0 if work[0] <= work[1] else 1
-        mine, other = seen[side], seen[1 - side]
+        mine, other = balls[side], balls[1 - side]
         depth = radius[side] + 1
         level, degrees, met = [], 0, False
         for v in fronts[side]:
             for w in nbr[ptr[v]:ptr[v + 1]]:
-                if w not in mine:
+                if mine[w] < 0:
                     mine[w] = depth
                     level.append(w)
                     degrees += degree[w]
-                    if w in other:
+                    if other[w] >= 0:
                         met = True
         if not level:
             raise ValueError(f"target {target} unreachable from source {source}")
         fronts[side], work[side], radius[side] = level, degrees, depth
         if met:
             break
-    hops_s, hops_t = seen
+    hops_s, row = balls
     a, b = radius
-    hops = array("i", [-1]) * n
-    # the balls share only nodes of the level just expanded, all b hops from t
-    middle = [w for w in fronts[side] if w in other]
-    for w in middle:
-        hops[w] = b
-    layer = middle
+    # the balls share only nodes of the level just expanded, a hops from s
+    layer = [w for w in fronts[side] if other[w] >= 0]
     for at in range(a - 1, -1, -1):  # back to s: the DAG's nodes at hops `at` from s
-        layer = {u for v in layer for u in nbr[ptr[v]:ptr[v + 1]] if hops_s.get(u) == at}
+        layer = {u for v in layer for u in nbr[ptr[v]:ptr[v + 1]] if hops_s[u] == at}
         for u in layer:
-            hops[u] = a + b - at
-    layer = middle
-    for at in range(b - 1, -1, -1):  # on to t: the DAG's nodes at hops `at` from t
-        layer = {u for v in layer for u in nbr[ptr[v]:ptr[v + 1]] if hops_t.get(u) == at}
-        for u in layer:
-            hops[u] = at
-    return _rebuild(g, source, hops, range(a + b - 1, -1, -1))
+            row[u] = a + b - at
+    return _rebuild(g, source, row, range(a + b - 1, -1, -1))
 
 
 def sample_shortest_path(dag: ShortestPathDag, target: int, rng: Rng) -> list[int]:
@@ -333,7 +325,9 @@ class DagCache:
     one hop-count BFS (``ChannelGraph.hops(t)``), and ``_rebuild`` reads
     every DAG to it off the row.  On larger graphs a campaign reuses too few
     rows to repay them.  A get that runs ``st_dag`` or builds a row is a
-    miss.  Both ways give the same DAG, so the cache cannot alter sampling.
+    miss.  ``st_dag``'s row is set on every DAG node and exact wherever
+    set, as a full row is, so both ways give the same DAG and the cache
+    cannot alter sampling.
     Not thread-safe: one instance per worker.
     """
 

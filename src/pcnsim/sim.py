@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import logging
 import math
-import multiprocessing
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, NamedTuple, Optional
 
@@ -703,6 +702,8 @@ def _campaign(graph: Optional[ChannelGraph], cfg: SimConfig, points: list[int],
     runs = cfg.runs
     workers = min(workers, runs)  # more would fork workers that get no run
     pooled = workers > 1
+    if pooled:
+        import multiprocessing  # only a pool needs it, so importing pcnsim skips it
     if pooled and "fork" not in multiprocessing.get_all_start_methods():
         logger.warning("fork unavailable; running sequentially")
         pooled = False

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pcnsim.paths
 from pcnsim import (ChannelGraph, Rng, SimConfig, edge_betweenness, make_ring,
                     monte_carlo, multi_amount_experiment, run_payment_process, run_seed,
                     sssp_dag)
@@ -281,6 +282,52 @@ def _diamond_chain(k: int) -> ChannelGraph:
         j = 3 * i
         edges += [(j, j + 1, 2), (j, j + 2, 2), (j + 1, j + 3, 2), (j + 2, j + 3, 2)]
     return ChannelGraph(3 * k + 1, edges)
+
+
+def _with_detached_path(n, extra, seed, detached):
+    """A random connected graph on nodes 0..n-1 and a path on the next
+    ``detached`` nodes (one isolated node when it is 1)."""
+    edges = random_connected_edges(random.Random(seed), n, extra_prob=extra)
+    edges += [(n + i, n + i + 1, 2) for i in range(detached - 1)]
+    return ChannelGraph(n + detached, edges)
+
+
+_ROW_GRAPHS = st.one_of(
+    st.builds(_with_detached_path, st.integers(2, 14), st.floats(0.0, 0.6),
+              st.integers(0, 2 ** 16), st.integers(1, 3)),
+    st.builds(make_ring, st.integers(3, 20), st.just(2)),  # odd and even rings
+    st.builds(lambda n: ChannelGraph(n, [(0, v, 2) for v in range(1, n)]),  # stars
+              st.integers(2, 12)),
+    st.builds(_diamond_chain, st.integers(64, 70)),  # 2**k paths end to end
+)
+
+
+@settings(max_examples=80)
+@given(g=_ROW_GRAPHS, data=st.data())
+def test_st_dag_row_is_exact_hops_to_target(g, data):
+    # the row st_dag hands _rebuild: exact hops to t wherever it has an
+    # entry, and an entry on every node of the DAG built from it
+    n = g.node_count
+    s, t = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    rebuild, rows = pcnsim.paths._rebuild, []
+
+    def spy(graph, source, hops, wants):
+        rows.append(hops)
+        return rebuild(graph, source, hops, wants)
+
+    to_t = g.hops(t)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pcnsim.paths, "_rebuild", spy)
+        if to_t[s] < 0:
+            with pytest.raises(ValueError, match=f"^target {t} unreachable from source {s}$"):
+                st_dag(g, s, t)
+            assert rows == []
+            return
+        dag = st_dag(g, s, t)
+    [row] = rows
+    assert len(row) == n
+    assert all(h == to_t[v] for v, h in enumerate(row) if h >= 0)
+    assert all(row[v] >= 0 for v in dag._steps)
 
 
 def test_sigma_past_int64_is_exact():

@@ -951,6 +951,34 @@ def test_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
     assert err.startswith(f"config error: cannot read config file {recipe}: 'utf-8' codec")
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--amount", "10", "--runs", "2", "--seed", "1", "--workers", "1"],
+    ["betweenness"],
+    ["redistribute", "--strategy", "uniform"],
+])
+def test_node_key_its_node_map_row_cannot_hold_is_refused_before_any_output(
+        tmp_path, capsys, argv):
+    # written as is, the row of key 'a,b' would read back as 3 fields and
+    # that of 'c\nd' as two rows
+    snap, out = tmp_path / "snap.json", tmp_path / "runs.csv"
+    for bad in ("a,b", "c\nd", "c\rd"):
+        keys = ["x", bad, "y"]
+        snap.write_text(json.dumps({
+            "nodes": [{"pub_key": k} for k in keys],
+            "edges": [{"node1_pub": u, "node2_pub": v, "capacity": "1000"}
+                      for u, v in zip(keys, keys[1:] + keys[:1])]}))
+        assert run_cli(*argv, "--snapshot", str(snap), "--out", str(out)) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err == (f"error: cannot load graph {snap}: node key {bad!r} holds a comma, "
+                       "CR or LF, which a node-map CSV row cannot hold\n")
+        assert list(tmp_path.iterdir()) == [snap]
+        # without an out path nothing is written, so nothing is refused
+        assert run_cli(*argv, "--snapshot", str(snap)) == 0
+        capsys.readouterr()
+        assert list(tmp_path.iterdir()) == [snap]
+
+
 _NODES_AB = [{"pub_key": "A"}, {"pub_key": "B"}]
 
 

@@ -3,10 +3,14 @@ from __future__ import annotations
 import json
 import logging
 import multiprocessing
+import os
 import random
 import re
 import statistics
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -336,12 +340,23 @@ def test_campaign_starts_at_most_one_process_per_run(monkeypatch):
                        base_seed=5), g)]
     want = [monte_carlo(cfg, graph) for cfg, graph in cfgs]
     monkeypatch.setattr(pcnsim.sim, "_worker_args", ())  # the initializer sets it here
-    monkeypatch.setattr(pcnsim.sim.multiprocessing, "get_context",
+    monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method: SimpleNamespace(Pool=InProcess))
     assert [monte_carlo(cfg, graph, workers=8) for cfg, graph in cfgs] == want
     assert multi_amount_experiment(g, [1, 2], runs=2, base_seed=5, workers=8) == [
         (x, monte_carlo(replace(cfgs[1][0], amount=x, stop_mode="attempt"), g)) for x in (1, 2)]
     assert asked == [2, 2, 2]
+
+
+def test_import_pcnsim_leaves_multiprocessing_unloaded():
+    # only a pooled campaign imports it, so a fresh interpreter has not
+    src = str(Path(pcnsim.sim.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", "import sys, pcnsim; "
+                           "print('multiprocessing' in sys.modules)"],
+                          capture_output=True, text=True, env=env, check=True, timeout=60)
+    assert done.stdout == "False\n"
 
 
 def test_multi_amount_equals_plain_monte_carlo_for_unit_amount():
