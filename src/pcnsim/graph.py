@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -18,6 +19,17 @@ _MAX_NODES = 3_037_000_499  # the largest n with n * n below 2**63
 _INT64_MAX = 2 ** 63 - 1
 _DECIMAL = re.compile("-?[0-9]+")  # a snapshot's capacity string
 _DECIMALS = re.compile("-?[0-9]+(?:\n-?[0-9]+)*")  # several, one to a line
+_PIECE = 1 << 20  # characters of a snapshot file read and parsed at a time
+_MISSES = 2  # failed cuts after which a piece is left to json.load
+_WS = re.compile("[ \t\n\r]*")  # JSON's whitespace
+# a record's end, the next one's "{" and the whitespace up to its first key,
+# within _CUT_SPAN characters; more whitespace only makes a piece longer
+_CUT = re.compile("}[ \t\n\r]*,[ \t\n\r]*({)[ \t\n\r]*\\Z")
+_CUT_SPAN = 256
+# an array's "[" and its "]" or its first record's "{" and first key, and a
+# text that may yet grow into them
+_HEAD = re.compile('\\[[ \t\n\r]*(?:]|{[ \t\n\r]*("(?:[^"\\\\]|\\\\.)*"))')
+_HEAD_START = re.compile('\\[[ \t\n\r]*(?:{[ \t\n\r]*(?:"(?:[^"\\\\]|\\\\.)*\\\\?)?)?')
 
 
 class Csr(NamedTuple):
@@ -250,20 +262,37 @@ def _check_capacity(capacity: int) -> None:
 def parse_snapshot(source) -> SnapshotDocument:
     """Parse an LND ``describegraph``-shaped document into columns.
 
-    Accepts a dict or a path.  Expected shape: top-level ``nodes`` (objects
-    with ``pub_key``) and ``edges`` (objects with ``node1_pub``,
-    ``node2_pub``, and ``capacity`` as int or a string of ASCII decimal
-    digits, with an optional leading minus).  Unknown fields are ignored; a
-    repeated node record is kept once.  Each field is read by one list
-    comprehension, and every capacity string by one regex pass; a faulty
+    Accepts a dict or a path (a ``str`` or any ``os.PathLike``).  Expected
+    shape: top-level ``nodes`` (objects with ``pub_key``) and ``edges``
+    (objects with ``node1_pub``, ``node2_pub``, and ``capacity`` as int or a
+    string of ASCII decimal digits, with an optional leading minus).  Unknown
+    fields are ignored; a repeated node record is kept once.  A faulty
     document raises the ValueError of its first faulty record, in document
     order, nodes before channels.
+
+    A file is read in pieces of about ``_PIECE`` characters by ``_Reader``,
+    and each record shrinks to the fields read here as it is parsed, so
+    neither the whole text nor a dict per record is held.  A document
+    outside that plain shape, faulty ones among them, is parsed whole by
+    ``json.load`` and read as a dict is: each field by one list
+    comprehension, and every capacity string by one regex pass.  A document
+    nested deeper than the JSON decoder follows raises a ValueError too.
     """
-    if isinstance(source, (str, Path)):
+    if not isinstance(source, (str, os.PathLike)):
+        return _parse_document(source)
+    try:
         with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = source
+            try:
+                return _Reader(fh).document()
+            except _Whole:
+                fh.seek(0)
+                doc = json.load(fh)
+        return _parse_document(doc)
+    except RecursionError:
+        raise ValueError("snapshot is nested deeper than the JSON decoder follows") from None
+
+
+def _parse_document(doc) -> SnapshotDocument:
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
         raise ValueError("snapshot document must have top-level 'nodes' and 'edges'")
     nodes, channels = doc["nodes"], doc["edges"]
@@ -289,6 +318,226 @@ def parse_snapshot(source) -> SnapshotDocument:
     if good < len(channels):
         raise ValueError(f"malformed channel record: {channels[good]!r}")
     return SnapshotDocument(node_keys, node1, node2, list(map(int, capacity)))
+
+
+class _Whole(Exception):
+    """A document ``_Reader`` does not take, left to ``json.load``."""
+
+
+class _Shrunk:
+    """The last item of each record ``_shrink`` returns.  It makes the tuple
+    unhashable, as the dict it replaces is, so that a record nested where a
+    key belongs is no key; a tuple subclass would cost four times as much
+    to build."""
+
+    __slots__ = ()
+    __hash__ = None
+
+
+_SHRUNK = _Shrunk()
+
+
+def _shrink(obj: dict):
+    """The object hook of a piece's decoder: a channel record becomes
+    ``(node1_pub, node2_pub, capacity, _SHRUNK)`` and any other object with
+    a ``pub_key`` becomes ``(pub_key, _SHRUNK)`` as soon as it is parsed;
+    other objects stay."""
+    if "node1_pub" in obj and "node2_pub" in obj and "capacity" in obj:
+        return obj["node1_pub"], obj["node2_pub"], obj["capacity"], _SHRUNK
+    if "pub_key" in obj:
+        return obj["pub_key"], _SHRUNK
+    return obj
+
+
+class _Reader:
+    """Reads a snapshot file a piece at a time: the open text file, a buffer
+    of what is read and not yet parsed, and a position in it.
+
+    ``document`` walks the top-level object by hand and decodes each key,
+    and each value but ``nodes`` and ``edges``, with ``raw_decode``.  The two
+    arrays go in pieces: a piece runs from the current record to the last
+    cut in the buffer, a ``}`` followed by ``,``, ``{`` and the first key of
+    the array's first record as it is written (whitespace between), and
+    ``piece + "]"``, from a ``[``, is decoded through ``_shrink``.  Cutting
+    only before that key passes over the ``}, {`` between nested objects,
+    such as the addresses of an LND node.  A cut inside a record leaves an
+    object or a string open, so its decode fails and the previous cut is
+    tried; a decode that stops before the appended ``]`` has met the array's
+    own.  Where no cut fits, more is read, so a record longer than a piece
+    loads too; once the whole file is read, the rest of an array is one
+    piece.  ``_Whole`` is raised for any document whose result or error the
+    dict path must give: invalid JSON, a BOM or trailing data, a repeated
+    top-level key, ``nodes`` or ``edges`` not an array, a record the hook
+    did not shrink or shrank for the other array, an unhashable key, a
+    capacity neither an int nor a decimal string, and a piece whose cuts
+    failed ``_MISSES`` times.
+    """
+
+    def __init__(self, fh):
+        self.fh, self.buf, self.pos, self.eof = fh, "", 0, False
+
+    def more(self, size: int) -> None:
+        """Read up to ``size`` characters more, dropping the text before pos."""
+        try:
+            text = self.fh.read(size)
+        except UnicodeDecodeError:  # json.load names the offset in the whole file
+            raise _Whole from None
+        self.eof = len(text) < size  # a text file reads short only at its end
+        self.buf, self.pos = self.buf[self.pos:] + text, 0
+
+    def char(self) -> str:
+        """The next character that is not whitespace, where pos is left, or
+        "" at the end of the file."""
+        while True:
+            self.pos = _WS.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or self.eof:
+                return self.buf[self.pos:self.pos + 1]
+            self.more(_PIECE)
+
+    def expect(self, char: str) -> None:
+        if self.char() != char:
+            raise _Whole
+        self.pos += 1
+
+    def value(self, decoder: json.JSONDecoder):
+        """The value at pos, which is left after it; the read doubles while
+        the value does not fit in the buffer."""
+        size = _PIECE
+        while True:
+            try:
+                value, end = decoder.raw_decode(self.buf, self.pos)
+                # a number that ends with the buffer may go on in the file
+                if end < len(self.buf) or self.eof:
+                    self.pos = end
+                    return value
+            except ValueError:
+                if self.eof:
+                    raise _Whole from None
+            self.more(size)
+            size *= 2
+
+    def head(self) -> str | None:
+        """The first key, as written, of the first record of the array whose
+        ``[`` is at pos; None, with pos left after the array, if it is empty."""
+        size = _PIECE
+        while not (head := _HEAD.match(self.buf, self.pos)):
+            if self.eof or not _HEAD_START.fullmatch(self.buf, self.pos):
+                raise _Whole
+            self.more(size)
+            size *= 2
+        if head.group(1) is None:
+            self.pos = head.end()
+        return head.group(1)
+
+    def cuts(self, head: str):
+        """The cuts after pos before each record whose first key is written
+        ``head``, last first: matches of ``_CUT`` whose group is the next
+        record's ``{``."""
+        end = len(self.buf)
+        while (end := self.buf.rfind(head, self.pos, end)) >= 0:
+            cut = _CUT.search(self.buf, max(self.pos, end - _CUT_SPAN), end)
+            if cut:
+                yield cut
+
+    def pieces(self, decoder: json.JSONDecoder):
+        """The records of the array whose ``[`` is at pos, a list to each
+        piece, decoded by ``decoder``; pos is left after the array.
+
+        Each piece is decoded from a ``[`` at pos: the array's own, and
+        after a cut, one written in place of the ``,`` before the record."""
+        head = self.head()
+        if head is None:
+            return
+        size, misses = _PIECE, 0
+        while True:
+            text, start = self.buf, self.pos
+            # once the whole file is read, the rest of the array is one piece
+            for cut in () if self.eof else self.cuts(head):
+                piece = text[start:cut.start() + 1] + "]"
+                try:
+                    records, end = decoder.raw_decode(piece)
+                except ValueError:
+                    misses += 1
+                    if misses == _MISSES:
+                        raise _Whole from None
+                    continue
+                if end < len(piece):
+                    self.pos = start + end
+                    yield records
+                    return
+                yield records
+                self.buf, self.pos = "[" + text[cut.start(1):], 0
+                size, misses = _PIECE, 0
+                break
+            else:
+                # no cut fits: the array may end in the buffer, or read on
+                try:
+                    records, self.pos = decoder.raw_decode(text, start)
+                except ValueError:
+                    if self.eof:
+                        raise _Whole from None
+                else:
+                    yield records
+                    return
+                self.more(size)
+                size *= 2
+                continue
+            self.more(_PIECE)
+
+    def document(self) -> SnapshotDocument:
+        """The columns of the whole document; ``_Whole`` where the dict path
+        must read it."""
+        plain, shrinking = json.JSONDecoder(), json.JSONDecoder(object_hook=_shrink)
+        node_keys, node1, node2, capacity = [], [], [], []
+        seen = set()
+        self.expect("{")
+        if self.char() != "}":
+            while True:
+                if self.char() != '"':
+                    raise _Whole
+                key = self.value(plain)
+                if key in seen:
+                    raise _Whole
+                seen.add(key)
+                self.expect(":")
+                if key == "nodes" or key == "edges":
+                    if self.char() != "[":
+                        raise _Whole
+                    width = 2 if key == "nodes" else 4
+                    for records in self.pieces(shrinking):
+                        if (set(map(type, records)) != {tuple}
+                                or set(map(len, records)) != {width}):
+                            raise _Whole
+                        if width == 2:
+                            keys, _ = zip(*records)
+                            node_keys += _hashable(keys)
+                        else:
+                            ends1, ends2, caps, _ = zip(*records)
+                            if _first_non_integer(caps) is not None:
+                                raise _Whole
+                            node1 += _hashable(ends1)
+                            node2 += _hashable(ends2)
+                            capacity += caps
+                else:
+                    self.char()
+                    self.value(plain)
+                if self.char() != ",":
+                    break
+                self.pos += 1
+        self.expect("}")
+        if self.char() or "nodes" not in seen or "edges" not in seen:
+            raise _Whole
+        return SnapshotDocument(list(dict.fromkeys(node_keys)), node1, node2,
+                                list(map(int, capacity)))
+
+
+def _hashable(keys):
+    """``keys``, if each of them is hashable; else ``_Whole``."""
+    try:
+        hash(tuple(keys))
+    except TypeError:
+        raise _Whole from None
+    return keys
 
 
 def _node_keys(records: list) -> list:

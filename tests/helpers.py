@@ -582,3 +582,47 @@ def oracle_load_snapshot(doc, dropped=None):
              for u, v, cap in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.capacity.tolist())
              if u in remap]
     return ChannelGraph(len(best), edges, node_keys=[node_keys[old] for old in best])
+
+
+_FEATURES = {0: "data-loss-protect", 5: "upfront-shutdown-script", 7: "gossip-queries",
+             9: "tlv-onion", 12: "static-remote-key", 14: "payment-addr",
+             17: "multi-path-payments", 23: "anchors-zero-fee-htlc-tx",
+             27: "shutdown-any-segwit", 45: "explicit-commitment-type",
+             2023: "script-enforced-lease"}
+_ALIASES = ["{0}", "}}, {{{0}", 'say "{0}"', "{0}}}, {{\"pub_key\": \"x\"}}, {{", "\\{0}\\"]
+
+
+def lnd_decorated(doc: dict, seed: int) -> dict:
+    """``doc`` with the nested fields of LND's ``describegraph`` around each
+    record's own: two policy objects per channel, a feature object per
+    feature bit and two address objects per node, and aliases that hold
+    ``}, {``, escaped quotes and backslashes.  Fields keep LND's order, and
+    the same (doc, seed) always give the same document."""
+    rng = random.Random(seed)
+
+    def policy():
+        return {"time_lock_delta": rng.choice([40, 80, 144]), "min_htlc": "1000",
+                "fee_base_msat": str(rng.randrange(2000)),
+                "fee_rate_milli_msat": str(rng.randrange(5000)), "disabled": rng.random() < 0.1,
+                "max_htlc_msat": str(rng.randrange(10 ** 6, 10 ** 10)),
+                "last_update": rng.randrange(1_600_000_000, 1_700_000_000),
+                "custom_records": {}}
+
+    nodes = []
+    for i, rec in enumerate(doc["nodes"]):
+        bits = sorted(rng.sample(sorted(_FEATURES), rng.randrange(3, len(_FEATURES))))
+        nodes.append({
+            "last_update": rng.randrange(1_600_000_000, 1_700_000_000), **rec,
+            "alias": rng.choice(_ALIASES).format(f"node{i}"),
+            "addresses": [{"network": "tcp", "addr": f"{rng.getrandbits(32):08x}:9735"},
+                          {"network": "tcp", "addr": f"{rng.getrandbits(80):020x}.onion:9735"}],
+            "color": f"#{rng.getrandbits(24):06x}",
+            "features": {str(bit): {"name": _FEATURES[bit], "is_required": bit % 2 == 0,
+                                    "is_known": True} for bit in bits},
+            "custom_records": {}})
+    edges = [{"channel_id": str(rng.getrandbits(63)),
+              "chan_point": f"{rng.getrandbits(256):064x}:{rng.randrange(4)}",
+              "last_update": rng.randrange(1_600_000_000, 1_700_000_000), **rec,
+              "node1_policy": policy(), "node2_policy": policy(), "custom_records": {}}
+             for rec in doc["edges"]]
+    return {"nodes": nodes, "edges": edges}

@@ -990,6 +990,8 @@ _NODES_AB = [{"pub_key": "A"}, {"pub_key": "B"}]
     ("s.json", {"nodes": _NODES_AB, "edges": [{"node1_pub": ["A"], "node2_pub": "B",
                                                 "capacity": 5}]},
      ["simulate", "--snapshot"], 2, "error: cannot load graph {path}: malformed channel record"),
+    ("s.json", '{"nodes": ' + "[" * 200000, ["simulate", "--snapshot"], 2,
+     "error: cannot load graph {path}: snapshot is nested deeper than the JSON decoder follows"),
     ("plan.csv", "edge_id,old_capacity,new_capacity\n0,10\n",
      ["betweenness", "--graph", "{graph}", "--plan"], 1,
      "config error: plan {path}: row '0,10' has 2 fields, the header 3"),
